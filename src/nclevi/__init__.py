@@ -22,29 +22,22 @@ from .algebra import (
 from .calculus import (
     CalculusSpec,
     OneForm,
-    TensorCube,
     TensorSquare,
     TwoForm,
     p_sym,
     sigma,
-    zeta_decode,
-    zeta_encode,
-    zeta_eval,
 )
 from .deformation import (
     GradedDecomposition,
     TorusAction,
     bicharacter,
     deform_connection,
-    deform_map,
-    deform_module_action,
     deform_product,
     spectral_decompose,
 )
 from .errors import (
     BackendMismatch,
     GeometryError,
-    GridTooCoarse,
     Inconsistent,
     NonCentralResult,
     NonCommutativeBackend,

@@ -10,7 +10,7 @@ coefficient transpose and the symmetrizer is its average with the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .algebra import (
     BackendDescriptor,
     DerivationSpec,
     derive,
-    lift,
 )
 from .errors import BackendMismatch, NoSolution
 
@@ -51,11 +50,6 @@ class OneForm:
     @property
     def rank(self) -> int:
         return len(self.coeffs)
-
-    @classmethod
-    def zero(cls, backend: BackendDescriptor, rank: int) -> "OneForm":
-        z = AlgebraElement.zero(backend)
-        return cls([z] * rank)
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -162,49 +156,6 @@ class TwoForm:
         return max((c.norm() for c in self.coeffs), default=0.0)
 
 
-class TensorCube:
-    """Sum e_i (x) e_j (x) e_k a_ijk; only needed for braid/projector diagnostics."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(tuple(tuple(p) for p in r) for r in coeffs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    def permute(self, perm) -> "TensorCube":
-        n = self.rank
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    src = (i, j, k)
-                    dst = tuple(src[p] for p in perm)
-                    out[dst[0]][dst[1]][dst[2]] = self.coeffs[i][j][k]
-        return TensorCube(out)
-
-    def sigma12(self) -> "TensorCube":
-        return self.permute((1, 0, 2))
-
-    def sigma23(self) -> "TensorCube":
-        return self.permute((0, 2, 1))
-
-    def __add__(self, other: "TensorCube") -> "TensorCube":
-        n = self.rank
-        return TensorCube([[[self.coeffs[i][j][k] + other.coeffs[i][j][k]
-                             for k in range(n)] for j in range(n)] for i in range(n)])
-
-    def __sub__(self, other: "TensorCube") -> "TensorCube":
-        n = self.rank
-        return TensorCube([[[self.coeffs[i][j][k] - other.coeffs[i][j][k]
-                             for k in range(n)] for j in range(n)] for i in range(n)])
-
-    def norm(self) -> float:
-        return max(c.norm() for r in self.coeffs for p in r for c in p)
-
-
 def sigma(t: TensorSquare) -> TensorSquare:
     """Canonical flip: coefficient transpose."""
     n = t.rank
@@ -214,6 +165,39 @@ def sigma(t: TensorSquare) -> TensorSquare:
 def p_sym(t: TensorSquare) -> TensorSquare:
     """Symmetrizer (1 + sigma)/2; its range is Ker(wedge)."""
     return (t + sigma(t)).scale(0.5)
+
+
+@dataclass(frozen=True)
+class CubeProjectors:
+    """Flips on the scalar n^3 coefficient index space E (x) E (x) E.
+
+    s12 and s23 are sigma_12 and sigma_23 as permutation matrices, p12 and p23
+    the projectors (1 + sigma)/2, and b12, b23 orthonormal bases of their ranges.
+    """
+
+    s12: np.ndarray
+    s23: np.ndarray
+    p12: np.ndarray
+    p23: np.ndarray
+    b12: np.ndarray
+    b23: np.ndarray
+
+
+def cube_projectors(n: int) -> CubeProjectors:
+    """The flips of the n^3 index cube, their symmetrizers and range bases."""
+    dim = n ** 3
+    cube = np.arange(dim).reshape(n, n, n)
+    eye = np.eye(dim)
+    # both flips are involutions, so row (i, j, k) of sigma_12 picks column (j, i, k)
+    s12 = eye[cube.transpose(1, 0, 2).ravel()]
+    s23 = eye[cube.transpose(0, 2, 1).ravel()]
+    p12 = 0.5 * (eye + s12)
+    p23 = 0.5 * (eye + s23)
+    bases = []
+    for p in (p12, p23):
+        u, sv, _ = np.linalg.svd(p)
+        bases.append(u[:, :int(np.sum(sv > 0.5))])
+    return CubeProjectors(s12, s23, p12, p23, *bases)
 
 
 @dataclass(frozen=True)
@@ -275,17 +259,9 @@ class CalculusSpec:
 
     # -- building blocks ----------------------------------------------------
 
-    def zero_one_form(self) -> OneForm:
-        return OneForm.zero(self.backend, self.rank)
-
     def basis_one_form(self, i: int) -> OneForm:
         coeffs = [AlgebraElement.zero(self.backend)] * self.rank
         coeffs[i] = AlgebraElement.unit(self.backend)
-        return OneForm(coeffs)
-
-    def one_form(self, coeffs: Sequence[AlgebraElement]) -> OneForm:
-        if len(coeffs) != self.rank:
-            raise ValueError("wrong number of coefficients")
         return OneForm(coeffs)
 
     def basis_tensor(self, i: int, j: int) -> TensorSquare:
@@ -370,108 +346,13 @@ class CalculusSpec:
         Everything happens on the scalar n^3 coefficient index space: the flips
         act by index permutation regardless of the algebra coefficients.
         """
-        n = self.rank
-        dim = n ** 3
-
-        def perm_matrix(perm):
-            p = np.zeros((dim, dim))
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        src = (i, j, k)
-                        dst = tuple(src[q] for q in perm)
-                        p[dst[0] * n * n + dst[1] * n + dst[2],
-                          i * n * n + j * n + k] = 1.0
-            return p
-
-        s12 = perm_matrix((1, 0, 2))
-        s23 = perm_matrix((0, 2, 1))
-        braid = float(np.max(np.abs(s12 @ s23 @ s12 - s23 @ s12 @ s23)))
-        p12 = 0.5 * (np.eye(dim) + s12)
-        p23 = 0.5 * (np.eye(dim) + s23)
-
-        def ran_basis(p):
-            u, s, _ = np.linalg.svd(p)
-            r = int(np.sum(s > 0.5))
-            return u[:, :r]
-
-        b12, b23 = ran_basis(p12), ran_basis(p23)
-        r12_on_23 = int(np.linalg.matrix_rank(p12 @ b23, tol=1e-10))
-        r23_on_12 = int(np.linalg.matrix_rank(p23 @ b12, tol=1e-10))
-        bijective = (r12_on_23 == b23.shape[1] == b12.shape[1] == r23_on_12)
-        return BraidReport(braid, b12.shape[1], b23.shape[1], r12_on_23, r23_on_12, bijective)
-
-    # -- lifting -------------------------------------------------------------
-
-    def lifted(self, extra_radius: int) -> "CalculusSpec":
-        """A clone over an enlarged truncation window (graded backend only)."""
-        if self.backend.kind != "graded" or extra_radius <= 0:
-            return self
-        be = self.backend.with_radius(self.backend.radius + extra_radius)
-        ders = []
-        for d in self.derivations:
-            if d.kind == "inner":
-                ders.append(DerivationSpec.inner(lift(d.element, be)))
-            else:
-                ders.append(d)
-        gens = [lift(g, be) for g in self.generators]
-        return CalculusSpec(self.rank, self.two_form_rank, self.wedge_constants,
-                            self.exterior_constants, ders, be, gens)
-
-    def lift_one_form(self, omega: OneForm, spec: "CalculusSpec") -> OneForm:
-        return OneForm([lift(c, spec.backend) for c in omega.coeffs])
-
-
-# -- zeta encoding of right-linear maps E -> E (x) E -------------------------
-
-class ZetaTensor:
-    """Coefficient tensor in E (x) E (x) E^*: entry [j][k][i] pairs e_j (x) e_k with phi^i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(tuple(tuple(p) for p in r) for r in coeffs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    def norm(self) -> float:
-        return max(c.norm() for r in self.coeffs for p in r for c in p)
-
-    def __sub__(self, other: "ZetaTensor") -> "ZetaTensor":
-        n = self.rank
-        return ZetaTensor([[[self.coeffs[j][k][i] - other.coeffs[j][k][i]
-                             for i in range(n)] for k in range(n)] for j in range(n)])
-
-
-def zeta_encode(spec: CalculusSpec, values: List[TensorSquare]) -> ZetaTensor:
-    """Encode a right-linear map L: E -> E (x) E, given by L(e_i), as a tensor in E (x) E (x) E^*."""
-    n = spec.rank
-    if len(values) != n:
-        raise ValueError("need one tensor-square value per basis one-form")
-    return ZetaTensor([[[values[i].coeffs[j][k] for i in range(n)]
-                        for k in range(n)] for j in range(n)])
-
-
-def zeta_decode(spec: CalculusSpec, tensor: ZetaTensor) -> List[TensorSquare]:
-    """Inverse of zeta_encode: recover the basis values L(e_i)."""
-    n = spec.rank
-    return [TensorSquare([[tensor.coeffs[j][k][i] for k in range(n)] for j in range(n)])
-            for i in range(n)]
-
-
-def zeta_eval(spec: CalculusSpec, tensor: ZetaTensor, x: OneForm) -> TensorSquare:
-    """Evaluation contract zeta(sum e (x) f (x) phi)(x) = sum e (x) f phi(x)."""
-    n = spec.rank
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            acc = AlgebraElement.zero(x.backend)
-            for i in range(n):
-                acc = acc + tensor.coeffs[j][k][i] * x.coeffs[i]
-            out[j][k] = acc
-    return TensorSquare(out)
+        c = cube_projectors(self.rank)
+        braid = float(np.max(np.abs(c.s12 @ c.s23 @ c.s12 - c.s23 @ c.s12 @ c.s23)))
+        r12_on_23 = int(np.linalg.matrix_rank(c.p12 @ c.b23, tol=1e-10))
+        r23_on_12 = int(np.linalg.matrix_rank(c.p23 @ c.b12, tol=1e-10))
+        dim12, dim23 = c.b12.shape[1], c.b23.shape[1]
+        bijective = (r12_on_23 == dim23 == dim12 == r23_on_12)
+        return BraidReport(braid, dim12, dim23, r12_on_23, r23_on_12, bijective)
 
 
 def random_one_form(spec: CalculusSpec, rng: np.random.Generator, **kw) -> OneForm:

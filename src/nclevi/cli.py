@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    GridTooCoarse,
     Inconsistent,
     NonCentralResult,
     NonCommutativeBackend,
@@ -41,7 +40,7 @@ from .verification import verify_model
 
 _VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge, ValueError)
 _MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralResult,
-                TruncationOverflow, GridTooCoarse)
+                TruncationOverflow)
 
 _COMMAND_KEYS = {
     "solve": {"model", "k", "dims", "deformed", "theta", "radius", "metric",
@@ -76,11 +75,12 @@ def _parse_theta(text, size: int) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _default_tol(args) -> float:
+def _default_tol(args, default: float = 1e-10) -> float:
+    """--tol if given, else NCLEVI_TOL if set, else the command's default."""
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("NCLEVI_TOL")
-    return float(env) if env else 1e-10
+    return float(env) if env else default
 
 
 def _build_model(args) -> Model:
@@ -154,7 +154,7 @@ def _cmd_deform(args) -> int:
     model = torus_bundle(args.dims, args.deformed, theta, args.radius)
     rng = np.random.default_rng(args.seed)
     g = random_central_metric(model, rng)
-    tol = max(_default_tol(args), 1e-8)
+    tol = _default_tol(args, 1e-8)
     base = levi_civita(model.calculus, g, route="both", residual_tol=tol)
     deformed = deform_connection(model.calculus, base.connection, g, extra, model.action)
     resolved = levi_civita(deformed.calculus, deformed.metric, route="direct",
@@ -180,7 +180,7 @@ def _cmd_oracle_compare(args) -> int:
     free = max(1, args.dims - 1)
     model = torus_bundle(args.dims, free, np.zeros((free, free)), args.radius)
     rng = np.random.default_rng(args.seed)
-    tol = max(_default_tol(args), 1e-8)
+    tol = _default_tol(args, 1e-8)
     rows = []
     worst = 0.0
     for trial in range(args.metrics):
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=int, default=3)
     sp.add_argument("--metric", default=None, help="metric components JSON file")
     sp.add_argument("--route", choices=("direct", "phi", "both"), default="both")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_solve)
@@ -252,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--theta", default="0.3")
     vp.add_argument("--radius", type=int, default=2)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tol", type=float, default=None)
+    vp.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=_cmd_verify)
 
@@ -263,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--extra-theta", dest="extra_theta", default="0.2")
     dp.add_argument("--radius", type=int, default=3)
     dp.add_argument("--seed", type=int, default=0)
-    dp.add_argument("--tol", type=float, default=None)
+    dp.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance of both solves (default: NCLEVI_TOL, else 1e-8)")
     dp.add_argument("--out", default=None)
     dp.set_defaults(func=_cmd_deform)
 
@@ -272,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--radius", type=int, default=3)
     op.add_argument("--metrics", type=int, default=5)
     op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--tol", type=float, default=None)
+    op.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance of each solve (default: NCLEVI_TOL, else 1e-8)")
     op.add_argument("--out", default=None)
     op.set_defaults(func=_cmd_oracle_compare)
     return parser

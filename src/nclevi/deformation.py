@@ -2,23 +2,21 @@
 
 The deformation acts on graded coefficient data directly: the product picks up
 the bicharacter phase chi_theta(k, l) = e^{pi i <k, theta l>} between grades,
-which is the same thing as adding theta into the backend twist.  Equivariant
-maps, metrics and connections deform by reinterpreting their coefficient data
-over the twisted backend; the torsion and compatibility checks rerun in the
+which is the same thing as adding theta into the backend twist.  The calculus,
+metric and connection deform by reinterpreting their coefficient data over the
+twisted backend; the torsion and compatibility checks rerun in the
 deformed calculus certify the reinterpretation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
     GRADED,
-    MATRIX,
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
@@ -26,14 +24,8 @@ from .algebra import (
     wide_mul,
     wide_sum,
 )
-from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm
-from .errors import (
-    BackendMismatch,
-    GridTooCoarse,
-    Inconsistent,
-    NonSkew,
-    NotEquivariant,
-)
+from .calculus import CalculusSpec
+from .errors import BackendMismatch, Inconsistent, NonSkew
 from .metric import MetricSpec
 from .solver import ConnectionCoeffs, compat_residual, torsion_residual
 
@@ -71,26 +63,20 @@ def embed_theta(theta, dim: int, coords: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusAction:
-    """Grading data for a T^na action.
+    """Grading data for a T^na action on a graded backend.
 
-    Graded backend: the action rotates the listed coordinates, so the grade of
-    a mode is its restriction to them.  Matrix backend: conjugation by
-    diag(e^{2 pi i <w_p, t>}) with integer weight rows w_p.
+    The action rotates the listed coordinates, so the grade of a mode is its
+    restriction to them.
     """
 
-    kind: str                      # "graded" | "matrix"
-    coords: tuple = ()             # graded backend: acted-on coordinates
-    weights: tuple = ()            # matrix backend: N rows of na integers
+    coords: tuple = ()
 
     @property
     def ndim(self) -> int:
-        return len(self.coords) if self.kind == GRADED else len(self.weights[0])
+        return len(self.coords)
 
     def grade_of_mode(self, mode: Sequence[int]) -> tuple:
         return tuple(mode[c] for c in self.coords)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=int)
 
 
 @dataclass
@@ -116,66 +102,13 @@ class GradedDecomposition:
 def spectral_decompose(x: AlgebraElement, action: TorusAction) -> GradedDecomposition:
     """Exact isotypical decomposition under the torus action."""
     be = x.backend
-    if action.kind == GRADED:
-        if be.kind != GRADED:
-            raise BackendMismatch("graded action applied to a matrix element")
-        comps: Dict[tuple, dict] = {}
-        for k, v in x.modes.items():
-            comps.setdefault(action.grade_of_mode(k), {})[k] = v
-        return GradedDecomposition(action, {
-            g: AlgebraElement.from_modes(be, d) for g, d in comps.items()})
-    if be.kind != MATRIX:
-        raise BackendMismatch("matrix action applied to a graded element")
-    w = action.weight_array()
-    mat = x.matrix
-    comps2: Dict[tuple, np.ndarray] = {}
-    n = be.size
-    for p in range(n):
-        for q in range(n):
-            if mat[p, q] != 0.0:
-                grade = tuple(int(d) for d in (w[p] - w[q]))
-                comps2.setdefault(grade, np.zeros((n, n), dtype=complex))[p, q] = mat[p, q]
+    if be.kind != GRADED:
+        raise BackendMismatch("torus action applied to a matrix element")
+    comps: Dict[tuple, dict] = {}
+    for k, v in x.modes.items():
+        comps.setdefault(action.grade_of_mode(k), {})[k] = v
     return GradedDecomposition(action, {
-        g: AlgebraElement.from_matrix(be, m) for g, m in comps2.items()})
-
-
-def _beta_t(x: AlgebraElement, action: TorusAction, t: np.ndarray) -> AlgebraElement:
-    be = x.backend
-    if action.kind == GRADED:
-        return AlgebraElement.from_modes(be, {
-            k: v * np.exp(2j * np.pi * float(np.dot(action.grade_of_mode(k), t)))
-            for k, v in x.modes.items()})
-    w = action.weight_array()
-    u = np.exp(2j * np.pi * (w @ t))
-    return AlgebraElement.from_matrix(be, (u[:, None] * x.matrix) * u.conj()[None, :])
-
-
-def grid_average_decompose(x: AlgebraElement, action: TorusAction,
-                           grid_size: int) -> GradedDecomposition:
-    """Character-grid average over (Z/G)^na; exact when G exceeds the grade span.
-
-    Raises GridTooCoarse when the averaged components fail to reconstruct the
-    element (aliasing between grades congruent mod G).
-    """
-    na = action.ndim
-    exact = spectral_decompose(x, action)
-    grades = exact.grades()
-    pts = list(itertools.product(range(grid_size), repeat=na))
-    comps: Dict[tuple, AlgebraElement] = {}
-    for grade in grades:
-        acc = AlgebraElement.zero(x.backend)
-        for pt in pts:
-            t = np.asarray(pt, dtype=float) / grid_size
-            phase = np.exp(-2j * np.pi * float(np.dot(grade, t)))
-            acc = acc + _beta_t(x, action, t) * phase
-        comps[grade] = acc * (1.0 / len(pts))
-    residual = 0.0
-    for grade in grades:
-        residual = max(residual, (comps[grade] - exact.components[grade]).norm())
-    if residual > 1e3 * x.backend.tol * max(1.0, x.norm()):
-        raise GridTooCoarse(
-            f"grid size {grid_size} aliases the spectral projections (residual {residual:.3e})")
-    return GradedDecomposition(action, comps)
+        g: AlgebraElement.from_modes(be, d) for g, d in comps.items()})
 
 
 # -- deformed operations -------------------------------------------------------
@@ -196,112 +129,6 @@ def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
         return AlgebraElement.zero(a.backend)
     out = wide_sum(terms)
     return lift(out, a.backend) if out.support_radius() <= a.backend.radius else out
-
-
-def deform_module_action(e: OneForm, a: AlgebraElement, theta,
-                         action: TorusAction) -> OneForm:
-    """e x_theta a on the coefficient vector; the central frame sits in grade zero."""
-    return OneForm([deform_product(c, a, theta, action) for c in e.coeffs])
-
-
-def deform_module_left_action(a: AlgebraElement, e: OneForm, theta,
-                              action: TorusAction) -> OneForm:
-    return OneForm([deform_product(a, c, theta, action) for c in e.coeffs])
-
-
-def grade_zero_centrality_residual(e: OneForm, a: AlgebraElement, theta,
-                                   action: TorusAction) -> float:
-    """|e x_theta a - a x_theta e| for a grade-zero module element; must vanish."""
-    left = deform_module_left_action(a, e, theta, action)
-    right = deform_module_action(e, a, theta, action)
-    return max((wide_sum([x, -y])).norm() for x, y in zip(right.coeffs, left.coeffs))
-
-
-# -- equivariant bimodule maps ---------------------------------------------------
-
-
-@dataclass
-class ModuleMap:
-    """A right-linear map on tensor-square coefficients.
-
-    tensor[(out index), (in index)] is a scalar; multipliers, when present, are
-    algebra elements applied from the left of the corresponding contribution.
-    Index-space maps (sigma, P_sym, wedge) have no multipliers and are
-    automatically torus equivariant; multipliers must sit in grade zero for the
-    map to be equivariant.
-    """
-
-    in_rank: int
-    tensor: np.ndarray
-    multipliers: Optional[dict] = None   # (row, col) -> AlgebraElement
-
-    @classmethod
-    def identity(cls, n: int) -> "ModuleMap":
-        return cls(n, np.eye(n * n, dtype=complex))
-
-    @classmethod
-    def flip(cls, n: int) -> "ModuleMap":
-        s = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                s[j * n + i, i * n + j] = 1.0
-        return cls(n, s)
-
-    @classmethod
-    def symmetrizer(cls, n: int) -> "ModuleMap":
-        return cls(n, 0.5 * (np.eye(n * n, dtype=complex) + cls.flip(n).tensor))
-
-    @classmethod
-    def wedge_map(cls, calculus: CalculusSpec) -> "ModuleMap":
-        n, m = calculus.rank, calculus.two_form_rank
-        return cls(n, calculus.wedge_constants.reshape(m, n * n).copy())
-
-    def apply(self, t: TensorSquare) -> Union[TensorSquare, TwoForm]:
-        n = self.in_rank
-        flat = [t.coeffs[i][j] for i in range(n) for j in range(n)]
-        rows = self.tensor.shape[0]
-        out = []
-        for r in range(rows):
-            terms = []
-            for cidx in range(n * n):
-                z = self.tensor[r, cidx]
-                if z == 0.0:
-                    continue
-                term = flat[cidx] * z
-                if self.multipliers and (r, cidx) in self.multipliers:
-                    term = wide_mul(self.multipliers[(r, cidx)], term)
-                terms.append(term)
-            out.append(wide_sum(terms) if terms else AlgebraElement.zero(t.backend))
-        widest = max((o.backend for o in out), key=lambda b: b.radius)
-        out = [lift(o, widest) for o in out]
-        if rows == n * n:
-            return TensorSquare([[out[i * n + j] for j in range(n)] for i in range(n)])
-        return TwoForm(out)
-
-    def equivariance_residual(self, action: TorusAction) -> float:
-        if not self.multipliers:
-            return 0.0
-        worst = 0.0
-        for mult in self.multipliers.values():
-            dec = spectral_decompose(mult, action)
-            for grade, comp in dec.components.items():
-                if any(grade):
-                    worst = max(worst, comp.norm())
-        return worst
-
-
-def deform_map(mm: ModuleMap, theta, action: TorusAction,
-               deformed_backend: BackendDescriptor) -> ModuleMap:
-    """Deformation rule L_theta(e_theta) = (L(e))_theta for equivariant bimodule maps."""
-    res = mm.equivariance_residual(action)
-    if res > 1e-12:
-        raise NotEquivariant(
-            f"map fails to commute with the grade projections (residual {res:.3e})")
-    mults = None
-    if mm.multipliers:
-        mults = {key: AlgebraElement.from_modes(deformed_backend, m.modes)
-                 for key, m in mm.multipliers.items()}
-    return ModuleMap(mm.in_rank, mm.tensor.copy(), mults)
 
 
 # -- deformation of the full calculus / metric / connection ----------------------

@@ -41,14 +41,6 @@ class RangeNotSymmetric(GeometryError):
     """A map expected to take values in the symmetric part does not."""
 
 
-class NotEquivariant(GeometryError):
-    """A map fails to commute with the torus grading."""
-
-
-class GridTooCoarse(GeometryError):
-    """A character-grid average cannot reproduce the spectral projections."""
-
-
 class NonCommutativeBackend(GeometryError):
     """A classical-only routine was invoked on a noncommutative backend."""
 

@@ -62,9 +62,7 @@ class Functional:
 
 
 def _grid_sizes(ndim: int, radius: int) -> int:
-    if ndim <= 1:
-        return 2 * (radius + _INVERSE_EXTRA_RADIUS) + 1
-    if ndim == 2:
+    if ndim <= 2:
         return 2 * (radius + _INVERSE_EXTRA_RADIUS) + 1
     return 2 * (radius + 8) + 1
 
@@ -191,10 +189,6 @@ class MetricSpec:
     def backend(self) -> BackendDescriptor:
         return self.calculus.backend
 
-    @property
-    def inverse_backend(self) -> BackendDescriptor:
-        return self.inverse_components[0][0].backend
-
     def component_scalars(self) -> np.ndarray:
         """Scalar parts of the components (exact for constant metrics)."""
         n = self.rank
@@ -295,42 +289,6 @@ class Vg2Matrix:
             raise ValueError("scalar matrix only makes sense for constant metrics")
         n2 = self.rank ** 2
         return np.array([[trace(self.entries[a][b]) for b in range(n2)] for a in range(n2)])
-
-    def symmetric_compression(self) -> np.ndarray:
-        """P_sym M P_sym on the flattened index space (constant metrics)."""
-        m = self.scalar_matrix()
-        p = _p_sym_flat(self.rank)
-        return p @ m @ p
-
-    def symmetric_rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.symmetric_compression(), tol=1e-10))
-
-    def restricted_inverse(self) -> np.ndarray:
-        """Inverse of the compression on Ran(P_sym), as a full-space matrix."""
-        n = self.rank
-        p = _p_sym_flat(n)
-        basis = _ran_basis(p)
-        comp = basis.conj().T @ self.scalar_matrix() @ basis
-        svals = np.linalg.svd(comp, compute_uv=False)
-        ratio = float(np.min(svals) / np.max(svals)) if np.max(svals) > 0 else 0.0
-        if ratio <= SV_RATIO_FLOOR:
-            raise SingularMetric("V_{g^(2)} not invertible on the symmetric subspace")
-        return basis @ np.linalg.inv(comp) @ basis.conj().T
-
-
-def _p_sym_flat(n: int) -> np.ndarray:
-    dim = n * n
-    s = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(n):
-            s[j * n + i, i * n + j] = 1.0
-    return 0.5 * (np.eye(dim) + s)
-
-
-def _ran_basis(p: np.ndarray) -> np.ndarray:
-    u, sv, _ = np.linalg.svd(p)
-    r = int(np.sum(sv > 0.5))
-    return u[:, :r]
 
 
 def v_g2_matrix(g: MetricSpec) -> Vg2Matrix:

@@ -9,6 +9,7 @@ deformation engine.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -30,23 +31,11 @@ def pauli_matrices():
     return s1, s2, s3
 
 
-def levi_civita_symbol(n: int = 3) -> np.ndarray:
-    eps = np.zeros((n,) * n)
-    for perm in _permutations(tuple(range(n))):
-        eps[perm[0]] = perm[1]
-    return eps
-
-
 def _permutations(base):
-    import itertools
     for p in itertools.permutations(base):
-        sign = 1.0
-        seen = list(p)
         # parity via inversion count
-        inv = sum(1 for i in range(len(seen)) for j in range(i + 1, len(seen))
-                  if seen[i] > seen[j])
-        sign = -1.0 if inv % 2 else 1.0
-        yield p, sign
+        inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+        yield p, (-1.0 if inv % 2 else 1.0)
 
 
 def spin_matrices(j: float):
@@ -197,7 +186,7 @@ def torus_bundle(m: int, n: int, theta, radius: int,
     if radius < 1:
         raise ValueError("truncation radius must be >= 1")
     th = require_skew(theta, n)
-    action = TorusAction(kind="graded", coords=tuple(range(n)))
+    action = TorusAction(coords=tuple(range(n)))
     full = np.zeros((m, m))
     full[:n, :n] = th
     backend = BackendDescriptor.graded(m, full, radius, tol)

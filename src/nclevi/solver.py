@@ -28,7 +28,7 @@ from .algebra import (
     wide_mul,
     wide_sum,
 )
-from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm
+from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
 from .errors import (
     Inconsistent,
     NonCommutativeBackend,
@@ -148,22 +148,28 @@ def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
     return nab
 
 
-def pi_g_basis(g: MetricSpec, nabla: ConnectionCoeffs) -> List[List[OneForm]]:
-    """Pi_g(nabla) on basis tensors: Pi(e_i (x) e_j) = sum_l e_l (sum_k g_kj G^i_kl + g_ki G^j_kl)."""
-    spec = nabla.calculus
-    n = spec.rank
-    out = [[None] * n for _ in range(n)]
+def _pi_g(g: MetricSpec, x) -> list:
+    """Pi_g on a component cube: entry [i][j][l] = sum_k g_kj x^i_kl + g_ki x^j_kl.
+
+    pi_g_basis, compat_residual and phi_g_apply all evaluate Pi_g here.
+    """
+    n = g.rank
+    gc = g.components
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            coeffs = []
             for l in range(n):
                 terms = []
                 for k in range(n):
-                    terms.append(wide_mul(g.components[k][j], nabla.gamma[i][k][l]))
-                    terms.append(wide_mul(g.components[k][i], nabla.gamma[j][k][l]))
-                coeffs.append(wide_sum(terms))
-            out[i][j] = OneForm(coeffs)
+                    terms.append(wide_mul(gc[k][j], x[i][k][l]))
+                    terms.append(wide_mul(gc[k][i], x[j][k][l]))
+                out[i][j][l] = wide_sum(terms)
     return out
+
+
+def pi_g_basis(g: MetricSpec, nabla: ConnectionCoeffs) -> List[List[OneForm]]:
+    """Pi_g(nabla) on basis tensors: Pi(e_i (x) e_j) = sum_l e_l (sum_k g_kj G^i_kl + g_ki G^j_kl)."""
+    return [[OneForm(row) for row in plane] for plane in _pi_g(g, nabla.gamma)]
 
 
 @dataclass
@@ -179,22 +185,13 @@ class CompatibilityResidual:
 
 def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResidual:
     """Residual of Pi_g(nabla) = dg on the basis; zero iff the connection is compatible."""
-    spec = nabla.calculus
-    n = spec.rank
-    entries = [[[None] * n for _ in range(n)] for _ in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                terms = []
-                for k in range(n):
-                    terms.append(wide_mul(g.components[k][j], nabla.gamma[i][k][l]))
-                    terms.append(wide_mul(g.components[k][i], nabla.gamma[j][k][l]))
-                terms.append(-derive(spec.derivations[l], g.components[i][j]))
-                e = wide_sum(terms)
-                entries[i][j][l] = e
-                worst = max(worst, e.norm())
-    return CompatibilityResidual(tuple(tuple(tuple(r) for r in p) for p in entries), worst)
+    ders = nabla.calculus.derivations
+    pi = _pi_g(g, nabla.gamma)
+    n = len(pi)
+    entries = tuple(tuple(tuple(wide_sum([pi[i][j][l], -derive(ders[l], g.components[i][j])])
+                                for l in range(n)) for j in range(n)) for i in range(n))
+    worst = max(e.norm() for plane in entries for row in plane for e in row)
+    return CompatibilityResidual(entries, worst)
 
 
 # -- Phi_g and its factorized inverse ----------------------------------------
@@ -227,52 +224,22 @@ def _range_check_symmetric(calculus: CalculusSpec, comp, what: str) -> None:
                         raise RangeNotSymmetric("map is not determined on the symmetric part")
 
 
-def phi_g_apply(g: MetricSpec, lmap, check_range: bool = True) -> tuple:
+def phi_g_apply(g: MetricSpec, lmap) -> tuple:
     """Phi_g(L) = (g (x) id) sigma_23 (L (x) id)(1 + sigma) on components.
 
-    lmap[i][j][k] are the components of L(e_i) = sum e_j (x) e_k L^i_jk; the
-    output indexes M(e_p (x) e_q) = sum_l e_l M[p][q][l].  The Ker(wedge) range
-    precondition is enforced unless check_range is cleared (the defining
-    formula evaluates on any right-linear map, which the simple-tensor
-    expansion of the inversion identity relies on).
+    lmap[i][j][k] are the components of L(e_i) = sum e_j (x) e_k L^i_jk, each
+    value in Ker(wedge); the output indexes M(e_p (x) e_q) = sum_l e_l M[p][q][l].
     """
-    calculus = g.calculus
-    n = calculus.rank
     lmap = _normalize_components(lmap)
-    if check_range:
-        _range_check_symmetric(calculus, lmap, "range")
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            for l in range(n):
-                terms = []
-                for k in range(n):
-                    terms.append(wide_mul(g.components[k][q], lmap[p][k][l]))
-                    terms.append(wide_mul(g.components[k][p], lmap[q][k][l]))
-                out[p][q][l] = wide_sum(terms)
-    return tuple(tuple(tuple(r) for r in p_) for p_ in out)
+    _range_check_symmetric(g.calculus, lmap, "range")
+    return tuple(tuple(tuple(r) for r in p_) for p_ in _pi_g(g, lmap))
 
 
 @lru_cache(maxsize=None)
 def _p23_restricted_inverse(n: int) -> np.ndarray:
     """Scalar matrix sending Ran(P_23) back to Ran(P_12) along P_23 (braid bijection)."""
-    dim = n ** 3
-
-    def perm(permutation):
-        p = np.zeros((dim, dim))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    src = (i, j, k)
-                    dst = tuple(src[q] for q in permutation)
-                    p[dst[0] * n * n + dst[1] * n + dst[2], i * n * n + j * n + k] = 1.0
-        return p
-
-    p12 = 0.5 * (np.eye(dim) + perm((1, 0, 2)))
-    p23 = 0.5 * (np.eye(dim) + perm((0, 2, 1)))
-    u, sv, _ = np.linalg.svd(p12)
-    b12 = u[:, : int(np.sum(sv > 0.5))]
-    return b12 @ np.linalg.pinv(p23 @ b12)
+    cube = cube_projectors(n)
+    return cube.b12 @ np.linalg.pinv(cube.p23 @ cube.b12)
 
 
 def phi_g_invert(g: MetricSpec, mmap) -> tuple:
@@ -516,7 +483,6 @@ def _gamma_from_solution(calculus: CalculusSpec, x: np.ndarray,
 
 def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
                 residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                kernel_floor: float = DEFAULT_KERNEL_FLOOR,
                 solver_radius: Optional[int] = None) -> LeviCivitaResult:
     """The unique torsion-less, metric-compatible connection, with certificates.
 
@@ -527,7 +493,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     if route not in ("direct", "phi", "both"):
         raise ValueError(f"unknown route {route!r}")
     system = _assemble_joint_system(calculus, g, solver_radius)
-    if system.sv_ratio <= kernel_floor:
+    if system.sv_ratio <= DEFAULT_KERNEL_FLOOR:
         raise NonUnique(
             f"joint torsion/compatibility operator has a kernel "
             f"(relative singular value {system.sv_ratio:.3e})")

@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 from nclevi.algebra import AlgebraElement, random_element, wide_mul, wide_sum
 from nclevi.calculus import (
     TensorSquare,
-    ZetaTensor,
     p_sym,
     random_one_form,
     random_tensor_square,
     sigma,
-    zeta_decode,
-    zeta_encode,
-    zeta_eval,
 )
 from nclevi.errors import NoSolution
-from nclevi.metric import v_g
 from nclevi.models import torus_bundle
 
 TOL = 1e-12
@@ -228,58 +223,6 @@ def test_braid_check_rank1():
     assert report.braid_residual <= TOL
     assert report.dim_ran_p12 == report.dim_ran_p23 == 1
     assert report.bijective
-
-
-# -- zeta ---------------------------------------------------------------------------------
-
-
-def test_zeta_zero_map(fuzzy1):
-    spec = fuzzy1.calculus
-    zero = [TensorSquare.zero(spec.backend, 3) for _ in range(3)]
-    assert zeta_encode(spec, zero).norm() <= TOL
-
-
-def test_zeta_roundtrip_random(fuzzy1, torus_twisted):
-    rng = np.random.default_rng(8)
-    for model in (fuzzy1, torus_twisted):
-        spec = model.calculus
-        values = [random_tensor_square(spec, rng) for _ in range(spec.rank)]
-        back = zeta_decode(spec, zeta_encode(spec, values))
-        worst = max((a - b).norm() for a, b in zip(values, back))
-        assert worst <= TOL
-
-
-def test_zeta_eval_with_delta_metric(fuzzy1):
-    # zeta(e_1 (x) e_2 (x) V_g(e_3)) evaluated at e_3 gives e_1 (x) e_2
-    spec = fuzzy1.calculus
-    g = fuzzy1.metric
-    phi = v_g(g, spec.basis_one_form(2))
-    zero = AlgebraElement.zero(spec.backend)
-    coeffs = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        coeffs[0][1][i] = phi.coeffs[i]
-    tensor = ZetaTensor(coeffs)
-    out = zeta_eval(spec, tensor, spec.basis_one_form(2))
-    expected = spec.basis_tensor(0, 1)
-    assert (out - expected).norm() <= TOL
-    out0 = zeta_eval(spec, tensor, spec.basis_one_form(0))
-    assert out0.norm() <= TOL
-
-
-# -- tensor cube -----------------------------------------------------------------------------
-
-
-def test_tensor_cube_braid_identity(fuzzy1):
-    # sigma_12 sigma_23 sigma_12 = sigma_23 sigma_12 sigma_23 on algebra-valued cubes
-    from nclevi.calculus import TensorCube
-    spec = fuzzy1.calculus
-    rng = np.random.default_rng(9)
-    cube = TensorCube([[[random_element(spec.backend, rng) for _ in range(3)]
-                        for _ in range(3)] for _ in range(3)])
-    lhs = cube.sigma12().sigma23().sigma12()
-    rhs = cube.sigma23().sigma12().sigma23()
-    assert (lhs - rhs).norm() <= TOL
-    assert (cube.sigma12().sigma12() - cube).norm() <= TOL
 
 
 def test_sigma_fixes_symmetric_matrix(fuzzy1):

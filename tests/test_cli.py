@@ -144,6 +144,20 @@ def test_oracle_compare_starved_radius_refuses(capsys):
     assert json.loads(out)["error"] == "Inconsistent"
 
 
+def test_oracle_compare_explicit_tol_wins(capsys, monkeypatch):
+    # 1e-8 is only the default: an explicit --tol or NCLEVI_TOL replaces it.  The
+    # first sampled metric at radius 3 leaves a compatibility residual of 1.55e-10
+    argv = ["oracle-compare", "--radius", "3", "--metrics", "1"]
+    monkeypatch.delenv("NCLEVI_TOL", raising=False)
+    code, out, err = run_cli(capsys, argv + ["--tol", "1e-10"])
+    assert code == 1
+    assert json.loads(out)["error"] == "Inconsistent"
+    monkeypatch.setenv("NCLEVI_TOL", "1e-10")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "Inconsistent"
+
+
 def test_verify_runs_green(capsys):
     code, out, err = run_cli(capsys, [
         "verify", "--models", "heisenberg,torus", "--radius", "2", "--theta", "0.3"])

@@ -3,31 +3,23 @@ import pytest
 
 from nclevi.algebra import (
     AlgebraElement,
-    BackendDescriptor,
     mul,
     random_element,
     wide_mul,
     wide_sum,
 )
-from nclevi.calculus import random_tensor_square, sigma
 from nclevi.deformation import (
-    ModuleMap,
-    TorusAction,
     bicharacter,
     deform_backend,
     deform_calculus,
     deform_connection,
     deform_element,
-    deform_map,
     deform_metric,
-    deform_module_action,
     deform_product,
-    grade_zero_centrality_residual,
-    grid_average_decompose,
     require_skew,
     spectral_decompose,
 )
-from nclevi.errors import GridTooCoarse, NonSkew, NotEquivariant
+from nclevi.errors import NonSkew
 from nclevi.models import random_central_metric, torus_bundle
 from nclevi.solver import levi_civita
 
@@ -133,46 +125,6 @@ def test_iterated_deformation_composes():
                - bicharacter(th1 + th2, (1, 0), (0, 1))) <= TOL
 
 
-# -- module action -------------------------------------------------------------------
-
-
-def test_module_action_theta_zero(torus_twisted):
-    spec = torus_twisted.calculus
-    rng = np.random.default_rng(3)
-    from nclevi.calculus import random_one_form
-    e = random_one_form(spec, rng)
-    a = random_element(spec.backend, rng)
-    out = deform_module_action(e, a, np.zeros((2, 2)), torus_twisted.action)
-    want = e.right_mul(a)
-    assert max(wide_sum([x, -y]).norm() for x, y in zip(out.coeffs, want.coeffs)) <= TOL
-
-
-def test_grade_zero_module_elements_central(torus_twisted):
-    spec = torus_twisted.calculus
-    be = spec.backend
-    rng = np.random.default_rng(4)
-    # grade-zero element: coefficients supported on modes with vanishing first two slots
-    coeffs = [AlgebraElement.from_modes(be, {(0, 0, j): rng.standard_normal()
-                                             for j in range(-1, 2)}) for _ in range(3)]
-    from nclevi.calculus import OneForm
-    e = OneForm(coeffs)
-    a = random_element(be, rng)
-    th = skew2(0.29)
-    assert grade_zero_centrality_residual(e, a, th, torus_twisted.action) <= 1e-12
-
-
-def test_single_mode_module_action():
-    model = torus_bundle(2, 2, np.zeros((2, 2)), radius=4)
-    from nclevi.calculus import OneForm
-    be = model.backend
-    zero = AlgebraElement.zero(be)
-    e = OneForm([AlgebraElement.single_mode(be, (1, 0)), zero])
-    a = AlgebraElement.single_mode(be, (0, 1))
-    th = skew2(0.5)
-    out = deform_module_action(e, a, th, model.action)
-    assert abs(out.coeffs[0].coefficient((1, 1)) - np.exp(1j * np.pi * 0.5)) <= TOL
-
-
 # -- spectral decomposition --------------------------------------------------------------
 
 
@@ -190,82 +142,6 @@ def test_spectral_decompose_two_modes_reconstructs(torus_twisted):
     dec = spectral_decompose(x, torus_twisted.action)
     assert len(dec.grades()) == 2
     assert (dec.reconstruct(be) - x).norm() <= TOL
-
-
-def test_grid_average_matches_exact(torus_twisted):
-    be = torus_twisted.backend
-    rng = np.random.default_rng(5)
-    x = random_element(be, rng, radius=3, nmodes=6)
-    # grid size 2R+1 per circle suffices for truncation R
-    dec = grid_average_decompose(x, torus_twisted.action, grid_size=2 * be.radius + 1)
-    exact = spectral_decompose(x, torus_twisted.action)
-    for grade in exact.grades():
-        assert (dec.component(grade) - exact.component(grade)).norm() <= 1e-10
-
-
-def test_grid_too_coarse(torus_twisted):
-    be = torus_twisted.backend
-    x = AlgebraElement.from_modes(be, {(3, 0, 0): 1.0, (-3, 0, 0): 1.0, (0, 0, 0): 1.0})
-    with pytest.raises(GridTooCoarse):
-        grid_average_decompose(x, torus_twisted.action, grid_size=3)
-
-
-def test_matrix_backend_action_decomposition():
-    be = BackendDescriptor.matrix(3)
-    action = TorusAction(kind="matrix", weights=((0,), (1,), (2,)))
-    mat = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
-    x = AlgebraElement.from_matrix(be, mat)
-    dec = spectral_decompose(x, action)
-    assert set(dec.grades()) == {(0,), (-1,), (2,)}
-    assert (dec.reconstruct(be) - x).norm() <= TOL
-    grid = grid_average_decompose(x, action, grid_size=5)
-    for g in dec.grades():
-        assert (grid.component(g) - dec.component(g)).norm() <= 1e-12
-
-
-# -- map deformation -----------------------------------------------------------------------
-
-
-def test_deform_identity_and_symmetrizer(torus_twisted):
-    spec = torus_twisted.calculus
-    th = skew2(0.19)
-    be_t = deform_backend(spec.backend, th, torus_twisted.action)
-    ident = deform_map(ModuleMap.identity(3), th, torus_twisted.action, be_t)
-    assert np.max(np.abs(ident.tensor - np.eye(9))) <= TOL
-    psym = deform_map(ModuleMap.symmetrizer(3), th, torus_twisted.action, be_t)
-    assert np.max(np.abs(psym.tensor @ psym.tensor - psym.tensor)) <= TOL
-    # sigma_theta acts as the canonical flip of the deformed module
-    calc_t = deform_calculus(spec, th, torus_twisted.action)
-    rng = np.random.default_rng(6)
-    t = random_tensor_square(calc_t, rng)
-    flip = deform_map(ModuleMap.flip(3), th, torus_twisted.action, be_t)
-    out = flip.apply(t)
-    assert (out - sigma(t)).norm() <= TOL
-
-
-def test_deform_wedge_preserves_splitting(torus_twisted):
-    spec = torus_twisted.calculus
-    th = skew2(0.23)
-    be_t = deform_backend(spec.backend, th, torus_twisted.action)
-    wedge = deform_map(ModuleMap.wedge_map(spec), th, torus_twisted.action, be_t)
-    psym = ModuleMap.symmetrizer(3).tensor
-    # Ker(wedge_theta) + F_theta still splits: ranks 6 + 3 on the 9-dim index space
-    assert np.linalg.matrix_rank(wedge.tensor, tol=1e-10) == 3
-    assert np.max(np.abs(wedge.tensor @ psym)) <= TOL
-    combined = np.vstack([psym, wedge.tensor])
-    assert np.linalg.matrix_rank(combined, tol=1e-10) == 9
-
-
-def test_not_equivariant_multiplier(torus_twisted):
-    be = torus_twisted.backend
-    bad = ModuleMap.identity(3)
-    bad.multipliers = {(0, 0): AlgebraElement.single_mode(be, (1, 0, 0))}
-    th = skew2(0.11)
-    with pytest.raises(NotEquivariant):
-        deform_map(bad, th, torus_twisted.action, be)
-    ok = ModuleMap.identity(3)
-    ok.multipliers = {(0, 0): AlgebraElement.single_mode(be, (0, 0, 2))}
-    deform_map(ok, th, torus_twisted.action, be)
 
 
 # -- connection deformation ------------------------------------------------------------------
@@ -341,10 +217,6 @@ def test_spectral_decompose_backend_mismatch(fuzzy1, torus_twisted):
     u = AlgebraElement.unit(fuzzy1.backend)
     with pytest.raises(BackendMismatch):
         spectral_decompose(u, torus_twisted.action)
-    action = TorusAction(kind="matrix", weights=((0,), (1,), (2,)))
-    v = AlgebraElement.unit(torus_twisted.backend)
-    with pytest.raises(BackendMismatch):
-        spectral_decompose(v, action)
 
 
 def test_v_g_deformation_matrix_identity(torus_twisted):

@@ -169,16 +169,6 @@ def test_v_g2_matrix_n2_permutation():
     assert np.max(np.abs(mat @ mat - np.eye(4))) <= TOL
 
 
-def test_v_g2_symmetric_rank_n3(fuzzy1):
-    m = v_g2_matrix(fuzzy1.metric)
-    assert m.symmetric_rank() == 6
-    inv = m.restricted_inverse()
-    from nclevi.metric import _p_sym_flat
-    p = _p_sym_flat(3)
-    comp = p @ m.scalar_matrix() @ p
-    assert np.max(np.abs(p @ (inv @ comp) @ p - p)) <= 1e-10
-
-
 def test_v_g2_sigma_conjugation(fuzzy1, torus_twisted):
     for model in (fuzzy1, torus_twisted):
         m = v_g2_matrix(model.metric)

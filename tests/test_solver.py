@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from nclevi.algebra import AlgebraElement, random_element, wide_mul, wide_sum
+from nclevi.algebra import AlgebraElement, derive, random_element, wide_mul, wide_sum
 from nclevi.calculus import random_one_form
 from nclevi.errors import Inconsistent, NonCommutativeBackend, RangeNotSymmetric
 from nclevi.metric import MetricSpec
@@ -190,11 +190,36 @@ def test_compat_residual_zero_connection_nonconstant_metric(torus_comm):
     phi = unit + AlgebraElement.from_modes(be, {(0, 0, 1): 0.002, (0, 0, -1): 0.002})
     g = MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, phi]])
     res = compat_residual(g, ConnectionCoeffs.zero(spec))
-    from nclevi.algebra import derive
     expected = derive(spec.derivations[2], phi)
     d = wide_sum([res.entry(2, 2, 2), expected])
     assert d.norm() <= TOL
     assert res.max_norm > 0.0
+
+
+def test_pi_g_entry_points_agree(torus_twisted):
+    # pi_g_basis, compat_residual and phi_g_apply share one Pi_g contraction; a
+    # connection symmetric in its lower pair is a valid input to all three
+    spec = torus_twisted.calculus
+    n = spec.rank
+    rng = np.random.default_rng(11)
+    g = random_central_metric(torus_twisted, rng)
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                gamma[i][j][k] = gamma[i][k][j] = random_element(spec.backend, rng)
+    nab = ConnectionCoeffs(spec, gamma)
+    res = compat_residual(g, nab)
+    pi = pi_g_basis(g, nab)
+    phi = phi_g_apply(g, gamma)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                dg = derive(spec.derivations[l], g.components[i][j])
+                want = res.entry(i, j, l)
+                assert wide_sum([pi[i][j].coeffs[l], -dg, -want]).norm() <= TOL
+                assert wide_sum([phi[i][j][l], -dg, -want]).norm() <= TOL
+    assert res.max_norm > 1.0
 
 
 # -- Phi_g -------------------------------------------------------------------------------
@@ -210,28 +235,31 @@ def test_phi_zero_map(fuzzy1):
 
 
 def test_phi_simple_tensor_example(fuzzy1):
-    # zeta^{-1}(L) = e_1 (x) e_2 (x) V_g(e_3), delta metric: L(e_3) = e_1 (x) e_2
-    # and Phi_g(L)(e_3 (x) e_1) = e_2
+    # L(e_3) = e_1 (x) e_2 + e_2 (x) e_1 lies in Ker(wedge); with the delta metric
+    # Phi_g(L)(e_3 (x) e_1) = e_2 and Phi_g(L)(e_3 (x) e_2) = e_1
     spec, g = fuzzy1.calculus, fuzzy1.metric
     zero = AlgebraElement.zero(spec.backend)
     unit = AlgebraElement.unit(spec.backend)
     lmap = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    lmap[2][0][1] = unit
-    out = phi_g_apply(g, lmap, check_range=False)
-    got = [out[2][0][l] for l in range(3)]
-    assert abs(got[1].scalar_part() - 1.0) <= TOL
-    assert got[0].norm() <= TOL and got[2].norm() <= TOL
-    # cross-check against the simple-tensor expansion
-    # Phi_g(L) = zeta(eta (x) V_{g2}(xi (x) omega + omega (x) xi)):
-    # value at (p,q) is e_2 (delta_3p delta_1q + delta_1p delta_3q)
+    lmap[2][0][1] = lmap[2][1][0] = unit
+    out = phi_g_apply(g, lmap)
+    for q, hit in ((0, 1), (1, 0)):
+        got = [out[2][q][l] for l in range(3)]
+        assert abs(got[hit].scalar_part() - 1.0) <= TOL
+        assert max(got[l].norm() for l in range(3) if l != hit) <= TOL
+    # cross-check against the simple-tensor expansion: each term xi (x) eta of
+    # L(e_3) contributes Phi_g = zeta(eta (x) V_{g2}(xi (x) e_3 + e_3 (x) xi)),
+    # whose value at (p,q) is e_eta (g2(xi (x) e_3, e_p (x) e_q) + g2(e_3 (x) xi, ...))
     from nclevi.metric import g2_eval
+    terms = ((0, 1), (1, 0))    # (xi, eta) of e_1 (x) e_2 and e_2 (x) e_1
     for p in range(3):
         for q in range(3):
             pair = spec.basis_tensor(p, q)
-            weight = wide_sum([g2_eval(g, spec.basis_tensor(0, 2), pair),
-                               g2_eval(g, spec.basis_tensor(2, 0), pair)])
             for l in range(3):
-                want = weight if l == 1 else zero
+                want = [wide_sum([g2_eval(g, spec.basis_tensor(xi, 2), pair),
+                                  g2_eval(g, spec.basis_tensor(2, xi), pair)])
+                        for xi, eta in terms if eta == l]
+                want = want[0] if want else zero
                 assert wide_sum([out[p][q][l], -want]).norm() <= TOL
 
 
