@@ -4,9 +4,10 @@ A metric is its n x n component array g_ij = g(e_i (x) e_j): central, symmetric,
 and invertible as a component matrix.  On the matrix backend central elements
 are scalar multiples of the unit, so the component matrix is numeric.  On the
 graded backend components are Fourier polynomials over the untwisted
-coordinates; inverses are computed by sampling on a torus grid, inverting
-pointwise and reading the Fourier coefficients back off, with an explicit decay
-budget.
+coordinates.  `TorusGrid` moves central data between modes and values on a
+torus grid (one point, read through the trace, for constant data); inverses
+are computed on it pointwise and read back by FFT with an explicit decay
+budget, and the Levi-Civita solver runs on the same grid.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (
+    GRADED,
     MATRIX,
     AlgebraElement,
     BackendDescriptor,
@@ -67,84 +69,95 @@ def _grid_sizes(ndim: int, radius: int) -> int:
     return 2 * (radius + 8) + 1
 
 
-def _central_inverse_graded(components, backend: BackendDescriptor):
-    """Invert an n x n array of central graded elements pointwise on the torus.
+def central_coords(elements: Sequence[AlgebraElement]) -> Tuple[int, ...]:
+    """The coordinates along which some of the graded elements vary; () on the matrix backend."""
+    return tuple(sorted({c for el in elements if el.backend.kind == GRADED
+                         for k in el.modes for c, kc in enumerate(k) if kc != 0}))
+
+
+@dataclass(frozen=True)
+class TorusGrid:
+    """The size^d grid of points j/size over the coordinates `coords` of central data.
+
+    Central elements multiply pointwise on it, so the metric inverse and the
+    Levi-Civita solve both run point by point here and read modes back by FFT.
+    With no coordinates the grid is one point at which central data is read
+    through the trace: the matrix backend and every constant metric.
+    """
+
+    coords: Tuple[int, ...]
+    size: int
+
+    @property
+    def points(self) -> int:
+        return self.size ** len(self.coords)
+
+    def sample(self, elements: Sequence[AlgebraElement]) -> np.ndarray:
+        """Values of central elements at the grid points, shape (len(elements), points)."""
+        if not self.coords:
+            return np.array([[trace(el)] for el in elements], dtype=complex)
+        axes = np.meshgrid(*[np.arange(self.size) / self.size] * len(self.coords),
+                           indexing="ij")
+        pos = np.stack([a.ravel() for a in axes])
+        out = np.zeros((len(elements), self.points), dtype=complex)
+        for row, el in zip(out, elements):
+            modes = el.modes
+            if modes:
+                ks = np.array([[k[c] for c in self.coords] for k in modes], dtype=float)
+                row += np.array(list(modes.values())) @ np.exp(2j * np.pi * (ks @ pos))
+        return out
+
+    def read_back(self, values: np.ndarray, dim: int, floor: float) -> List[dict]:
+        """Fourier modes of grid values, the inverse of `sample`.
+
+        One {mode: coefficient} map per row of `values`, holding the
+        coefficients above `floor`; modes have `dim` entries, zero off `coords`.
+        """
+        d = len(self.coords)
+        grid_shape = (self.size,) * d
+        coeffs = np.fft.fftn(values.reshape((len(values),) + grid_shape),
+                             axes=range(1, d + 1)).reshape(len(values), -1) / self.points
+        idx = np.indices(grid_shape).reshape(d, self.points)
+        modes = np.zeros((self.points, dim), dtype=int)
+        modes[:, list(self.coords)] = np.where(idx > self.size // 2, idx - self.size, idx).T
+        keys = [tuple(int(x) for x in k) for k in modes]
+        return [{keys[p]: complex(row[p]) for p in np.flatnonzero(np.abs(row) > floor)}
+                for row in coeffs]
+
+
+def central_element(backend: BackendDescriptor, modes: dict) -> AlgebraElement:
+    """The central element with these modes; on the matrix backend the one mode () is the scalar."""
+    if backend.kind == MATRIX:
+        return AlgebraElement.unit(backend) * modes.get((), 0.0)
+    return AlgebraElement.from_modes(backend, modes)
+
+
+def _central_inverse(components, backend: BackendDescriptor):
+    """Invert an n x n array of central elements pointwise on the torus grid.
 
     Returns (inverse components on a possibly lifted backend, sv_ratio).
     """
     n = len(components)
-    coords = sorted({c for row in components for el in row for k in el.modes
-                     for c, kc in enumerate(k) if kc != 0})
-    if not coords:
-        g = np.array([[trace(components[i][j]) for j in range(n)] for i in range(n)])
-        hmat, ratio = _invert_scalar(g)
-        unit = AlgebraElement.unit(backend)
-        return [[unit * hmat[i, j] for j in range(n)] for i in range(n)], ratio
-
-    m = _grid_sizes(len(coords), backend.radius)
-    grids = np.meshgrid(*[np.arange(m) / m for _ in coords], indexing="ij")
-    shape = grids[0].shape
-
-    values = np.zeros((n, n) + shape, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k, c in components[i][j].modes.items():
-                phase = np.zeros(shape)
-                for ax, coord in enumerate(coords):
-                    phase = phase + k[coord] * grids[ax]
-                values[i, j] += c * np.exp(2j * np.pi * phase)
-
-    pts = values.reshape(n, n, -1).transpose(2, 0, 1)
+    flat = [el for row in components for el in row]
+    coords = central_coords(flat)
+    grid = TorusGrid(coords, _grid_sizes(len(coords), backend.radius))
+    pts = grid.sample(flat).T.reshape(-1, n, n)
     svals = np.linalg.svd(pts, compute_uv=False)
     smin, smax = float(np.min(svals)), float(np.max(svals))
     ratio = smin / smax if smax > 0 else 0.0
     if ratio <= SV_RATIO_FLOOR:
         raise SingularMetric(
-            f"component matrix degenerate on the torus (relative singular value {ratio:.3e})")
-    inv_pts = np.linalg.inv(pts)
-    inv_values = inv_pts.transpose(1, 2, 0).reshape((n, n) + shape)
-
-    scale = float(np.max(np.abs(inv_pts)))
-    max_reach = backend.radius + _INVERSE_EXTRA_RADIUS
-    out: List[List[Optional[AlgebraElement]]] = [[None] * n for _ in range(n)]
-    reach = 0
-    comps_modes: List[List[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    half = m // 2
-    for i in range(n):
-        for j in range(n):
-            coeffs = np.fft.fftn(inv_values[i, j]) / (m ** len(coords))
-            for idx in np.ndindex(*coeffs.shape):
-                c = coeffs[idx]
-                if abs(c) <= _INVERSE_TAIL * max(scale, 1.0):
-                    continue
-                mode = [0] * backend.dim
-                sup = 0
-                for ax, coord in enumerate(coords):
-                    f = idx[ax] if idx[ax] <= half else idx[ax] - m
-                    mode[coord] = f
-                    sup = max(sup, abs(f))
-                if sup > max_reach or (sup > half - 4):
-                    raise SingularMetric(
-                        "inverse components decay too slowly for the truncation budget")
-                reach = max(reach, sup)
-                comps_modes[i][j][tuple(mode)] = complex(c)
-    inv_backend = backend if reach <= backend.radius else backend.with_radius(reach)
-    for i in range(n):
-        for j in range(n):
-            kept = {k: v for k, v in comps_modes[i][j].items()
-                    if max(map(abs, k), default=0) <= inv_backend.radius}
-            out[i][j] = AlgebraElement.from_modes(inv_backend, kept)
-    return out, ratio
-
-
-def _invert_scalar(g: np.ndarray):
-    svals = np.linalg.svd(g, compute_uv=False)
-    smin, smax = float(np.min(svals)), float(np.max(svals))
-    ratio = smin / smax if smax > 0 else 0.0
-    if ratio <= SV_RATIO_FLOOR:
-        raise SingularMetric(
             f"component matrix singular (relative singular value {ratio:.3e})")
-    return np.linalg.inv(g), ratio
+    inv_pts = np.linalg.inv(pts)
+    scale = float(np.max(np.abs(inv_pts)))
+    modes = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
+                           _INVERSE_TAIL * max(scale, 1.0))
+    reach = max((max(map(abs, k), default=0) for comp in modes for k in comp), default=0)
+    if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
+        raise SingularMetric("inverse components decay too slowly for the truncation budget")
+    inv_backend = backend if reach <= backend.radius else backend.with_radius(reach)
+    inv = [central_element(inv_backend, comp) for comp in modes]
+    return [inv[i * n:(i + 1) * n] for i in range(n)], ratio
 
 
 class MetricSpec:
@@ -171,13 +184,7 @@ class MetricSpec:
                 if (rows[i][j] - rows[j][i]).norm() > 10 * tol:
                     raise ValueError(f"components not symmetric at ({i},{j})")
         self.components = tuple(tuple(r) for r in rows)
-        if be.kind == MATRIX:
-            gmat = np.array([[trace(rows[i][j]) for j in range(n)] for i in range(n)])
-            hmat, ratio = _invert_scalar(gmat)
-            unit = AlgebraElement.unit(be)
-            inv = [[unit * hmat[i, j] for j in range(n)] for i in range(n)]
-        else:
-            inv, ratio = _central_inverse_graded(rows, be)
+        inv, ratio = _central_inverse(rows, be)
         self.inverse_components = tuple(tuple(r) for r in inv)
         self.sv_ratio = float(ratio)
 

@@ -4,22 +4,29 @@ A connection is its Christoffel array Gamma^i_{jk} with nabla(e_i) =
 sum_jk e_j (x) e_k Gamma^i_{jk}; the Leibniz term rides along in
 apply_connection.  Torsion and metric compatibility are both algebraic in
 Gamma, so the Levi-Civita connection is the solution of one structured linear
-system.  Two independent routes are provided: a joint least-squares solve of
-{torsion = 0} u {compatibility = dg}, and the reference-connection route
+system.  Two independent routes are provided: the direct least-squares solve
+of {torsion = 0} u {compatibility = dg}, and the reference-connection route
 nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
 zeta / V_g / P_sym factorization.
+
+Metric components are central, so the direct system splits into one
+(n m + n^3) x n^3 system per point of the torus grid over the coordinates the
+metric varies along (one point on the matrix backend and for constant
+metrics).  One batched SVD gives the kernel certificate, the smallest
+per-point singular-value ratio, and the solution, which is read back to the
+Fourier modes of sup-norm <= R.  Metrics whose modes multiply with a sign
+(<s, theta s'> odd) are refused with NonCommutativeBackend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (
-    GRADED,
     MATRIX,
     AlgebraElement,
     derive,
@@ -36,7 +43,7 @@ from .errors import (
     NoSolution,
     RangeNotSymmetric,
 )
-from .metric import MetricSpec
+from .metric import MetricSpec, TorusGrid, central_coords, central_element
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_KERNEL_FLOOR = 1e-8
@@ -288,176 +295,75 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
     return tuple(tuple(tuple(r) for r in p_) for p_ in out)
 
 
-# -- joint linear system -------------------------------------------------------
+# -- pointwise solve ---------------------------------------------------------
 
 
-def _metric_support(g: MetricSpec) -> List[tuple]:
-    modes = set()
-    for row in g.components:
-        for comp in row:
-            modes.update(comp.modes.keys())
-    zero = (0,) * g.backend.dim
-    modes.discard(zero)
-    return sorted(modes)
+def _require_unit_phases(g: MetricSpec) -> None:
+    """Refuse metric modes whose products carry a sign.
 
-
-def _generated_modes(support: Sequence[tuple], dim: int, radius: int) -> List[tuple]:
-    """Ball slice of the subgroup of Z^t generated by the support modes."""
-    zero = (0,) * dim
-    reached = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in support:
-                for sgn in (1, -1):
-                    w = tuple(vi + sgn * si for vi, si in zip(v, s))
-                    if max(map(abs, w), default=0) <= radius and w not in reached:
-                        reached.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return sorted(reached)
-
-
-@dataclass
-class JointSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    unknown_modes: Optional[List[tuple]]   # None on the matrix backend (scalar unknowns)
-    row_modes: Optional[List[tuple]]
-    sv_ratio: float
-
-
-def _sv_ratio(mat: np.ndarray) -> float:
-    """Smallest/largest singular value; Gram eigenvalues for big systems.
-
-    The squared conditioning of the Gram route is fine while the ratio is far
-    from the kernel threshold; near it the exact SVD takes over.
+    Central modes s, s' multiply as U^s U^s' = e^{i pi <s, theta s'>} U^{s+s'}
+    with <s, theta s'> an integer; the pointwise product on the grid is the
+    algebra product only when every such integer is even.
     """
-    if not mat.size:
-        return 0.0
-    if mat.shape[1] <= 600:
-        svals = np.linalg.svd(mat, compute_uv=False)
-    else:
-        evals = np.linalg.eigvalsh(mat.conj().T @ mat)
-        svals = np.sqrt(np.clip(evals, 0.0, None))[::-1]
-        if svals[0] > 0 and svals[-1] / svals[0] < 1e-7:
-            svals = np.linalg.svd(mat, compute_uv=False)
-    top = float(np.max(svals))
-    return float(np.min(svals)) / top if top > 0 else 0.0
+    if g.backend.kind == MATRIX:
+        return
+    modes = sorted({k for row in g.components for c in row for k in c.modes})
+    ks = np.array(modes, dtype=float).reshape(-1, g.backend.dim)
+    pairing = ks @ g.backend.theta @ ks.T
+    odd = np.argwhere(np.abs(pairing - 2.0 * np.round(pairing / 2.0)) > 1e-9)
+    if len(odd):
+        a, b = odd[0]
+        raise NonCommutativeBackend(
+            f"metric modes {modes[a]} and {modes[b]} multiply with the phase "
+            f"exp(i pi {pairing[a, b]:.6g}); the pointwise solve needs every phase to be 1")
 
 
-def _assemble_joint_system(calculus: CalculusSpec, g: MetricSpec,
-                           solver_radius: Optional[int] = None) -> JointSystem:
-    """Rows: n m torsion equations + n^3 compatibility equations, flattened over modes.
+def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
+                     radius: int) -> Tuple[TorusGrid, np.ndarray, float, float]:
+    """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
 
-    With constant data all multiplications act as scalars and the system is the
-    bare 27-unknown structure system; then the full coefficient-space operator
-    is (that system) (x) (identity), so the kernel certificate on the scalar
-    block covers the whole module.  On the graded backend the unknowns range
-    over the subgroup generated by the metric supports inside the truncation
-    ball; the post-hoc residual check certifies the restriction.
+    Central coefficients make the joint system one (n m + n^3) x n^3 system per
+    grid point; one batched SVD gives the kernel certificate and the
+    least-squares solution.  Returns the grid, the Christoffel values at its
+    points (points x n^3), the smallest per-point singular-value ratio and the
+    largest per-point residual.
     """
+    _require_unit_phases(g)
     n, m = calculus.rank, calculus.two_form_rank
-    be = calculus.backend
-    if be.kind == MATRIX:
-        vmodes: Optional[List[tuple]] = None
-        nv = 1
-        watoms: Optional[List[tuple]] = None
-        nw = 1
-    else:
-        radius = be.radius if solver_radius is None else solver_radius
-        support = _metric_support(g)
-        vmodes = _generated_modes(support, be.dim, radius)
-        wset = set(vmodes)
-        for v in vmodes:
-            for s in support:
-                wset.add(tuple(vi + si for vi, si in zip(v, s)))
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    dgl = derive(calculus.derivations[l], g.components[i][j])
-                    wset.update(dgl.modes.keys())
-        watoms = sorted(wset)
-        nv, nw = len(vmodes), len(watoms)
-    windex = {w: a for a, w in enumerate(watoms)} if watoms is not None else None
-
-    def col(i, j, k, a):
-        return ((i * n + j) * n + k) * nv + a
-
-    nrows = n * m * nw + n * n * n * nw
-    ncols = n * n * n * nv
-    mat = np.zeros((nrows, ncols), dtype=complex)
-    rhs = np.zeros(nrows, dtype=complex)
-
-    zero_mode = (0,) * be.dim if be.kind == GRADED else None
-    unit_w = windex[zero_mode] if windex is not None else 0
-
-    # torsion rows: sum_jk c^a_jk Gamma^i_jk + D^a_i = 0, diagonal over modes
-    row = 0
-    for i in range(n):
-        for alpha in range(m):
-            base = row
-            for a in range(nv):
-                w = windex[vmodes[a]] if windex is not None else 0
-                for j in range(n):
-                    for k in range(n):
-                        c = calculus.wedge_constants[alpha, j, k]
-                        if c != 0.0:
-                            mat[base + w, col(i, j, k, a)] += c
-            rhs[base + unit_w] -= calculus.exterior_constants[alpha, i]
-            row += nw
-    # compatibility rows: sum_k (g_kj Gamma^i_kl + g_ki Gamma^j_kl) = partial_l g_ij
-    # multiplication by a central component is precomputed per support mode as a
-    # (row targets, phased coefficients) pair over the unknown modes
-    mult_cache: dict = {}
-
-    def mult_items(k_, j_):
-        if (k_, j_) in mult_cache:
-            return mult_cache[(k_, j_)]
-        comp = g.components[k_][j_]
-        if be.kind == MATRIX:
-            items = [(None, trace(comp))]
-        else:
-            theta = be.theta
-            varr = np.asarray(vmodes, dtype=float)
-            items = []
-            for s, cs in comp.modes.items():
-                srow = np.asarray(s, dtype=float) @ theta
-                phases = np.exp(1j * np.pi * (varr @ srow))
-                widx = np.array([windex[tuple(si + vi for si, vi in zip(s, v))]
-                                 for v in vmodes])
-                items.append((widx, cs * phases))
-        mult_cache[(k_, j_)] = items
-        return items
-
-    span = np.arange(nv)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                base = row
-                for k in range(n):
-                    for items, tgt in ((mult_items(k, j), (i, k, l)),
-                                       (mult_items(k, i), (j, k, l))):
-                        off = col(*tgt, 0)
-                        for widx, vals in items:
-                            if widx is None:
-                                mat[base, off] += vals
-                            else:
-                                mat[base + widx, off + span] += vals
-                dgl = derive(calculus.derivations[l], g.components[i][j])
-                if be.kind == MATRIX:
-                    rhs[base] += trace(dgl)
-                else:
-                    for s, cs in dgl.modes.items():
-                        rhs[base + windex[s]] += cs
-                row += nw
-
-    return JointSystem(mat, rhs, vmodes, watoms, _sv_ratio(mat))
+    comps = [c for row in g.components for c in row]
+    grid = TorusGrid(central_coords(comps), 4 * radius + 1)
+    gpts = grid.sample(comps).T.reshape(-1, n, n)
+    eye = np.eye(n)
+    # rows (i, alpha): sum_jk c^alpha_jk Gamma^i_jk = -D^alpha_i at every point
+    tors = np.einsum("ai,xjk->ixajk", eye, calculus.wedge_constants).reshape(n * m, n ** 3)
+    # rows (i, j, l): sum_k g_kj Gamma^i_kl + g_ki Gamma^j_kl = partial_l g_ij
+    compat = (np.einsum("ai,bl,pkj->pijlakb", eye, eye, gpts)
+              + np.einsum("aj,bl,pki->pijlakb", eye, eye, gpts)).reshape(-1, n ** 3, n ** 3)
+    ops = np.concatenate([np.broadcast_to(tors, (grid.points,) + tors.shape), compat], axis=1)
+    dg = [derive(calculus.derivations[l], g.components[i][j])
+          for i in range(n) for j in range(n) for l in range(n)]
+    rhs = np.concatenate([np.broadcast_to(-calculus.exterior_constants.T.ravel(),
+                                          (grid.points, n * m)), grid.sample(dg).T], axis=1)
+    u, svals, vh = np.linalg.svd(ops, full_matrices=False)
+    ratio = float(np.min(svals[:, -1] / np.maximum(svals[:, 0], np.finfo(float).tiny)))
+    if ratio <= DEFAULT_KERNEL_FLOOR:
+        raise NonUnique(
+            f"joint torsion/compatibility operator has a kernel "
+            f"(relative singular value {ratio:.3e})")
+    x = np.einsum("pkj,pk->pj", vh.conj(), np.einsum("prk,pr->pk", u.conj(), rhs) / svals)
+    res = float(np.max(np.abs(np.einsum("prj,pj->pr", ops, x) - rhs)))
+    return grid, x, ratio, res
 
 
 @dataclass
 class LeviCivitaResult:
+    """A Levi-Civita connection with its certificates.
+
+    sv_ratio is the smallest singular-value ratio of the per-point torsion +
+    compatibility operator over the solve grid; lstsq_residual is the largest
+    per-point residual of the direct solve (0 on the phi route).
+    """
+
     connection: ConnectionCoeffs
     torsion_residual: float
     compat_residual: float
@@ -467,18 +373,17 @@ class LeviCivitaResult:
     route_difference: Optional[float] = None
 
 
-def _gamma_from_solution(calculus: CalculusSpec, x: np.ndarray,
-                         vmodes: Optional[List[tuple]]) -> ConnectionCoeffs:
+def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid, x: np.ndarray,
+                         radius: int) -> ConnectionCoeffs:
+    """Christoffel coefficients from grid values, keeping the modes of sup-norm <= radius."""
     n = calculus.rank
     be = calculus.backend
-    if vmodes is None:
-        return ConnectionCoeffs.from_scalars(calculus, x.reshape(n, n, n))
-    nv = len(vmodes)
-    cube = x.reshape(n, n, n, nv)
-    gamma = [[[AlgebraElement.from_modes(
-        be, {v: cube[i, j, k, a] for a, v in enumerate(vmodes) if abs(cube[i, j, k, a]) > 1e-16})
-        for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionCoeffs(calculus, gamma)
+    modes = grid.read_back(x.T, be.dim, 1e-16)
+    flat = [central_element(be, {k: v for k, v in comp.items()
+                                 if max(map(abs, k), default=0) <= radius})
+            for comp in modes]
+    return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
+                                        for j in range(n)] for i in range(n)])
 
 
 def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
@@ -486,32 +391,20 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
                 solver_radius: Optional[int] = None) -> LeviCivitaResult:
     """The unique torsion-less, metric-compatible connection, with certificates.
 
-    route "direct": joint least-squares solve; route "phi": nabla_0 +
-    Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both, report the direct
-    result with their componentwise disagreement attached.
+    route "direct": per-point least-squares solve on the torus grid, read back
+    to modes of sup-norm <= solver_radius (default: the backend radius); route
+    "phi": nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both,
+    report the direct result with their componentwise disagreement attached.
+    Every route runs the pointwise kernel certificate first.
     """
     if route not in ("direct", "phi", "both"):
         raise ValueError(f"unknown route {route!r}")
-    system = _assemble_joint_system(calculus, g, solver_radius)
-    if system.sv_ratio <= DEFAULT_KERNEL_FLOOR:
-        raise NonUnique(
-            f"joint torsion/compatibility operator has a kernel "
-            f"(relative singular value {system.sv_ratio:.3e})")
-
-    def solve_direct() -> Tuple[ConnectionCoeffs, float]:
-        a, b = system.matrix, system.rhs
-        if a.shape[1] > 600:
-            # normal equations; the kernel certificate bounds the conditioning
-            # and the explicit residual below certifies the answer
-            x = np.linalg.solve(a.conj().T @ a, a.conj().T @ b)
-        else:
-            x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        res = float(np.max(np.abs(a @ x - b)))
-        return _gamma_from_solution(calculus, x, system.unknown_modes), res
+    n = calculus.rank
+    radius = calculus.backend.radius if solver_radius is None else solver_radius
+    grid, x, sv_ratio, lstsq_res = _solve_pointwise(calculus, g, radius)
 
     def solve_phi() -> ConnectionCoeffs:
         nab0 = nabla0(calculus)
-        n = calculus.rank
         pi0 = pi_g_basis(g, nab0)
         kmap = [[[wide_sum([derive(calculus.derivations[l], g.components[p][q]),
                             -pi0[p][q].coeffs[l]])
@@ -522,25 +415,25 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         return ConnectionCoeffs(calculus, gamma)
 
     diff: Optional[float] = None
-    lstsq_res = 0.0
-    if route == "direct":
-        nabla, lstsq_res = solve_direct()
-    elif route == "phi":
-        nabla = solve_phi()
+    if route == "phi":
+        nabla, lstsq_res = solve_phi(), 0.0
     else:
-        nabla, lstsq_res = solve_direct()
-        other = solve_phi()
-        diff = nabla.difference_norm(other)
+        nabla = _gamma_from_solution(calculus, grid, x, radius)
+        if route == "both":
+            diff = nabla.difference_norm(solve_phi())
 
     tres = torsion_residual(nabla)
     cres = compat_residual(g, nabla).max_norm
-    scale = max(1.0, float(np.max(np.abs(system.rhs))) if system.rhs.size else 1.0)
+    # the gate's scale is the largest right-hand side coefficient in mode space
+    scale = max(1.0, float(np.max(np.abs(calculus.exterior_constants), initial=0.0)),
+                max(derive(calculus.derivations[l], g.components[i][j]).norm()
+                    for i in range(n) for j in range(n) for l in range(n)))
     if max(tres, cres) > residual_tol * scale:
         raise Inconsistent(
             f"solver output breaches residual tolerance "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
-                            sv_ratio=system.sv_ratio, route=route,
+                            sv_ratio=sv_ratio, route=route,
                             lstsq_residual=lstsq_res, route_difference=diff)
 
 

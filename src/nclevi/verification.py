@@ -26,6 +26,7 @@ from .deformation import deform_product
 from .metric import g2_eval, metric_eval, v_g, v_g_inverse, v_g2_matrix
 from .models import Model
 from .solver import (
+    DEFAULT_KERNEL_FLOOR,
     compat_residual,
     levi_civita,
     nabla0,
@@ -211,7 +212,8 @@ def solver_checks(model: Model, rng: np.random.Generator,
     result = levi_civita(spec, g, route="both", residual_tol=residual_tol)
     out.append(Check("LC torsion residual", result.torsion_residual, residual_tol))
     out.append(Check("LC compatibility residual", result.compat_residual, residual_tol))
-    out.append(Check("LC kernel certificate", 0.0 if result.sv_ratio > 1e-8 else 1.0, 0.5))
+    out.append(Check("LC kernel certificate",
+                     0.0 if result.sv_ratio > DEFAULT_KERNEL_FLOOR else 1.0, 0.5))
     out.append(Check("LC route agreement", result.route_difference or 0.0, 1e-9))
 
     n = spec.rank

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nclevi.algebra import AlgebraElement, BackendDescriptor
+from nclevi.metric import MetricSpec
 from nclevi.models import fuzzy_sphere, heisenberg, pauli_matrices, torus_bundle
 
 
@@ -52,3 +53,25 @@ def max_gamma_norm(conn):
     n = conn.calculus.rank
     return max(conn.gamma[i][j][k].norm() for i in range(n) for j in range(n)
                for k in range(n))
+
+
+@pytest.fixture(scope="session")
+def twisted_mode_metric():
+    """Builder of torus_bundle(3, 2, theta, radius) with g_33 = 1 + 0.002 (U_1^p + U_1^-p
+    + U_2^p + U_2^-p): central when p theta is an integer, with Weyl phases
+    exp(i pi p^2 theta) between the U_1 and U_2 modes."""
+    def build(theta, radius, power):
+        model = torus_bundle(3, 2, np.array([[0.0, theta], [-theta, 0.0]]), radius)
+        be = model.backend
+        unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+        modes = {}
+        for coord in (0, 1):
+            for sign in (1, -1):
+                k = [0, 0, 0]
+                k[coord] = sign * power
+                modes[tuple(k)] = 0.002
+        g33 = unit + AlgebraElement.from_modes(be, modes)
+        g = MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
+                                        [zero, zero, g33]])
+        return model, g
+    return build

@@ -181,6 +181,17 @@ def test_singular_metric_exits_one(capsys, tmp_path):
     assert json.loads(out)["error"] == "SingularMetric"
 
 
+def test_sign_phase_metric_exits_two(capsys, tmp_path, twisted_mode_metric):
+    _, g = twisted_mode_metric(1.0 / 3.0, 9, 3)
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(encode_metric(g)))
+    code, out, err = run_cli(capsys, [
+        "solve", "--model", "torus", "--dims", "3", "--deformed", "2",
+        "--theta", repr(1.0 / 3.0), "--radius", "9", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "NonCommutativeBackend"
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "fuzzy-sphere", "k": 1}))

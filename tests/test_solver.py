@@ -6,7 +6,7 @@ from nclevi.algebra import AlgebraElement, derive, random_element, wide_mul, wid
 from nclevi.calculus import random_one_form
 from nclevi.errors import Inconsistent, NonCommutativeBackend, RangeNotSymmetric
 from nclevi.metric import MetricSpec
-from nclevi.models import random_central_metric
+from nclevi.models import random_central_metric, torus_bundle
 from nclevi.solver import (
     ConnectionCoeffs,
     apply_connection,
@@ -446,3 +446,64 @@ def test_starved_truncation_raises_inconsistent(torus_comm):
     g = random_central_metric(torus_comm, rng)
     with pytest.raises(Inconsistent):
         levi_civita(torus_comm.calculus, g, route="direct", solver_radius=0)
+
+
+# -- pointwise direct solve: metamorphic, oracle and phase-rule checks --------
+
+
+def _twisted_rng0():
+    model = torus_bundle(3, 2, np.array([[0.0, 0.3], [-0.3, 0.0]]), radius=4)
+    return model, random_central_metric(model, np.random.default_rng(0))
+
+
+def test_direct_invariant_under_metric_scaling():
+    # Gamma depends on g only through g^-1 dg, so c g has the same connection
+    model, g = _twisted_rng0()
+    scaled = MetricSpec(model.calculus, [[c * 2.5 for c in row] for row in g.components])
+    base = levi_civita(model.calculus, g, route="direct").connection
+    assert levi_civita(model.calculus, scaled, route="direct").connection.difference_norm(
+        base) <= 1e-12
+
+
+def test_direct_commutes_with_translation_of_free_coordinate():
+    # translating the central coordinate by t multiplies every mode k by
+    # exp(2 pi i k_3 t), on the metric and on the connection alike
+    model, g = _twisted_rng0()
+    be, n, t = model.backend, 3, 0.137
+
+    def shift(el):
+        return AlgebraElement.from_modes(
+            be, {k: v * np.exp(2j * np.pi * k[2] * t) for k, v in el.modes.items()})
+
+    moved = MetricSpec(model.calculus, [[shift(c) for c in row] for row in g.components])
+    base = levi_civita(model.calculus, g, route="direct").connection
+    want = ConnectionCoeffs(model.calculus, [[[shift(base.gamma[i][j][k]) for k in range(n)]
+                                              for j in range(n)] for i in range(n)])
+    got = levi_civita(model.calculus, moved, route="direct").connection
+    assert got.difference_norm(want) <= 1e-12
+
+
+def test_direct_matches_koszul_on_two_free_coordinates():
+    model = torus_bundle(4, 2, np.zeros((2, 2)), radius=4)
+    g = random_central_metric(model, np.random.default_rng(3))
+    varying = {c for row in g.components for el in row for k in el.modes
+               for c, kc in enumerate(k) if kc}
+    assert varying == {2, 3}
+    res = levi_civita(model.calculus, g, route="direct")
+    assert res.connection.difference_norm(koszul_oracle(model.calculus, g)) <= 1e-8
+
+
+def test_sign_phase_metric_refused_on_every_route(twisted_mode_metric):
+    # at theta = 1/3 the modes U_1^3 and U_2^3 are central but multiply with
+    # the phase exp(3 i pi) = -1, which no pointwise product reproduces
+    model, g = twisted_mode_metric(1.0 / 3.0, 9, 3)
+    for route in ("direct", "phi", "both"):
+        with pytest.raises(NonCommutativeBackend):
+            levi_civita(model.calculus, g, route=route)
+
+
+def test_even_phase_metric_solves(twisted_mode_metric):
+    # at theta = 1/2 the modes U_1^2 and U_2^2 multiply with exp(2 i pi) = 1
+    model, g = twisted_mode_metric(0.5, 8, 2)
+    res = levi_civita(model.calculus, g, route="both")
+    assert res.route_difference <= 1e-10
