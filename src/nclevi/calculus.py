@@ -18,7 +18,9 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
+    combine,
     derive,
+    products,
 )
 from .errors import BackendMismatch, NoSolution
 
@@ -27,6 +29,26 @@ _ANTISYM_TOL = 1e-12
 
 def _as_element_rows(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
+
+
+def _sum_pairs(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement],
+               sign: float) -> list:
+    """x + sign y entry by entry, in one kernel call (same backend throughout)."""
+    if not xs:
+        return []
+    be = xs[0].backend
+    for x, y in zip(xs, ys):
+        if x.backend != be or y.backend != be:
+            raise BackendMismatch("coefficients live on different backends")
+    return combine(be, [[(1.0, x), (sign, y)] for x, y in zip(xs, ys)])
+
+
+def _flat(t: "TensorSquare") -> list:
+    return [c for row in t.coeffs for c in row]
+
+
+def _square(flat: list, n: int) -> list:
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 class OneForm:
@@ -52,20 +74,20 @@ class OneForm:
         return len(self.coeffs)
 
     def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return OneForm(_sum_pairs(self.coeffs, other.coeffs, 1.0))
 
     def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return OneForm(_sum_pairs(self.coeffs, other.coeffs, -1.0))
 
     def __neg__(self) -> "OneForm":
         return OneForm([-a for a in self.coeffs])
 
     def right_mul(self, a: AlgebraElement) -> "OneForm":
-        return OneForm([c * a for c in self.coeffs])
+        return OneForm(products([(c, a) for c in self.coeffs]))
 
     def left_mul(self, a: AlgebraElement) -> "OneForm":
         # central basis: a e_i = e_i a, so the left action multiplies coefficients from the left
-        return OneForm([a * c for c in self.coeffs])
+        return OneForm(products([(a, c) for c in self.coeffs]))
 
     def scale(self, z: complex) -> "OneForm":
         return OneForm([c * z for c in self.coeffs])
@@ -107,12 +129,10 @@ class TensorSquare:
         return cls(out)
 
     def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare([[a + b for a, b in zip(r, s)]
-                             for r, s in zip(self.coeffs, other.coeffs)])
+        return TensorSquare(_square(_sum_pairs(_flat(self), _flat(other), 1.0), self.rank))
 
     def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare([[a - b for a, b in zip(r, s)]
-                             for r, s in zip(self.coeffs, other.coeffs)])
+        return TensorSquare(_square(_sum_pairs(_flat(self), _flat(other), -1.0), self.rank))
 
     def __neg__(self) -> "TensorSquare":
         return self.scale(-1.0)
@@ -121,10 +141,10 @@ class TensorSquare:
         return TensorSquare([[a * z for a in r] for r in self.coeffs])
 
     def right_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return TensorSquare([[c * a for c in r] for r in self.coeffs])
+        return TensorSquare(_square(products([(c, a) for c in _flat(self)]), self.rank))
 
     def left_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return TensorSquare([[a * c for c in r] for r in self.coeffs])
+        return TensorSquare(_square(products([(a, c) for c in _flat(self)]), self.rank))
 
     def norm(self) -> float:
         return max(c.norm() for r in self.coeffs for c in r)
@@ -144,13 +164,13 @@ class TwoForm:
         return cls([z] * rank)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TwoForm(_sum_pairs(self.coeffs, other.coeffs, 1.0))
 
     def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TwoForm(_sum_pairs(self.coeffs, other.coeffs, -1.0))
 
     def right_mul(self, a: AlgebraElement) -> "TwoForm":
-        return TwoForm([c * a for c in self.coeffs])
+        return TwoForm(products([(c, a) for c in self.coeffs]))
 
     def norm(self) -> float:
         return max((c.norm() for c in self.coeffs), default=0.0)
@@ -278,33 +298,28 @@ class CalculusSpec:
     def wedge(self, t: TensorSquare) -> TwoForm:
         """Quotiented multiplication: b_a = sum_ij c^a_ij a_ij."""
         n, m = self.rank, self.two_form_rank
-        out = []
-        for alpha in range(m):
-            acc = AlgebraElement.zero(t.backend)
-            for i in range(n):
-                for j in range(n):
-                    z = self.wedge_constants[alpha, i, j]
-                    if z != 0.0:
-                        acc = acc + t.coeffs[i][j] * z
-            out.append(acc)
-        return TwoForm(out)
+        c = self.wedge_constants
+        return TwoForm(combine(t.backend, [[(c[alpha, i, j], t.coeffs[i][j])
+                                            for i in range(n) for j in range(n)
+                                            if c[alpha, i, j] != 0.0]
+                                           for alpha in range(m)]))
 
     def d1(self, omega: OneForm) -> TwoForm:
         """d(sum e_i a_i): alpha-coefficient sum_i D^a_i a_i - sum_ik c^a_ik partial_k(a_i)."""
         n, m = self.rank, self.two_form_rank
-        out = []
+        d, c = self.exterior_constants, self.wedge_constants
+        slots = []
         for alpha in range(m):
-            acc = AlgebraElement.zero(omega.backend)
+            terms = []
             for i in range(n):
-                z = self.exterior_constants[alpha, i]
-                if z != 0.0:
-                    acc = acc + omega.coeffs[i] * z
+                if d[alpha, i] != 0.0:
+                    terms.append((d[alpha, i], omega.coeffs[i]))
                 for k in range(n):
-                    c = self.wedge_constants[alpha, i, k]
-                    if c != 0.0:
-                        acc = acc - derive(self.derivations[k], omega.coeffs[i]) * c
-            out.append(acc)
-        return TwoForm(out)
+                    if c[alpha, i, k] != 0.0:
+                        terms.append((-c[alpha, i, k],
+                                      derive(self.derivations[k], omega.coeffs[i])))
+            slots.append(terms)
+        return TwoForm(combine(omega.backend, slots))
 
     def d_basis(self, i: int) -> TwoForm:
         """d(e_i) as a two-form: the exterior-constant column."""
@@ -322,17 +337,9 @@ class CalculusSpec:
             return TensorSquare.zero(self.backend, n)
         flat = self.wedge_constants.reshape(m, n * n)
         pinv = np.linalg.pinv(flat)
-        cols = [b.coeffs[a] for a in range(m)]
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = AlgebraElement.zero(self.backend)
-                for a in range(m):
-                    z = pinv[i * n + j, a]
-                    if z != 0.0:
-                        acc = acc + cols[a] * z
-                out[i][j] = acc
-        t = TensorSquare(out)
+        flat = combine(self.backend, [[(pinv[ij, a], b.coeffs[a]) for a in range(m)
+                                       if pinv[ij, a] != 0.0] for ij in range(n * n)])
+        t = TensorSquare(_square(flat, n))
         res = (self.wedge(t) - b).norm()
         if res > 1e3 * self.backend.tol * max(1.0, b.norm()):
             raise NoSolution(f"two-form outside the wedge range (residual {res:.3e})")

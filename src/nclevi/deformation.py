@@ -20,9 +20,9 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
+    combine,
+    contract,
     lift,
-    wide_mul,
-    wide_sum,
 )
 from .calculus import CalculusSpec
 from .errors import BackendMismatch, Inconsistent, NonSkew
@@ -93,10 +93,10 @@ class GradedDecomposition:
         return self.components[tuple(grade)]
 
     def reconstruct(self, backend: BackendDescriptor) -> AlgebraElement:
-        acc = AlgebraElement.zero(backend)
         for comp in self.components.values():
-            acc = acc + comp
-        return acc
+            if comp.backend != backend:
+                raise BackendMismatch("component lives on another backend")
+        return combine(backend, [[(1.0, comp) for comp in self.components.values()]])[0]
 
 
 def spectral_decompose(x: AlgebraElement, action: TorusAction) -> GradedDecomposition:
@@ -104,11 +104,12 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> GradedDecompos
     be = x.backend
     if be.kind != GRADED:
         raise BackendMismatch("torus action applied to a matrix element")
-    comps: Dict[tuple, dict] = {}
-    for k, v in x.modes.items():
-        comps.setdefault(action.grade_of_mode(k), {})[k] = v
+    modes, coeffs = x.mode_array, x.coeff_array
+    rows: Dict[tuple, list] = {}
+    for r, grade in enumerate(map(tuple, modes[:, list(action.coords)].tolist())):
+        rows.setdefault(grade, []).append(r)
     return GradedDecomposition(action, {
-        g: AlgebraElement.from_modes(be, d) for g, d in comps.items()})
+        grade: AlgebraElement.from_arrays(be, modes[r], coeffs[r]) for grade, r in rows.items()})
 
 
 # -- deformed operations -------------------------------------------------------
@@ -118,16 +119,13 @@ def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
                    action: TorusAction) -> AlgebraElement:
     """a x_theta b = sum_{k,l} chi_theta(k, l) a_k b_l over the isotypical parts."""
     th = require_skew(theta, action.ndim)
-    da = spectral_decompose(a, action)
-    db = spectral_decompose(b, action)
-    terms = []
-    for ka, ca in da.components.items():
-        for lb, cb in db.components.items():
-            phase = np.exp(1j * np.pi * float(np.asarray(ka, float) @ th @ np.asarray(lb, float)))
-            terms.append(wide_mul(ca, cb) * phase)
-    if not terms:
-        return AlgebraElement.zero(a.backend)
-    out = wide_sum(terms)
+    da = spectral_decompose(a, action).components
+    db = spectral_decompose(b, action).components
+    ka = np.array(list(da), dtype=float).reshape(len(da), action.ndim)
+    lb = np.array(list(db), dtype=float).reshape(len(db), action.ndim)
+    chi = np.exp(1j * np.pi * (ka @ th @ lb.T))
+    out = contract(a.backend, [[(chi[p, q], ca, cb) for p, ca in enumerate(da.values())
+                                for q, cb in enumerate(db.values())]])[0]
     return lift(out, a.backend) if out.support_radius() <= a.backend.radius else out
 
 

@@ -23,11 +23,11 @@ from .algebra import (
     MATRIX,
     AlgebraElement,
     BackendDescriptor,
+    combine,
+    contract,
     is_central,
     lift,
     trace,
-    wide_mul,
-    wide_sum,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare
 from .errors import BackendMismatch, NonCentralResult, SingularMetric
@@ -54,10 +54,13 @@ class Functional:
         return len(self.coeffs)
 
     def __call__(self, omega: OneForm) -> AlgebraElement:
-        return wide_sum([wide_mul(f, a) for f, a in zip(self.coeffs, omega.coeffs)])
+        return contract(self.coeffs[0].backend,
+                        [[(1.0, f, a) for f, a in zip(self.coeffs, omega.coeffs)]])[0]
 
     def __sub__(self, other: "Functional") -> "Functional":
-        return Functional([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Functional(combine(self.coeffs[0].backend,
+                                  [[(1.0, a), (-1.0, b)]
+                                   for a, b in zip(self.coeffs, other.coeffs)]))
 
     def norm(self) -> float:
         return max(c.norm() for c in self.coeffs)
@@ -71,8 +74,8 @@ def _grid_sizes(ndim: int, radius: int) -> int:
 
 def central_coords(elements: Sequence[AlgebraElement]) -> Tuple[int, ...]:
     """The coordinates along which some of the graded elements vary; () on the matrix backend."""
-    return tuple(sorted({c for el in elements if el.backend.kind == GRADED
-                         for k in el.modes for c, kc in enumerate(k) if kc != 0}))
+    return tuple(sorted({int(c) for el in elements if el.backend.kind == GRADED
+                         for c in np.flatnonzero(np.any(el.mode_array != 0, axis=0))}))
 
 
 @dataclass(frozen=True)
@@ -101,16 +104,16 @@ class TorusGrid:
         pos = np.stack([a.ravel() for a in axes])
         out = np.zeros((len(elements), self.points), dtype=complex)
         for row, el in zip(out, elements):
-            modes = el.modes
-            if modes:
-                ks = np.array([[k[c] for c in self.coords] for k in modes], dtype=float)
-                row += np.array(list(modes.values())) @ np.exp(2j * np.pi * (ks @ pos))
+            if len(el.coeff_array):
+                ks = el.mode_array[:, list(self.coords)].astype(float)
+                row += el.coeff_array @ np.exp(2j * np.pi * (ks @ pos))
         return out
 
-    def read_back(self, values: np.ndarray, dim: int, floor: float) -> List[dict]:
+    def read_back(self, values: np.ndarray, dim: int,
+                  floor: float) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Fourier modes of grid values, the inverse of `sample`.
 
-        One {mode: coefficient} map per row of `values`, holding the
+        One (modes, coefficients) pair per row of `values`, holding the
         coefficients above `floor`; modes have `dim` entries, zero off `coords`.
         """
         d = len(self.coords)
@@ -118,18 +121,21 @@ class TorusGrid:
         coeffs = np.fft.fftn(values.reshape((len(values),) + grid_shape),
                              axes=range(1, d + 1)).reshape(len(values), -1) / self.points
         idx = np.indices(grid_shape).reshape(d, self.points)
-        modes = np.zeros((self.points, dim), dtype=int)
+        modes = np.zeros((self.points, dim), dtype=np.int64)
         modes[:, list(self.coords)] = np.where(idx > self.size // 2, idx - self.size, idx).T
-        keys = [tuple(int(x) for x in k) for k in modes]
-        return [{keys[p]: complex(row[p]) for p in np.flatnonzero(np.abs(row) > floor)}
-                for row in coeffs]
+        out = []
+        for row in coeffs:
+            keep = np.abs(row) > floor
+            out.append((modes[keep], row[keep]))
+        return out
 
 
-def central_element(backend: BackendDescriptor, modes: dict) -> AlgebraElement:
+def central_element(backend: BackendDescriptor, modes: np.ndarray,
+                    coeffs: np.ndarray) -> AlgebraElement:
     """The central element with these modes; on the matrix backend the one mode () is the scalar."""
     if backend.kind == MATRIX:
-        return AlgebraElement.unit(backend) * modes.get((), 0.0)
-    return AlgebraElement.from_modes(backend, modes)
+        return AlgebraElement.unit(backend) * (coeffs[0] if len(coeffs) else 0.0)
+    return AlgebraElement.from_arrays(backend, modes, coeffs)
 
 
 def _central_inverse(components, backend: BackendDescriptor):
@@ -152,11 +158,11 @@ def _central_inverse(components, backend: BackendDescriptor):
     scale = float(np.max(np.abs(inv_pts)))
     modes = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
                            _INVERSE_TAIL * max(scale, 1.0))
-    reach = max((max(map(abs, k), default=0) for comp in modes for k in comp), default=0)
+    reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
     if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
         raise SingularMetric("inverse components decay too slowly for the truncation budget")
     inv_backend = backend if reach <= backend.radius else backend.with_radius(reach)
-    inv = [central_element(inv_backend, comp) for comp in modes]
+    inv = [central_element(inv_backend, k, c) for k, c in modes]
     return [inv[i * n:(i + 1) * n] for i in range(n)], ratio
 
 
@@ -177,11 +183,13 @@ class MetricSpec:
                     raise BackendMismatch("metric component on the wrong backend")
                 rows[i][j] = lift(comp, be) if comp.backend != be else comp
         tol = be.tol
+        flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
+                             for i in range(n) for j in range(n)])
         for i in range(n):
             for j in range(n):
                 if not is_central(rows[i][j], calculus.generators):
                     raise NonCentralResult(f"component ({i},{j}) is not central")
-                if (rows[i][j] - rows[j][i]).norm() > 10 * tol:
+                if flips[i * n + j].norm() > 10 * tol:
                     raise ValueError(f"components not symmetric at ({i},{j})")
         self.components = tuple(tuple(r) for r in rows)
         inv, ratio = _central_inverse(rows, be)
@@ -205,8 +213,9 @@ class MetricSpec:
         n = self.rank
         unit = AlgebraElement.unit(self.backend)
         s = self.component_scalars()
-        return all((self.components[i][j] - unit * s[i, j]).norm() <= 10 * self.backend.tol
-                   for i in range(n) for j in range(n))
+        rest = combine(self.backend, [[(1.0, self.components[i][j]), (-s[i, j], unit)]
+                                      for i in range(n) for j in range(n)])
+        return all(r.norm() <= 10 * self.backend.tol for r in rest)
 
     @classmethod
     def delta(cls, calculus: CalculusSpec) -> "MetricSpec":
@@ -236,43 +245,39 @@ def metric_eval(g: MetricSpec, t: TensorSquare) -> AlgebraElement:
     if not t.backend.same_algebra(g.backend):
         raise BackendMismatch("tensor square on the wrong backend")
     n = g.rank
-    terms = [wide_mul(g.components[i][j], t.coeffs[i][j]) for i in range(n) for j in range(n)]
-    return wide_sum(terms)
+    return contract(g.backend, [[(1.0, g.components[i][j], t.coeffs[i][j])
+                                 for i in range(n) for j in range(n)]])[0]
 
 
 def v_g(g: MetricSpec, omega: OneForm) -> Functional:
     """The musical map V_g(omega)(eta) = g(omega (x) eta); component j is sum_i g_ij omega_i."""
     n = g.rank
-    return Functional([wide_sum([wide_mul(g.components[i][j], omega.coeffs[i]) for i in range(n)])
-                       for j in range(n)])
+    return Functional(contract(g.backend, [[(1.0, g.components[i][j], omega.coeffs[i])
+                                            for i in range(n)] for j in range(n)]))
 
 
 def v_g_inverse(g: MetricSpec, phi: Functional) -> OneForm:
     """Inverse musical map via the cached inverse components."""
     n = g.rank
-    return OneForm([wide_sum([wide_mul(g.inverse_components[i][j], phi.coeffs[j])
-                              for j in range(n)]) for i in range(n)])
+    return OneForm(contract(g.backend, [[(1.0, g.inverse_components[i][j], phi.coeffs[j])
+                                         for j in range(n)] for i in range(n)]))
 
 
 def g2_eval(g: MetricSpec, s: TensorSquare, t: TensorSquare) -> AlgebraElement:
-    """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj."""
+    """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj.
+
+    Three kernel calls: g_li g_kj, then times s_kl, then the sum of those times t_ij.
+    """
     n = g.rank
-    terms = []
-    for k in range(n):
-        for l in range(n):
-            skl = s.coeffs[k][l]
-            if skl.norm() == 0.0:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    tij = t.coeffs[i][j]
-                    if tij.norm() == 0.0:
-                        continue
-                    gg = wide_mul(g.components[l][i], g.components[k][j])
-                    terms.append(wide_mul(wide_mul(gg, skl), tij))
-    if not terms:
+    gc = g.components
+    quads = [(k, l, i, j) for k in range(n) for l in range(n) if s.coeffs[k][l].norm() != 0.0
+             for i in range(n) for j in range(n) if t.coeffs[i][j].norm() != 0.0]
+    if not quads:
         return AlgebraElement.zero(g.backend)
-    return wide_sum(terms)
+    gg = contract(g.backend, [[(1.0, gc[l][i], gc[k][j])] for k, l, i, j in quads])
+    ggs = contract(g.backend, [[(1.0, x, s.coeffs[k][l])] for x, (k, l, _, _) in zip(gg, quads)])
+    return contract(g.backend, [[(1.0, x, t.coeffs[i][j])
+                                 for x, (_, _, i, j) in zip(ggs, quads)]])[0]
 
 
 @dataclass
@@ -301,15 +306,11 @@ class Vg2Matrix:
 def v_g2_matrix(g: MetricSpec) -> Vg2Matrix:
     """Assemble the component matrix M[(k,l),(i,j)] = g_li g_kj of V_{g^(2)}."""
     n = g.rank
-    rows = []
-    for k in range(n):
-        for l in range(n):
-            row = []
-            for i in range(n):
-                for j in range(n):
-                    row.append(wide_mul(g.components[l][i], g.components[k][j]))
-            rows.append(tuple(row))
-    return Vg2Matrix(metric=g, entries=tuple(rows))
+    gc = g.components
+    flat = contract(g.backend, [[(1.0, gc[l][i], gc[k][j])] for k in range(n) for l in range(n)
+                                for i in range(n) for j in range(n)])
+    return Vg2Matrix(metric=g, entries=tuple(tuple(flat[r * n * n:(r + 1) * n * n])
+                                             for r in range(n * n)))
 
 
 # -- canonical trace metric ---------------------------------------------------

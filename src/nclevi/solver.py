@@ -20,6 +20,7 @@ Fourier modes of sup-norm <= R.  Metrics whose modes multiply with a sign
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -29,11 +30,11 @@ import numpy as np
 from .algebra import (
     MATRIX,
     AlgebraElement,
+    combine,
+    contract,
     derive,
     lift,
     trace,
-    wide_mul,
-    wide_sum,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
 from .errors import (
@@ -84,45 +85,36 @@ class ConnectionCoeffs:
 
     def difference_norm(self, other: "ConnectionCoeffs") -> float:
         n = self.calculus.rank
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    d = wide_sum([self.gamma[i][j][k], -other.gamma[i][j][k]])
-                    worst = max(worst, d.norm())
-        return worst
+        diffs = combine(self.calculus.backend,
+                        [[(1.0, self.gamma[i][j][k]), (-1.0, other.gamma[i][j][k])]
+                         for i, j, k in itertools.product(range(n), repeat=3)])
+        return max(d.norm() for d in diffs)
 
 
 def apply_connection(nabla: ConnectionCoeffs, omega: OneForm) -> TensorSquare:
     """nabla(sum e_i a_i): coefficient T_jk = sum_i Gamma^i_jk a_i + partial_k(a_j)."""
     spec = nabla.calculus
     n = spec.rank
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            terms = [wide_mul(nabla.gamma[i][j][k], omega.coeffs[i]) for i in range(n)]
-            terms.append(derive(spec.derivations[k], omega.coeffs[j]))
-            out[j][k] = wide_sum(terms)
-    return TensorSquare(out)
+    unit = AlgebraElement.unit(spec.backend)
+    flat = contract(spec.backend,
+                    [[(1.0, nabla.gamma[i][j][k], omega.coeffs[i]) for i in range(n)]
+                     + [(1.0, derive(spec.derivations[k], omega.coeffs[j]), unit)]
+                     for j in range(n) for k in range(n)])
+    return TensorSquare([flat[j * n:(j + 1) * n] for j in range(n)])
 
 
 def torsion(nabla: ConnectionCoeffs) -> List[TwoForm]:
     """T(e_i) = wedge(nabla(e_i)) + d(e_i), one two-form per basis element."""
     spec = nabla.calculus
     n, m = spec.rank, spec.two_form_rank
-    out = []
-    for i in range(n):
-        coeffs = []
-        for alpha in range(m):
-            terms = [AlgebraElement.unit(spec.backend) * spec.exterior_constants[alpha, i]]
-            for j in range(n):
-                for k in range(n):
-                    c = spec.wedge_constants[alpha, j, k]
-                    if c != 0.0:
-                        terms.append(nabla.gamma[i][j][k] * c)
-            coeffs.append(wide_sum(terms))
-        out.append(TwoForm(coeffs))
-    return out
+    unit = AlgebraElement.unit(spec.backend)
+    flat = combine(spec.backend,
+                   [[(spec.exterior_constants[alpha, i], unit)]
+                    + [(spec.wedge_constants[alpha, j, k], nabla.gamma[i][j][k])
+                       for j in range(n) for k in range(n)
+                       if spec.wedge_constants[alpha, j, k] != 0.0]
+                    for i in range(n) for alpha in range(m)])
+    return [TwoForm(flat[i * m:(i + 1) * m]) for i in range(n)]
 
 
 def torsion_residual(nabla: ConnectionCoeffs) -> float:
@@ -155,23 +147,32 @@ def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
     return nab
 
 
-def _pi_g(g: MetricSpec, x) -> list:
-    """Pi_g on a component cube: entry [i][j][l] = sum_k g_kj x^i_kl + g_ki x^j_kl.
+def _pi_g(g: MetricSpec, x, minus=None) -> list:
+    """Pi_g on a component cube: entry [i][j][l] = sum_k g_kj x^i_kl + g_ki x^j_kl,
+    less minus[i][j][l] when given; one kernel call for every entry.
 
     pi_g_basis, compat_residual and phi_g_apply all evaluate Pi_g here.
     """
     n = g.rank
     gc = g.components
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    unit = AlgebraElement.unit(g.backend)
+    slots = []
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 terms = []
                 for k in range(n):
-                    terms.append(wide_mul(gc[k][j], x[i][k][l]))
-                    terms.append(wide_mul(gc[k][i], x[j][k][l]))
-                out[i][j][l] = wide_sum(terms)
-    return out
+                    terms.append((1.0, gc[k][j], x[i][k][l]))
+                    terms.append((1.0, gc[k][i], x[j][k][l]))
+                if minus is not None:
+                    terms.append((-1.0, minus[i][j][l], unit))
+                slots.append(terms)
+    return _cube(contract(g.backend, slots), n)
+
+
+def _cube(flat: list, n: int) -> list:
+    """Nested [a][b][c] lists of a flat row-major list of n^3 entries."""
+    return [[flat[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
 
 
 def pi_g_basis(g: MetricSpec, nabla: ConnectionCoeffs) -> List[List[OneForm]]:
@@ -193,10 +194,11 @@ class CompatibilityResidual:
 def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResidual:
     """Residual of Pi_g(nabla) = dg on the basis; zero iff the connection is compatible."""
     ders = nabla.calculus.derivations
-    pi = _pi_g(g, nabla.gamma)
-    n = len(pi)
-    entries = tuple(tuple(tuple(wide_sum([pi[i][j][l], -derive(ders[l], g.components[i][j])])
-                                for l in range(n)) for j in range(n)) for i in range(n))
+    n = g.rank
+    dg = [[[derive(ders[l], g.components[i][j]) for l in range(n)] for j in range(n)]
+          for i in range(n)]
+    entries = tuple(tuple(tuple(row) for row in plane)
+                    for plane in _pi_g(g, nabla.gamma, minus=dg))
     worst = max(e.norm() for plane in entries for row in plane for e in row)
     return CompatibilityResidual(entries, worst)
 
@@ -218,17 +220,21 @@ def _range_check_symmetric(calculus: CalculusSpec, comp, what: str) -> None:
     tol = 1e3 * calculus.backend.tol * max(1.0, scale)
     if what == "range":
         # range inside Ker(wedge): wedge of each value must vanish
-        for i in range(n):
-            t = TensorSquare([[comp[i][j][k] for k in range(n)] for j in range(n)])
-            if calculus.wedge(t).norm() > tol:
-                raise RangeNotSymmetric(f"value at basis index {i} is not in Ker(wedge)")
+        m = calculus.two_form_rank
+        c = calculus.wedge_constants
+        wedges = combine(calculus.backend,
+                         [[(c[a, j, k], comp[i][j][k]) for j in range(n) for k in range(n)
+                           if c[a, j, k] != 0.0] for i in range(n) for a in range(m)])
+        for idx, w in enumerate(wedges):
+            if w.norm() > tol:
+                raise RangeNotSymmetric(f"value at basis index {idx // m} is not in Ker(wedge)")
     else:
         # domain E (x)sym E: components must be symmetric in the tensor pair
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (comp[i][j][k] - comp[j][i][k]).norm() > tol:
-                        raise RangeNotSymmetric("map is not determined on the symmetric part")
+        flips = combine(calculus.backend,
+                        [[(1.0, comp[i][j][k]), (-1.0, comp[j][i][k])]
+                         for i in range(n) for j in range(n) for k in range(n)])
+        if any(f.norm() > tol for f in flips):
+            raise RangeNotSymmetric("map is not determined on the symmetric part")
 
 
 def phi_g_apply(g: MetricSpec, lmap) -> tuple:
@@ -262,36 +268,23 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
     _range_check_symmetric(calculus, mmap, "domain")
     h = g.inverse_components
     gc = g.components
-    half = [[[mmap[p][q][j] * 0.5 for j in range(n)] for q in range(n)] for p in range(n)]
+    be = calculus.backend
+    cube = list(itertools.product(range(n), repeat=3))
 
-    # undo (id (x) V_{g^(2)}): tau3[j,k,r] = sum_pq h_kq (M/2)[p][q][j] h_pr
-    tau3 = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            for r in range(n):
-                terms = []
-                for p in range(n):
-                    for q in range(n):
-                        terms.append(wide_mul(wide_mul(h[k][q], half[p][q][j]), h[p][r]))
-                tau3[j][k][r] = wide_sum(terms)
+    # undo (id (x) V_{g^(2)}): tau3[j,k,r] = sum_p (sum_q h_kq (M/2)[p][q][j]) h_pr
+    hm = _cube(contract(be, [[(0.5, h[k][q], mmap[p][q][j]) for q in range(n)]
+                             for k, p, j in cube]), n)
+    flat3 = contract(be, [[(1.0, hm[k][p][j], h[p][r]) for p in range(n)]
+                          for j, k, r in cube])
 
     # undo (P_sym)_23 on the index cube: tau2 = R tau3 with R the restricted inverse
     rmat = _p23_restricted_inverse(n)
-    flat3 = [tau3[j][k][r] for j in range(n) for k in range(n) for r in range(n)]
-    flat2 = []
-    for a in range(n ** 3):
-        terms = [flat3[b] * rmat[a, b] for b in range(n ** 3) if abs(rmat[a, b]) > 1e-14]
-        flat2.append(wide_sum(terms) if terms else AlgebraElement.zero(calculus.backend))
-    tau2 = [[[flat2[j * n * n + k * n + r] for r in range(n)] for k in range(n)]
-            for j in range(n)]
+    tau2 = _cube(combine(be, [[(rmat[a, b], flat3[b]) for b in range(n ** 3)
+                               if abs(rmat[a, b]) > 1e-14] for a in range(n ** 3)]), n)
 
     # undo (id (x) V_g^{-1}): tau1[j,k,i] = sum_r tau2[j,k,r] g_ri
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = [wide_mul(tau2[j][k][r], gc[r][i]) for r in range(n)]
-                out[i][j][k] = wide_sum(terms)
+    out = _cube(contract(be, [[(1.0, tau2[j][k][r], gc[r][i]) for r in range(n)]
+                              for i, j, k in cube]), n)
     return tuple(tuple(tuple(r) for r in p_) for p_ in out)
 
 
@@ -378,10 +371,10 @@ def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid, x: np.ndarray,
     """Christoffel coefficients from grid values, keeping the modes of sup-norm <= radius."""
     n = calculus.rank
     be = calculus.backend
-    modes = grid.read_back(x.T, be.dim, 1e-16)
-    flat = [central_element(be, {k: v for k, v in comp.items()
-                                 if max(map(abs, k), default=0) <= radius})
-            for comp in modes]
+    flat = []
+    for k, c in grid.read_back(x.T, be.dim, 1e-16):
+        inside = np.abs(k).max(axis=1, initial=0) <= radius
+        flat.append(central_element(be, k[inside], c[inside]))
     return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
                                         for j in range(n)] for i in range(n)])
 
@@ -405,14 +398,13 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
 
     def solve_phi() -> ConnectionCoeffs:
         nab0 = nabla0(calculus)
-        pi0 = pi_g_basis(g, nab0)
-        kmap = [[[wide_sum([derive(calculus.derivations[l], g.components[p][q]),
-                            -pi0[p][q].coeffs[l]])
-                  for l in range(n)] for q in range(n)] for p in range(n)]
-        lmap = phi_g_invert(g, kmap)
-        gamma = [[[wide_sum([nab0.gamma[i][j][k], lmap[i][j][k]])
-                   for k in range(n)] for j in range(n)] for i in range(n)]
-        return ConnectionCoeffs(calculus, gamma)
+        dg = [[[derive(calculus.derivations[l], g.components[p][q]) for l in range(n)]
+               for q in range(n)] for p in range(n)]
+        # Phi_g^{-1} is linear: Phi_g^{-1}(dg - Pi_g(nabla_0)) = -Phi_g^{-1}(Pi_g(nabla_0) - dg)
+        lmap = phi_g_invert(g, _pi_g(g, nab0.gamma, minus=dg))
+        gamma = combine(calculus.backend, [[(1.0, nab0.gamma[i][j][k]), (-1.0, lmap[i][j][k])]
+                                           for i, j, k in itertools.product(range(n), repeat=3)])
+        return ConnectionCoeffs(calculus, _cube(gamma, n))
 
     diff: Optional[float] = None
     if route == "phi":
@@ -480,21 +472,22 @@ def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:
     def pd(idx: int, el: AlgebraElement) -> AlgebraElement:
         return derive(ders[idx], el)
 
-    kosz = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for mth in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = []
-                for k in range(n):
-                    inner = [pd(i, gdown[j][k]), pd(j, gdown[i][k]), -pd(k, gdown[i][j])]
-                    for l in range(n):
-                        for cf, pair in ((cvec[l, i, j], (l, k)),
-                                         (-cvec[l, i, k], (l, j)),
-                                         (-cvec[l, j, k], (l, i))):
-                            if cf != 0.0:
-                                inner.append(gdown[pair[0]][pair[1]] * cf)
-                    terms.append(wide_mul(gup[mth][k], wide_sum(inner)))
-                kosz[mth][i][j] = wide_sum(terms) * 0.5
-    # frozen translation: our Gamma^i_{jk} (j = form index, k = direction) is -Koszul^i_{kj}
-    out = [[[kosz[i][k][j] * (-1.0) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionCoeffs(calculus, out)
+    cube = list(itertools.product(range(n), repeat=3))
+    # inner[i][j][k] = d_i g_jk + d_j g_ik - d_k g_ij + bracket terms, on g down
+    slots = []
+    for i, j, k in cube:
+        terms = [(1.0, pd(i, gdown[j][k])), (1.0, pd(j, gdown[i][k])),
+                 (-1.0, pd(k, gdown[i][j]))]
+        for l in range(n):
+            for cf, pair in ((cvec[l, i, j], (l, k)),
+                             (-cvec[l, i, k], (l, j)),
+                             (-cvec[l, j, k], (l, i))):
+                if cf != 0.0:
+                    terms.append((cf, gdown[pair[0]][pair[1]]))
+        slots.append(terms)
+    inner = _cube(combine(be, slots), n)
+    # Koszul^m_ij = (1/2) sum_k g^mk inner[i][j][k]; the frozen translation makes
+    # our Gamma^i_{jk} (j = form index, k = direction) equal to -Koszul^i_{kj}
+    out = contract(be, [[(-0.5, gup[i][l], inner[k][j][l]) for l in range(n)]
+                        for i, j, k in cube])
+    return ConnectionCoeffs(calculus, _cube(out, n))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    combine,
     derive,
     is_central,
     random_element,
@@ -52,6 +53,18 @@ class Check:
 
 def _rand(model: Model, rng) -> AlgebraElement:
     return random_element(model.backend, rng)
+
+
+def _worst_norm(elements) -> float:
+    return max((e.norm() for e in elements), default=0.0)
+
+
+def _worst_difference(pairs) -> float:
+    """max |a - b| over the pairs, whose elements may sit on different windows."""
+    pairs = list(pairs)
+    if not pairs:
+        return 0.0
+    return _worst_norm(combine(pairs[0][0].backend, [[(1.0, a), (-1.0, b)] for a, b in pairs]))
 
 
 def algebra_checks(model: Model, rng: np.random.Generator, samples: int = 100) -> List[Check]:
@@ -176,8 +189,7 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     for _ in range(10):
         w = random_one_form(spec, rng)
         back = v_g_inverse(g, v_g(g, w))
-        worst_rt = max(worst_rt, max(wide_sum([b, -c]).norm()
-                                     for b, c in zip(back.coeffs, w.coeffs)))
+        worst_rt = max(worst_rt, _worst_difference(zip(back.coeffs, w.coeffs)))
     out.append(Check("V_g roundtrip", worst_rt, 1e-9))
 
     worst_adj = 0.0
@@ -190,13 +202,9 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 
     m2 = v_g2_matrix(g)
     n = spec.rank
-    worst_entry = 0.0
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    d = wide_sum([m2.entry((l, k), (i, j)), -m2.entry((k, l), (j, i))])
-                    worst_entry = max(worst_entry, d.norm())
+    worst_entry = _worst_difference(
+        (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
+        for k in range(n) for l in range(n) for i in range(n) for j in range(n))
     out.append(Check("V_g2 conjugation by sigma", worst_entry, 100 * tol))
     worst_cent = 0.0 if all(
         is_central(c, spec.generators) for row in g.components for c in row) else 1.0
@@ -218,13 +226,12 @@ def solver_checks(model: Model, rng: np.random.Generator,
 
     n = spec.rank
     nab0 = nabla0(spec)
-    diff = [[[wide_sum([result.connection.gamma[i][j][k], -nab0.gamma[i][j][k]])
-              for k in range(n)] for j in range(n)] for i in range(n)]
-    worst_sym = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst_sym = max(worst_sym, wide_sum([diff[i][j][k], -diff[i][k][j]]).norm())
+    gam = result.connection.gamma
+    # (Gamma - nabla_0)^i_jk - (Gamma - nabla_0)^i_kj, each as one sum of four terms
+    worst_sym = _worst_norm(combine(spec.backend, [
+        [(1.0, gam[i][j][k]), (-1.0, nab0.gamma[i][j][k]),
+         (-1.0, gam[i][k][j]), (1.0, nab0.gamma[i][k][j])]
+        for i in range(n) for j in range(n) for k in range(n)]))
     out.append(Check("torsionless difference is symmetric", worst_sym, 1e-9))
 
     # Phi_g roundtrip on random symmetric-range maps
@@ -235,19 +242,16 @@ def solver_checks(model: Model, rng: np.random.Generator,
         unit = AlgebraElement.unit(spec.backend)
         lmap = [[[unit * raw[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
         back = phi_g_invert(g, phi_g_apply(g, lmap))
-        worst_phi = max(worst_phi, max(
-            wide_sum([back[i][j][k], -lmap[i][j][k]]).norm()
+        worst_phi = max(worst_phi, _worst_difference(
+            (back[i][j][k], lmap[i][j][k])
             for i in range(n) for j in range(n) for k in range(n)))
     out.append(Check("Phi_g roundtrip", worst_phi, 1e-10))
 
     # (Pi_g(nabla) - dg) is sigma-invariant: the residual entries are (i,j)-symmetric
     res = compat_residual(g, result.connection)
-    worst_flip = 0.0
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                worst_flip = max(worst_flip, wide_sum(
-                    [res.entry(i, j, l), -res.entry(j, i, l)]).norm())
+    worst_flip = _worst_difference(
+        (res.entry(i, j, l), res.entry(j, i, l))
+        for i in range(n) for j in range(n) for l in range(n))
     out.append(Check("compatibility defect sigma-invariant", worst_flip, 1e-9))
     return out
 

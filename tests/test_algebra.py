@@ -9,6 +9,7 @@ from nclevi.algebra import (
     DerivationSpec,
     TraceFunctional,
     commutator_norm,
+    contract,
     derive,
     is_central,
     lift,
@@ -19,6 +20,7 @@ from nclevi.algebra import (
     wide_mul,
     wide_sum,
 )
+from nclevi.deformation import TorusAction, deform_product
 from nclevi.errors import BackendMismatch, NonSkew, TruncationOverflow
 
 TOL = 1e-12
@@ -270,3 +272,146 @@ def test_lift_roundtrip():
 def test_nonskew_twist_rejected():
     with pytest.raises(NonSkew):
         BackendDescriptor.graded(2, np.array([[0.0, 0.1], [0.1, 0.0]]), 2)
+
+
+# -- the contraction kernel against a naive dict convolution ---------------------
+
+
+def ref_mul(theta, a: dict, b: dict) -> dict:
+    """U^k U^l = e^{i pi <k, theta l>} U^{k+l}, one pair of modes at a time."""
+    out: dict = {}
+    for k, av in a.items():
+        for l, bv in b.items():
+            phase = np.exp(1j * np.pi * float(np.asarray(k, float) @ theta @ np.asarray(l, float)))
+            m = tuple(x + y for x, y in zip(k, l))
+            out[m] = out.get(m, 0.0) + phase * av * bv
+    return out
+
+
+def ref_combine(terms) -> dict:
+    out: dict = {}
+    for c, d in terms:
+        for k, v in d.items():
+            out[k] = out.get(k, 0.0) + c * v
+    return out
+
+
+def assert_matches(el, ref: dict, tol: float = 1e-12) -> None:
+    got = el.modes
+    assert all(abs(v) > 0 for v in got.values())
+    for k in set(got) | set(ref):
+        assert abs(got.get(k, 0.0) - ref.get(k, 0.0)) <= tol, k
+    assert set(got) <= set(ref)
+
+
+_SMALL = graded2(0.37, radius=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_elements(_GB), graded_elements(_GB))
+def test_mul_and_wide_mul_match_reference(a, b):
+    ref = ref_mul(_GB.theta, a.modes, b.modes)
+    assert_matches(mul(a, b), ref)
+    small_a = lift(AlgebraElement.from_modes(_SMALL, a.modes), _SMALL)
+    small_b = AlgebraElement.from_modes(_SMALL, b.modes)
+    wide = wide_mul(small_a, small_b)
+    assert_matches(wide, ref_mul(_SMALL.theta, a.modes, b.modes))
+    assert wide.backend.radius == max(3, a.support_radius() + b.support_radius())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(coeff, st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=5),
+       st.lists(st.tuples(coeff, st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=5),
+       graded_elements(_SMALL), graded_elements(_SMALL), graded_elements(_SMALL))
+def test_multi_slot_contract_matches_reference(slot1, slot2, x, y, z):
+    # operands on three windows of one algebra; the call takes the smallest
+    big = _SMALL.with_radius(5)
+    ops = [x, lift(y, big), lift(z, _SMALL.with_radius(4)), AlgebraElement.zero(_SMALL)]
+    slots = [[(c, ops[i], ops[j]) for c, i, j in slot] for slot in (slot1, slot2, [])]
+    out = contract(_SMALL, slots)
+    assert len(out) == 3
+    for slot, el in zip(slots, out):
+        want = ref_combine([(c, ref_mul(_SMALL.theta, a.modes, b.modes)) for c, a, b in slot])
+        assert_matches(el, want)
+        need = max([3] + [max(a.backend.radius, b.backend.radius,
+                              a.support_radius() + b.support_radius()) for _, a, b in slot])
+        assert el.backend.radius == need
+    assert out[2].modes == {} and out[2].backend == _SMALL
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_elements(_GB), graded_elements(_GB))
+def test_commutator_star_derive_sum_match_reference(a, b):
+    ab, ba = ref_mul(_GB.theta, a.modes, b.modes), ref_mul(_GB.theta, b.modes, a.modes)
+    want = max((abs(v) for v in ref_combine([(1.0, ab), (-1.0, ba)]).values()), default=0.0)
+    assert abs(commutator_norm(a, b) - want) <= 1e-12
+    assert_matches(star(a), {tuple(-x for x in k): np.conj(v) for k, v in a.modes.items()}, 0.0)
+    assert_matches(derive(DerivationSpec.grading(1), a),
+                   {k: 2j * np.pi * k[1] * v for k, v in a.modes.items() if k[1]})
+    assert_matches(a + b, ref_combine([(1.0, a.modes), (1.0, b.modes)]))
+    assert_matches(a - b, ref_combine([(1.0, a.modes), (-1.0, b.modes)]))
+    # exact cancellation leaves no modes at all
+    assert (a + (-a)).modes == {} and wide_sum([a, -a, b, -b]).modes == {}
+
+
+def test_empty_element():
+    be = graded2(0.2, radius=2)
+    empty = AlgebraElement.zero(be)
+    a = AlgebraElement.from_modes(be, {(1, 0): 2.0, (0, -1): 1j})
+    for el in (mul(empty, a), mul(a, empty), wide_mul(empty, empty), star(empty),
+               empty + empty, derive(DerivationSpec.grading(0), empty), a * 0.0):
+        assert el.modes == {} and el.mode_array.shape == (0, 2) and el.norm() == 0.0
+    assert trace(empty) == 0.0 and empty.support_radius() == 0
+    assert commutator_norm(empty, a) == 0.0 and is_central(empty, [a])
+
+
+def test_overflow_raises_above_dust_and_drops_dust():
+    be = graded2(0.0, radius=2)
+    edge = AlgebraElement.from_modes(be, {(2, 0): 1.0, (0, 0): 1.0})
+    step = AlgebraElement.single_mode(be, (1, 0))
+    with pytest.raises(TruncationOverflow):
+        mul(edge, step)
+    # beyond the window but below 1e-14 of the largest coefficient: dropped
+    dusty = AlgebraElement.from_modes(be, {(2, 0): 1e-16, (0, 0): 1.0})
+    prod = mul(dusty, step)
+    assert prod.modes == {(1, 0): 1.0} and prod.backend == be
+    # the threshold is 1e-14 times the largest coefficient of the product, or 1
+    scaled = AlgebraElement.from_modes(be, {(2, 0): 1e-3, (0, 0): 1e12})
+    assert mul(scaled, step).modes == {(1, 0): 1e12}
+    with pytest.raises(TruncationOverflow):
+        mul(AlgebraElement.from_modes(be, {(2, 0): 1e-3, (0, 0): 1.0}), step)
+
+
+def test_element_arrays_are_read_only():
+    be = graded2(0.2, radius=2)
+    a = AlgebraElement.from_modes(be, {(1, 0): 2.0, (0, -1): 1j})
+    for el in (a, mul(a, a), a + a, star(a), a * 2.0, lift(a, be.with_radius(3))):
+        with pytest.raises(ValueError):
+            el.mode_array[0, 0] = 7
+        with pytest.raises(ValueError):
+            el.coeff_array[0] = 7.0
+    assert a.modes == {(0, -1): 1j, (1, 0): 2.0}
+
+
+_BE3 = BackendDescriptor.graded(3, np.array([[0.0, 0.3, 0.0], [-0.3, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0]]), 6)
+
+
+@st.composite
+def graded3(draw):
+    # many modes in a small box, so that several products land on one mode
+    modes = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=0, max_size=14))
+    vals = draw(st.lists(coeff, min_size=len(modes), max_size=len(modes)))
+    return AlgebraElement.from_modes(_BE3, dict(zip(modes, vals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded3(), graded3(), st.sampled_from([(0, 1), (1, 2), (2, 0)]))
+def test_deform_product_at_zero_theta_is_wide_mul_exactly(a, b, coords):
+    # the kernel adds the contributions to a mode in a fixed order, so splitting
+    # the operands into isotypical components cannot change a single bit
+    action = TorusAction(coords=coords)
+    got = deform_product(a, b, np.zeros((2, 2)), action)
+    want = wide_mul(a, b)
+    assert got.modes == want.modes
+    assert np.array_equal(got.coeff_array, want.coeff_array)

@@ -507,3 +507,40 @@ def test_even_phase_metric_solves(twisted_mode_metric):
     model, g = twisted_mode_metric(0.5, 8, 2)
     res = levi_civita(model.calculus, g, route="both")
     assert res.route_difference <= 1e-10
+
+
+def test_both_routes_commute_with_swapping_free_coordinates():
+    # exchanging coordinates 2 and 3 of the flat 4-torus, in the Fourier modes
+    # and in the frame e_2 <-> e_3 together, maps the Levi-Civita connection of
+    # g to that of the exchanged metric: Gamma'^{p(i)}_{p(j) p(k)} = swap(Gamma^i_jk)
+    model = torus_bundle(4, 2, np.zeros((2, 2)), radius=3)
+    be, n = model.backend, 4
+    perm = [0, 1, 3, 2]
+    rng = np.random.default_rng(11)
+    unit = AlgebraElement.unit(be)
+    comps = [[AlgebraElement.zero(be)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            modes = {}
+            for coord in (2, 3):
+                k = [0] * n
+                k[coord] = 1
+                z = 0.0004 * complex(rng.uniform(0.2, 1.0), rng.uniform(-1.0, 1.0))
+                modes[tuple(k)] = z
+                modes[tuple(-x for x in k)] = np.conj(z)
+            pert = AlgebraElement.from_modes(be, modes)
+            comps[i][j] = comps[j][i] = pert + unit * (1.0 + rng.uniform(0.0, 1.0)) * (i == j)
+
+    def swap(el):
+        return AlgebraElement.from_arrays(be, el.mode_array[:, perm], el.coeff_array)
+
+    g = MetricSpec(model.calculus, comps)
+    g_swapped = MetricSpec(model.calculus, [[swap(comps[perm[i]][perm[j]]) for j in range(n)]
+                                            for i in range(n)])
+    base = levi_civita(model.calculus, g, route="both")
+    got = levi_civita(model.calculus, g_swapped, route="both")
+    assert max(base.route_difference, got.route_difference) <= 1e-10
+    want = ConnectionCoeffs(model.calculus, [[[swap(base.connection.gamma[perm[i]][perm[j]][perm[k]])
+                                               for k in range(n)] for j in range(n)]
+                                             for i in range(n)])
+    assert got.connection.difference_norm(want) <= 1e-12
