@@ -618,15 +618,27 @@ def commutator_norm(a: AlgebraElement, b: AlgebraElement) -> float:
 
 
 def is_central(a: AlgebraElement, generators: Iterable[AlgebraElement]) -> bool:
-    """Generator-based centrality test: max |[a, g]| <= tol over the given generators.
+    """Generator-based centrality test: max |[a, g]| <= tol over the given generators."""
+    return first_noncentral([a], generators) is None
 
-    All the commutators come from one kernel call.
+
+def first_noncentral(elements: Sequence[AlgebraElement],
+                     generators: Iterable[AlgebraElement]) -> Optional[int]:
+    """Index of the first element failing `is_central`, or None if every one passes.
+
+    The commutators of every element with every generator come from one kernel call.
     """
     generators = list(generators)
-    for g in generators:
-        _check_same(a, g)
-    comms = contract(a.backend, [[(1.0, a, g), (-1.0, g, a)] for g in generators])
-    return all(norm(c) <= a.backend.tol for c in comms)
+    if not elements or not generators:
+        return None
+    backend = generators[0].backend
+    for x in (*elements, *generators):
+        _check_same(x, generators[0])
+    comms = contract(backend, [[(1.0, a, g), (-1.0, g, a)]
+                               for a in elements for g in generators])
+    # slots run element by element, so the first failing slot names the element
+    return next((s // len(generators) for s, c in enumerate(comms)
+                 if norm(c) > backend.tol), None)
 
 
 def random_element(backend: BackendDescriptor, rng: np.random.Generator,

@@ -95,7 +95,8 @@ def _build_model(args) -> Model:
 
 
 def _emit(report: dict, args, summary: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    # no indent: with indent set, json falls back from its C encoder to pure Python
+    text = json.dumps(report, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -25,7 +25,7 @@ from .algebra import (
     BackendDescriptor,
     combine,
     contract,
-    is_central,
+    first_noncentral,
     lift,
     trace,
 )
@@ -185,12 +185,14 @@ class MetricSpec:
         tol = be.tol
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
-        for i in range(n):
-            for j in range(n):
-                if not is_central(rows[i][j], calculus.generators):
-                    raise NonCentralResult(f"component ({i},{j}) is not central")
-                if flips[i * n + j].norm() > 10 * tol:
-                    raise ValueError(f"components not symmetric at ({i},{j})")
+        # row-major: the first failing component names the error, centrality
+        # first where one component fails both checks
+        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * tol), None)
+        loose = first_noncentral([c for r in rows for c in r], calculus.generators)
+        if loose is not None and (skew is None or loose <= skew):
+            raise NonCentralResult(f"component ({loose // n},{loose % n}) is not central")
+        if skew is not None:
+            raise ValueError(f"components not symmetric at ({skew // n},{skew % n})")
         self.components = tuple(tuple(r) for r in rows)
         inv, ratio = _central_inverse(rows, be)
         self.inverse_components = tuple(tuple(r) for r in inv)
@@ -347,10 +349,6 @@ def canonical_metric(calculus: CalculusSpec, data: CanonicalMetricData,
         comps = _canonical_matrix(calculus, data, rng)
     else:
         comps = _canonical_graded(calculus, data)
-    for i in range(n):
-        for j in range(n):
-            if not is_central(comps[i][j], calculus.generators):
-                raise NonCentralResult(f"canonical metric component ({i},{j}) not central")
     return MetricSpec(calculus, comps)
 
 

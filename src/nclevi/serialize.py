@@ -41,11 +41,16 @@ def decode_backend(doc: dict) -> BackendDescriptor:
                                     float(doc.get("tol", 1e-12)))
 
 
+def _pairs(z: np.ndarray) -> list:
+    """Nested [re, im] lists of Python floats, signed zeros included."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
 def encode_element(a: AlgebraElement) -> dict:
     if a.backend.kind == MATRIX:
-        return {"kind": MATRIX,
-                "entries": [[encode_complex(z) for z in row] for row in a.matrix]}
-    terms = [[list(k), encode_complex(v)] for k, v in sorted(a.modes.items())]
+        return {"kind": MATRIX, "entries": _pairs(a.matrix)}
+    # mode_array is already in lexicographic order, the order of sorted(a.modes)
+    terms = [list(t) for t in zip(a.mode_array.tolist(), _pairs(a.coeff_array))]
     return {"kind": GRADED, "terms": terms}
 
 
@@ -53,8 +58,12 @@ def decode_element(backend: BackendDescriptor, doc: dict) -> AlgebraElement:
     if doc["kind"] != backend.kind:
         raise ValueError("element encoding does not match the backend kind")
     if backend.kind == MATRIX:
-        mat = np.array([[decode_complex(z) for z in row] for row in doc["entries"]])
-        return AlgebraElement.from_matrix(backend, mat)
+        # a ragged array raises ValueError here; viewing the pairs as complex is
+        # bit-exact, where re + 1j*im would lose signed zeros and infinities
+        pairs = np.asarray(doc["entries"], dtype=float)
+        if pairs.ndim != 3 or pairs.shape[-1] != 2:
+            raise ValueError(f"matrix entries must be an N x N x 2 array, got {pairs.shape}")
+        return AlgebraElement.from_matrix(backend, pairs.view(complex)[..., 0])
     return AlgebraElement.from_modes(
         backend, {tuple(k): decode_complex(v) for k, v in doc["terms"]})
 

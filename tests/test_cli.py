@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
+from nclevi import cli
 from nclevi.algebra import AlgebraElement, random_element
 from nclevi.cli import main
 from nclevi.metric import MetricSpec
@@ -228,3 +231,168 @@ def test_solve_route_flags(capsys):
                                           "--route", route])
         assert code == 0
         assert json.loads(out)["route"] == route
+
+
+# -- report content against a naive reference encoding ----------------------------
+
+
+def reference_element(a):
+    """The encoding written out entry by entry, as the schema defines it."""
+    if a.backend.kind == "matrix":
+        return {"kind": "matrix",
+                "entries": [[[z.real, z.imag] for z in row] for row in a.matrix.tolist()]}
+    return {"kind": "graded",
+            "terms": [[list(k), [v.real, v.imag]] for k, v in sorted(a.modes.items())]}
+
+
+def reference_report(result, model_name, metric_source):
+    gamma = result.connection.gamma
+    n = len(gamma)
+    report = {
+        "schema_version": 1,
+        "model": model_name,
+        "metric": metric_source,
+        "route": result.route,
+        "gamma": [[[reference_element(gamma[i][j][k]) for k in range(n)]
+                   for j in range(n)] for i in range(n)],
+        "torsion_residual": result.torsion_residual,
+        "compat_residual": result.compat_residual,
+        "min_singular_value": result.sv_ratio,
+    }
+    if result.route_difference is not None:
+        report["route_difference"] = result.route_difference
+    return report
+
+
+def assert_same_content(got, want, path="report"):
+    """Equal values of equal JSON types, with the sign of every zero compared too."""
+    assert type(got) is type(want), f"{path}: {type(got).__name__} vs {type(want).__name__}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_content(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (u, v) in enumerate(zip(got, want)):
+            assert_same_content(u, v, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+            f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+def test_encode_element_matches_reference(fuzzy1, torus_twisted):
+    rng = np.random.default_rng(2)
+    nzero = complex(-0.0, -0.0)
+    mat = random_element(fuzzy1.backend, rng).matrix.copy()
+    mat[0, :] = nzero
+    mat[1, 1] = complex(-0.0, 2.0)
+    graded = random_element(torus_twisted.backend, rng) + AlgebraElement.from_modes(
+        torus_twisted.backend, {(0, 0, 3): complex(-0.0, 1.0), (0, 0, -3): complex(2.0, -0.0)})
+    for a in (AlgebraElement.from_matrix(fuzzy1.backend, mat), graded,
+              AlgebraElement.zero(torus_twisted.backend)):
+        assert_same_content(json.loads(json.dumps(encode_element(a))), reference_element(a))
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Every (metric, result) pair the CLI's solver calls produce."""
+    seen = []
+    solve = cli.levi_civita
+
+    def recording(calculus, g, **kwargs):
+        seen.append((g, solve(calculus, g, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "levi_civita", recording)
+    return seen
+
+
+TWISTED = np.array([[0.0, 0.3], [-0.3, 0.0]])
+
+
+def _twisted_metric_file(tmp_path):
+    model = torus_bundle(3, 2, TWISTED, radius=3)
+    be = model.backend
+    unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+    phi = unit + AlgebraElement.from_modes(be, {(0, 0, 1): 0.002 - 0.001j,
+                                                (0, 0, -1): 0.002 + 0.001j})
+    g = MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
+                                    [zero, zero, phi]])
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(encode_metric(g)))
+    return path
+
+
+@pytest.mark.parametrize("case", ["fuzzy-sphere", "heisenberg", "twisted-torus"])
+def test_solve_report_matches_reference_encoding(capsys, tmp_path, solved, case):
+    if case == "fuzzy-sphere":
+        argv, name, source = ["solve", "--model", "fuzzy-sphere", "--k", "2"], case, "default"
+    elif case == "heisenberg":
+        argv, name, source = ["solve", "--model", "heisenberg"], case, "default"
+    else:
+        source = str(_twisted_metric_file(tmp_path))
+        argv = ["solve", "--model", "torus", "--dims", "3", "--deformed", "2",
+                "--theta", "0.3", "--radius", "3", "--metric", source, "--tol", "1e-8"]
+        name = torus_bundle(3, 2, TWISTED, radius=3).name
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1, "stdout is not one JSON line"
+    [(_, result)] = solved
+    report = json.loads(out)
+    assert_same_content(report, reference_report(result, name, source))
+    if case == "twisted-torus":
+        assert any(el["terms"] for plane in report["gamma"] for row in plane for el in row)
+
+
+def test_every_subcommand_writes_one_json_line(capsys, tmp_path):
+    for argv in (["verify", "--models", "heisenberg", "--k", "1"],
+                 ["oracle-compare", "--radius", "3", "--metrics", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+        assert code == 0 and out == ""
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        json.loads(text)
+
+
+def test_matrix_metric_signed_zeros_roundtrip_bit_for_bit(capsys, tmp_path, fuzzy1, solved):
+    be = fuzzy1.backend
+    nzero = complex(-0.0, -0.0)
+    eye = np.where(np.eye(be.size) == 1.0, 1.0 + 0.0j, nzero)
+    mats = [[eye if i == j else np.full((be.size, be.size), nzero) for j in range(3)]
+            for i in range(3)]
+    g = MetricSpec(fuzzy1.calculus,
+                   [[AlgebraElement.from_matrix(be, m) for m in row] for row in mats])
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(encode_metric(g), indent=1))   # any JSON layout is read
+    assert "-0.0" in path.read_text()
+    code, out, err = run_cli(capsys, ["solve", "--model", "fuzzy-sphere", "--k", "1",
+                                      "--metric", str(path)])
+    assert code == 0
+    [(read, _)] = solved
+    for i in range(3):
+        for j in range(3):
+            got = read.components[i][j].matrix
+            assert got.tobytes() == mats[i][j].tobytes(), (i, j)
+
+
+@pytest.mark.parametrize("entries", [
+    [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],      # ragged rows
+    [[[1.0, 0.0, 0.0, 0.0]]],                       # last axis is not [re, im]
+    [[1.0]],                                        # no pairs at all
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],   # 2 x 2 on a 1 x 1 backend
+])
+def test_malformed_matrix_entries_exit_two(capsys, tmp_path, heis, entries):
+    doc = encode_metric(heis.metric)
+    doc["components"][0][0]["entries"] = entries
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "heisenberg", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"

@@ -107,6 +107,29 @@ def test_noncentral_component_rejected(fuzzy1):
         MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, bad]])
 
 
+def test_first_failing_component_is_named_in_row_major_order(fuzzy1, torus_twisted):
+    for model in (fuzzy1, torus_twisted):
+        spec = model.calculus
+        unit = AlgebraElement.unit(spec.backend)
+        zero = AlgebraElement.zero(spec.backend)
+        if spec.backend.kind == "matrix":
+            bad = random_element(spec.backend, np.random.default_rng(4))
+            bad = bad + bad.star()
+        else:
+            bad = AlgebraElement.from_modes(spec.backend, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
+        rows = [[unit, zero, zero], [zero, unit, bad], [zero, bad, bad]]
+        with pytest.raises(NonCentralResult, match=r"component \(1,2\)"):
+            MetricSpec(spec, rows)
+        # where one component fails both checks, centrality is named
+        rows = [[unit, bad, zero], [zero, unit, zero], [zero, zero, unit]]
+        with pytest.raises(NonCentralResult, match=r"component \(0,1\)"):
+            MetricSpec(spec, rows)
+        # an earlier asymmetric central pair is named before a later non-central one
+        rows = [[unit, unit, zero], [zero, unit, zero], [zero, zero, bad]]
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+            MetricSpec(spec, rows)
+
+
 # -- canonical metric -----------------------------------------------------------------
 
 
