@@ -12,7 +12,6 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
-    TraceFunctional,
     derive,
     is_central,
     mul,
@@ -28,7 +27,6 @@ from .calculus import (
     sigma,
 )
 from .deformation import (
-    GradedDecomposition,
     TorusAction,
     bicharacter,
     deform_connection,

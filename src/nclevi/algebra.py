@@ -260,10 +260,6 @@ class AlgebraElement:
             self._rad = int(np.abs(self._k).max(initial=0))
         return self._rad
 
-    def scalar_part(self) -> complex:
-        """Coefficient of the unit: normalized trace / zero mode."""
-        return trace(self)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -517,18 +513,6 @@ def norm(a: AlgebraElement) -> float:
 
 
 @dataclass(frozen=True)
-class TraceFunctional:
-    """The tracial state of a backend: tau(ab) = tau(ba), tau(1) = 1, tau(a*a) >= 0."""
-
-    backend: BackendDescriptor
-
-    def __call__(self, a: AlgebraElement) -> complex:
-        if a.backend != self.backend:
-            raise BackendMismatch("element does not belong to this trace's backend")
-        return trace(a)
-
-
-@dataclass(frozen=True)
 class DerivationSpec:
     """A derivation of the backend algebra.
 
@@ -609,12 +593,6 @@ def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     if not elements:
         raise ValueError("empty sum")
     return combine(elements[0].backend, [[(1.0, e) for e in elements]])[0]
-
-
-def commutator_norm(a: AlgebraElement, b: AlgebraElement) -> float:
-    """|ab - ba| computed in a window wide enough to avoid spurious overflow."""
-    _check_same(a, b)
-    return norm(contract(a.backend, [[(1.0, a, b), (-1.0, b, a)]])[0])
 
 
 def is_central(a: AlgebraElement, generators: Iterable[AlgebraElement]) -> bool:

@@ -158,11 +158,6 @@ class TwoForm:
     def __init__(self, coeffs: Sequence[AlgebraElement]):
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls, backend: BackendDescriptor, rank: int) -> "TwoForm":
-        z = AlgebraElement.zero(backend)
-        return cls([z] * rank)
-
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(_sum_pairs(self.coeffs, other.coeffs, 1.0))
 
@@ -320,11 +315,6 @@ class CalculusSpec:
                                       derive(self.derivations[k], omega.coeffs[i])))
             slots.append(terms)
         return TwoForm(combine(omega.backend, slots))
-
-    def d_basis(self, i: int) -> TwoForm:
-        """d(e_i) as a two-form: the exterior-constant column."""
-        return TwoForm([AlgebraElement.from_scalar(self.backend, self.exterior_constants[a, i])
-                        for a in range(self.two_form_rank)])
 
     def wedge_section(self, b: TwoForm) -> TensorSquare:
         """Minimal-norm preimage of a two-form under the wedge (the Q-inverse).

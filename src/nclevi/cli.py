@@ -83,15 +83,15 @@ def _default_tol(args, default: float = 1e-10) -> float:
     return float(env) if env else default
 
 
-def _build_model(args) -> Model:
-    if args.model == "fuzzy-sphere":
+def _build_model(name: str, args) -> Model:
+    if name == "fuzzy-sphere":
         return fuzzy_sphere(args.k)
-    if args.model == "heisenberg":
+    if name == "heisenberg":
         return heisenberg()
-    if args.model == "torus":
+    if name == "torus":
         theta = _parse_theta(args.theta, args.deformed)
         return torus_bundle(args.dims, args.deformed, theta, args.radius)
-    raise ValueError(f"unknown model {args.model!r}")
+    raise ValueError(f"unknown model {name!r}")
 
 
 def _emit(report: dict, args, summary: str) -> None:
@@ -106,7 +106,7 @@ def _emit(report: dict, args, summary: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    model = _build_model(args)
+    model = _build_model(args.model, args)
     if args.metric:
         with open(args.metric, "r", encoding="utf-8") as fh:
             g = decode_metric(model.calculus, json.load(fh))
@@ -122,18 +122,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    wanted = [s.strip() for s in args.models.split(",") if s.strip()]
-    models: List[Model] = []
-    for name in wanted:
-        if name == "fuzzy-sphere":
-            models.append(fuzzy_sphere(args.k))
-        elif name == "heisenberg":
-            models.append(heisenberg())
-        elif name == "torus":
-            theta = _parse_theta(args.theta, args.deformed)
-            models.append(torus_bundle(args.dims, args.deformed, theta, args.radius))
-        else:
-            raise ValueError(f"unknown model {name!r}")
+    models = [_build_model(s.strip(), args) for s in args.models.split(",") if s.strip()]
     report = {"schema_version": 1, "results": {}}
     ok = True
     for model in models:

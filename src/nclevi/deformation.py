@@ -11,7 +11,7 @@ deformed calculus certify the reinterpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
-    combine,
     contract,
     lift,
 )
@@ -75,32 +74,9 @@ class TorusAction:
     def ndim(self) -> int:
         return len(self.coords)
 
-    def grade_of_mode(self, mode: Sequence[int]) -> tuple:
-        return tuple(mode[c] for c in self.coords)
 
-
-@dataclass
-class GradedDecomposition:
-    """Finitely supported map grade -> component; the components sum to the element."""
-
-    action: TorusAction
-    components: Dict[tuple, AlgebraElement]
-
-    def grades(self) -> List[tuple]:
-        return sorted(self.components)
-
-    def component(self, grade: Sequence[int]) -> AlgebraElement:
-        return self.components[tuple(grade)]
-
-    def reconstruct(self, backend: BackendDescriptor) -> AlgebraElement:
-        for comp in self.components.values():
-            if comp.backend != backend:
-                raise BackendMismatch("component lives on another backend")
-        return combine(backend, [[(1.0, comp) for comp in self.components.values()]])[0]
-
-
-def spectral_decompose(x: AlgebraElement, action: TorusAction) -> GradedDecomposition:
-    """Exact isotypical decomposition under the torus action."""
+def spectral_decompose(x: AlgebraElement, action: TorusAction) -> Dict[tuple, AlgebraElement]:
+    """Exact isotypical decomposition under the torus action: grade -> component, summing to x."""
     be = x.backend
     if be.kind != GRADED:
         raise BackendMismatch("torus action applied to a matrix element")
@@ -108,8 +84,8 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> GradedDecompos
     rows: Dict[tuple, list] = {}
     for r, grade in enumerate(map(tuple, modes[:, list(action.coords)].tolist())):
         rows.setdefault(grade, []).append(r)
-    return GradedDecomposition(action, {
-        grade: AlgebraElement.from_arrays(be, modes[r], coeffs[r]) for grade, r in rows.items()})
+    return {grade: AlgebraElement.from_arrays(be, modes[r], coeffs[r])
+            for grade, r in rows.items()}
 
 
 # -- deformed operations -------------------------------------------------------
@@ -119,8 +95,8 @@ def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
                    action: TorusAction) -> AlgebraElement:
     """a x_theta b = sum_{k,l} chi_theta(k, l) a_k b_l over the isotypical parts."""
     th = require_skew(theta, action.ndim)
-    da = spectral_decompose(a, action).components
-    db = spectral_decompose(b, action).components
+    da = spectral_decompose(a, action)
+    db = spectral_decompose(b, action)
     ka = np.array(list(da), dtype=float).reshape(len(da), action.ndim)
     lb = np.array(list(db), dtype=float).reshape(len(db), action.ndim)
     chi = np.exp(1j * np.pi * (ka @ th @ lb.T))

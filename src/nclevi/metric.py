@@ -12,7 +12,6 @@ budget, and the Levi-Civita solver runs on the same grid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ from .algebra import (
     trace,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare
-from .errors import BackendMismatch, NonCentralResult, SingularMetric
+from .errors import BackendMismatch, NonCentralResult, NonCommutativeBackend, SingularMetric
 
 # Relative singular-value floor for component-matrix invertibility.
 SV_RATIO_FLOOR = 1e-8
@@ -166,8 +165,32 @@ def _central_inverse(components, backend: BackendDescriptor):
     return [inv[i * n:(i + 1) * n] for i in range(n)], ratio
 
 
+def _require_unit_phases(components, backend: BackendDescriptor) -> None:
+    """Refuse metric modes whose products carry a sign.
+
+    Central modes s, s' multiply as U^s U^s' = e^{i pi <s, theta s'>} U^{s+s'}
+    with <s, theta s'> an integer; the pointwise product on the grid is the
+    algebra product only when every such integer is even.
+    """
+    if backend.kind == MATRIX:
+        return
+    modes = sorted({k for row in components for c in row for k in c.modes})
+    ks = np.array(modes, dtype=float).reshape(-1, backend.dim)
+    pairing = ks @ backend.theta @ ks.T
+    odd = np.argwhere(np.abs(pairing - 2.0 * np.round(pairing / 2.0)) > 1e-9)
+    if len(odd):
+        a, b = odd[0]
+        raise NonCommutativeBackend(
+            f"metric modes {modes[a]} and {modes[b]} multiply with the phase "
+            f"exp(i pi {pairing[a, b]:.6g}); the pointwise solve needs every phase to be 1")
+
+
 class MetricSpec:
-    """Central, symmetric, invertible component array of a bilinear metric."""
+    """Central, symmetric, invertible component array of a bilinear metric.
+
+    Modes that multiply with a sign are refused with NonCommutativeBackend
+    before the inverse is formed, since the pointwise inverse would be wrong.
+    """
 
     def __init__(self, calculus: CalculusSpec, components):
         self.calculus = calculus
@@ -194,6 +217,7 @@ class MetricSpec:
         if skew is not None:
             raise ValueError(f"components not symmetric at ({skew // n},{skew % n})")
         self.components = tuple(tuple(r) for r in rows)
+        _require_unit_phases(rows, be)
         inv, ratio = _central_inverse(rows, be)
         self.inverse_components = tuple(tuple(r) for r in inv)
         self.sv_ratio = float(ratio)
@@ -211,14 +235,6 @@ class MetricSpec:
         n = self.rank
         return np.array([[trace(self.components[i][j]) for j in range(n)] for i in range(n)])
 
-    def is_constant(self) -> bool:
-        n = self.rank
-        unit = AlgebraElement.unit(self.backend)
-        s = self.component_scalars()
-        rest = combine(self.backend, [[(1.0, self.components[i][j]), (-s[i, j], unit)]
-                                      for i in range(n) for j in range(n)])
-        return all(r.norm() <= 10 * self.backend.tol for r in rest)
-
     @classmethod
     def delta(cls, calculus: CalculusSpec) -> "MetricSpec":
         n = calculus.rank
@@ -232,11 +248,6 @@ class MetricSpec:
         unit = AlgebraElement.unit(calculus.backend)
         n = calculus.rank
         return cls(calculus, [[unit * g[i, j] for j in range(n)] for i in range(n)])
-
-    def positivity_diagnostic(self) -> np.ndarray:
-        """Eigenvalues of the scalar part; informational only, never enforced."""
-        s = self.component_scalars()
-        return np.linalg.eigvalsh(0.5 * (s + s.conj().T))
 
 
 # -- operations ---------------------------------------------------------------
@@ -296,13 +307,6 @@ class Vg2Matrix:
     def entry(self, kl: Tuple[int, int], ij: Tuple[int, int]) -> AlgebraElement:
         n = self.rank
         return self.entries[kl[0] * n + kl[1]][ij[0] * n + ij[1]]
-
-    def scalar_matrix(self) -> np.ndarray:
-        """Numeric n^2 x n^2 matrix; exact when the metric is constant."""
-        if not self.metric.is_constant():
-            raise ValueError("scalar matrix only makes sense for constant metrics")
-        n2 = self.rank ** 2
-        return np.array([[trace(self.entries[a][b]) for b in range(n2)] for a in range(n2)])
 
 
 def v_g2_matrix(g: MetricSpec) -> Vg2Matrix:
@@ -378,18 +382,7 @@ def _canonical_matrix(calculus: CalculusSpec, data: CanonicalMetricData, rng):
 
 
 def _canonical_graded(calculus: CalculusSpec, data: CanonicalMetricData):
-    be = calculus.backend
+    # tau(g U^l) = tau(U^l) w_ij forces the zero mode w_ij and kills the rest
+    unit = AlgebraElement.unit(calculus.backend)
     n = calculus.rank
-    comps = [[None] * n for _ in range(n)]
-    ball = [k for k in itertools.product(range(-1, 2), repeat=be.dim)]
-    for i in range(n):
-        for j in range(n):
-            wij = data.frame_pair_trace(i, j)
-            # tau(g U^l) = tau(U^l) w_ij forces the zero mode w_ij and kills the rest
-            modes = {}
-            for l in ball:
-                rhs = wij if all(x == 0 for x in l) else 0.0
-                if rhs != 0.0:
-                    modes[tuple(-x for x in l)] = rhs
-            comps[i][j] = AlgebraElement.from_modes(be, modes)
-    return comps
+    return [[unit * data.frame_pair_trace(i, j) for j in range(n)] for i in range(n)]

@@ -87,7 +87,6 @@ class Model:
     name: str
     calculus: CalculusSpec
     metric: MetricSpec
-    canonical_data: CanonicalMetricData
     action: Optional[TorusAction] = None
     params: Dict = field(default_factory=dict)
 
@@ -96,7 +95,7 @@ class Model:
         return self.calculus.backend
 
 
-def fuzzy_sphere(k: int, max_size: int = DEFAULT_MATRIX_CAP) -> Model:
+def fuzzy_sphere(k: int) -> Model:
     """Matrix geometry on B(H_0), H_0 the multiplicity-free sum of spins 0..k/2.
 
     The rank-3 calculus carries the antisymmetric wedge and exterior constants
@@ -108,8 +107,8 @@ def fuzzy_sphere(k: int, max_size: int = DEFAULT_MATRIX_CAP) -> Model:
         raise ValueError("fuzzy sphere needs k >= 1")
     dims = [d for d in range(1, k + 2)]            # 2j+1 for j = 0, 1/2, ..., k/2
     size = sum(d * d for d in dims)
-    if size > max_size:
-        raise SizeTooLarge(f"fuzzy_sphere({k}) needs N = {size} > cap {max_size}")
+    if size > DEFAULT_MATRIX_CAP:
+        raise SizeTooLarge(f"fuzzy_sphere({k}) needs N = {size} > cap {DEFAULT_MATRIX_CAP}")
     backend = BackendDescriptor.matrix(size)
 
     spins = []
@@ -146,10 +145,9 @@ def fuzzy_sphere(k: int, max_size: int = DEFAULT_MATRIX_CAP) -> Model:
     generators += [AlgebraElement.from_matrix(backend, x) for x in gen]
 
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    data = CanonicalMetricData(spinor_ops=pauli_matrices())
-    metric = canonical_metric(calculus, data)
+    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
     return Model(name="fuzzy-sphere", calculus=calculus, metric=metric,
-                 canonical_data=data, params={"k": k, "size": size})
+                 params={"k": k, "size": size})
 
 
 def heisenberg() -> Model:
@@ -168,10 +166,8 @@ def heisenberg() -> Model:
     derivations = [DerivationSpec.zero() for _ in range(3)]
     generators = [AlgebraElement.unit(backend)]
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    data = CanonicalMetricData(spinor_ops=pauli_matrices())
-    metric = canonical_metric(calculus, data)
-    return Model(name="heisenberg", calculus=calculus, metric=metric,
-                 canonical_data=data, params={})
+    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
+    return Model(name="heisenberg", calculus=calculus, metric=metric, params={})
 
 
 def torus_bundle(m: int, n: int, theta, radius: int,
@@ -201,14 +197,13 @@ def torus_bundle(m: int, n: int, theta, radius: int,
         generators.append(AlgebraElement.single_mode(backend, tuple(e)))
         generators.append(AlgebraElement.single_mode(backend, tuple(-x for x in e)))
     calculus = CalculusSpec(m, len(pairs), c, exterior, derivations, backend, generators)
-    data = CanonicalMetricData(spinor_ops=gamma_matrices(m))
-    metric = canonical_metric(calculus, data)
-    return Model(name="torus", calculus=calculus, metric=metric, canonical_data=data,
-                 action=action, params={"dims": m, "deformed": n, "radius": radius})
+    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=gamma_matrices(m)))
+    return Model(name="torus", calculus=calculus, metric=metric, action=action,
+                 params={"dims": m, "deformed": n, "radius": radius})
 
 
 def random_central_metric(model: Model, rng: np.random.Generator,
-                          scale: float = 0.004, degree: int = 1) -> MetricSpec:
+                          scale: float = 0.004) -> MetricSpec:
     """Diagonal-plus-small-trig central metric on a torus bundle.
 
     Components vary only along the untwisted coordinates (central by
@@ -231,19 +226,14 @@ def random_central_metric(model: Model, rng: np.random.Generator,
         comps[i][i] = unit * (1.0 + rng.uniform(0.0, 1.0))
     for i in range(n):
         for j in range(i, n):
-            modes = {}
-            for d in range(1, degree + 1):
-                coord = free[int(rng.integers(0, len(free)))]
-                amp = scale * rng.uniform(0.2, 1.0)
-                phase = rng.uniform(0, 2 * np.pi)
-                plus = [0] * be.dim
-                plus[coord] = d
-                minus = [0] * be.dim
-                minus[coord] = -d
-                z = 0.5 * amp * np.exp(1j * phase)
-                modes[tuple(plus)] = modes.get(tuple(plus), 0.0) + z
-                modes[tuple(minus)] = modes.get(tuple(minus), 0.0) + np.conj(z)
-            pert = AlgebraElement.from_modes(be, modes)
+            coord = free[int(rng.integers(0, len(free)))]
+            amp = scale * rng.uniform(0.2, 1.0)
+            phase = rng.uniform(0, 2 * np.pi)
+            plus = [0] * be.dim
+            plus[coord] = 1
+            z = 0.5 * amp * np.exp(1j * phase)
+            pert = AlgebraElement.from_modes(be, {tuple(plus): z,
+                                                  tuple(-x for x in plus): np.conj(z)})
             comps[i][j] = comps[i][j] + pert
             if j != i:
                 comps[j][i] = comps[j][i] + pert

@@ -1,4 +1,4 @@
-"""JSON encodings for backends, calculi, metrics and solver reports.
+"""JSON encodings for metrics and solver reports.
 
 Complex numbers are [re, im] pairs throughout; graded elements list their
 modes in sorted order so documents are deterministic.
@@ -6,11 +6,9 @@ modes in sorted order so documents are deterministic.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from .algebra import GRADED, MATRIX, AlgebraElement, BackendDescriptor, DerivationSpec
+from .algebra import GRADED, MATRIX, AlgebraElement, BackendDescriptor
 from .calculus import CalculusSpec
 from .metric import MetricSpec
 from .solver import ConnectionCoeffs, LeviCivitaResult
@@ -18,27 +16,8 @@ from .solver import ConnectionCoeffs, LeviCivitaResult
 SCHEMA_VERSION = 1
 
 
-def encode_complex(z: complex) -> List[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def decode_complex(v) -> complex:
     return complex(v[0], v[1])
-
-
-def encode_backend(be: BackendDescriptor) -> dict:
-    if be.kind == MATRIX:
-        return {"kind": MATRIX, "size": be.size, "tol": be.tol}
-    return {"kind": GRADED, "dim": be.dim, "radius": be.radius, "tol": be.tol,
-            "twist": [[float(x) for x in row] for row in be.theta]}
-
-
-def decode_backend(doc: dict) -> BackendDescriptor:
-    if doc["kind"] == MATRIX:
-        return BackendDescriptor.matrix(int(doc["size"]), float(doc.get("tol", 1e-12)))
-    return BackendDescriptor.graded(int(doc["dim"]), doc["twist"], int(doc["radius"]),
-                                    float(doc.get("tol", 1e-12)))
 
 
 def _pairs(z: np.ndarray) -> list:
@@ -66,51 +45,6 @@ def decode_element(backend: BackendDescriptor, doc: dict) -> AlgebraElement:
         return AlgebraElement.from_matrix(backend, pairs.view(complex)[..., 0])
     return AlgebraElement.from_modes(
         backend, {tuple(k): decode_complex(v) for k, v in doc["terms"]})
-
-
-def _encode_derivation(d: DerivationSpec) -> dict:
-    if d.kind == "inner":
-        return {"kind": "inner", "element": encode_element(d.element)}
-    if d.kind == "grading":
-        return {"kind": "grading", "index": d.index}
-    return {"kind": "zero"}
-
-
-def _decode_derivation(backend: BackendDescriptor, doc: dict) -> DerivationSpec:
-    if doc["kind"] == "inner":
-        return DerivationSpec.inner(decode_element(backend, doc["element"]))
-    if doc["kind"] == "grading":
-        return DerivationSpec.grading(int(doc["index"]))
-    return DerivationSpec.zero()
-
-
-def encode_calculus(spec: CalculusSpec) -> dict:
-    return {
-        "rank": spec.rank,
-        "two_form_rank": spec.two_form_rank,
-        "wedge_constants": [[[encode_complex(spec.wedge_constants[a, i, j])
-                              for j in range(spec.rank)] for i in range(spec.rank)]
-                            for a in range(spec.two_form_rank)],
-        "exterior_constants": [[encode_complex(spec.exterior_constants[a, i])
-                                for i in range(spec.rank)]
-                               for a in range(spec.two_form_rank)],
-        "derivations": [_encode_derivation(d) for d in spec.derivations],
-        "backend": encode_backend(spec.backend),
-        "generators": [encode_element(g) for g in spec.generators],
-    }
-
-
-def decode_calculus(doc: dict) -> CalculusSpec:
-    backend = decode_backend(doc["backend"])
-    n, m = int(doc["rank"]), int(doc["two_form_rank"])
-    wedge = np.array([[[decode_complex(doc["wedge_constants"][a][i][j])
-                        for j in range(n)] for i in range(n)] for a in range(m)],
-                     dtype=complex).reshape(m, n, n)
-    ext = np.array([[decode_complex(doc["exterior_constants"][a][i]) for i in range(n)]
-                    for a in range(m)], dtype=complex).reshape(m, n)
-    derivations = [_decode_derivation(backend, d) for d in doc["derivations"]]
-    generators = [decode_element(backend, g) for g in doc.get("generators", [])]
-    return CalculusSpec(n, m, wedge, ext, derivations, backend, generators)
 
 
 def encode_metric(g: MetricSpec) -> dict:

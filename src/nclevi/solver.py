@@ -15,7 +15,8 @@ metric varies along (one point on the matrix backend and for constant
 metrics).  One batched SVD gives the kernel certificate, the smallest
 per-point singular-value ratio, and the solution, which is read back to the
 Fourier modes of sup-norm <= R.  Metrics whose modes multiply with a sign
-(<s, theta s'> odd) are refused with NonCommutativeBackend.
+(<s, theta s'> odd) never reach the solver: MetricSpec refuses them with
+NonCommutativeBackend.
 """
 
 from __future__ import annotations
@@ -191,12 +192,20 @@ class CompatibilityResidual:
         return self.entries[i][j][l]
 
 
+def _metric_derivatives(calculus: CalculusSpec, g: MetricSpec) -> list:
+    """The cube dg[i][j][l] = partial_l(g_ij)."""
+    ders = calculus.derivations
+    n = g.rank
+    return [[[derive(ders[l], g.components[i][j]) for l in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
 def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResidual:
     """Residual of Pi_g(nabla) = dg on the basis; zero iff the connection is compatible."""
-    ders = nabla.calculus.derivations
-    n = g.rank
-    dg = [[[derive(ders[l], g.components[i][j]) for l in range(n)] for j in range(n)]
-          for i in range(n)]
+    return _compat_residual(g, nabla, _metric_derivatives(nabla.calculus, g))
+
+
+def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> CompatibilityResidual:
     entries = tuple(tuple(tuple(row) for row in plane)
                     for plane in _pi_g(g, nabla.gamma, minus=dg))
     worst = max(e.norm() for plane in entries for row in plane for e in row)
@@ -291,28 +300,8 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
 # -- pointwise solve ---------------------------------------------------------
 
 
-def _require_unit_phases(g: MetricSpec) -> None:
-    """Refuse metric modes whose products carry a sign.
-
-    Central modes s, s' multiply as U^s U^s' = e^{i pi <s, theta s'>} U^{s+s'}
-    with <s, theta s'> an integer; the pointwise product on the grid is the
-    algebra product only when every such integer is even.
-    """
-    if g.backend.kind == MATRIX:
-        return
-    modes = sorted({k for row in g.components for c in row for k in c.modes})
-    ks = np.array(modes, dtype=float).reshape(-1, g.backend.dim)
-    pairing = ks @ g.backend.theta @ ks.T
-    odd = np.argwhere(np.abs(pairing - 2.0 * np.round(pairing / 2.0)) > 1e-9)
-    if len(odd):
-        a, b = odd[0]
-        raise NonCommutativeBackend(
-            f"metric modes {modes[a]} and {modes[b]} multiply with the phase "
-            f"exp(i pi {pairing[a, b]:.6g}); the pointwise solve needs every phase to be 1")
-
-
 def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
-                     radius: int) -> Tuple[TorusGrid, np.ndarray, float, float]:
+                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float]:
     """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
 
     Central coefficients make the joint system one (n m + n^3) x n^3 system per
@@ -321,10 +310,9 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     points (points x n^3), the smallest per-point singular-value ratio and the
     largest per-point residual.
     """
-    _require_unit_phases(g)
     n, m = calculus.rank, calculus.two_form_rank
     comps = [c for row in g.components for c in row]
-    grid = TorusGrid(central_coords(comps), 4 * radius + 1)
+    grid = TorusGrid(central_coords(comps), 4 * calculus.backend.radius + 1)
     gpts = grid.sample(comps).T.reshape(-1, n, n)
     eye = np.eye(n)
     # rows (i, alpha): sum_jk c^alpha_jk Gamma^i_jk = -D^alpha_i at every point
@@ -333,10 +321,10 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     compat = (np.einsum("ai,bl,pkj->pijlakb", eye, eye, gpts)
               + np.einsum("aj,bl,pki->pijlakb", eye, eye, gpts)).reshape(-1, n ** 3, n ** 3)
     ops = np.concatenate([np.broadcast_to(tors, (grid.points,) + tors.shape), compat], axis=1)
-    dg = [derive(calculus.derivations[l], g.components[i][j])
-          for i in range(n) for j in range(n) for l in range(n)]
     rhs = np.concatenate([np.broadcast_to(-calculus.exterior_constants.T.ravel(),
-                                          (grid.points, n * m)), grid.sample(dg).T], axis=1)
+                                          (grid.points, n * m)),
+                          grid.sample([d for plane in dg for row in plane for d in row]).T],
+                         axis=1)
     u, svals, vh = np.linalg.svd(ops, full_matrices=False)
     ratio = float(np.min(svals[:, -1] / np.maximum(svals[:, 0], np.finfo(float).tiny)))
     if ratio <= DEFAULT_KERNEL_FLOOR:
@@ -366,40 +354,37 @@ class LeviCivitaResult:
     route_difference: Optional[float] = None
 
 
-def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid, x: np.ndarray,
-                         radius: int) -> ConnectionCoeffs:
-    """Christoffel coefficients from grid values, keeping the modes of sup-norm <= radius."""
+def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid,
+                         x: np.ndarray) -> ConnectionCoeffs:
+    """Christoffel coefficients from grid values, keeping the modes of sup-norm <= R."""
     n = calculus.rank
     be = calculus.backend
     flat = []
     for k, c in grid.read_back(x.T, be.dim, 1e-16):
-        inside = np.abs(k).max(axis=1, initial=0) <= radius
+        inside = np.abs(k).max(axis=1, initial=0) <= be.radius
         flat.append(central_element(be, k[inside], c[inside]))
     return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
                                         for j in range(n)] for i in range(n)])
 
 
 def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
-                residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                solver_radius: Optional[int] = None) -> LeviCivitaResult:
+                residual_tol: float = DEFAULT_RESIDUAL_TOL) -> LeviCivitaResult:
     """The unique torsion-less, metric-compatible connection, with certificates.
 
     route "direct": per-point least-squares solve on the torus grid, read back
-    to modes of sup-norm <= solver_radius (default: the backend radius); route
-    "phi": nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both,
-    report the direct result with their componentwise disagreement attached.
-    Every route runs the pointwise kernel certificate first.
+    to modes of sup-norm <= R, the backend radius; route "phi": nabla_0 +
+    Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both, report the direct
+    result with their componentwise disagreement attached.  Every route runs
+    the pointwise kernel certificate first.
     """
     if route not in ("direct", "phi", "both"):
         raise ValueError(f"unknown route {route!r}")
     n = calculus.rank
-    radius = calculus.backend.radius if solver_radius is None else solver_radius
-    grid, x, sv_ratio, lstsq_res = _solve_pointwise(calculus, g, radius)
+    dg = _metric_derivatives(calculus, g)
+    grid, x, sv_ratio, lstsq_res = _solve_pointwise(calculus, g, dg)
 
     def solve_phi() -> ConnectionCoeffs:
         nab0 = nabla0(calculus)
-        dg = [[[derive(calculus.derivations[l], g.components[p][q]) for l in range(n)]
-               for q in range(n)] for p in range(n)]
         # Phi_g^{-1} is linear: Phi_g^{-1}(dg - Pi_g(nabla_0)) = -Phi_g^{-1}(Pi_g(nabla_0) - dg)
         lmap = phi_g_invert(g, _pi_g(g, nab0.gamma, minus=dg))
         gamma = combine(calculus.backend, [[(1.0, nab0.gamma[i][j][k]), (-1.0, lmap[i][j][k])]
@@ -410,16 +395,15 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     if route == "phi":
         nabla, lstsq_res = solve_phi(), 0.0
     else:
-        nabla = _gamma_from_solution(calculus, grid, x, radius)
+        nabla = _gamma_from_solution(calculus, grid, x)
         if route == "both":
             diff = nabla.difference_norm(solve_phi())
 
     tres = torsion_residual(nabla)
-    cres = compat_residual(g, nabla).max_norm
+    cres = _compat_residual(g, nabla, dg).max_norm
     # the gate's scale is the largest right-hand side coefficient in mode space
     scale = max(1.0, float(np.max(np.abs(calculus.exterior_constants), initial=0.0)),
-                max(derive(calculus.derivations[l], g.components[i][j]).norm()
-                    for i in range(n) for j in range(n) for l in range(n)))
+                max(d.norm() for plane in dg for row in plane for d in row))
     if max(tres, cres) > residual_tol * scale:
         raise Inconsistent(
             f"solver output breaches residual tolerance "

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nclevi.algebra import AlgebraElement, BackendDescriptor
-from nclevi.metric import MetricSpec
 from nclevi.models import fuzzy_sphere, heisenberg, pauli_matrices, torus_bundle
 
 
@@ -57,9 +56,9 @@ def max_gamma_norm(conn):
 
 @pytest.fixture(scope="session")
 def twisted_mode_metric():
-    """Builder of torus_bundle(3, 2, theta, radius) with g_33 = 1 + 0.002 (U_1^p + U_1^-p
-    + U_2^p + U_2^-p): central when p theta is an integer, with Weyl phases
-    exp(i pi p^2 theta) between the U_1 and U_2 modes."""
+    """Builder of torus_bundle(3, 2, theta, radius) and the metric components with
+    g_33 = 1 + 0.002 (U_1^p + U_1^-p + U_2^p + U_2^-p): central when p theta is an
+    integer, with Weyl phases exp(i pi p^2 theta) between the U_1 and U_2 modes."""
     def build(theta, radius, power):
         model = torus_bundle(3, 2, np.array([[0.0, theta], [-theta, 0.0]]), radius)
         be = model.backend
@@ -71,7 +70,5 @@ def twisted_mode_metric():
                 k[coord] = sign * power
                 modes[tuple(k)] = 0.002
         g33 = unit + AlgebraElement.from_modes(be, modes)
-        g = MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
-                                        [zero, zero, g33]])
-        return model, g
+        return model, [[unit, zero, zero], [zero, unit, zero], [zero, zero, g33]]
     return build

@@ -10,10 +10,8 @@ from nclevi.cli import main
 from nclevi.metric import MetricSpec
 from nclevi.models import torus_bundle
 from nclevi.serialize import (
-    decode_calculus,
     decode_element,
     decode_metric,
-    encode_calculus,
     encode_element,
     encode_metric,
 )
@@ -30,18 +28,6 @@ def test_element_roundtrip(fuzzy1, torus_twisted):
         json.dumps(doc)
         back = decode_element(model.backend, doc)
         assert (back - a).norm() <= 1e-15
-
-
-def test_calculus_roundtrip(fuzzy1, torus_twisted, heis):
-    for model in (fuzzy1, torus_twisted, heis):
-        doc = encode_calculus(model.calculus)
-        json.dumps(doc)
-        back = decode_calculus(doc)
-        assert back.rank == model.calculus.rank
-        assert np.max(np.abs(back.wedge_constants - model.calculus.wedge_constants)) == 0
-        assert np.max(np.abs(back.exterior_constants
-                             - model.calculus.exterior_constants)) == 0
-        assert back.backend == model.backend
 
 
 def test_metric_roundtrip(torus_comm):
@@ -185,9 +171,10 @@ def test_singular_metric_exits_one(capsys, tmp_path):
 
 
 def test_sign_phase_metric_exits_two(capsys, tmp_path, twisted_mode_metric):
-    _, g = twisted_mode_metric(1.0 / 3.0, 9, 3)
+    _, comps = twisted_mode_metric(1.0 / 3.0, 9, 3)
     path = tmp_path / "metric.json"
-    path.write_text(json.dumps(encode_metric(g)))
+    path.write_text(json.dumps({"components": [[encode_element(c) for c in row]
+                                               for row in comps]}))
     code, out, err = run_cli(capsys, [
         "solve", "--model", "torus", "--dims", "3", "--deformed", "2",
         "--theta", repr(1.0 / 3.0), "--radius", "9", "--metric", str(path)])

@@ -132,16 +132,16 @@ def test_spectral_decompose_single_mode(torus_twisted):
     be = torus_twisted.backend
     u = AlgebraElement.single_mode(be, (2, -1, 3))
     dec = spectral_decompose(u, torus_twisted.action)
-    assert dec.grades() == [(2, -1)]
-    assert (dec.component((2, -1)) - u).norm() <= TOL
+    assert sorted(dec) == [(2, -1)]
+    assert (dec[(2, -1)] - u).norm() <= TOL
 
 
 def test_spectral_decompose_two_modes_reconstructs(torus_twisted):
     be = torus_twisted.backend
     x = AlgebraElement.from_modes(be, {(1, 0, 0): 2.0, (0, 2, 1): -1.5j})
     dec = spectral_decompose(x, torus_twisted.action)
-    assert len(dec.grades()) == 2
-    assert (dec.reconstruct(be) - x).norm() <= TOL
+    assert sorted(dec) == [(0, 2), (1, 0)]
+    assert (wide_sum(list(dec.values())) - x).norm() <= TOL
 
 
 # -- connection deformation ------------------------------------------------------------------
@@ -252,4 +252,16 @@ def test_deforming_noninvariant_metric_rejected():
                                     [zero, zero, phi]])   # fine while theta = 0
     calc_t = deform_calculus(model.calculus, skew2(0.3), model.action)
     with pytest.raises(NonCentralResult):
+        deform_metric(g, calc_t)
+
+
+def test_deforming_into_a_sign_phase_metric_rejected(twisted_mode_metric):
+    # U_1^3 and U_2^3 stay central at theta = 1/3 but multiply with the sign
+    # exp(3 i pi) = -1, so the deformed metric is refused before its inverse is formed
+    from nclevi.errors import NonCommutativeBackend
+    from nclevi.metric import MetricSpec
+    model, comps = twisted_mode_metric(0.0, 9, 3)
+    g = MetricSpec(model.calculus, comps)                # fine while theta = 0
+    calc_t = deform_calculus(model.calculus, skew2(1.0 / 3.0), model.action)
+    with pytest.raises(NonCommutativeBackend):
         deform_metric(g, calc_t)

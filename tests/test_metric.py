@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nclevi.algebra import AlgebraElement, random_element, star, wide_mul, wide_sum
+from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
 from nclevi.calculus import TensorSquare, random_one_form, random_tensor_square, sigma
 from nclevi.errors import NonCentralResult, SingularMetric
 from nclevi.metric import (
@@ -13,9 +13,15 @@ from nclevi.metric import (
     v_g2_matrix,
     v_g_inverse,
 )
-from nclevi.models import torus_bundle
+from nclevi.models import gamma_matrices, torus_bundle
 
 TOL = 1e-12
+
+
+def assert_constant(elements):
+    """Each element is its trace times the unit."""
+    for el in elements:
+        assert (el - AlgebraElement.unit(el.backend) * trace(el)).norm() <= 10 * TOL
 
 
 # -- metric_eval ------------------------------------------------------------------
@@ -137,7 +143,7 @@ def test_canonical_metric_fuzzy_is_delta(fuzzy1, fuzzy2):
     for model in (fuzzy1, fuzzy2):
         s = model.metric.component_scalars()
         assert np.max(np.abs(s - np.eye(3))) <= 1e-12
-        assert model.metric.is_constant()
+        assert_constant(c for row in model.metric.components for c in row)
 
 
 def test_canonical_metric_heisenberg_is_delta(heis):
@@ -149,12 +155,26 @@ def test_canonical_metric_torus_is_delta(torus_comm, torus_twisted):
     for model in (torus_comm, torus_twisted):
         s = model.metric.component_scalars()
         assert np.max(np.abs(s - np.eye(3))) <= 1e-12
-        assert model.metric.is_constant()
+        assert_constant(c for row in model.metric.components for c in row)
+
+
+def test_canonical_torus_metric_is_the_frame_trace_zero_mode():
+    # g_ij is the zero mode tr(s_i s_j) / w and nothing else, stored exactly
+    for m in (3, 4, 5):
+        model = torus_bundle(m, m - 1, np.zeros((m - 1, m - 1)), radius=2)
+        ops = gamma_matrices(m)
+        for i in range(m):
+            for j in range(m):
+                w = complex(np.trace(ops[i] @ ops[j])) / ops[0].shape[0]
+                el = model.metric.components[i][j]
+                keep = 1 if w != 0.0 else 0
+                assert np.array_equal(el.mode_array, np.zeros((keep, m), dtype=np.int64))
+                assert el.coeff_array.tolist() == [w] * keep
 
 
 def test_canonical_metric_positivity_diagnostic(fuzzy1):
-    eigs = fuzzy1.metric.positivity_diagnostic()
-    assert np.all(eigs.real > 0.0)
+    s = fuzzy1.metric.component_scalars()
+    assert np.all(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) > 0.0)
 
 
 # -- g2 ---------------------------------------------------------------------------------
@@ -182,7 +202,8 @@ def test_g2_flip_adjoint(fuzzy1, torus_twisted):
 def test_v_g2_matrix_n2_permutation():
     model = torus_bundle(2, 2, np.zeros((2, 2)), radius=2)
     m = v_g2_matrix(model.metric)
-    mat = m.scalar_matrix()
+    assert_constant(e for row in m.entries for e in row)
+    mat = np.array([[trace(e) for e in row] for row in m.entries])
     # delta metric: M[(k,l),(i,j)] = delta_li delta_kj, the swap matrix
     expected = np.zeros((4, 4))
     for k in range(2):

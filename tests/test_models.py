@@ -14,6 +14,7 @@ from nclevi.models import (
     fuzzy_sphere,
     gamma_matrices,
     pauli_matrices,
+    random_central_metric,
     spin_matrices,
     torus_bundle,
 )
@@ -220,3 +221,58 @@ def test_rank_one_bundle_degenerate_two_forms():
     from nclevi.solver import levi_civita
     res = levi_civita(model.calculus, model.metric, route="both")
     assert res.connection.gamma[0][0][0].norm() <= 1e-12
+
+
+# -- random central metrics ---------------------------------------------------------
+
+
+def reference_metric_components(model, rng, scale=0.004):
+    """random_central_metric's draws spelled out on a bundle with free coordinates:
+    n diagonal offsets, then per pair i <= j a free coordinate, an amplitude and a
+    phase, giving 0.5 amp e^{i phase} on the +1 mode and its conjugate on the -1 mode."""
+    be, n = model.backend, model.calculus.rank
+    free = list(range(model.params["deformed"], be.dim))
+    unit = AlgebraElement.unit(be)
+    comps = [[AlgebraElement.zero(be)] * n for _ in range(n)]
+    for i in range(n):
+        comps[i][i] = unit * (1.0 + rng.uniform(0.0, 1.0))
+    for i in range(n):
+        for j in range(i, n):
+            coord = free[int(rng.integers(0, len(free)))]
+            amp = scale * rng.uniform(0.2, 1.0)
+            phase = rng.uniform(0, 2 * np.pi)
+            plus, minus = [0] * be.dim, [0] * be.dim
+            plus[coord], minus[coord] = 1, -1
+            z = 0.5 * amp * np.exp(1j * phase)
+            pert = AlgebraElement.from_modes(be, {tuple(plus): z,
+                                                  tuple(minus): np.conj(z)})
+            comps[i][j] = comps[i][j] + pert
+            if j != i:
+                comps[j][i] = comps[j][i] + pert
+    return comps
+
+
+def test_random_central_metric_draws_are_pinned():
+    for m in (3, 4):
+        model = torus_bundle(m, 2, np.zeros((2, 2)), radius=3)
+        for seed in range(10):
+            g = random_central_metric(model, np.random.default_rng(seed))
+            want = reference_metric_components(model, np.random.default_rng(seed))
+            for row, want_row in zip(g.components, want):
+                for el, ref in zip(row, want_row):
+                    assert np.array_equal(el.mode_array, ref.mode_array)
+                    assert el.coeff_array.tobytes() == ref.coeff_array.tobytes()
+    # a few coefficients written out, so that the draw order itself is pinned
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=3)
+    pinned = {
+        0: {(0, 0, (0, 0, 0)): 1.6369616873214543,
+            (0, 1, (0, 0, 1)): -0.0014582145659416516 - 0.0011553058654967298j,
+            (2, 2, (0, 0, -1)): -5.784272804320695e-05 + 0.0004500349006767447j},
+        9: {(1, 1, (0, 0, 0)): 1.2868172090875554,
+            (0, 2, (0, 0, 1)): 0.0018431586460867127 + 0.00031080677219940073j,
+            (1, 2, (0, 0, -1)): 0.0005039316981513814 - 1.7821166781569432e-05j},
+    }
+    for seed, coeffs in pinned.items():
+        g = random_central_metric(model, np.random.default_rng(seed))
+        for (i, j, mode), value in coeffs.items():
+            assert abs(g.components[i][j].coefficient(mode) - value) <= 1e-17

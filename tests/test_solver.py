@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from nclevi.algebra import AlgebraElement, derive, random_element, wide_mul, wide_sum
-from nclevi.calculus import random_one_form
+from nclevi.algebra import AlgebraElement, derive, random_element, trace, wide_mul, wide_sum
+from nclevi.calculus import TwoForm, random_one_form
 from nclevi.errors import Inconsistent, NonCommutativeBackend, RangeNotSymmetric
 from nclevi.metric import MetricSpec
 from nclevi.models import random_central_metric, torus_bundle
@@ -102,8 +102,8 @@ def test_apply_connection_fuzzy_basis(fuzzy1):
     nab = ConnectionCoeffs.from_scalars(spec, 0.5j * EPS)
     t = apply_connection(nab, spec.basis_one_form(0))
     # nabla(e_1) = (i/2)(e_2 (x) e_3 - e_3 (x) e_2)
-    assert abs(t.coeffs[1][2].scalar_part() - 0.5j) <= TOL
-    assert abs(t.coeffs[2][1].scalar_part() + 0.5j) <= TOL
+    assert abs(trace(t.coeffs[1][2]) - 0.5j) <= TOL
+    assert abs(trace(t.coeffs[2][1]) + 0.5j) <= TOL
     assert t.coeffs[0][0].norm() <= TOL
 
 
@@ -133,8 +133,10 @@ def test_torsion_examples(fuzzy1, torus_comm):
     assert torsion_residual(lc) <= TOL
     zero = ConnectionCoeffs.zero(spec)
     tz = torsion(zero)
+    unit = AlgebraElement.unit(spec.backend)
     for i in range(3):
-        d = tz[i] - spec.d_basis(i)
+        # with Gamma = 0 the torsion is d(e_i), the exterior-constant column
+        d = tz[i] - TwoForm([unit * c for c in spec.exterior_constants[:, i]])
         assert d.norm() <= TOL
     assert torsion_residual(ConnectionCoeffs.zero(torus_comm.calculus)) <= TOL
 
@@ -245,7 +247,7 @@ def test_phi_simple_tensor_example(fuzzy1):
     out = phi_g_apply(g, lmap)
     for q, hit in ((0, 1), (1, 0)):
         got = [out[2][q][l] for l in range(3)]
-        assert abs(got[hit].scalar_part() - 1.0) <= TOL
+        assert abs(trace(got[hit]) - 1.0) <= TOL
         assert max(got[l].norm() for l in range(3) if l != hit) <= TOL
     # cross-check against the simple-tensor expansion: each term xi (x) eta of
     # L(e_3) contributes Phi_g = zeta(eta (x) V_{g2}(xi (x) e_3 + e_3 (x) xi)),
@@ -428,6 +430,9 @@ def test_twisted_bundle_nonconstant_metric(torus_twisted):
     res = levi_civita(torus_twisted.calculus, g, route="both", residual_tol=1e-8)
     assert res.sv_ratio > 1e-8
     assert res.route_difference <= 1e-8
+    # the certificate is exactly the public residual of the returned connection
+    assert res.compat_residual == compat_residual(g, res.connection).max_norm
+    assert res.torsion_residual == torsion_residual(res.connection)
 
 
 def test_pi_g_matches_dg_on_classical_connection(torus_comm):
@@ -439,13 +444,13 @@ def test_pi_g_matches_dg_on_classical_connection(torus_comm):
     assert torsion_residual(oracle) <= 1e-8
 
 
-def test_starved_truncation_raises_inconsistent(torus_comm):
-    # restricting the unknowns to the zero mode cannot satisfy a non-constant
-    # compatibility right-hand side; the residual guard must refuse to answer
-    rng = np.random.default_rng(9)
-    g = random_central_metric(torus_comm, rng)
-    with pytest.raises(Inconsistent):
-        levi_civita(torus_comm.calculus, g, route="direct", solver_radius=0)
+def test_starved_truncation_raises_inconsistent():
+    # at radius 1 the read-back drops a Christoffel tail that a non-constant
+    # compatibility right-hand side needs; the residual guard must refuse to answer
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=1)
+    g = random_central_metric(model, np.random.default_rng(9))
+    with pytest.raises(Inconsistent, match=r"compatibility 2\.\d+e-05"):
+        levi_civita(model.calculus, g, route="direct")
 
 
 # -- pointwise direct solve: metamorphic, oracle and phase-rule checks --------
@@ -493,19 +498,19 @@ def test_direct_matches_koszul_on_two_free_coordinates():
     assert res.connection.difference_norm(koszul_oracle(model.calculus, g)) <= 1e-8
 
 
-def test_sign_phase_metric_refused_on_every_route(twisted_mode_metric):
+def test_sign_phase_metric_refused_by_metric_spec(twisted_mode_metric):
     # at theta = 1/3 the modes U_1^3 and U_2^3 are central but multiply with
-    # the phase exp(3 i pi) = -1, which no pointwise product reproduces
-    model, g = twisted_mode_metric(1.0 / 3.0, 9, 3)
-    for route in ("direct", "phi", "both"):
-        with pytest.raises(NonCommutativeBackend):
-            levi_civita(model.calculus, g, route=route)
+    # the phase exp(3 i pi) = -1, which no pointwise product reproduces, so
+    # the metric is refused before any inverse or solve is formed
+    model, comps = twisted_mode_metric(1.0 / 3.0, 9, 3)
+    with pytest.raises(NonCommutativeBackend, match=r"exp\(i pi 3\)"):
+        MetricSpec(model.calculus, comps)
 
 
 def test_even_phase_metric_solves(twisted_mode_metric):
     # at theta = 1/2 the modes U_1^2 and U_2^2 multiply with exp(2 i pi) = 1
-    model, g = twisted_mode_metric(0.5, 8, 2)
-    res = levi_civita(model.calculus, g, route="both")
+    model, comps = twisted_mode_metric(0.5, 8, 2)
+    res = levi_civita(model.calculus, MetricSpec(model.calculus, comps), route="both")
     assert res.route_difference <= 1e-10
 
 
