@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import BackendMismatch, NonSkew, TruncationOverflow
 
+# The one absolute tolerance of the centrality, symmetry, d compose d and suite
+# checks, on every backend.
 DEFAULT_TOL = 1e-12
 
 # Relative weight below which beyond-radius modes of a product are treated as
@@ -47,6 +49,8 @@ class BackendDescriptor:
 
     For the graded backend the generators satisfy U_k U_l = e^{2 pi i theta_kl} U_l U_k
     and basis modes are Weyl-normalized: U^k U^l = e^{pi i <k, theta l>} U^{k+l}.
+    A descriptor names the algebra and its truncation only; every check on its
+    elements uses the module's DEFAULT_TOL.
     """
 
     kind: str
@@ -54,7 +58,6 @@ class BackendDescriptor:
     dim: int = 0             # graded backend: t
     twist: tuple = ()        # graded backend: row-major t*t entries of theta
     radius: int = 0          # graded backend: per-coordinate sup-norm bound
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind == MATRIX:
@@ -75,13 +78,13 @@ class BackendDescriptor:
             raise ValueError(f"unknown backend kind {self.kind!r}")
 
     @classmethod
-    def matrix(cls, size: int, tol: float = DEFAULT_TOL) -> "BackendDescriptor":
-        return cls(kind=MATRIX, size=size, tol=tol)
+    def matrix(cls, size: int) -> "BackendDescriptor":
+        return cls(kind=MATRIX, size=size)
 
     @classmethod
-    def graded(cls, dim: int, twist, radius: int, tol: float = DEFAULT_TOL) -> "BackendDescriptor":
+    def graded(cls, dim: int, twist, radius: int) -> "BackendDescriptor":
         th = np.asarray(twist, dtype=float).reshape(dim, dim)
-        return cls(kind=GRADED, dim=dim, twist=tuple(map(float, th.ravel())), radius=radius, tol=tol)
+        return cls(kind=GRADED, dim=dim, twist=tuple(map(float, th.ravel())), radius=radius)
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -106,8 +109,7 @@ class BackendDescriptor:
 
 @lru_cache(maxsize=256)
 def _window(backend: BackendDescriptor, radius: int) -> BackendDescriptor:
-    return BackendDescriptor(kind=GRADED, dim=backend.dim, twist=backend.twist,
-                             radius=radius, tol=backend.tol)
+    return BackendDescriptor(kind=GRADED, dim=backend.dim, twist=backend.twist, radius=radius)
 
 
 def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:
@@ -596,7 +598,7 @@ def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
 
 
 def is_central(a: AlgebraElement, generators: Iterable[AlgebraElement]) -> bool:
-    """Generator-based centrality test: max |[a, g]| <= tol over the given generators."""
+    """Generator-based centrality test: max |[a, g]| <= DEFAULT_TOL over the given generators."""
     return first_noncentral([a], generators) is None
 
 
@@ -616,19 +618,20 @@ def first_noncentral(elements: Sequence[AlgebraElement],
                                for a in elements for g in generators])
     # slots run element by element, so the first failing slot names the element
     return next((s // len(generators) for s, c in enumerate(comms)
-                 if norm(c) > backend.tol), None)
+                 if norm(c) > DEFAULT_TOL), None)
 
 
 def random_element(backend: BackendDescriptor, rng: np.random.Generator,
-                   radius: int = 1, nmodes: int = 4, scale: float = 1.0) -> AlgebraElement:
-    """A generic element for property tests (bounded support on the graded backend)."""
+                   radius: int = 1) -> AlgebraElement:
+    """A generic element for property tests: on the graded backend, four modes
+    drawn within `radius` (capped at the backend's)."""
     if backend.kind == MATRIX:
         n = backend.size
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return AlgebraElement(backend, mat=scale * m / max(1.0, np.sqrt(n)))
+        return AlgebraElement(backend, mat=m / max(1.0, np.sqrt(n)))
     r = min(radius, backend.radius)
     data: dict = {}
-    for _ in range(nmodes):
+    for _ in range(4):
         k = tuple(int(x) for x in rng.integers(-r, r + 1, size=backend.dim))
-        data[k] = data.get(k, 0.0) + scale * complex(rng.standard_normal(), rng.standard_normal())
+        data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
     return AlgebraElement(backend, modes=data)

@@ -15,12 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
     combine,
     derive,
     products,
+    random_element,
 )
 from .errors import BackendMismatch, NoSolution
 
@@ -231,7 +233,8 @@ class CalculusSpec:
     Invariants enforced at construction: the wedge constants are antisymmetric
     in the lower pair (so the flip's symmetric part lies in Ker(wedge)), they
     realize the full two-form basis, and d compose d vanishes on the supplied
-    generators.
+    generators.  The pseudo-inverse of the wedge table, an n^2 x m matrix, is
+    formed once here; wedge_section, nabla0 and structure_constants read it.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -255,12 +258,12 @@ class CalculusSpec:
         anti = np.max(np.abs(c + np.transpose(c, (0, 2, 1)))) if c.size else 0.0
         if anti > _ANTISYM_TOL:
             raise ValueError(f"wedge constants are not antisymmetric (residual {anti:.3e})")
-        if self.two_form_rank:
-            flat = c.reshape(self.two_form_rank, self.rank * self.rank)
-            if np.linalg.matrix_rank(flat, tol=1e-10) != self.two_form_rank:
-                raise ValueError("wedge constants do not realize the two-form basis")
+        flat = c.reshape(self.two_form_rank, self.rank * self.rank)
+        if np.linalg.matrix_rank(flat, tol=1e-10) != self.two_form_rank:
+            raise ValueError("wedge constants do not realize the two-form basis")
+        self._wedge_pinv = np.linalg.pinv(flat)
         res = self.d_squared_residual()
-        if res > 10 * self.backend.tol:
+        if res > 10 * DEFAULT_TOL:
             raise ValueError(f"d compose d does not vanish on generators (residual {res:.3e})")
 
     # -- consistency -------------------------------------------------------
@@ -323,15 +326,12 @@ class CalculusSpec:
         wedge tables it is the unique antisymmetric solution.
         """
         n, m = self.rank, self.two_form_rank
-        if m == 0:
-            return TensorSquare.zero(self.backend, n)
-        flat = self.wedge_constants.reshape(m, n * n)
-        pinv = np.linalg.pinv(flat)
+        pinv = self._wedge_pinv
         flat = combine(self.backend, [[(pinv[ij, a], b.coeffs[a]) for a in range(m)
                                        if pinv[ij, a] != 0.0] for ij in range(n * n)])
         t = TensorSquare(_square(flat, n))
         res = (self.wedge(t) - b).norm()
-        if res > 1e3 * self.backend.tol * max(1.0, b.norm()):
+        if res > 1e3 * DEFAULT_TOL * max(1.0, b.norm()):
             raise NoSolution(f"two-form outside the wedge range (residual {res:.3e})")
         return t
 
@@ -352,13 +352,11 @@ class CalculusSpec:
         return BraidReport(braid, dim12, dim23, r12_on_23, r23_on_12, bijective)
 
 
-def random_one_form(spec: CalculusSpec, rng: np.random.Generator, **kw) -> OneForm:
-    from .algebra import random_element
-    return OneForm([random_element(spec.backend, rng, **kw) for _ in range(spec.rank)])
+def random_one_form(spec: CalculusSpec, rng: np.random.Generator) -> OneForm:
+    return OneForm([random_element(spec.backend, rng) for _ in range(spec.rank)])
 
 
-def random_tensor_square(spec: CalculusSpec, rng: np.random.Generator, **kw) -> TensorSquare:
-    from .algebra import random_element
+def random_tensor_square(spec: CalculusSpec, rng: np.random.Generator) -> TensorSquare:
     n = spec.rank
-    return TensorSquare([[random_element(spec.backend, rng, **kw) for _ in range(n)]
+    return TensorSquare([[random_element(spec.backend, rng) for _ in range(n)]
                          for _ in range(n)])

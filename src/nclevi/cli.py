@@ -2,6 +2,8 @@
 
 Machine output is JSON on stdout (or --out); human summaries go to stderr.
 Exit codes: 0 success, 1 mathematical failure, 2 input validation failure.
+Each command reads its input (models, metric file, tolerance) before it
+computes; a ValueError counts as an input error only while input is read.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .serialize import decode_metric, encode_metric, solve_report
 from .solver import koszul_oracle, levi_civita
 from .verification import verify_model
 
-_VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge, ValueError)
+_VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge)
 _MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralResult,
                 TruncationOverflow)
 
@@ -105,28 +107,34 @@ def _emit(report: dict, args, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _cmd_solve(args) -> int:
+def _read_solve(args) -> tuple:
     model = _build_model(args.model, args)
+    g, source = model.metric, "default"
     if args.metric:
         with open(args.metric, "r", encoding="utf-8") as fh:
             g = decode_metric(model.calculus, json.load(fh))
         source = args.metric
-    else:
-        g, source = model.metric, "default"
-    result = levi_civita(model.calculus, g, route=args.route,
-                         residual_tol=_default_tol(args))
+    return model, g, source, _default_tol(args)
+
+
+def _cmd_solve(args, model: Model, g, source: str, tol: float) -> int:
+    result = levi_civita(model.calculus, g, route=args.route, residual_tol=tol)
     report = solve_report(result, model.name, source)
     _emit(report, args, f"solved {model.name}: torsion {result.torsion_residual:.2e}, "
                         f"compatibility {result.compat_residual:.2e}")
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _read_verify(args) -> tuple:
     models = [_build_model(s.strip(), args) for s in args.models.split(",") if s.strip()]
+    return models, _default_tol(args)
+
+
+def _cmd_verify(args, models: List[Model], tol: float) -> int:
     report = {"schema_version": 1, "results": {}}
     ok = True
     for model in models:
-        checks = verify_model(model, seed=args.seed, residual_tol=_default_tol(args))
+        checks = verify_model(model, seed=args.seed, residual_tol=tol)
         report["results"][model.name] = [
             {"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
             for c in checks]
@@ -138,13 +146,15 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_deform(args) -> int:
+def _read_deform(args) -> tuple:
     theta = _parse_theta(args.theta, args.deformed)
     extra = _parse_theta(args.extra_theta, args.deformed)
     model = torus_bundle(args.dims, args.deformed, theta, args.radius)
-    rng = np.random.default_rng(args.seed)
-    g = random_central_metric(model, rng)
-    tol = _default_tol(args, 1e-8)
+    return model, theta, extra, _default_tol(args, 1e-8)
+
+
+def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: float) -> int:
+    g = random_central_metric(model, np.random.default_rng(args.seed))
     base = levi_civita(model.calculus, g, route="both", residual_tol=tol)
     deformed = deform_connection(model.calculus, base.connection, g, extra, model.action)
     resolved = levi_civita(deformed.calculus, deformed.metric, route="direct",
@@ -164,13 +174,16 @@ def _cmd_deform(args) -> int:
     return 0 if diff <= 1e-8 else 1
 
 
-def _cmd_oracle_compare(args) -> int:
+def _read_oracle_compare(args) -> tuple:
     # theta = 0 throughout; marking the last coordinate as undeformed lets the
     # metric sampler vary along it, so the comparison is not vacuous
     free = max(1, args.dims - 1)
     model = torus_bundle(args.dims, free, np.zeros((free, free)), args.radius)
+    return model, _default_tol(args, 1e-8)
+
+
+def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
     rng = np.random.default_rng(args.seed)
-    tol = _default_tol(args, 1e-8)
     rows = []
     worst = 0.0
     for trial in range(args.metrics):
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_solve)
+    sp.set_defaults(read=_read_solve, func=_cmd_solve)
 
     vp = sub.add_parser("verify", help="run every module invariant suite")
     vp.add_argument("--models", default="fuzzy-sphere,heisenberg,torus")
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
     vp.add_argument("--out", default=None)
-    vp.set_defaults(func=_cmd_verify)
+    vp.set_defaults(read=_read_verify, func=_cmd_verify)
 
     dp = sub.add_parser("deform", help="check that deformation commutes with the solver")
     dp.add_argument("--dims", type=int, default=3)
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance of both solves (default: NCLEVI_TOL, else 1e-8)")
     dp.add_argument("--out", default=None)
-    dp.set_defaults(func=_cmd_deform)
+    dp.set_defaults(read=_read_deform, func=_cmd_deform)
 
     op = sub.add_parser("oracle-compare", help="compare the solver with the classical formula")
     op.add_argument("--dims", type=int, default=3)
@@ -268,29 +281,32 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--tol", type=float, default=None,
                     help="residual tolerance of each solve (default: NCLEVI_TOL, else 1e-8)")
     op.add_argument("--out", default=None)
-    op.set_defaults(func=_cmd_oracle_compare)
+    op.set_defaults(read=_read_oracle_compare, func=_cmd_oracle_compare)
     return parser
+
+
+def _fail(exc: Exception, code: int, what: str, name: Optional[str] = None) -> int:
+    print(json.dumps({"error": name or type(exc).__name__, "detail": str(exc)}, sort_keys=True))
+    print(f"{what}: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            args = parser.parse_args(_apply_config(argv))
+            inputs = args.read(args)
+        except ValueError as exc:
+            return _fail(exc, 2, "input error")
+        return args.func(args, *inputs)
     except _VALIDATION_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True))
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2, "input error")
     except _MATH_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True))
-        print(f"mathematical failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1, "mathematical failure")
     except OSError as exc:
-        print(json.dumps({"error": "IOError", "detail": str(exc)}, sort_keys=True))
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2, "i/o error", "IOError")
 
 
 if __name__ == "__main__":

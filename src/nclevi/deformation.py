@@ -54,9 +54,7 @@ def embed_theta(theta, dim: int, coords: Sequence[int]) -> np.ndarray:
     """Place an action-block deformation matrix into the full t x t twist slot."""
     th = require_skew(theta, len(coords))
     out = np.zeros((dim, dim))
-    for a, ca in enumerate(coords):
-        for b, cb in enumerate(coords):
-            out[ca, cb] = th[a, b]
+    out[np.ix_(coords, coords)] = th
     return out
 
 
@@ -113,13 +111,12 @@ def deform_backend(backend: BackendDescriptor, theta, action: TorusAction) -> Ba
     if backend.kind != GRADED:
         raise BackendMismatch("only graded backends deform at desk scale")
     extra = embed_theta(theta, backend.dim, action.coords)
-    return BackendDescriptor.graded(backend.dim, backend.theta + extra,
-                                    backend.radius, backend.tol)
+    return BackendDescriptor.graded(backend.dim, backend.theta + extra, backend.radius)
 
 
 def deform_element(a: AlgebraElement, backend_theta: BackendDescriptor) -> AlgebraElement:
     """Coefficient-preserving reinterpretation a -> a_theta."""
-    return AlgebraElement.from_modes(backend_theta, a.modes)
+    return AlgebraElement.from_arrays(backend_theta, a.mode_array, a.coeff_array)
 
 
 def deform_calculus(calculus: CalculusSpec, theta, action: TorusAction) -> CalculusSpec:

@@ -13,11 +13,12 @@ budget, and the Levi-Civita solver runs on the same grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     GRADED,
     MATRIX,
     AlgebraElement,
@@ -205,12 +206,11 @@ class MetricSpec:
                 if not comp.backend.same_algebra(be):
                     raise BackendMismatch("metric component on the wrong backend")
                 rows[i][j] = lift(comp, be) if comp.backend != be else comp
-        tol = be.tol
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality
         # first where one component fails both checks
-        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * tol), None)
+        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * DEFAULT_TOL), None)
         loose = first_noncentral([c for r in rows for c in r], calculus.generators)
         if loose is not None and (skew is None or loose <= skew):
             raise NonCentralResult(f"component ({loose // n},{loose % n}) is not central")
@@ -324,7 +324,11 @@ def v_g2_matrix(g: MetricSpec) -> Vg2Matrix:
 
 @dataclass(frozen=True)
 class CanonicalMetricData:
-    """Operator realization of the frame: e_i acts as 1 (x) s_i on H_A (x) W."""
+    """Operator realization of the frame: e_i acts as 1 (x) s_i on H_A (x) W.
+
+    spinor_ops holds the w x w operators s_i; frame_pair_trace(i, j) is
+    w_ij = tr(s_i s_j) / w, the spinor trace that the metric components reduce to.
+    """
 
     spinor_ops: tuple
 
@@ -337,52 +341,17 @@ class CanonicalMetricData:
         return complex(np.trace(self.spinor_ops[i] @ self.spinor_ops[j])) / w
 
 
-def canonical_metric(calculus: CalculusSpec, data: CanonicalMetricData,
-                     rng: Optional[np.random.Generator] = None) -> MetricSpec:
-    """Solve tau(g_ij c) = tau(e_i e_j c) over an algebra basis for the components.
+def canonical_metric(calculus: CalculusSpec, data: CanonicalMetricData) -> MetricSpec:
+    """The metric of the spectral triple's trace: tau(g_ij c) = tau(e_i e_j c) for every c.
 
-    Matrix backend: the basis ranges over all matrix units and the solve runs on
-    the honest Kronecker realization.  Graded backend: the basis ranges over
-    single modes; the right-hand side factorizes through the spinor trace.
+    With e_i acting as 1 (x) s_i, e_i e_j = 1 (x) s_i s_j, and the trace over
+    H_A (x) W factorizes as tau(c) tr(s_i s_j) / w; so g_ij = w_ij 1 on either
+    backend.  tests/test_metric.py checks this against the partial trace of
+    the Kronecker realization on the matrix models.
     """
-    be = calculus.backend
     n = calculus.rank
     if len(data.spinor_ops) != n:
         raise ValueError("need one spinor operator per basis one-form")
-    if be.kind == MATRIX:
-        comps = _canonical_matrix(calculus, data, rng)
-    else:
-        comps = _canonical_graded(calculus, data)
-    return MetricSpec(calculus, comps)
-
-
-def _canonical_matrix(calculus: CalculusSpec, data: CanonicalMetricData, rng):
-    be = calculus.backend
-    n, N, w = calculus.rank, be.size, data.spinor_dim
-    frame = [np.kron(np.eye(N), s) for s in data.spinor_ops]
-    comps = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = frame[i] @ frame[j]
-            # partial trace over the spinor factor solves tau(g c) = tau(e_i e_j c)
-            # against the matrix-unit basis: g[q,p] = (1/w) sum_s prod[(q,s),(p,s)]
-            block = prod.reshape(N, w, N, w)
-            gmat = np.einsum("asbs->ab", block) / w
-            comps[i][j] = AlgebraElement.from_matrix(be, gmat)
-    rng = rng or np.random.default_rng(7)
-    for _ in range(3):
-        c = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        cc = np.kron(c, np.eye(w))
-        i, j = rng.integers(0, n, size=2)
-        lhs = np.trace(comps[i][j].matrix @ c) / N
-        rhs = np.trace(frame[i] @ frame[j] @ cc) / (N * w)
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            raise SingularMetric("canonical trace solve failed verification")
-    return comps
-
-
-def _canonical_graded(calculus: CalculusSpec, data: CanonicalMetricData):
-    # tau(g U^l) = tau(U^l) w_ij forces the zero mode w_ij and kills the rest
     unit = AlgebraElement.unit(calculus.backend)
-    n = calculus.rank
-    return [[unit * data.frame_pair_trace(i, j) for j in range(n)] for i in range(n)]
+    return MetricSpec(calculus, [[unit * data.frame_pair_trace(i, j) for j in range(n)]
+                                 for i in range(n)])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BackendDescriptor, DerivationSpec
 from .calculus import CalculusSpec
-from .deformation import TorusAction, require_skew
+from .deformation import TorusAction, embed_theta
 from .errors import SizeTooLarge
 from .metric import CanonicalMetricData, MetricSpec, canonical_metric
 
@@ -170,22 +170,21 @@ def heisenberg() -> Model:
     return Model(name="heisenberg", calculus=calculus, metric=metric, params={})
 
 
-def torus_bundle(m: int, n: int, theta, radius: int,
-                 tol: float = 1e-12) -> Model:
+def torus_bundle(m: int, n: int, theta, radius: int) -> Model:
     """Theta-deformed torus bundle: rank-m flat frame, twist on the first n coordinates.
 
-    Metrics may depend on coordinates n+1..m, which stay central; the grading
-    data for the first n coordinates feeds the deformation engine.
+    theta is the n x n skew block, placed on the first n coordinates of the
+    rank-m twist by embed_theta, as a deformation would place it; radius is the
+    truncation radius R of the graded backend.  Metrics may depend on
+    coordinates n+1..m, which stay central; the grading data for the first n
+    coordinates feeds the deformation engine.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= deformed directions <= total dimension")
     if radius < 1:
         raise ValueError("truncation radius must be >= 1")
-    th = require_skew(theta, n)
     action = TorusAction(coords=tuple(range(n)))
-    full = np.zeros((m, m))
-    full[:n, :n] = th
-    backend = BackendDescriptor.graded(m, full, radius, tol)
+    backend = BackendDescriptor.graded(m, embed_theta(theta, m, action.coords), radius)
 
     pairs, c = _antisymmetric_wedge(m)
     exterior = np.zeros((len(pairs), m), dtype=complex)
@@ -202,21 +201,19 @@ def torus_bundle(m: int, n: int, theta, radius: int,
                  params={"dims": m, "deformed": n, "radius": radius})
 
 
-def random_central_metric(model: Model, rng: np.random.Generator,
-                          scale: float = 0.004) -> MetricSpec:
+def random_central_metric(model: Model, rng: np.random.Generator) -> MetricSpec:
     """Diagonal-plus-small-trig central metric on a torus bundle.
 
     Components vary only along the untwisted coordinates (central by
-    construction); amplitudes are kept small enough that the inverse
-    components decay well inside the truncation budget.
+    construction); amplitudes of at most 0.004 keep the inverse components
+    decaying well inside the truncation budget.  With no untwisted coordinate
+    (and on the matrix models) the metric is a constant diagonal one.
     """
     calculus = model.calculus
     be = calculus.backend
     n = calculus.rank
-    if be.kind != "graded":
-        return MetricSpec.from_scalar_matrix(
-            calculus, np.diag(1.0 + rng.uniform(0.0, 1.0, size=n)))
-    free = [c for c in range(be.dim) if c >= model.params.get("deformed", be.dim)]
+    # a matrix backend has dim 0, so it has no free coordinate either
+    free = list(range(model.params.get("deformed", be.dim), be.dim))
     if not free:
         return MetricSpec.from_scalar_matrix(
             calculus, np.diag(1.0 + rng.uniform(0.0, 1.0, size=n)))
@@ -227,7 +224,7 @@ def random_central_metric(model: Model, rng: np.random.Generator,
     for i in range(n):
         for j in range(i, n):
             coord = free[int(rng.integers(0, len(free)))]
-            amp = scale * rng.uniform(0.2, 1.0)
+            amp = 0.004 * rng.uniform(0.2, 1.0)
             phase = rng.uniform(0, 2 * np.pi)
             plus = [0] * be.dim
             plus[coord] = 1

@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     MATRIX,
     AlgebraElement,
     combine,
@@ -133,10 +134,9 @@ def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
     gamma = np.zeros((n, n, n), dtype=complex)
     if m:
         flat = calculus.wedge_constants.reshape(m, n * n)
-        pinv = np.linalg.pinv(flat)
         for i in range(n):
             rhs = -calculus.exterior_constants[:, i]
-            sol = pinv @ rhs
+            sol = calculus._wedge_pinv @ rhs
             res = float(np.max(np.abs(flat @ sol - rhs)))
             if res > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
                 raise NoSolution(f"scalar torsion system inconsistent (residual {res:.3e})")
@@ -226,7 +226,7 @@ def _range_check_symmetric(calculus: CalculusSpec, comp, what: str) -> None:
     n = calculus.rank
     scale = max((comp[i][j][k].norm() for i in range(n) for j in range(n) for k in range(n)),
                 default=0.0)
-    tol = 1e3 * calculus.backend.tol * max(1.0, scale)
+    tol = 1e3 * DEFAULT_TOL * max(1.0, scale)
     if what == "range":
         # range inside Ker(wedge): wedge of each value must vanish
         m = calculus.two_form_rank
@@ -422,14 +422,9 @@ def structure_constants(calculus: CalculusSpec) -> np.ndarray:
     d(e_i) = -(1/2) sum_jk C^i_jk e_j ^ e_k, so the minimal-norm solution of
     c . C^i = -2 D_i is the antisymmetric bracket table.
     """
-    n, m = calculus.rank, calculus.two_form_rank
-    out = np.zeros((n, n, n), dtype=complex)
-    if m:
-        flat = calculus.wedge_constants.reshape(m, n * n)
-        pinv = np.linalg.pinv(flat)
-        for i in range(n):
-            out[i] = (pinv @ (-2.0 * calculus.exterior_constants[:, i])).reshape(n, n)
-    return out
+    n = calculus.rank
+    pinv, d = calculus._wedge_pinv, calculus.exterior_constants
+    return np.array([(pinv @ (-2.0 * d[:, i])).reshape(n, n) for i in range(n)])
 
 
 def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:

@@ -12,6 +12,7 @@ from typing import List
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     AlgebraElement,
     combine,
     derive,
@@ -67,12 +68,12 @@ def _worst_difference(pairs) -> float:
     return _worst_norm(combine(pairs[0][0].backend, [[(1.0, a), (-1.0, b)] for a, b in pairs]))
 
 
-def algebra_checks(model: Model, rng: np.random.Generator, samples: int = 100) -> List[Check]:
+def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     be = model.backend
-    tol = be.tol
+    tol = DEFAULT_TOL
     out = []
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         a, b, c = (_rand(model, rng) for _ in range(3))
         lhs = wide_mul(wide_mul(a, b), c)
         rhs = wide_mul(a, wide_mul(b, c))
@@ -115,7 +116,7 @@ def algebra_checks(model: Model, rng: np.random.Generator, samples: int = 100) -
 
 def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
-    tol = spec.backend.tol
+    tol = DEFAULT_TOL
     out = []
     worst_sig = worst_psym = worst_wp = worst_bimod = 0.0
     for _ in range(20):
@@ -169,7 +170,7 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
     g = model.metric
-    tol = spec.backend.tol
+    tol = DEFAULT_TOL
     out = []
     worst_sym = worst_bil = 0.0
     for _ in range(20):

@@ -198,6 +198,17 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert json.loads(out)["error"] == "ValueError"
 
 
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    # a ValueError raised after the input has been read is a bug, not exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "levi_civita", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["solve", "--model", "heisenberg"])
+    assert capsys.readouterr().out == ""
+
+
 def test_env_var_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("NCLEVI_TOL", "1e-6")
     code, out, err = run_cli(capsys, ["solve", "--model", "heisenberg"])

@@ -5,6 +5,7 @@ from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul
 from nclevi.calculus import TensorSquare, random_one_form, random_tensor_square, sigma
 from nclevi.errors import NonCentralResult, SingularMetric
 from nclevi.metric import (
+    CanonicalMetricData,
     Functional,
     MetricSpec,
     g2_eval,
@@ -13,7 +14,7 @@ from nclevi.metric import (
     v_g2_matrix,
     v_g_inverse,
 )
-from nclevi.models import gamma_matrices, torus_bundle
+from nclevi.models import gamma_matrices, pauli_matrices, torus_bundle
 
 TOL = 1e-12
 
@@ -170,6 +171,30 @@ def test_canonical_torus_metric_is_the_frame_trace_zero_mode():
                 keep = 1 if w != 0.0 else 0
                 assert np.array_equal(el.mode_array, np.zeros((keep, m), dtype=np.int64))
                 assert el.coeff_array.tolist() == [w] * keep
+
+
+def test_canonical_metric_is_the_kronecker_partial_trace(fuzzy1, fuzzy2, heis):
+    """Reference: realize e_i as the 2N x 2N operator 1_N (x) s_i and solve
+    tau(g_ij c) = tau(e_i e_j c) over the matrix units by the partial trace over
+    the spinor factor; the shipped components are those matrices, byte for byte,
+    and satisfy the trace equation for random c."""
+    ops = pauli_matrices()
+    w = CanonicalMetricData(spinor_ops=ops).spinor_dim
+    rng = np.random.default_rng(7)
+    for model in (fuzzy1, fuzzy2, heis):
+        size = model.backend.size
+        frame = [np.kron(np.eye(size), s) for s in ops]
+        for i in range(3):
+            for j in range(3):
+                prod = frame[i] @ frame[j]
+                want = np.einsum("asbs->ab", prod.reshape(size, w, size, w)) / w
+                got = model.metric.components[i][j].matrix
+                assert got.tobytes() == want.tobytes()
+                for _ in range(3):
+                    c = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                    lhs = np.trace(got @ c) / size
+                    rhs = np.trace(prod @ np.kron(c, np.eye(w))) / (size * w)
+                    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 def test_canonical_metric_positivity_diagnostic(fuzzy1):

@@ -166,6 +166,15 @@ def test_nabla0_heisenberg(heis):
     assert abs(c[2, 0, 1] - 1.0) <= TOL and abs(c[2, 1, 0] + 1.0) <= TOL
 
 
+def test_structure_constants_are_twice_nabla0(heis, fuzzy1):
+    # both solve the scalar wedge system with the calculus's one pseudo-inverse:
+    # c . C^i = -2 D_i against c . Gamma^i = -D_i
+    for calculus in (heis.calculus, fuzzy1.calculus,
+                     torus_bundle(4, 3, np.zeros((3, 3)), radius=2).calculus):
+        want = 2 * nabla0(calculus).scalars()
+        assert structure_constants(calculus).tobytes() == want.tobytes()
+
+
 # -- Pi_g and the compatibility residual ------------------------------------------------
 
 
