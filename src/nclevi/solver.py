@@ -4,24 +4,28 @@ A connection is its Christoffel array Gamma^i_{jk} with nabla(e_i) =
 sum_jk e_j (x) e_k Gamma^i_{jk}; the Leibniz term rides along in
 apply_connection.  Torsion and metric compatibility are both algebraic in
 Gamma, so the Levi-Civita connection is the solution of one structured linear
-system.  Two independent routes are provided: the direct least-squares solve
-of {torsion = 0} u {compatibility = dg}, and the reference-connection route
+system.  Two independent routes are provided: the direct solve of
+{torsion = 0} u {compatibility = dg}, and the reference-connection route
 nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
 zeta / V_g / P_sym factorization.
 
-Metric components are central, so the direct system splits into one
-(n m + n^3) x n^3 system per point of the torus grid over the coordinates the
-metric varies along (one point on the matrix backend and for constant
-metrics).  One batched SVD gives the kernel certificate, the smallest
-per-point singular-value ratio, and the solution, which is read back to the
-Fourier modes of sup-norm <= R.  Metrics whose modes multiply with a sign
-(<s, theta s'> odd) never reach the solver: MetricSpec refuses them with
-NonCommutativeBackend.
+Metric components are central, so the direct system splits into one system
+per point of the torus grid over the coordinates the metric varies along (one
+point on the matrix backend and for constant metrics).  Torsion is scalar and
+fixes the antisymmetric part of each Gamma^i once for the whole grid; what
+compatibility must fix per point is a square system of n^2 (n+1)/2 equations
+when the wedge rank is n(n-1)/2, and fewer equations than unknowns (NonUnique)
+otherwise.  The kernel certificate is the smallest per-point singular-value
+ratio of that reduced operator; one batched solve gives the solution, which is
+read back to the Fourier modes of sup-norm <= R.  Metrics whose modes multiply
+with a sign (<s, theta s'> odd) never reach the solver: MetricSpec refuses
+them with NonCommutativeBackend.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -300,49 +304,108 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
 # -- pointwise solve ---------------------------------------------------------
 
 
-def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
-                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float]:
-    """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
+def _real_valued(el: AlgebraElement) -> bool:
+    """Whether a central element takes real values: c_{-k} = conj(c_k) exactly.
 
-    Central coefficients make the joint system one (n m + n^3) x n^3 system per
-    grid point; one batched SVD gives the kernel certificate and the
-    least-squares solution.  Returns the grid, the Christoffel values at its
-    points (points x n^3), the smallest per-point singular-value ratio and the
-    largest per-point residual.
+    Modes are in lexicographic order, which negation reverses.
+    """
+    if el.backend.kind == MATRIX:
+        return trace(el).imag == 0.0
+    k, c = el.mode_array, el.coeff_array
+    return np.array_equal(k, -k[::-1]) and np.array_equal(c, c[::-1].conj())
+
+
+def _torsion_free_part(calculus: CalculusSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Gamma^i = gamma_p[i] + kernel y^i solves the torsion rows c . Gamma^i = -D_i.
+
+    One SVD of the m x n^2 wedge table gives the particular solution
+    c^+(-D_i), rows of gamma_p, and an orthonormal basis of ker(c), the
+    columns of kernel (real when the wedge table is).
     """
     n, m = calculus.rank, calculus.two_form_rank
+    flat = calculus.wedge_constants.reshape(m, n * n)
+    if not np.any(flat.imag):
+        flat = flat.real
+    u, s, vh = np.linalg.svd(flat)
+    gamma_p = (vh[:m].conj().T @ ((u.conj().T @ -calculus.exterior_constants) / s[:, None])).T
+    return gamma_p, vh[m:].conj().T
+
+
+def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
+                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float, int]:
+    """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
+
+    Torsion is scalar, so it is removed once: Gamma = Gamma_p + (I_n (x) ker c) y
+    leaves n (n^2 - m) unknowns per point.  Compatibility rows (i, j, l) and
+    (j, i, l) coincide, so the rows i <= j remain: n^2 (n+1)/2 of them.  With
+    more unknowns than rows the connection is not unique; otherwise (the wedge
+    rank m = n(n-1)/2) the reduced system is square, real when the metric and
+    the wedge table are, and one batched solve gives y after its singular
+    values give the kernel certificate.  Returns the grid, the Christoffel
+    values at its points (points x n^3), the smallest per-point singular-value
+    ratio of the reduced operator, the largest residual over every torsion
+    and compatibility row, and the system size per point.
+    """
+    n = calculus.rank
+    gamma_p, kernel = _torsion_free_part(calculus)
+    q = kernel.shape[1]
+    rows_i, rows_j = np.triu_indices(n)
+    size = len(rows_i) * n
+    if n * q > size:
+        # CalculusSpec bounds m by n(n-1)/2, so there are never fewer unknowns
+        raise NonUnique(f"torsion leaves {n * q} unknowns per point against "
+                        f"{size} compatibility equations")
     comps = [c for row in g.components for c in row]
     grid = TorusGrid(central_coords(comps), 4 * calculus.backend.radius + 1)
     gpts = grid.sample(comps).T.reshape(-1, n, n)
-    eye = np.eye(n)
-    # rows (i, alpha): sum_jk c^alpha_jk Gamma^i_jk = -D^alpha_i at every point
-    tors = np.einsum("ai,xjk->ixajk", eye, calculus.wedge_constants).reshape(n * m, n ** 3)
-    # rows (i, j, l): sum_k g_kj Gamma^i_kl + g_ki Gamma^j_kl = partial_l g_ij
-    compat = (np.einsum("ai,bl,pkj->pijlakb", eye, eye, gpts)
-              + np.einsum("aj,bl,pki->pijlakb", eye, eye, gpts)).reshape(-1, n ** 3, n ** 3)
-    ops = np.concatenate([np.broadcast_to(tors, (grid.points,) + tors.shape), compat], axis=1)
-    rhs = np.concatenate([np.broadcast_to(-calculus.exterior_constants.T.ravel(),
-                                          (grid.points, n * m)),
-                          grid.sample([d for plane in dg for row in plane for d in row]).T],
-                         axis=1)
-    u, svals, vh = np.linalg.svd(ops, full_matrices=False)
+    dgpts = grid.sample([d for plane in dg for row in plane for d in row]).T.reshape(
+        -1, n, n, n)
+    real = kernel.dtype.kind == "f" and all(_real_valued(c) for c in comps)
+    if real:
+        gpts = gpts.real
+
+    def pi_g(gamma):
+        # entry [p, i, j, l] = sum_k g_kj Gamma^i_kl + g_ki Gamma^j_kl at point p
+        return (np.einsum("pkj,pikl->pijl", gpts, gamma)
+                + np.einsum("pki,pjkl->pijl", gpts, gamma))
+
+    # reduced rows (i <= j, l), columns (a, r): delta_ai B_jlr + delta_aj B_ilr
+    b = np.einsum("pkj,klr->pjlr", gpts, kernel.reshape(n, n, q))
+    sel_i, sel_j = np.eye(n)[rows_i], np.eye(n)[rows_j]
+    ops = (np.einsum("ea,pelr->pelar", sel_i, b[:, rows_j])
+           + np.einsum("ea,pelr->pelar", sel_j, b[:, rows_i])).reshape(-1, size, size)
+    particular = np.broadcast_to(gamma_p.reshape(n, n, n), dgpts.shape)
+    rhs = (dgpts - pi_g(particular))[:, rows_i, rows_j].reshape(-1, size)
+    svals = np.linalg.svd(ops, compute_uv=False)
     ratio = float(np.min(svals[:, -1] / np.maximum(svals[:, 0], np.finfo(float).tiny)))
     if ratio <= DEFAULT_KERNEL_FLOOR:
         raise NonUnique(
-            f"joint torsion/compatibility operator has a kernel "
+            f"reduced compatibility operator has a kernel "
             f"(relative singular value {ratio:.3e})")
-    x = np.einsum("pkj,pk->pj", vh.conj(), np.einsum("prk,pr->pk", u.conj(), rhs) / svals)
-    res = float(np.max(np.abs(np.einsum("prj,pj->pr", ops, x) - rhs)))
-    return grid, x, ratio, res
+    # a real operator solves the real and imaginary parts of rhs as two columns
+    parts = np.array([1.0, 1j]) if real else np.ones(1)
+    cols = np.stack([rhs.real, rhs.imag], axis=-1) if real else rhs[..., None]
+    y = np.linalg.solve(ops, cols) @ parts
+    gamma = gamma_p + np.einsum("sr,pir->pis", kernel, y.reshape(-1, n, q))
+    cube = gamma.reshape(-1, n, n, n)
+    tors = (np.einsum("ajk,pijk->pia", calculus.wedge_constants, cube)
+            + calculus.exterior_constants.T)
+    res = max(float(np.max(np.abs(tors), initial=0.0)),
+              float(np.max(np.abs(pi_g(cube) - dgpts))))
+    return grid, gamma.reshape(-1, n ** 3), ratio, res, size
 
 
 @dataclass
 class LeviCivitaResult:
     """A Levi-Civita connection with its certificates.
 
-    sv_ratio is the smallest singular-value ratio of the per-point torsion +
-    compatibility operator over the solve grid; lstsq_residual is the largest
-    per-point residual of the direct solve (0 on the phi route).
+    sv_ratio is the smallest singular-value ratio, over the solve grid, of the
+    reduced square compatibility operator left once torsion is removed;
+    lstsq_residual is the largest residual of the pointwise solve over every
+    torsion and compatibility row (0 on the phi route).  stats holds the grid
+    points, the equations and unknowns per point, and the seconds spent in the
+    pointwise core, the read-back to modes (0 on the phi route) and the
+    residual gates.
     """
 
     connection: ConnectionCoeffs
@@ -351,6 +414,7 @@ class LeviCivitaResult:
     sv_ratio: float
     route: str
     lstsq_residual: float
+    stats: dict
     route_difference: Optional[float] = None
 
 
@@ -371,7 +435,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
                 residual_tol: float = DEFAULT_RESIDUAL_TOL) -> LeviCivitaResult:
     """The unique torsion-less, metric-compatible connection, with certificates.
 
-    route "direct": per-point least-squares solve on the torus grid, read back
+    route "direct": per-point square solve on the torus grid, read back
     to modes of sup-norm <= R, the backend radius; route "phi": nabla_0 +
     Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both, report the direct
     result with their componentwise disagreement attached.  Every route runs
@@ -380,8 +444,10 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     if route not in ("direct", "phi", "both"):
         raise ValueError(f"unknown route {route!r}")
     n = calculus.rank
+    start = time.perf_counter()
     dg = _metric_derivatives(calculus, g)
-    grid, x, sv_ratio, lstsq_res = _solve_pointwise(calculus, g, dg)
+    grid, x, sv_ratio, lstsq_res, size = _solve_pointwise(calculus, g, dg)
+    seconds = {"core_s": time.perf_counter() - start, "readback_s": 0.0}
 
     def solve_phi() -> ConnectionCoeffs:
         nab0 = nabla0(calculus)
@@ -395,12 +461,16 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     if route == "phi":
         nabla, lstsq_res = solve_phi(), 0.0
     else:
+        start = time.perf_counter()
         nabla = _gamma_from_solution(calculus, grid, x)
+        seconds["readback_s"] = time.perf_counter() - start
         if route == "both":
             diff = nabla.difference_norm(solve_phi())
 
+    start = time.perf_counter()
     tres = torsion_residual(nabla)
     cres = _compat_residual(g, nabla, dg).max_norm
+    seconds["gates_s"] = time.perf_counter() - start
     # the gate's scale is the largest right-hand side coefficient in mode space
     scale = max(1.0, float(np.max(np.abs(calculus.exterior_constants), initial=0.0)),
                 max(d.norm() for plane in dg for row in plane for d in row))
@@ -408,9 +478,10 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         raise Inconsistent(
             f"solver output breaches residual tolerance "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")
+    stats = {"grid_points": grid.points, "equations": size, "unknowns": size, **seconds}
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
-                            sv_ratio=sv_ratio, route=route,
-                            lstsq_residual=lstsq_res, route_difference=diff)
+                            sv_ratio=sv_ratio, route=route, lstsq_residual=lstsq_res,
+                            stats=stats, route_difference=diff)
 
 
 # -- classical cross-check ------------------------------------------------------

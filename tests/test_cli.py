@@ -216,9 +216,15 @@ def test_env_var_tolerance(capsys, monkeypatch):
 
 
 def test_report_fields_deterministic(capsys):
+    # everything but the phase timings under "stats" repeats exactly
+    def untimed(text):
+        report = json.loads(text)
+        report["stats"] = {k: v for k, v in report["stats"].items() if not k.endswith("_s")}
+        return report
+
     code1, out1, _ = run_cli(capsys, ["solve", "--model", "heisenberg"])
     code2, out2, _ = run_cli(capsys, ["solve", "--model", "heisenberg"])
-    assert out1 == out2
+    assert json.dumps(untimed(out1)) == json.dumps(untimed(out2))
     keys = list(json.loads(out1).keys())
     assert keys == sorted(keys)
 
@@ -256,6 +262,7 @@ def reference_report(result, model_name, metric_source):
         "torsion_residual": result.torsion_residual,
         "compat_residual": result.compat_residual,
         "min_singular_value": result.sv_ratio,
+        "stats": result.stats,
     }
     if result.route_difference is not None:
         report["route_difference"] = result.route_difference
@@ -392,5 +399,42 @@ def test_malformed_matrix_entries_exit_two(capsys, tmp_path, heis, entries):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, ["solve", "--model", "heisenberg", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("case", ["empty", "no-entries", "no-kind", "components-not-array",
+                                  "row-not-array"])
+def test_metric_file_missing_or_ill_typed_keys_exit_two(capsys, tmp_path, heis, case):
+    doc = encode_metric(heis.metric)
+    if case == "empty":
+        doc = {}
+    elif case == "no-entries":
+        del doc["components"][1][1]["entries"]
+    elif case == "no-kind":
+        del doc["components"][0][1]["kind"]
+    elif case == "components-not-array":
+        doc["components"] = {"0": doc["components"][0]}
+    else:
+        doc["components"][2] = 3.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "heisenberg", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("terms", [None, 5, [[[0, 0, 0]]], [7]])
+def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_comm, terms):
+    doc = encode_metric(torus_comm.metric)
+    if terms is None:
+        del doc["components"][0][0]["terms"]
+    else:
+        doc["components"][0][0]["terms"] = terms
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "torus", "--theta", "0",
+                                      "--metric", str(path)])
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"

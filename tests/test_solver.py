@@ -2,13 +2,24 @@
 import numpy as np
 import pytest
 
-from nclevi.algebra import AlgebraElement, derive, random_element, trace, wide_mul, wide_sum
-from nclevi.calculus import TwoForm, random_one_form
-from nclevi.errors import Inconsistent, NonCommutativeBackend, RangeNotSymmetric
-from nclevi.metric import MetricSpec
-from nclevi.models import random_central_metric, torus_bundle
+from nclevi.algebra import (
+    AlgebraElement,
+    BackendDescriptor,
+    DerivationSpec,
+    derive,
+    random_element,
+    trace,
+    wide_mul,
+    wide_sum,
+)
+from nclevi.calculus import CalculusSpec, TwoForm, random_one_form
+from nclevi.errors import Inconsistent, NonCommutativeBackend, NonUnique, RangeNotSymmetric
+from nclevi.metric import MetricSpec, TorusGrid, central_coords
+from nclevi.models import fuzzy_sphere, heisenberg, random_central_metric, torus_bundle
 from nclevi.solver import (
     ConnectionCoeffs,
+    _metric_derivatives,
+    _solve_pointwise,
     apply_connection,
     compat_residual,
     koszul_oracle,
@@ -558,3 +569,147 @@ def test_both_routes_commute_with_swapping_free_coordinates():
                                                for k in range(n)] for j in range(n)]
                                              for i in range(n)])
     assert got.connection.difference_norm(want) <= 1e-12
+
+
+# -- the reduced pointwise core against the stacked joint operator -------------
+
+
+def reference_joint_solve(calculus, g):
+    """Per grid point, the stacked (n m + n^3) x n^3 operator of every torsion row
+    (i, alpha) and every compatibility row (i, j, l), written out entry by entry,
+    and its least-squares solution: the system the reduced core replaces."""
+    n, m = calculus.rank, calculus.two_form_rank
+    c, d = calculus.wedge_constants, calculus.exterior_constants
+    comps = [el for row in g.components for el in row]
+    grid = TorusGrid(central_coords(comps), 4 * calculus.backend.radius + 1)
+    gpts = grid.sample(comps).T.reshape(-1, n, n)
+    dg = _metric_derivatives(calculus, g)
+    dgpts = grid.sample([e for plane in dg for row in plane for e in row]).T
+
+    def col(i, j, k):
+        return (i * n + j) * n + k
+
+    out = []
+    for gp, rhs_compat in zip(gpts, dgpts):
+        rows, rhs = [], []
+        for i in range(n):
+            for alpha in range(m):
+                row = np.zeros(n ** 3, dtype=complex)
+                for j in range(n):
+                    for k in range(n):
+                        row[col(i, j, k)] = c[alpha, j, k]
+                rows.append(row)
+                rhs.append(-d[alpha, i])
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    row = np.zeros(n ** 3, dtype=complex)
+                    for k in range(n):
+                        row[col(i, k, l)] += gp[k, j]
+                        row[col(j, k, l)] += gp[k, i]
+                    rows.append(row)
+        a = np.array(rows)
+        b = np.concatenate([np.array(rhs, dtype=complex), rhs_compat])
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        out.append(x)
+    return np.array(out)
+
+
+def _ladder_case(m):
+    model = torus_bundle(m, m - 1, np.zeros((m - 1, m - 1)), radius=4)
+    return model.calculus, random_central_metric(model, np.random.default_rng(0))
+
+
+def _twisted_case():
+    model, g = _twisted_rng0()
+    return model.calculus, g
+
+
+def _two_coordinate_case():
+    model = torus_bundle(4, 2, np.zeros((2, 2)), radius=4)
+    return model.calculus, random_central_metric(model, np.random.default_rng(3))
+
+
+def _shipped_case(model):
+    return model.calculus, model.metric
+
+
+def _complex_valued_case():
+    # g_33 = 1 + 0.002 U_3 + 0.001 U_3^-1 is not real-valued, so the core runs complex
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=4)
+    be = model.backend
+    unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+    g33 = unit + AlgebraElement.from_modes(be, {(0, 0, 1): 0.002, (0, 0, -1): 0.001})
+    return model.calculus, MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
+                                                       [zero, zero, g33]])
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _ladder_case(3), lambda: _ladder_case(4), lambda: _ladder_case(5),
+    _twisted_case, _two_coordinate_case,
+    lambda: _shipped_case(fuzzy_sphere(1)), lambda: _shipped_case(fuzzy_sphere(2)),
+    lambda: _shipped_case(heisenberg()), _complex_valued_case,
+], ids=["ladder-m3", "ladder-m4", "ladder-m5", "twisted-m3", "two-coordinate-m4",
+        "fuzzy-sphere-1", "fuzzy-sphere-2", "heisenberg", "complex-valued-metric"])
+def test_reduced_core_matches_stacked_joint_operator(case):
+    calculus, g = case()
+    grid, x, ratio, res, size = _solve_pointwise(calculus, g, _metric_derivatives(calculus, g))
+    want = reference_joint_solve(calculus, g)
+    assert x.shape == want.shape == (grid.points, calculus.rank ** 3)
+    assert np.max(np.abs(x - want)) <= 1e-13
+    assert res <= 1e-13 and ratio > 1e-8
+
+
+# compatibility residual of each failing solve, the same as with the stacked
+# operator: the read-back tail beyond R, not the pointwise core, breaches the gate
+STARVED = {(3, 2): "7.904e-08", (3, 3): "1.551e-10", (4, 2): "1.146e-07",
+           (4, 3): "4.693e-10", (5, 2): "2.145e-07", (5, 3): "1.035e-09"}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_direct_pass_fail_unchanged_on_untwisted_ladder(m, radius):
+    model = torus_bundle(m, m - 1, np.zeros((m - 1, m - 1)), radius)
+    g = random_central_metric(model, np.random.default_rng(0))
+    if (m, radius) in STARVED:
+        with pytest.raises(Inconsistent, match=f"compatibility {STARVED[m, radius]}"):
+            levi_civita(model.calculus, g, route="direct")
+    else:
+        assert levi_civita(model.calculus, g, route="direct").compat_residual <= 1e-11
+
+
+def test_underdetermined_torsion_raises_non_unique_on_every_route():
+    # rank 3 with the single two-form e_1 ^ e_2: torsion fixes 3 of the 27
+    # Christoffel symbols, leaving 24 unknowns per point against 18 equations
+    backend = BackendDescriptor.matrix(1)
+    wedge = np.zeros((1, 3, 3))
+    wedge[0, 0, 1], wedge[0, 1, 0] = 1.0, -1.0
+    calculus = CalculusSpec(3, 1, wedge, np.zeros((1, 3)),
+                            [DerivationSpec.zero() for _ in range(3)], backend,
+                            [AlgebraElement.unit(backend)])
+    g = MetricSpec.delta(calculus)
+    for route in ("direct", "phi", "both"):
+        with pytest.raises(NonUnique, match="24 unknowns per point against 18"):
+            levi_civita(calculus, g, route=route)
+
+
+STAT_KEYS = {"grid_points", "equations", "unknowns", "core_s", "readback_s", "gates_s"}
+
+
+def test_stats_schema_and_square_system_on_every_shipped_model(fuzzy1, heis):
+    # a metric varying along one coordinate samples 4R+1 = 17 points at R = 4
+    cases = [(fuzzy1.calculus, fuzzy1.metric, 1), (heis.calculus, heis.metric, 1),
+             _ladder_case(3) + (17,)]
+    cases += [(model.calculus, model.metric, 1)
+              for model in (torus_bundle(m, 1, np.zeros((1, 1)), radius=2) for m in range(1, 6))]
+    for calculus, g, points in cases:
+        n = calculus.rank
+        for route in ("direct", "phi", "both"):
+            stats = levi_civita(calculus, g, route=route).stats
+            assert set(stats) == STAT_KEYS
+            assert stats["grid_points"] == points
+            # the reduced system is square: a stacked system would have n m + n^3 rows
+            assert stats["equations"] == stats["unknowns"] == n * n * (n + 1) // 2
+            for key in STAT_KEYS - {"grid_points", "equations", "unknowns"}:
+                assert type(stats[key]) is float and stats[key] >= 0.0
+            assert all(type(stats[k]) is int for k in ("grid_points", "equations", "unknowns"))
