@@ -332,7 +332,7 @@ def _torsion_free_part(calculus: CalculusSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
-                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float, int]:
+                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float, Tuple[int, int]]:
     """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
 
     Torsion is scalar, so it is removed once: Gamma = Gamma_p + (I_n (x) ker c) y
@@ -344,7 +344,8 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     values give the kernel certificate.  Returns the grid, the Christoffel
     values at its points (points x n^3), the smallest per-point singular-value
     ratio of the reduced operator, the largest residual over every torsion
-    and compatibility row, and the system size per point.
+    and compatibility row, and the (equations, unknowns) of the reduced
+    system per point.
     """
     n = calculus.rank
     gamma_p, kernel = _torsion_free_part(calculus)
@@ -373,7 +374,7 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     b = np.einsum("pkj,klr->pjlr", gpts, kernel.reshape(n, n, q))
     sel_i, sel_j = np.eye(n)[rows_i], np.eye(n)[rows_j]
     ops = (np.einsum("ea,pelr->pelar", sel_i, b[:, rows_j])
-           + np.einsum("ea,pelr->pelar", sel_j, b[:, rows_i])).reshape(-1, size, size)
+           + np.einsum("ea,pelr->pelar", sel_j, b[:, rows_i])).reshape(-1, size, n * q)
     particular = np.broadcast_to(gamma_p.reshape(n, n, n), dgpts.shape)
     rhs = (dgpts - pi_g(particular))[:, rows_i, rows_j].reshape(-1, size)
     svals = np.linalg.svd(ops, compute_uv=False)
@@ -392,7 +393,7 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
             + calculus.exterior_constants.T)
     res = max(float(np.max(np.abs(tors), initial=0.0)),
               float(np.max(np.abs(pi_g(cube) - dgpts))))
-    return grid, gamma.reshape(-1, n ** 3), ratio, res, size
+    return grid, gamma.reshape(-1, n ** 3), ratio, res, ops.shape[1:]
 
 
 @dataclass
@@ -446,7 +447,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     n = calculus.rank
     start = time.perf_counter()
     dg = _metric_derivatives(calculus, g)
-    grid, x, sv_ratio, lstsq_res, size = _solve_pointwise(calculus, g, dg)
+    grid, x, sv_ratio, lstsq_res, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
     seconds = {"core_s": time.perf_counter() - start, "readback_s": 0.0}
 
     def solve_phi() -> ConnectionCoeffs:
@@ -478,7 +479,8 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         raise Inconsistent(
             f"solver output breaches residual tolerance "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")
-    stats = {"grid_points": grid.points, "equations": size, "unknowns": size, **seconds}
+    stats = {"grid_points": grid.points, "equations": equations, "unknowns": unknowns,
+             **seconds}
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
                             sv_ratio=sv_ratio, route=route, lstsq_residual=lstsq_res,
                             stats=stats, route_difference=diff)
