@@ -7,6 +7,12 @@ array (K, t) in lexicographic order beside a read-only complex coefficient
 vector (K,).  Elements are immutable after construction and all operations
 are pure.
 
+Every element of an algebra carries that algebra's one descriptor.  The
+truncation radius R is checked where the truncated algebra or outside input
+needs it: the constructors that take modes and the truncated product `mul`.
+Intermediate results (`contract`, `wide_mul`, `wide_sum`) keep every mode
+their products have, on the same descriptor.
+
 Every graded product and sum goes through one kernel, `contract`, which
 computes out[s] = sum of c a b over the terms (c, a, b) of slot s for many
 slots at once: one ragged outer product of all mode pairs, one Weyl phase
@@ -19,7 +25,7 @@ operands were split into terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,8 +55,9 @@ class BackendDescriptor:
 
     For the graded backend the generators satisfy U_k U_l = e^{2 pi i theta_kl} U_l U_k
     and basis modes are Weyl-normalized: U^k U^l = e^{pi i <k, theta l>} U^{k+l}.
-    A descriptor names the algebra and its truncation only; every check on its
-    elements uses the module's DEFAULT_TOL.
+    A descriptor names the algebra and its truncation radius only; every check
+    on its elements uses the module's DEFAULT_TOL.  Elements are combined only
+    with elements of an equal descriptor: the radius is part of the algebra.
     """
 
     kind: str
@@ -92,48 +99,29 @@ class BackendDescriptor:
         th.setflags(write=False)
         return th
 
-    def with_radius(self, radius: int) -> "BackendDescriptor":
-        """Same algebra, another truncation window (used internally for lifts)."""
-        if self.kind != GRADED or radius == self.radius:
-            return self
-        return _window(self, radius)
-
-    def same_algebra(self, other: "BackendDescriptor") -> bool:
-        """True when the two descriptors differ at most in truncation radius."""
-        if self.kind != other.kind:
-            return False
-        if self.kind == MATRIX:
-            return self.size == other.size
-        return self.dim == other.dim and self.twist == other.twist
-
-
-@lru_cache(maxsize=256)
-def _window(backend: BackendDescriptor, radius: int) -> BackendDescriptor:
-    return BackendDescriptor(kind=GRADED, dim=backend.dim, twist=backend.twist, radius=radius)
-
-
-def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:
-    if a.backend != b.backend:
-        raise BackendMismatch(f"operands live on different backends: {a.backend} vs {b.backend}")
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _canonical(backend: BackendDescriptor, k: np.ndarray, c: np.ndarray):
-    """Checked, sorted, zero-free read-only (modes, coefficients, support radius)."""
-    rad = np.abs(k).max(axis=1) if len(k) else np.zeros(0, dtype=np.int64)
-    if np.any(rad > backend.radius):
-        raise TruncationOverflow(f"mode {tuple(k[int(np.argmax(rad))].tolist())} exceeds "
-                                 f"truncation radius {backend.radius}")
+def _canonical(k: np.ndarray, c: np.ndarray):
+    """Sorted, zero-free read-only (modes, coefficients, support radius)."""
     order = np.lexsort(k.T[::-1])
-    k, c, rad = k[order], c[order], rad[order]
+    k, c = k[order], c[order]
     if np.any(np.all(k[1:] == k[:-1], axis=1)):
         raise ValueError("a mode is given twice")
     nz = c != 0.0
-    return _frozen(k[nz]), _frozen(c[nz]), int(rad[nz].max(initial=0))
+    return _frozen(k[nz]), _frozen(c[nz]), int(np.abs(k[nz]).max(initial=0))
+
+
+def _truncated(backend: BackendDescriptor, k: np.ndarray, c: np.ndarray):
+    """`_canonical` of outside input, which must lie within the truncation radius."""
+    rad = np.abs(k).max(axis=1, initial=0)
+    if np.any(rad > backend.radius):
+        raise TruncationOverflow(f"mode {tuple(k[int(np.argmax(rad))].tolist())} exceeds "
+                                 f"truncation radius {backend.radius}")
+    return _canonical(k, c)
 
 
 class AlgebraElement:
@@ -166,7 +154,7 @@ class AlgebraElement:
         if bad:
             raise ValueError(f"mode {bad[0]} has wrong dimension")
         self._mat = None
-        self._k, self._c, self._rad = _canonical(
+        self._k, self._c, self._rad = _truncated(
             backend, np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim),
             np.array([complex(v) for v in modes.values()], dtype=complex))
 
@@ -211,7 +199,7 @@ class AlgebraElement:
         c = np.asarray(coeffs, dtype=complex)
         if c.shape != (len(k),):
             raise ValueError("need one coefficient per mode")
-        return cls._graded(backend, *_canonical(backend, k.astype(np.int64), c))
+        return cls._graded(backend, *_truncated(backend, k.astype(np.int64), c))
 
     @classmethod
     def single_mode(cls, backend: BackendDescriptor, mode: Sequence[int], coeff: complex = 1.0) -> "AlgebraElement":
@@ -265,11 +253,9 @@ class AlgebraElement:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
         return combine(self.backend, [[(1.0, self), (1.0, other)]])[0]
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
         return combine(self.backend, [[(1.0, self), (-1.0, other)]])[0]
 
     def __neg__(self) -> "AlgebraElement":
@@ -313,10 +299,10 @@ def contract(backend: BackendDescriptor,
              slots: Sequence[Sequence[Term]]) -> List[AlgebraElement]:
     """out[s] = sum of c a b over the terms (c, a, b) of slots[s], one element per slot.
 
-    Operands may sit on any window of backend's algebra.  A graded slot's
-    result sits on the smallest window holding backend's, every operand's and
-    every product's support, so nothing overflows; an empty slot is zero.
-    Matrix slots are summed term by term in the given order.
+    Every operand and every result is on `backend`.  A graded slot keeps every
+    mode of its products, whatever their support: nothing is truncated here.
+    An empty slot is zero.  Matrix slots are summed term by term in the given
+    order.
     """
     if backend.kind == MATRIX:
         out = []
@@ -333,8 +319,8 @@ def contract(backend: BackendDescriptor,
 
 def _check_algebra(backend: BackendDescriptor, *elements: AlgebraElement) -> None:
     for x in elements:
-        if x.backend is not backend and not x.backend.same_algebra(backend):
-            raise BackendMismatch("operands live on unrelated backends")
+        if x.backend is not backend and x.backend != backend:
+            raise BackendMismatch(f"operands live on different backends: {x.backend} vs {backend}")
 
 
 def _graded_contract(backend: BackendDescriptor,
@@ -357,21 +343,18 @@ def _graded_contract(backend: BackendDescriptor,
     if not operands:
         return [AlgebraElement.zero(backend) for _ in range(nslots)]
     _check_algebra(backend, *operands)
-    size, rad, win = np.array([(len(x._c), x.support_radius(), x.backend.radius)
-                               for x in operands], dtype=np.int64).T
+    size, rad = np.array([(len(x._c), x.support_radius()) for x in operands],
+                         dtype=np.int64).T
     kk = np.concatenate([x._k for x in operands])
     cc = np.concatenate([x._c for x in operands])
     offset = np.cumsum(size) - size
     t_a, t_b = np.array(t_ops).reshape(-1, 2).T
     t_slot = np.array(t_slot)
     t_coef = np.array(t_coef, dtype=complex)
-    window = np.full(nslots, backend.radius, dtype=np.int64)
-    np.maximum.at(window, t_slot, np.maximum(np.maximum(win[t_a], win[t_b]),
-                                             rad[t_a] + rad[t_b]))
     rows = kk @ backend.theta if backend.theta.any() else None
     t_pairs = size[t_a] * size[t_b]
     # modes lie in the box |k_i| <= reach; code (slot, mode) in base 2 reach + 1
-    reach = int(window.max())
+    reach = int((rad[t_a] + rad[t_b]).max())
     base = 2 * reach + 1
     box = base ** backend.dim
     if box * nslots >= 2 ** 62:
@@ -379,7 +362,6 @@ def _graded_contract(backend: BackendDescriptor,
     stride = base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
 
     out: List[AlgebraElement] = []
-    windows = {r: backend.with_radius(r) for r in set(window.tolist())}
     for s0, s1, lo_t, hi_t in _passes(t_slot, t_pairs, nslots):
         npairs = t_pairs[lo_t:hi_t]
         term = np.repeat(np.arange(lo_t, hi_t), npairs)
@@ -417,8 +399,8 @@ def _graded_contract(backend: BackendDescriptor,
         bounds, srad = bounds.tolist(), srad.tolist()
         for s in range(s0, s1):
             lo, hi = bounds[s - s0], bounds[s - s0 + 1]
-            out.append(AlgebraElement._graded(windows[int(window[s])],
-                                              gmode[lo:hi], gcoef[lo:hi], srad[s - s0]))
+            out.append(AlgebraElement._graded(backend, gmode[lo:hi], gcoef[lo:hi],
+                                              srad[s - s0]))
     return out
 
 
@@ -441,8 +423,8 @@ def combine(backend: BackendDescriptor,
             slots: Sequence[Sequence[Tuple[complex, AlgebraElement]]]) -> List[AlgebraElement]:
     """out[s] = sum of c a over the terms (c, a) of slots[s], one element per slot.
 
-    Graded sums are `contract` against the unit, on the same windows; matrix
-    sums add the scaled matrices in the given order.
+    Graded sums are `contract` against the unit, so they keep every mode of
+    their terms; matrix sums add the scaled matrices in the given order.
     """
     if backend.kind == MATRIX:
         out = []
@@ -467,22 +449,20 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def products(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]) -> List[AlgebraElement]:
     """mul(a, b) for every pair, in one kernel call.
 
-    A graded product keeps the window of its operands, which share one
-    backend: a coefficient beyond it raises TruncationOverflow unless it is
-    below _DUST_REL relative to the product's largest coefficient (or to 1),
-    in which case it is dropped.
+    This is the product of the truncated algebra: a graded coefficient beyond
+    the radius R raises TruncationOverflow unless it is below _DUST_REL
+    relative to the product's largest coefficient (or to 1), in which case it
+    is dropped.
     """
     if not pairs:
         return []
-    for a, b in pairs:
-        _check_same(a, b)
     prods = contract(pairs[0][0].backend, [[(1.0, a, b)] for a, b in pairs])
     return [_restrict(p, a.backend) for p, (a, _) in zip(prods, pairs)]
 
 
 def _restrict(prod: AlgebraElement, be: BackendDescriptor) -> AlgebraElement:
     if be.kind == MATRIX or prod.support_radius() <= be.radius:
-        return lift(prod, be)
+        return prod
     inside = np.abs(prod._k).max(axis=1) <= be.radius
     loud = ~inside & (np.abs(prod._c) > _DUST_REL * max(norm(prod), 1.0))
     if loud.any():
@@ -555,10 +535,8 @@ def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
         return AlgebraElement.zero(a.backend)
     if delta.kind == "inner":
         x = delta.element
-        if not x.backend.same_algebra(a.backend):
-            raise BackendMismatch("inner derivation element lives on another backend")
         if x.backend != a.backend:
-            x = lift(x, a.backend)
+            raise BackendMismatch("inner derivation element lives on another backend")
         return 1j * (mul(x, a) - mul(a, x))
     if a.backend.kind != GRADED:
         raise BackendMismatch("grading derivation requires the graded backend")
@@ -571,26 +549,13 @@ def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
                                   _frozen(2j * np.pi * k[:, j] * a._c[moving]))
 
 
-def lift(a: AlgebraElement, backend: BackendDescriptor) -> AlgebraElement:
-    """Reinterpret an element in a compatible backend (e.g. a larger truncation)."""
-    if a.backend == backend:
-        return a
-    if not a.backend.same_algebra(backend):
-        raise BackendMismatch("cannot lift between unrelated backends")
-    if a.support_radius() > backend.radius:
-        raise TruncationOverflow("element does not fit in the target radius")
-    if backend.kind == MATRIX:
-        return AlgebraElement(backend, mat=a._mat)
-    return AlgebraElement._graded(backend, a._k, a._c, a._rad)
-
-
 def wide_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product computed in a window that provably fits it; result may be lifted."""
+    """The untruncated product: every mode of a b, whatever its support."""
     return contract(a.backend, [[(1.0, a, b)]])[0]
 
 
 def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Sum of elements that may sit on differently sized windows of one algebra."""
+    """The sum of elements of one algebra, keeping every mode whatever its support."""
     elements = list(elements)
     if not elements:
         raise ValueError("empty sum")
@@ -612,8 +577,6 @@ def first_noncentral(elements: Sequence[AlgebraElement],
     if not elements or not generators:
         return None
     backend = generators[0].backend
-    for x in (*elements, *generators):
-        _check_same(x, generators[0])
     comms = contract(backend, [[(1.0, a, g), (-1.0, g, a)]
                                for a in elements for g in generators])
     # slots run element by element, so the first failing slot names the element

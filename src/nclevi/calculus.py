@@ -38,11 +38,7 @@ def _sum_pairs(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement],
     """x + sign y entry by entry, in one kernel call (same backend throughout)."""
     if not xs:
         return []
-    be = xs[0].backend
-    for x, y in zip(xs, ys):
-        if x.backend != be or y.backend != be:
-            raise BackendMismatch("coefficients live on different backends")
-    return combine(be, [[(1.0, x), (sign, y)] for x, y in zip(xs, ys)])
+    return combine(xs[0].backend, [[(1.0, x), (sign, y)] for x, y in zip(xs, ys)])
 
 
 def _flat(t: "TensorSquare") -> list:
@@ -289,7 +285,7 @@ class CalculusSpec:
 
     def d0(self, a: AlgebraElement) -> OneForm:
         """d(a) = sum_i e_i partial_i(a)."""
-        if not a.backend.same_algebra(self.backend):
+        if a.backend != self.backend:
             raise BackendMismatch("element does not live on the calculus backend")
         return OneForm([derive(d, a) for d in self.derivations])
 

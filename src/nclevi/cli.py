@@ -46,7 +46,7 @@ _MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralR
 
 _COMMAND_KEYS = {
     "solve": {"model", "k", "dims", "deformed", "theta", "radius", "metric",
-              "route", "tol", "out", "seed"},
+              "route", "tol", "out"},
     "verify": {"models", "k", "dims", "deformed", "theta", "radius", "seed", "tol", "out"},
     "deform": {"dims", "deformed", "theta", "extra_theta", "radius", "seed", "tol", "out"},
     "oracle-compare": {"dims", "radius", "metrics", "seed", "tol", "out"},
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--route", choices=("direct", "phi", "both"), default="both")
     sp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(read=_read_solve, func=_cmd_solve)
 

@@ -20,8 +20,8 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
+    _canonical,
     contract,
-    lift,
 )
 from .calculus import CalculusSpec
 from .errors import BackendMismatch, Inconsistent, NonSkew
@@ -82,7 +82,7 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> Dict[tuple, Al
     rows: Dict[tuple, list] = {}
     for r, grade in enumerate(map(tuple, modes[:, list(action.coords)].tolist())):
         rows.setdefault(grade, []).append(r)
-    return {grade: AlgebraElement.from_arrays(be, modes[r], coeffs[r])
+    return {grade: AlgebraElement._graded(be, *_canonical(modes[r], coeffs[r]))
             for grade, r in rows.items()}
 
 
@@ -98,9 +98,8 @@ def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
     ka = np.array(list(da), dtype=float).reshape(len(da), action.ndim)
     lb = np.array(list(db), dtype=float).reshape(len(db), action.ndim)
     chi = np.exp(1j * np.pi * (ka @ th @ lb.T))
-    out = contract(a.backend, [[(chi[p, q], ca, cb) for p, ca in enumerate(da.values())
-                                for q, cb in enumerate(db.values())]])[0]
-    return lift(out, a.backend) if out.support_radius() <= a.backend.radius else out
+    return contract(a.backend, [[(chi[p, q], ca, cb) for p, ca in enumerate(da.values())
+                                 for q, cb in enumerate(db.values())]])[0]
 
 
 # -- deformation of the full calculus / metric / connection ----------------------
@@ -116,7 +115,7 @@ def deform_backend(backend: BackendDescriptor, theta, action: TorusAction) -> Ba
 
 def deform_element(a: AlgebraElement, backend_theta: BackendDescriptor) -> AlgebraElement:
     """Coefficient-preserving reinterpretation a -> a_theta."""
-    return AlgebraElement.from_arrays(backend_theta, a.mode_array, a.coeff_array)
+    return AlgebraElement._graded(backend_theta, *_canonical(a.mode_array, a.coeff_array))
 
 
 def deform_calculus(calculus: CalculusSpec, theta, action: TorusAction) -> CalculusSpec:

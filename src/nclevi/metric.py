@@ -23,14 +23,20 @@ from .algebra import (
     MATRIX,
     AlgebraElement,
     BackendDescriptor,
+    _canonical,
     combine,
     contract,
     first_noncentral,
-    lift,
     trace,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare
-from .errors import BackendMismatch, NonCentralResult, NonCommutativeBackend, SingularMetric
+from .errors import (
+    BackendMismatch,
+    NonCentralResult,
+    NonCommutativeBackend,
+    SingularMetric,
+    TruncationOverflow,
+)
 
 # Relative singular-value floor for component-matrix invertibility.
 SV_RATIO_FLOOR = 1e-8
@@ -135,13 +141,14 @@ def central_element(backend: BackendDescriptor, modes: np.ndarray,
     """The central element with these modes; on the matrix backend the one mode () is the scalar."""
     if backend.kind == MATRIX:
         return AlgebraElement.unit(backend) * (coeffs[0] if len(coeffs) else 0.0)
-    return AlgebraElement.from_arrays(backend, modes, coeffs)
+    return AlgebraElement._graded(backend, *_canonical(modes, coeffs))
 
 
 def _central_inverse(components, backend: BackendDescriptor):
     """Invert an n x n array of central elements pointwise on the torus grid.
 
-    Returns (inverse components on a possibly lifted backend, sv_ratio).
+    Returns (inverse components, sv_ratio).  The components are on `backend`
+    and may reach beyond its radius, up to the decay budget.
     """
     n = len(components)
     flat = [el for row in components for el in row]
@@ -161,8 +168,7 @@ def _central_inverse(components, backend: BackendDescriptor):
     reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
     if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
         raise SingularMetric("inverse components decay too slowly for the truncation budget")
-    inv_backend = backend if reach <= backend.radius else backend.with_radius(reach)
-    inv = [central_element(inv_backend, k, c) for k, c in modes]
+    inv = [central_element(backend, k, c) for k, c in modes]
     return [inv[i * n:(i + 1) * n] for i in range(n)], ratio
 
 
@@ -203,9 +209,11 @@ class MetricSpec:
         for i in range(n):
             for j in range(n):
                 comp = rows[i][j]
-                if not comp.backend.same_algebra(be):
+                if comp.backend != be:
                     raise BackendMismatch("metric component on the wrong backend")
-                rows[i][j] = lift(comp, be) if comp.backend != be else comp
+                if comp.support_radius() > be.radius:
+                    raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
+                                             f"radius {be.radius}")
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality
@@ -255,8 +263,6 @@ class MetricSpec:
 
 def metric_eval(g: MetricSpec, t: TensorSquare) -> AlgebraElement:
     """g applied to a tensor square: sum_ij g_ij a_ij."""
-    if not t.backend.same_algebra(g.backend):
-        raise BackendMismatch("tensor square on the wrong backend")
     n = g.rank
     return contract(g.backend, [[(1.0, g.components[i][j], t.coeffs[i][j])
                                  for i in range(n) for j in range(n)]])[0]

@@ -39,7 +39,6 @@ from .algebra import (
     combine,
     contract,
     derive,
-    lift,
     trace,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
@@ -219,13 +218,6 @@ def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> Compat
 # -- Phi_g and its factorized inverse ----------------------------------------
 
 
-def _normalize_components(comp):
-    """Lift an n x n x n component array onto one common truncation window."""
-    entries = [c for p_ in comp for r in p_ for c in r]
-    be = max((c.backend for c in entries), key=lambda b: b.radius)
-    return [[[lift(c, be) for c in r] for r in p_] for p_ in comp]
-
-
 def _range_check_symmetric(calculus: CalculusSpec, comp, what: str) -> None:
     n = calculus.rank
     scale = max((comp[i][j][k].norm() for i in range(n) for j in range(n) for k in range(n)),
@@ -256,7 +248,6 @@ def phi_g_apply(g: MetricSpec, lmap) -> tuple:
     lmap[i][j][k] are the components of L(e_i) = sum e_j (x) e_k L^i_jk, each
     value in Ker(wedge); the output indexes M(e_p (x) e_q) = sum_l e_l M[p][q][l].
     """
-    lmap = _normalize_components(lmap)
     _range_check_symmetric(g.calculus, lmap, "range")
     return tuple(tuple(tuple(r) for r in p_) for p_ in _pi_g(g, lmap))
 
@@ -277,7 +268,6 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
     """
     calculus = g.calculus
     n = calculus.rank
-    mmap = _normalize_components(mmap)
     _range_check_symmetric(calculus, mmap, "domain")
     h = g.inverse_components
     gc = g.components

@@ -23,7 +23,7 @@ from .algebra import (
     wide_mul,
     wide_sum,
 )
-from .calculus import p_sym, random_one_form, random_tensor_square, sigma
+from .calculus import TensorSquare, p_sym, random_one_form, random_tensor_square, sigma
 from .deformation import deform_product
 from .metric import g2_eval, metric_eval, v_g, v_g_inverse, v_g2_matrix
 from .models import Model
@@ -61,7 +61,7 @@ def _worst_norm(elements) -> float:
 
 
 def _worst_difference(pairs) -> float:
-    """max |a - b| over the pairs, whose elements may sit on different windows."""
+    """max |a - b| over the pairs, in one kernel call, whatever the elements' supports."""
     pairs = list(pairs)
     if not pairs:
         return 0.0
@@ -152,7 +152,6 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
         n = spec.rank
         da = spec.d0(a)
         wo_da = [[wide_mul(w.coeffs[i], da.coeffs[k]) for k in range(n)] for i in range(n)]
-        from .calculus import TensorSquare
         rhs = spec.d1(w).right_mul(a) - spec.wedge(TensorSquare(wo_da))
         worst_leib = max(worst_leib, (lhs - rhs).norm())
     out.append(Check("d1 Leibniz", worst_leib, 1e-8))

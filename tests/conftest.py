@@ -48,6 +48,22 @@ def torus2_twisted():
     return torus_bundle(2, 2, theta, radius=4)
 
 
+@pytest.fixture(scope="session")
+def edge_metric():
+    """torus_bundle(3, 2, 0, 4) with g = diag(1, 1, 1 + 0.001 (U_3 + U_3^-1)) and the
+    one-form coefficients (U_1^4, 0, U_3^4) at the truncation edge: the metric's
+    inverse and its products with these reach beyond R = 4."""
+    from nclevi.metric import MetricSpec
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=4)
+    be = model.backend
+    unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+    g33 = unit + AlgebraElement.from_modes(be, {(0, 0, 1): 0.001, (0, 0, -1): 0.001})
+    g = MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero], [zero, zero, g33]])
+    omega = [AlgebraElement.single_mode(be, (4, 0, 0)), zero,
+             AlgebraElement.single_mode(be, (0, 0, 4))]
+    return model, g, omega
+
+
 def max_gamma_norm(conn):
     n = conn.calculus.rank
     return max(conn.gamma[i][j][k].norm() for i in range(n) for j in range(n)

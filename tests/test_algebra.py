@@ -10,7 +10,6 @@ from nclevi.algebra import (
     contract,
     derive,
     is_central,
-    lift,
     mul,
     random_element,
     star,
@@ -18,6 +17,7 @@ from nclevi.algebra import (
     wide_mul,
     wide_sum,
 )
+from nclevi.calculus import OneForm
 from nclevi.deformation import TorusAction, deform_product
 from nclevi.errors import BackendMismatch, NonSkew, TruncationOverflow
 
@@ -25,7 +25,7 @@ TOL = 1e-12
 
 
 def commutator(a, b):
-    """ab - ba in one kernel call, on a window wide enough for both products."""
+    """ab - ba in one kernel call, keeping every mode of both products."""
     return contract(a.backend, [[(1.0, a, b), (-1.0, b, a)]])[0]
 
 
@@ -260,14 +260,19 @@ def test_positive_norm_of_star_square():
     assert p.real >= -TOL and abs(p.imag) <= TOL
 
 
-def test_lift_roundtrip():
+def test_wide_results_stay_in_their_algebra():
+    # an untruncated product is an element of the operands' algebra like any other
     be = graded2(0.3, radius=2)
-    a = AlgebraElement.from_modes(be, {(1, 1): 2.0})
-    big = be.with_radius(5)
-    up = lift(a, big)
-    assert up.backend.radius == 5 and abs(up.coefficient((1, 1)) - 2.0) <= TOL
-    with pytest.raises(TruncationOverflow):
-        lift(AlgebraElement.single_mode(big, (4, 0)), be)
+    a = AlgebraElement.single_mode(be, (2, 0))
+    aa = wide_mul(a, a)
+    assert (aa + a).modes == {(2, 0): 1.0, (4, 0): 1.0}
+    assert OneForm([aa, a]).backend == be
+    assert aa.backend == be and aa.support_radius() == 4
+    # another radius is another algebra
+    other = AlgebraElement.single_mode(graded2(0.3, radius=5), (2, 0))
+    for op in (lambda: a + other, lambda: wide_mul(a, other), lambda: OneForm([a, other])):
+        with pytest.raises(BackendMismatch):
+            op()
 
 
 def test_nonskew_twist_rejected():
@@ -313,11 +318,11 @@ _SMALL = graded2(0.37, radius=3)
 def test_mul_and_wide_mul_match_reference(a, b):
     ref = ref_mul(_GB.theta, a.modes, b.modes)
     assert_matches(mul(a, b), ref)
-    small_a = lift(AlgebraElement.from_modes(_SMALL, a.modes), _SMALL)
+    small_a = AlgebraElement.from_modes(_SMALL, a.modes)
     small_b = AlgebraElement.from_modes(_SMALL, b.modes)
     wide = wide_mul(small_a, small_b)
     assert_matches(wide, ref_mul(_SMALL.theta, a.modes, b.modes))
-    assert wide.backend.radius == max(3, a.support_radius() + b.support_radius())
+    assert wide.backend == _SMALL
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,19 +330,16 @@ def test_mul_and_wide_mul_match_reference(a, b):
        st.lists(st.tuples(coeff, st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=5),
        graded_elements(_SMALL), graded_elements(_SMALL), graded_elements(_SMALL))
 def test_multi_slot_contract_matches_reference(slot1, slot2, x, y, z):
-    # operands on three windows of one algebra; the call takes the smallest
-    big = _SMALL.with_radius(5)
-    ops = [x, lift(y, big), lift(z, _SMALL.with_radius(4)), AlgebraElement.zero(_SMALL)]
+    # operands of support up to 2, 4 and 6, beyond the radius 3
+    ops = [x, wide_mul(x, y), wide_mul(wide_mul(y, z), z), AlgebraElement.zero(_SMALL)]
     slots = [[(c, ops[i], ops[j]) for c, i, j in slot] for slot in (slot1, slot2, [])]
     out = contract(_SMALL, slots)
     assert len(out) == 3
     for slot, el in zip(slots, out):
         want = ref_combine([(c, ref_mul(_SMALL.theta, a.modes, b.modes)) for c, a, b in slot])
         assert_matches(el, want)
-        need = max([3] + [max(a.backend.radius, b.backend.radius,
-                              a.support_radius() + b.support_radius()) for _, a, b in slot])
-        assert el.backend.radius == need
-    assert out[2].modes == {} and out[2].backend == _SMALL
+        assert el.backend == _SMALL
+    assert out[2].modes == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +388,7 @@ def test_overflow_raises_above_dust_and_drops_dust():
 def test_element_arrays_are_read_only():
     be = graded2(0.2, radius=2)
     a = AlgebraElement.from_modes(be, {(1, 0): 2.0, (0, -1): 1j})
-    for el in (a, mul(a, a), a + a, star(a), a * 2.0, lift(a, be.with_radius(3))):
+    for el in (a, mul(a, a), a + a, star(a), a * 2.0, wide_mul(mul(a, a), a)):
         with pytest.raises(ValueError):
             el.mode_array[0, 0] = 7
         with pytest.raises(ValueError):

@@ -198,6 +198,18 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert json.loads(out)["error"] == "ValueError"
 
 
+def test_solve_takes_no_seed(capsys, tmp_path):
+    # solve draws nothing at random, so it has no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", "heisenberg", "--seed", "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "heisenberg", "seed": 1}))
+    code, out, err = run_cli(capsys, ["solve", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown config key 'seed'" in json.loads(out)["detail"]
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     # a ValueError raised after the input has been read is a bug, not exit 2
     def broken(*args, **kwargs):

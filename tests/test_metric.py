@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
-from nclevi.calculus import TensorSquare, random_one_form, random_tensor_square, sigma
-from nclevi.errors import NonCentralResult, SingularMetric
+from nclevi.calculus import OneForm, TensorSquare, random_one_form, random_tensor_square, sigma
+from nclevi.errors import NonCentralResult, SingularMetric, TruncationOverflow
 from nclevi.metric import (
     CanonicalMetricData,
     Functional,
@@ -76,15 +76,29 @@ def test_v_g_inverse_diagonal(fuzzy1):
     assert w.coeffs[1].norm() <= TOL
 
 
-def test_v_g_roundtrips(fuzzy1, torus_comm):
+def test_v_g_roundtrips(fuzzy1, torus_comm, edge_metric):
     rng = np.random.default_rng(2)
-    for model in (fuzzy1, torus_comm):
-        spec, g = model.calculus, model.metric
-        for _ in range(10):
-            w = random_one_form(spec, rng)
-            back = v_g_inverse(g, v_g(g, w))
-            assert max(wide_sum([a, -b]).norm()
-                       for a, b in zip(back.coeffs, w.coeffs)) <= 1e-9
+    cases = [(model.metric, random_one_form(model.calculus, rng))
+             for model in (fuzzy1, torus_comm) for _ in range(10)]
+    # the inverse reaches beyond R, and so do its products with edge modes
+    _, edge_g, edge_omega = edge_metric
+    cases.append((edge_g, OneForm(edge_omega)))
+    for g, w in cases:
+        back = v_g_inverse(g, v_g(g, w))
+        assert max(wide_sum([a, -b]).norm()
+                   for a, b in zip(back.coeffs, w.coeffs)) <= 1e-9
+
+
+def test_component_beyond_radius_overflows(edge_metric):
+    # a component must lie in the truncated algebra, however it was computed
+    model, _, omega = edge_metric
+    be = model.backend
+    wide = wide_mul(omega[2], AlgebraElement.single_mode(be, (0, 0, 1)))
+    assert wide.backend == be and wide.support_radius() == be.radius + 1
+    unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+    with pytest.raises(TruncationOverflow):
+        MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
+                                    [zero, zero, unit + wide * 1e-3]])
 
 
 def test_singular_metric_zero_row(fuzzy1):

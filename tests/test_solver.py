@@ -204,6 +204,17 @@ def test_pi_g_zero_connection(fuzzy1):
     assert max(pi[i][j].norm() for i in range(3) for j in range(3)) <= TOL
 
 
+def test_pi_g_of_levi_civita_is_dg_at_the_edge(edge_metric):
+    # the products g_kj Gamma^i_kl reach beyond R; every entry is still one one-form
+    model, g, _ = edge_metric
+    spec = model.calculus
+    pi = pi_g_basis(g, levi_civita(spec, g).connection)
+    dg = _metric_derivatives(spec, g)
+    worst = max(wide_sum([pi[i][j].coeffs[l], -dg[i][j][l]]).norm()
+                for i in range(3) for j in range(3) for l in range(3))
+    assert worst <= 1e-10
+
+
 def test_compat_residual_zero_connection_nonconstant_metric(torus_comm):
     spec = torus_comm.calculus
     be = spec.backend
