@@ -13,7 +13,6 @@ from .algebra import (
     BackendDescriptor,
     DerivationSpec,
     derive,
-    is_central,
     mul,
     star,
     trace,
@@ -28,7 +27,6 @@ from .calculus import (
 )
 from .deformation import (
     TorusAction,
-    bicharacter,
     deform_connection,
     deform_product,
     spectral_decompose,

@@ -159,6 +159,13 @@ class AlgebraElement:
             np.array([complex(v) for v in modes.values()], dtype=complex))
 
     @classmethod
+    def _matrix(cls, backend: BackendDescriptor, mat: np.ndarray) -> "AlgebraElement":
+        """Wrap a fresh complex N x N array read-only, without a copy or checks."""
+        out = object.__new__(cls)
+        out.backend, out._mat, out._k, out._c, out._rad = backend, _frozen(mat), None, None, 0
+        return out
+
+    @classmethod
     def _graded(cls, backend: BackendDescriptor, k: np.ndarray, c: np.ndarray,
                 rad: Optional[int] = None) -> "AlgebraElement":
         """Wrap canonical read-only arrays (sorted, no repeats, no zeros) without checks."""
@@ -171,14 +178,14 @@ class AlgebraElement:
     @classmethod
     def zero(cls, backend: BackendDescriptor) -> "AlgebraElement":
         if backend.kind == MATRIX:
-            return cls(backend, mat=np.zeros((backend.size, backend.size), dtype=complex))
+            return cls._matrix(backend, np.zeros((backend.size, backend.size), dtype=complex))
         return cls._graded(backend, _frozen(np.zeros((0, backend.dim), dtype=np.int64)),
                            _frozen(np.zeros(0, dtype=complex)), 0)
 
     @classmethod
     def unit(cls, backend: BackendDescriptor) -> "AlgebraElement":
         if backend.kind == MATRIX:
-            return cls(backend, mat=np.eye(backend.size, dtype=complex))
+            return cls._matrix(backend, np.eye(backend.size, dtype=complex))
         return cls._graded(backend, _frozen(np.zeros((1, backend.dim), dtype=np.int64)),
                            _frozen(np.ones(1, dtype=complex)), 0)
 
@@ -189,17 +196,6 @@ class AlgebraElement:
     @classmethod
     def from_modes(cls, backend: BackendDescriptor, modes: Mapping) -> "AlgebraElement":
         return cls(backend, modes=modes)
-
-    @classmethod
-    def from_arrays(cls, backend: BackendDescriptor, modes, coeffs) -> "AlgebraElement":
-        """The graded element with integer modes (K, t) and coefficients (K,), in any order."""
-        k = np.asarray(modes)
-        if k.ndim != 2 or k.shape[1] != backend.dim or not np.issubdtype(k.dtype, np.integer):
-            raise ValueError(f"modes must be an integer array of shape (K, {backend.dim})")
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (len(k),):
-            raise ValueError("need one coefficient per mode")
-        return cls._graded(backend, *_truncated(backend, k.astype(np.int64), c))
 
     @classmethod
     def single_mode(cls, backend: BackendDescriptor, mode: Sequence[int], coeff: complex = 1.0) -> "AlgebraElement":
@@ -266,7 +262,7 @@ class AlgebraElement:
             return mul(self, other)
         z = complex(other)
         if self.backend.kind == MATRIX:
-            return AlgebraElement(self.backend, mat=self._mat * z)
+            return AlgebraElement._matrix(self.backend, self._mat * z)
         c = self._c * z
         nz = c != 0.0
         if nz.all():
@@ -312,7 +308,7 @@ def contract(backend: BackendDescriptor,
                 _check_algebra(backend, a, b)
                 prod = a._mat @ b._mat
                 acc = acc + (prod if c == 1.0 else prod * c)
-            out.append(AlgebraElement(backend, mat=acc))
+            out.append(AlgebraElement._matrix(backend, acc))
         return out
     return _graded_contract(backend, slots)
 
@@ -433,7 +429,7 @@ def combine(backend: BackendDescriptor,
             for c, a in terms:
                 _check_algebra(backend, a)
                 acc = acc + (a._mat if c == 1.0 else a._mat * c)
-            out.append(AlgebraElement(backend, mat=acc))
+            out.append(AlgebraElement._matrix(backend, acc))
         return out
     unit = AlgebraElement.unit(backend)
     return contract(backend, [[(c, a, unit) for c, a in terms] for terms in slots])
@@ -562,14 +558,10 @@ def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
     return combine(elements[0].backend, [[(1.0, e) for e in elements]])[0]
 
 
-def is_central(a: AlgebraElement, generators: Iterable[AlgebraElement]) -> bool:
-    """Generator-based centrality test: max |[a, g]| <= DEFAULT_TOL over the given generators."""
-    return first_noncentral([a], generators) is None
-
-
 def first_noncentral(elements: Sequence[AlgebraElement],
                      generators: Iterable[AlgebraElement]) -> Optional[int]:
-    """Index of the first element failing `is_central`, or None if every one passes.
+    """Index of the first element with max |[a, g]| > DEFAULT_TOL over the
+    generators, or None if every element is central.
 
     The commutators of every element with every generator come from one kernel call.
     """

@@ -37,7 +37,7 @@ from .models import (
     torus_bundle,
 )
 from .serialize import decode_metric, encode_metric, solve_report
-from .solver import koszul_oracle, levi_civita
+from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
 _VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge)
@@ -77,12 +77,12 @@ def _parse_theta(text, size: int) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _default_tol(args, default: float = 1e-10) -> float:
-    """--tol if given, else NCLEVI_TOL if set, else the command's default."""
+def _default_tol(args) -> float:
+    """--tol if given, else NCLEVI_TOL if set, else the solver's 1e-10."""
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("NCLEVI_TOL")
-    return float(env) if env else default
+    return float(env) if env else DEFAULT_RESIDUAL_TOL
 
 
 def _build_model(name: str, args) -> Model:
@@ -150,7 +150,7 @@ def _read_deform(args) -> tuple:
     theta = _parse_theta(args.theta, args.deformed)
     extra = _parse_theta(args.extra_theta, args.deformed)
     model = torus_bundle(args.dims, args.deformed, theta, args.radius)
-    return model, theta, extra, _default_tol(args, 1e-8)
+    return model, theta, extra, _default_tol(args)
 
 
 def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: float) -> int:
@@ -179,7 +179,7 @@ def _read_oracle_compare(args) -> tuple:
     # metric sampler vary along it, so the comparison is not vacuous
     free = max(1, args.dims - 1)
     model = torus_bundle(args.dims, free, np.zeros((free, free)), args.radius)
-    return model, _default_tol(args, 1e-8)
+    return model, _default_tol(args)
 
 
 def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--radius", type=int, default=3)
     dp.add_argument("--seed", type=int, default=0)
     dp.add_argument("--tol", type=float, default=None,
-                    help="residual tolerance of both solves (default: NCLEVI_TOL, else 1e-8)")
+                    help="residual tolerance of both solves (default: NCLEVI_TOL, else 1e-10)")
     dp.add_argument("--out", default=None)
     dp.set_defaults(read=_read_deform, func=_cmd_deform)
 
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--metrics", type=int, default=5)
     op.add_argument("--seed", type=int, default=0)
     op.add_argument("--tol", type=float, default=None,
-                    help="residual tolerance of each solve (default: NCLEVI_TOL, else 1e-8)")
+                    help="residual tolerance of each solve (default: NCLEVI_TOL, else 1e-10)")
     op.add_argument("--out", default=None)
     op.set_defaults(read=_read_oracle_compare, func=_cmd_oracle_compare)
     return parser

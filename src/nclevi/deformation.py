@@ -26,7 +26,12 @@ from .algebra import (
 from .calculus import CalculusSpec
 from .errors import BackendMismatch, Inconsistent, NonSkew
 from .metric import MetricSpec
-from .solver import ConnectionCoeffs, compat_residual, torsion_residual
+from .solver import (
+    DEFAULT_RESIDUAL_TOL,
+    ConnectionCoeffs,
+    compat_residual,
+    torsion_residual,
+)
 
 
 def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
@@ -40,14 +45,6 @@ def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
     if dev > 1e-14:
         raise NonSkew(f"deformation matrix is not skew-symmetric: |theta + theta^T| = {dev:.3e}")
     return th
-
-
-def bicharacter(theta, k: Sequence[int], l: Sequence[int]) -> complex:
-    """chi_theta(k, l) = e^{pi i <k, theta l>}; unit modulus, chi(k,l) chi(l,k) = 1."""
-    th = require_skew(theta)
-    ka = np.asarray(k, dtype=float)
-    la = np.asarray(l, dtype=float)
-    return complex(np.exp(1j * np.pi * float(ka @ th @ la)))
 
 
 def embed_theta(theta, dim: int, coords: Sequence[int]) -> np.ndarray:
@@ -147,9 +144,12 @@ class DeformedConnection:
 
 
 def deform_connection(calculus: CalculusSpec, nabla: ConnectionCoeffs, g: MetricSpec,
-                      theta, action: TorusAction,
-                      residual_tol: float = 1e-9) -> DeformedConnection:
-    """Deform (nabla, g) and certify torsion-lessness and compatibility in the new calculus."""
+                      theta, action: TorusAction) -> DeformedConnection:
+    """Deform (nabla, g) and certify torsion-lessness and compatibility in the new calculus.
+
+    The certificates must pass the solver's DEFAULT_RESIDUAL_TOL, relative to
+    the largest Christoffel coefficient.
+    """
     calc_t = deform_calculus(calculus, theta, action)
     g_t = deform_metric(g, calc_t)
     n = calculus.rank
@@ -160,7 +160,7 @@ def deform_connection(calculus: CalculusSpec, nabla: ConnectionCoeffs, g: Metric
     cres = compat_residual(g_t, nab_t).max_norm
     scale = max(1.0, max(nab_t.gamma[i][j][k].norm()
                          for i in range(n) for j in range(n) for k in range(n)))
-    if max(tres, cres) > residual_tol * scale:
+    if max(tres, cres) > DEFAULT_RESIDUAL_TOL * scale:
         raise Inconsistent(
             f"deformed connection fails its certificates "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")

@@ -7,7 +7,7 @@ graded backend components are Fourier polynomials over the untwisted
 coordinates.  `TorusGrid` moves central data between modes and values on a
 torus grid (one point, read through the trace, for constant data); inverses
 are computed on it pointwise and read back by FFT with an explicit decay
-budget, and the Levi-Civita solver runs on the same grid.
+budget, and the Levi-Civita solver runs on a grid sized by the metric.
 """
 
 from __future__ import annotations
@@ -237,11 +237,6 @@ class MetricSpec:
     @property
     def backend(self) -> BackendDescriptor:
         return self.calculus.backend
-
-    def component_scalars(self) -> np.ndarray:
-        """Scalar parts of the components (exact for constant metrics)."""
-        n = self.rank
-        return np.array([[trace(self.components[i][j]) for j in range(n)] for i in range(n)])
 
     @classmethod
     def delta(cls, calculus: CalculusSpec) -> "MetricSpec":

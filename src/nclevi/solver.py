@@ -16,8 +16,10 @@ fixes the antisymmetric part of each Gamma^i once for the whole grid; what
 compatibility must fix per point is a square system of n^2 (n+1)/2 equations
 when the wedge rank is n(n-1)/2, and fewer equations than unknowns (NonUnique)
 otherwise.  The kernel certificate is the smallest per-point singular-value
-ratio of that reduced operator; one batched solve gives the solution, which is
-read back to the Fourier modes of sup-norm <= R.  Metrics whose modes multiply
+ratio of that reduced operator; one batched solve gives the solution.  Gamma
+is built from g^{-1} and dg, so the grid is sized by the metric, not by the
+truncation radius: 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate read
+every mode of Gamma back by FFT, with no clip.  Metrics whose modes multiply
 with a sign (<s, theta s'> odd) never reach the solver: MetricSpec refuses
 them with NonCommutativeBackend.
 """
@@ -323,7 +325,11 @@ def _torsion_free_part(calculus: CalculusSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
                      dg: list) -> Tuple[TorusGrid, np.ndarray, float, float, Tuple[int, int]]:
-    """Torsion = 0 and Pi_g(nabla) = dg at each point of the (4R+1)^d grid.
+    """Torsion = 0 and Pi_g(nabla) = dg at each point of the grid sized by the metric.
+
+    The grid has 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate the
+    metric varies along, a reach being the largest support radius of the
+    components, so no mode of Gamma within that reach aliases.
 
     Torsion is scalar, so it is removed once: Gamma = Gamma_p + (I_n (x) ker c) y
     leaves n (n^2 - m) unknowns per point.  Compatibility rows (i, j, l) and
@@ -347,7 +353,9 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
         raise NonUnique(f"torsion leaves {n * q} unknowns per point against "
                         f"{size} compatibility equations")
     comps = [c for row in g.components for c in row]
-    grid = TorusGrid(central_coords(comps), 4 * calculus.backend.radius + 1)
+    reach = (max(c.support_radius() for row in g.inverse_components for c in row)
+             + max(c.support_radius() for c in comps))
+    grid = TorusGrid(central_coords(comps), 2 * reach + 1)
     gpts = grid.sample(comps).T.reshape(-1, n, n)
     dgpts = grid.sample([d for plane in dg for row in plane for d in row]).T.reshape(
         -1, n, n, n)
@@ -392,10 +400,10 @@ class LeviCivitaResult:
 
     sv_ratio is the smallest singular-value ratio, over the solve grid, of the
     reduced square compatibility operator left once torsion is removed;
-    lstsq_residual is the largest residual of the pointwise solve over every
-    torsion and compatibility row (0 on the phi route).  stats holds the grid
-    points, the equations and unknowns per point, and the seconds spent in the
-    pointwise core, the read-back to modes (0 on the phi route) and the
+    pointwise_residual is the largest residual of the pointwise solve over
+    every torsion and compatibility row (0 on the phi route).  stats holds the
+    grid points, the equations and unknowns per point, and the seconds spent
+    in the pointwise core, the read-back to modes (0 on the phi route) and the
     residual gates.
     """
 
@@ -404,20 +412,17 @@ class LeviCivitaResult:
     compat_residual: float
     sv_ratio: float
     route: str
-    lstsq_residual: float
+    pointwise_residual: float
     stats: dict
     route_difference: Optional[float] = None
 
 
 def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid,
                          x: np.ndarray) -> ConnectionCoeffs:
-    """Christoffel coefficients from grid values, keeping the modes of sup-norm <= R."""
+    """Christoffel coefficients from grid values: every mode above the 1e-16 floor."""
     n = calculus.rank
     be = calculus.backend
-    flat = []
-    for k, c in grid.read_back(x.T, be.dim, 1e-16):
-        inside = np.abs(k).max(axis=1, initial=0) <= be.radius
-        flat.append(central_element(be, k[inside], c[inside]))
+    flat = [central_element(be, k, c) for k, c in grid.read_back(x.T, be.dim, 1e-16)]
     return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
                                         for j in range(n)] for i in range(n)])
 
@@ -426,18 +431,19 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
                 residual_tol: float = DEFAULT_RESIDUAL_TOL) -> LeviCivitaResult:
     """The unique torsion-less, metric-compatible connection, with certificates.
 
-    route "direct": per-point square solve on the torus grid, read back
-    to modes of sup-norm <= R, the backend radius; route "phi": nabla_0 +
-    Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run both, report the direct
-    result with their componentwise disagreement attached.  Every route runs
-    the pointwise kernel certificate first.
+    route "direct": per-point square solve on a torus grid sized by the
+    metric, read back to every mode of Gamma whatever the backend radius;
+    route "phi": nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)); route "both": run
+    both, report the direct result with their componentwise disagreement
+    attached.  Every route runs the pointwise kernel certificate first, and
+    the torsion and compatibility gates decide every route's answer.
     """
     if route not in ("direct", "phi", "both"):
         raise ValueError(f"unknown route {route!r}")
     n = calculus.rank
     start = time.perf_counter()
     dg = _metric_derivatives(calculus, g)
-    grid, x, sv_ratio, lstsq_res, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
+    grid, x, sv_ratio, pointwise_res, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
     seconds = {"core_s": time.perf_counter() - start, "readback_s": 0.0}
 
     def solve_phi() -> ConnectionCoeffs:
@@ -450,7 +456,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
 
     diff: Optional[float] = None
     if route == "phi":
-        nabla, lstsq_res = solve_phi(), 0.0
+        nabla, pointwise_res = solve_phi(), 0.0
     else:
         start = time.perf_counter()
         nabla = _gamma_from_solution(calculus, grid, x)
@@ -472,7 +478,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     stats = {"grid_points": grid.points, "equations": equations, "unknowns": unknowns,
              **seconds}
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
-                            sv_ratio=sv_ratio, route=route, lstsq_residual=lstsq_res,
+                            sv_ratio=sv_ratio, route=route, pointwise_residual=pointwise_res,
                             stats=stats, route_difference=diff)
 
 

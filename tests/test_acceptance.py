@@ -131,7 +131,7 @@ def test_criterion_5_deformation_commutes_with_levi_civita():
         require_skew(extra)
         base = levi_civita(model.calculus, g, route="direct", residual_tol=1e-8)
         deformed = deform_connection(model.calculus, base.connection, g, extra,
-                                     model.action, residual_tol=1e-8)
+                                     model.action)
         resolved = levi_civita(deformed.calculus, deformed.metric, route="both",
                                residual_tol=1e-8)
         worst = max(worst, resolved.connection.difference_norm(deformed.connection))

@@ -9,7 +9,7 @@ from nclevi.algebra import (
     DerivationSpec,
     contract,
     derive,
-    is_central,
+    first_noncentral,
     mul,
     random_element,
     star,
@@ -171,8 +171,8 @@ def test_is_central_examples(paulis):
     s1, s2, s3 = paulis
     be = s1.backend
     one = AlgebraElement.unit(be)
-    assert is_central(one, paulis)
-    assert not is_central(s1, paulis)
+    assert first_noncentral([one], paulis) is None
+    assert first_noncentral([s1], paulis) is not None
 
 
 def test_partial_twist_center():
@@ -184,8 +184,8 @@ def test_partial_twist_center():
             for m in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
     u3 = AlgebraElement.single_mode(be, (0, 0, 1))
     u1 = AlgebraElement.single_mode(be, (1, 0, 0))
-    assert is_central(u3, gens)
-    assert not is_central(u1, gens)
+    assert first_noncentral([u3], gens) is None
+    assert first_noncentral([u1], gens) is not None
 
 
 # -- laws (property style) ------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_empty_element():
                empty + empty, derive(DerivationSpec.grading(0), empty), a * 0.0):
         assert el.modes == {} and el.mode_array.shape == (0, 2) and el.norm() == 0.0
     assert trace(empty) == 0.0 and empty.support_radius() == 0
-    assert commutator(empty, a).norm() == 0.0 and is_central(empty, [a])
+    assert commutator(empty, a).norm() == 0.0 and first_noncentral([empty], [a]) is None
 
 
 def test_overflow_raises_above_dust_and_drops_dust():

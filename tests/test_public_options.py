@@ -22,7 +22,6 @@ PINNED = {
     "LeviCivitaResult": {"route_difference": "None"},
     "Model": {"action": "None", "params": "<factory>"},
     "TorusAction": {"coords": "()"},
-    "deform_connection": {"residual_tol": "1e-09"},
     "levi_civita": {"route": "'direct'", "residual_tol": "1e-10"},
     # samplers and the algebra suite, outside nclevi.__all__
     "random_element": {"radius": "1"},
