@@ -36,7 +36,7 @@ from .models import (
     random_central_metric,
     torus_bundle,
 )
-from .serialize import decode_metric, encode_metric, solve_report
+from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_report_text
 from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
@@ -96,9 +96,13 @@ def _build_model(name: str, args) -> Model:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _emit(report: dict, args, summary: str) -> None:
+def _dumps(report: dict) -> str:
     # no indent: with indent set, json falls back from its C encoder to pure Python
-    text = json.dumps(report, sort_keys=True)
+    return json.dumps(report, sort_keys=True)
+
+
+def _emit(text: str, args, summary: str) -> None:
+    """Write one line of JSON text to --out or stdout, and the summary to stderr."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -119,8 +123,8 @@ def _read_solve(args) -> tuple:
 
 def _cmd_solve(args, model: Model, g, source: str, tol: float) -> int:
     result = levi_civita(model.calculus, g, route=args.route, residual_tol=tol)
-    report = solve_report(result, model.name, source)
-    _emit(report, args, f"solved {model.name}: torsion {result.torsion_residual:.2e}, "
+    text = solve_report_text(result, model.name, source)
+    _emit(text, args, f"solved {model.name}: torsion {result.torsion_residual:.2e}, "
                         f"compatibility {result.compat_residual:.2e}")
     return 0
 
@@ -131,7 +135,7 @@ def _read_verify(args) -> tuple:
 
 
 def _cmd_verify(args, models: List[Model], tol: float) -> int:
-    report = {"schema_version": 1, "results": {}}
+    report = {"schema_version": SCHEMA_VERSION, "results": {}}
     ok = True
     for model in models:
         checks = verify_model(model, seed=args.seed, residual_tol=tol)
@@ -142,7 +146,7 @@ def _cmd_verify(args, models: List[Model], tol: float) -> int:
             print(f"{model.name}: {c.line()}", file=sys.stderr)
         ok = ok and all(c.passed for c in checks)
     report["passed"] = ok
-    _emit(report, args, "verification " + ("passed" if ok else "FAILED"))
+    _emit(_dumps(report), args, "verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
 
@@ -161,7 +165,7 @@ def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: f
                            residual_tol=tol)
     diff = resolved.connection.difference_norm(deformed.connection)
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "model": model.name,
         "theta": [[float(x) for x in row] for row in theta],
         "extra_theta": [[float(x) for x in row] for row in extra],
@@ -170,7 +174,7 @@ def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: f
         "commutation_difference": diff,
         "metric": encode_metric(g),
     }
-    _emit(report, args, f"deformation commutes with the solver to {diff:.2e}")
+    _emit(_dumps(report), args, f"deformation commutes with the solver to {diff:.2e}")
     return 0 if diff <= 1e-8 else 1
 
 
@@ -194,9 +198,9 @@ def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
         worst = max(worst, diff)
         rows.append({"trial": trial, "difference": diff,
                      "route_difference": result.route_difference})
-    report = {"schema_version": 1, "model": model.name, "trials": rows,
+    report = {"schema_version": SCHEMA_VERSION, "model": model.name, "trials": rows,
               "max_difference": worst}
-    _emit(report, args, f"solver vs classical oracle: max difference {worst:.2e}")
+    _emit(_dumps(report), args, f"solver vs classical oracle: max difference {worst:.2e}")
     return 0 if worst <= 1e-8 else 1
 
 

@@ -239,13 +239,6 @@ class MetricSpec:
         return self.calculus.backend
 
     @classmethod
-    def delta(cls, calculus: CalculusSpec) -> "MetricSpec":
-        n = calculus.rank
-        unit = AlgebraElement.unit(calculus.backend)
-        zero = AlgebraElement.zero(calculus.backend)
-        return cls(calculus, [[unit if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_scalar_matrix(cls, calculus: CalculusSpec, gmat) -> "MetricSpec":
         g = np.asarray(gmat, dtype=complex)
         unit = AlgebraElement.unit(calculus.backend)

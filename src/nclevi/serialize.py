@@ -2,9 +2,16 @@
 
 Complex numbers are [re, im] pairs throughout; graded elements list their
 modes in sorted order so documents are deterministic.
+
+A solve report is written to text directly by ``solve_report_text``: each
+distinct value of a matrix-backend Christoffel entry is spelt once, and the
+text is byte-identical to ``json.dumps(solve_report(...), sort_keys=True)``.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -25,9 +32,50 @@ def _pairs(z: np.ndarray) -> list:
     return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
+def _float_text(x: float) -> str:
+    """x as json.dumps spells it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _distinct(bits: np.ndarray) -> tuple:
+    """The distinct values of an integer array and each entry's index among them."""
+    values, codes = np.unique(bits, return_inverse=True)
+    return values, codes.reshape(bits.shape)
+
+
+def _matrix_text(z: np.ndarray) -> str:
+    """json.dumps(_pairs(z)) for a complex matrix, each distinct value spelt once.
+
+    Values are told apart by their bit patterns, so -0.0 stays apart from 0.0.
+    """
+    re_bits, re_codes = _distinct(z.real.view(np.uint64))
+    im_bits, im_codes = _distinct(z.imag.view(np.uint64))
+    pairs, codes = _distinct(re_codes * len(im_bits) + im_codes)
+    re_text = [_float_text(x) for x in re_bits.view(float).tolist()]
+    im_text = [_float_text(x) for x in im_bits.view(float).tolist()]
+    pair_text = np.array([f"[{re_text[r]}, {im_text[i]}]"
+                          for r, i in (divmod(p, len(im_bits)) for p in pairs.tolist())],
+                         dtype=object)
+    rows = pair_text[codes].tolist()
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+
+def _object_text(doc: dict, raw_key: str) -> str:
+    """json.dumps(doc, sort_keys=True), with doc[raw_key] already JSON text."""
+    return "{" + ", ".join(
+        f"{json.dumps(k)}: {v if k == raw_key else json.dumps(v, sort_keys=True)}"
+        for k, v in sorted(doc.items())) + "}"
+
+
+def _matrix_doc(entries) -> dict:
+    return {"kind": MATRIX, "entries": entries}
+
+
 def encode_element(a: AlgebraElement) -> dict:
     if a.backend.kind == MATRIX:
-        return {"kind": MATRIX, "entries": _pairs(a.matrix)}
+        return _matrix_doc(_pairs(a.matrix))
     # mode_array is already in lexicographic order, the order of sorted(a.modes)
     terms = [list(t) for t in zip(a.mode_array.tolist(), _pairs(a.coeff_array))]
     return {"kind": GRADED, "terms": terms}
@@ -67,13 +115,21 @@ def encode_connection(nabla: ConnectionCoeffs) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) -> dict:
+def _element_text(a: AlgebraElement) -> str:
+    if a.backend.kind == MATRIX:
+        return _object_text(_matrix_doc(_matrix_text(a.matrix)), "entries")
+    return json.dumps(encode_element(a), sort_keys=True)
+
+
+def _report_doc(result: LeviCivitaResult, model_name: str, metric_source: str,
+                gamma) -> dict:
+    """The solve report's fields, around a Christoffel array encoded by the caller."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": model_name,
         "metric": metric_source,
         "route": result.route,
-        "gamma": encode_connection(result.connection),
+        "gamma": gamma,
         "torsion_residual": result.torsion_residual,
         "compat_residual": result.compat_residual,
         "min_singular_value": result.sv_ratio,
@@ -83,3 +139,15 @@ def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) 
     if result.route_difference is not None:
         report["route_difference"] = result.route_difference
     return report
+
+
+def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) -> dict:
+    return _report_doc(result, model_name, metric_source, encode_connection(result.connection))
+
+
+def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
+    """json.dumps(solve_report(...), sort_keys=True), byte for byte, written directly."""
+    gamma = "[" + ", ".join(
+        "[" + ", ".join("[" + ", ".join(_element_text(a) for a in row) + "]" for row in plane)
+        + "]" for plane in result.connection.gamma) + "]"
+    return _object_text(_report_doc(result, model_name, metric_source, gamma), "gamma")

@@ -71,12 +71,6 @@ class ConnectionCoeffs:
         self.gamma = rows
 
     @classmethod
-    def zero(cls, calculus: CalculusSpec) -> "ConnectionCoeffs":
-        z = AlgebraElement.zero(calculus.backend)
-        n = calculus.rank
-        return cls(calculus, [[[z] * n for _ in range(n)] for _ in range(n)])
-
-    @classmethod
     def from_scalars(cls, calculus: CalculusSpec, arr) -> "ConnectionCoeffs":
         a = np.asarray(arr, dtype=complex)
         unit = AlgebraElement.unit(calculus.backend)

@@ -10,6 +10,8 @@ from nclevi.cli import main
 from nclevi.metric import MetricSpec
 from nclevi.models import torus_bundle
 from nclevi.serialize import (
+    _matrix_text,
+    _pairs,
     decode_element,
     decode_metric,
     encode_element,
@@ -162,7 +164,7 @@ def test_verify_runs_green(capsys):
 
 def test_singular_metric_exits_one(capsys, tmp_path):
     model = torus_bundle(3, 2, np.zeros((2, 2)), radius=2)
-    g = MetricSpec.delta(model.calculus)
+    g = MetricSpec.from_scalar_matrix(model.calculus, np.eye(3))
     doc = encode_metric(g)
     doc["components"][2][2]["terms"] = []      # zero out g_33: singular
     path = tmp_path / "bad.json"
@@ -310,6 +312,24 @@ def test_encode_element_matches_reference(fuzzy1, torus_twisted):
         assert_same_content(json.loads(json.dumps(encode_element(a))), reference_element(a))
 
 
+def _special_values_matrix():
+    """Signed zeros, a subnormal, infinities, NaN and repeated values."""
+    z = np.full((4, 5), complex(0.5, -0.0))
+    z[0] = [complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), 5e-324, -5e-324]
+    z[1, :3] = [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-np.inf, np.nan)]
+    z[2] = [0.1 + 0.2j, 1e300 - 1e-300j, 0.1 + 0.2j, 2.0 ** -1074 * 3, -0.0 + 1j]
+    return z
+
+
+@pytest.mark.parametrize("case", ["special", "distinct", "one-value"])
+def test_matrix_text_matches_json_dumps(case):
+    rng = np.random.default_rng(4)
+    z = {"special": _special_values_matrix,
+         "distinct": lambda: rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+         "one-value": lambda: np.full((3, 3), complex(-0.0, 0.5))}[case]()
+    assert _matrix_text(z) == json.dumps(_pairs(z))
+
+
 @pytest.fixture
 def solved(monkeypatch):
     """Every (metric, result) pair the CLI's solver calls produce."""
@@ -340,10 +360,14 @@ def _twisted_metric_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case", ["fuzzy-sphere", "heisenberg", "twisted-torus"])
+@pytest.mark.parametrize("case", ["fuzzy-sphere", "fuzzy-sphere-phi", "heisenberg",
+                                  "twisted-torus"])
 def test_solve_report_matches_reference_encoding(capsys, tmp_path, solved, case):
     if case == "fuzzy-sphere":
         argv, name, source = ["solve", "--model", "fuzzy-sphere", "--k", "2"], case, "default"
+    elif case == "fuzzy-sphere-phi":
+        argv = ["solve", "--model", "fuzzy-sphere", "--k", "2", "--route", "phi"]
+        name, source = "fuzzy-sphere", "default"
     elif case == "heisenberg":
         argv, name, source = ["solve", "--model", "heisenberg"], case, "default"
     else:
@@ -356,7 +380,9 @@ def test_solve_report_matches_reference_encoding(capsys, tmp_path, solved, case)
     assert out.endswith("\n") and out.count("\n") == 1, "stdout is not one JSON line"
     [(_, result)] = solved
     report = json.loads(out)
-    assert_same_content(report, reference_report(result, name, source))
+    want = reference_report(result, name, source)
+    assert_same_content(report, want)
+    assert out == json.dumps(want, sort_keys=True) + "\n"
     if case == "twisted-torus":
         assert any(el["terms"] for plane in report["gamma"] for row in plane for el in row)
 

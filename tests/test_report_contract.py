@@ -32,9 +32,11 @@ def _solve(tmp_path, *argv):
     return str(path)
 
 
-def test_fuzzy_sphere_report_reads_and_checks(perfbench, tmp_path):
+@pytest.mark.parametrize("route", ["direct", "phi", "both"])
+def test_fuzzy_sphere_report_reads_and_checks(perfbench, tmp_path, route):
     workloads, checker = perfbench
-    gamma = workloads.read_report_gamma(_solve(tmp_path, "--model", "fuzzy-sphere", "--k", "1"))
+    gamma = workloads.read_report_gamma(_solve(tmp_path, "--model", "fuzzy-sphere", "--k", "1",
+                                               "--route", route))
     assert gamma.shape == (3, 3, 3, 5, 5)
     checker.check_fuzzy_sphere(gamma)
     with pytest.raises(checker.CheckFailed):

@@ -41,6 +41,10 @@ for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     EPS[_i, _k, _j] = -1.0
 
 
+def zero_connection(spec):
+    return ConnectionCoeffs.from_scalars(spec, np.zeros((spec.rank,) * 3))
+
+
 def brute_force_heisenberg_gamma():
     """Independent 27-unknown solve of {antisymmetry} u {torsion with C^3_12 = 1}.
 
@@ -97,7 +101,7 @@ def test_brute_force_matches_hand_computation():
 
 def test_apply_connection_pure_leibniz(torus_comm):
     spec = torus_comm.calculus
-    nab = ConnectionCoeffs.zero(spec)
+    nab = zero_connection(spec)
     rng = np.random.default_rng(0)
     a = random_element(spec.backend, rng)
     w = spec.basis_one_form(0).right_mul(a)
@@ -142,14 +146,14 @@ def test_torsion_examples(fuzzy1, torus_comm):
     spec = fuzzy1.calculus
     lc = ConnectionCoeffs.from_scalars(spec, 0.5j * EPS)
     assert torsion_residual(lc) <= TOL
-    zero = ConnectionCoeffs.zero(spec)
+    zero = zero_connection(spec)
     tz = torsion(zero)
     unit = AlgebraElement.unit(spec.backend)
     for i in range(3):
         # with Gamma = 0 the torsion is d(e_i), the exterior-constant column
         d = tz[i] - TwoForm([unit * c for c in spec.exterior_constants[:, i]])
         assert d.norm() <= TOL
-    assert torsion_residual(ConnectionCoeffs.zero(torus_comm.calculus)) <= TOL
+    assert torsion_residual(zero_connection(torus_comm.calculus)) <= TOL
 
 
 # -- nabla0 -------------------------------------------------------------------------
@@ -200,7 +204,7 @@ def test_pi_g_fuzzy_lc_vanishes(fuzzy1):
 
 def test_pi_g_zero_connection(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
-    pi = pi_g_basis(g, ConnectionCoeffs.zero(spec))
+    pi = pi_g_basis(g, zero_connection(spec))
     assert max(pi[i][j].norm() for i in range(3) for j in range(3)) <= TOL
 
 
@@ -222,7 +226,7 @@ def test_compat_residual_zero_connection_nonconstant_metric(torus_comm):
     zero = AlgebraElement.zero(be)
     phi = unit + AlgebraElement.from_modes(be, {(0, 0, 1): 0.002, (0, 0, -1): 0.002})
     g = MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, phi]])
-    res = compat_residual(g, ConnectionCoeffs.zero(spec))
+    res = compat_residual(g, zero_connection(spec))
     expected = derive(spec.derivations[2], phi)
     d = wide_sum([res.entry(2, 2, 2), expected])
     assert d.norm() <= TOL
@@ -709,7 +713,7 @@ def test_underdetermined_torsion_raises_non_unique_on_every_route():
     calculus = CalculusSpec(3, 1, wedge, np.zeros((1, 3)),
                             [DerivationSpec.zero() for _ in range(3)], backend,
                             [AlgebraElement.unit(backend)])
-    g = MetricSpec.delta(calculus)
+    g = MetricSpec.from_scalar_matrix(calculus, np.eye(3))
     for route in ("direct", "phi", "both"):
         with pytest.raises(NonUnique, match="24 unknowns per point against 18"):
             levi_civita(calculus, g, route=route)
