@@ -19,7 +19,9 @@ slots at once: one ragged outer product of all mode pairs, one Weyl phase
 exp(i pi <k, theta l>) per pair and one coalescing pass by (slot, mode).
 Contributions to one output mode are added in (output mode, a-mode, b-mode)
 order whatever order the terms came in, so a sum does not depend on how its
-operands were split into terms.
+operands were split into terms, and a slot's result does not depend on the
+other slots of its call.  `difference_norms` gives the norms of differences
+a - b without forming them, adding each mode's coefficients as the kernel does.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ DEFAULT_TOL = 1e-12
 _DUST_REL = 1e-14
 
 # Mode pairs the graded kernel forms per pass.  A pair's temporaries take
-# about 200 bytes, so a pass stays near 3 MB however large the contraction;
+# about 120 bytes, so a pass stays near 0.5 MB however large the contraction;
 # a slot is never split, so one slot larger than this is a pass of its own.
-_PAIRS_PER_PASS = 1 << 14
+_PAIRS_PER_PASS = 1 << 12
 
 MATRIX = "matrix"
 GRADED = "graded"
@@ -200,11 +202,6 @@ class AlgebraElement:
     @classmethod
     def single_mode(cls, backend: BackendDescriptor, mode: Sequence[int], coeff: complex = 1.0) -> "AlgebraElement":
         return cls(backend, modes={tuple(mode): coeff})
-
-    @classmethod
-    def from_scalar(cls, backend: BackendDescriptor, z: complex) -> "AlgebraElement":
-        out = cls.unit(backend)
-        return out * complex(z)
 
     # -- data views --------------------------------------------------------
 
@@ -365,20 +362,26 @@ def _graded_contract(backend: BackendDescriptor,
         nb = size[t_b[term]]
         ia = offset[t_a[term]] + within // nb
         ib = offset[t_b[term]] + within % nb
-        ka, kb = kk[ia], kk[ib]
-        value = t_coef[term]
+        slot, value = t_slot[term], t_coef[term]
+        # each per-pair array is dropped once used, so that few are alive at a time
+        del term, within, nb
+        kb = kk[ib]
         if rows is not None:
             value = value * np.exp(1j * np.pi * (rows[ia] * kb).sum(axis=1))
         value = value * cc[ia] * cc[ib]
+        ka = kk[ia]
         mode = ka + kb
-        slot = t_slot[term]
+        a_code = (ka + reach) @ stride
+        del ia, ib, ka, kb
         code = (mode + reach) @ stride + (slot - s0) * box
         # canonical order: slot, output mode, then a-mode (which fixes the b-mode)
-        order = np.lexsort(((ka + reach) @ stride, code))
+        order = np.lexsort((a_code, code))
+        del a_code
         code = code[order]
         first = np.empty(len(code), dtype=bool)
         first[:1] = True
         np.not_equal(code[1:], code[:-1], out=first[1:])
+        del code
         group = np.cumsum(first) - 1
         value = value[order]
         coef = (np.bincount(group, weights=value.real)
@@ -433,6 +436,44 @@ def combine(backend: BackendDescriptor,
         return out
     unit = AlgebraElement.unit(backend)
     return contract(backend, [[(c, a, unit) for c, a in terms] for terms in slots])
+
+
+def difference_norms(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]) -> List[float]:
+    """norm(a - b) for every pair, without forming the differences.
+
+    Each is the norm of combine's a - b bit for bit: a mode's coefficients are
+    added as 0 + a + (-b), in that order, the way the kernel adds them.
+    """
+    if not pairs:
+        return []
+    backend = pairs[0][0].backend
+    _check_algebra(backend, *(x for pair in pairs for x in pair))
+    if backend.kind == MATRIX:
+        return [norm(AlgebraElement._matrix(backend, (0 + a._mat) + (-b._mat)))
+                for a, b in pairs]
+    # code (slot, mode) in base 2 reach + 1, as the kernel does; every a-row comes
+    # before every b-row, so a stable sort keeps a first within a mode
+    sides = [a for a, _ in pairs] + [b for _, b in pairs]
+    reach = max(x.support_radius() for x in sides)
+    base = 2 * reach + 1
+    box = base ** backend.dim
+    if box * len(pairs) >= 2 ** 62:
+        raise OverflowError("mode box too large for the int64 mode code")
+    stride = base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
+    slot = np.repeat(np.arange(len(sides)) % len(pairs), [len(x._c) for x in sides])
+    code = (np.concatenate([x._k for x in sides]) + reach) @ stride + slot * box
+    del slot
+    rank = np.argsort(code, kind="stable")
+    code = code[rank]
+    first = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    coefs = np.concatenate([a._c for a, _ in pairs] + [-b._c for _, b in pairs])[rank]
+    total = (np.bincount(group, weights=coefs.real)
+             + 1j * np.bincount(group, weights=coefs.imag))
+    out = np.zeros(len(pairs))
+    np.maximum.at(out, code[first] // box, np.abs(total))
+    return out.tolist()
 
 
 # -- module-level operations ------------------------------------------------
@@ -527,27 +568,53 @@ class DerivationSpec:
 
 def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
     """Apply a derivation; C-linear and Leibniz by construction."""
-    if delta.kind == "zero":
-        return AlgebraElement.zero(a.backend)
-    if delta.kind == "inner":
-        x = delta.element
-        if x.backend != a.backend:
-            raise BackendMismatch("inner derivation element lives on another backend")
-        return 1j * (mul(x, a) - mul(a, x))
-    if a.backend.kind != GRADED:
-        raise BackendMismatch("grading derivation requires the graded backend")
-    if delta.index >= a.backend.dim:
-        raise BackendMismatch("grading index exceeds backend dimension")
-    j = delta.index
-    moving = a._k[:, j] != 0
-    k = a._k[moving]
-    return AlgebraElement._graded(a.backend, _frozen(k),
-                                  _frozen(2j * np.pi * k[:, j] * a._c[moving]))
+    return derive_many([(delta, a)])[0]
+
+
+def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[AlgebraElement]:
+    """derive(delta, a) for every pair; the inner commutators take two kernel calls in all."""
+    inner = []
+    for delta, a in pairs:
+        if delta.kind == "inner":
+            if delta.element.backend != a.backend:
+                raise BackendMismatch("inner derivation element lives on another backend")
+            inner.append((delta.element, a))
+        elif delta.kind == "grading":
+            if a.backend.kind != GRADED:
+                raise BackendMismatch("grading derivation requires the graded backend")
+            if delta.index >= a.backend.dim:
+                raise BackendMismatch("grading index exceeds backend dimension")
+    if inner:
+        # i [x, a] = i (x a - a x)
+        prods = products([(x, a) for x, a in inner] + [(a, x) for x, a in inner])
+        comms = iter(combine(inner[0][0].backend,
+                             [[(1.0, xa), (-1.0, ax)]
+                              for xa, ax in zip(prods[:len(inner)], prods[len(inner):])]))
+    out = []
+    for delta, a in pairs:
+        if delta.kind == "zero":
+            out.append(AlgebraElement.zero(a.backend))
+        elif delta.kind == "inner":
+            out.append(1j * next(comms))
+        else:
+            j = delta.index
+            moving = a._k[:, j] != 0
+            k = a._k[moving]
+            out.append(AlgebraElement._graded(a.backend, _frozen(k),
+                                              _frozen(2j * np.pi * k[:, j] * a._c[moving])))
+    return out
 
 
 def wide_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The untruncated product: every mode of a b, whatever its support."""
-    return contract(a.backend, [[(1.0, a, b)]])[0]
+    return wide_products([(a, b)])[0]
+
+
+def wide_products(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]) -> List[AlgebraElement]:
+    """wide_mul(a, b) for every pair, in one kernel call."""
+    if not pairs:
+        return []
+    return contract(pairs[0][0].backend, [[(1.0, a, b)] for a, b in pairs])
 
 
 def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
@@ -587,6 +654,11 @@ def random_element(backend: BackendDescriptor, rng: np.random.Generator,
     r = min(radius, backend.radius)
     data: dict = {}
     for _ in range(4):
-        k = tuple(int(x) for x in rng.integers(-r, r + 1, size=backend.dim))
+        k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
         data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
-    return AlgebraElement(backend, modes=data)
+    # the modes lie within the radius; sorted tuples are the lexicographic order
+    keys = [k for k in sorted(data) if data[k] != 0.0]
+    return AlgebraElement._graded(
+        backend, _frozen(np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim)),
+        _frozen(np.array([data[k] for k in keys], dtype=complex)),
+        max((abs(x) for k in keys for x in k), default=0))

@@ -5,12 +5,16 @@ onto two-forms, exterior constants D^a_i encoding d(e_i), and an ordered list of
 derivations realizing d on the algebra.  One-forms, tensor squares and two-forms
 are coefficient arrays over the algebra backend; the canonical flip is the
 coefficient transpose and the symmetrizer is its average with the identity.
+
+Each operation that needs the algebra kernel has a batched form (`p_sym_many`,
+`right_mul_many`, `CalculusSpec.d1_many`, ...) that evaluates it for many
+inputs in one kernel call; the single-input form is that call on one input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .algebra import (
     BackendDescriptor,
     DerivationSpec,
     combine,
-    derive,
+    derive_many,
     products,
     random_element,
 )
@@ -33,20 +37,53 @@ def _as_element_rows(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def _sum_pairs(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement],
-               sign: float) -> list:
-    """x + sign y entry by entry, in one kernel call (same backend throughout)."""
-    if not xs:
-        return []
-    return combine(xs[0].backend, [[(1.0, x), (sign, y)] for x, y in zip(xs, ys)])
-
-
-def _flat(t: "TensorSquare") -> list:
-    return [c for row in t.coeffs for c in row]
-
-
 def _square(flat: list, n: int) -> list:
     return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _coefficients(x: "Module") -> list:
+    """The coefficients of a one-form, two-form or (row by row) tensor square."""
+    if isinstance(x, TensorSquare):
+        return [c for row in x.coeffs for c in row]
+    return list(x.coeffs)
+
+
+def _rebuild(xs: Sequence["Module"], flat: list) -> list:
+    """Objects shaped like xs from their coefficients, concatenated in order."""
+    out, pos = [], 0
+    for x in xs:
+        if isinstance(x, TensorSquare):
+            size = x.rank * x.rank
+            out.append(TensorSquare(_square(flat[pos:pos + size], x.rank)))
+        else:
+            size = len(x.coeffs)
+            out.append(type(x)(flat[pos:pos + size]))
+        pos += size
+    return out
+
+
+def _pairwise(pairs: Sequence[tuple], sign: float) -> list:
+    """x + sign y for every pair of like-shaped objects, in one kernel call."""
+    flat = [(cx, cy) for x, y in pairs for cx, cy in zip(_coefficients(x), _coefficients(y))]
+    sums = combine(flat[0][0].backend, [[(1.0, cx), (sign, cy)] for cx, cy in flat]) if flat else []
+    return _rebuild([x for x, _ in pairs], sums)
+
+
+def subtract_many(pairs: Sequence[tuple]) -> list:
+    """x - y for every pair of one-forms, tensor squares or two-forms, in one kernel call."""
+    return _pairwise(pairs, -1.0)
+
+
+def right_mul_many(pairs: Sequence[Tuple["Module", AlgebraElement]]) -> list:
+    """x.right_mul(a) for every pair, in one kernel call."""
+    return _rebuild([x for x, _ in pairs],
+                    products([(c, a) for x, a in pairs for c in _coefficients(x)]))
+
+
+def left_mul_many(pairs: Sequence[Tuple[AlgebraElement, "Module"]]) -> list:
+    """x.left_mul(a) for every pair (a, x), in one kernel call; the basis is central."""
+    return _rebuild([x for _, x in pairs],
+                    products([(a, c) for a, x in pairs for c in _coefficients(x)]))
 
 
 class OneForm:
@@ -72,20 +109,20 @@ class OneForm:
         return len(self.coeffs)
 
     def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(_sum_pairs(self.coeffs, other.coeffs, 1.0))
+        return _pairwise([(self, other)], 1.0)[0]
 
     def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(_sum_pairs(self.coeffs, other.coeffs, -1.0))
+        return _pairwise([(self, other)], -1.0)[0]
 
     def __neg__(self) -> "OneForm":
         return OneForm([-a for a in self.coeffs])
 
     def right_mul(self, a: AlgebraElement) -> "OneForm":
-        return OneForm(products([(c, a) for c in self.coeffs]))
+        return right_mul_many([(self, a)])[0]
 
     def left_mul(self, a: AlgebraElement) -> "OneForm":
         # central basis: a e_i = e_i a, so the left action multiplies coefficients from the left
-        return OneForm(products([(a, c) for c in self.coeffs]))
+        return left_mul_many([(a, self)])[0]
 
     def scale(self, z: complex) -> "OneForm":
         return OneForm([c * z for c in self.coeffs])
@@ -114,23 +151,11 @@ class TensorSquare:
     def backend(self) -> BackendDescriptor:
         return self.coeffs[0][0].backend
 
-    @classmethod
-    def zero(cls, backend: BackendDescriptor, rank: int) -> "TensorSquare":
-        z = AlgebraElement.zero(backend)
-        return cls([[z] * rank for _ in range(rank)])
-
-    @classmethod
-    def basis(cls, backend: BackendDescriptor, rank: int, i: int, j: int,
-              coeff: complex = 1.0) -> "TensorSquare":
-        out = [[AlgebraElement.zero(backend)] * rank for _ in range(rank)]
-        out[i][j] = AlgebraElement.from_scalar(backend, coeff)
-        return cls(out)
-
     def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare(_square(_sum_pairs(_flat(self), _flat(other), 1.0), self.rank))
+        return _pairwise([(self, other)], 1.0)[0]
 
     def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare(_square(_sum_pairs(_flat(self), _flat(other), -1.0), self.rank))
+        return _pairwise([(self, other)], -1.0)[0]
 
     def __neg__(self) -> "TensorSquare":
         return self.scale(-1.0)
@@ -139,10 +164,10 @@ class TensorSquare:
         return TensorSquare([[a * z for a in r] for r in self.coeffs])
 
     def right_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return TensorSquare(_square(products([(c, a) for c in _flat(self)]), self.rank))
+        return right_mul_many([(self, a)])[0]
 
     def left_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return TensorSquare(_square(products([(a, c) for c in _flat(self)]), self.rank))
+        return left_mul_many([(a, self)])[0]
 
     def norm(self) -> float:
         return max(c.norm() for r in self.coeffs for c in r)
@@ -157,13 +182,13 @@ class TwoForm:
         self.coeffs = tuple(coeffs)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(_sum_pairs(self.coeffs, other.coeffs, 1.0))
+        return _pairwise([(self, other)], 1.0)[0]
 
     def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(_sum_pairs(self.coeffs, other.coeffs, -1.0))
+        return _pairwise([(self, other)], -1.0)[0]
 
     def right_mul(self, a: AlgebraElement) -> "TwoForm":
-        return TwoForm(products([(c, a) for c in self.coeffs]))
+        return right_mul_many([(self, a)])[0]
 
     def norm(self) -> float:
         return max((c.norm() for c in self.coeffs), default=0.0)
@@ -175,9 +200,17 @@ def sigma(t: TensorSquare) -> TensorSquare:
     return TensorSquare([[t.coeffs[j][i] for j in range(n)] for i in range(n)])
 
 
+Module = Union[OneForm, TensorSquare, TwoForm]
+
+
 def p_sym(t: TensorSquare) -> TensorSquare:
     """Symmetrizer (1 + sigma)/2; its range is Ker(wedge)."""
-    return (t + sigma(t)).scale(0.5)
+    return p_sym_many([t])[0]
+
+
+def p_sym_many(ts: Sequence[TensorSquare]) -> List[TensorSquare]:
+    """p_sym of every tensor square, in one kernel call."""
+    return [s.scale(0.5) for s in _pairwise([(t, sigma(t)) for t in ts], 1.0)]
 
 
 @dataclass(frozen=True)
@@ -266,54 +299,66 @@ class CalculusSpec:
 
     def d_squared_residual(self) -> float:
         """max_a |d1(d0(a))| over the generator list."""
-        worst = 0.0
-        for a in self.generators:
-            worst = max(worst, self.d1(self.d0(a)).norm())
-        return worst
-
-    # -- building blocks ----------------------------------------------------
-
-    def basis_one_form(self, i: int) -> OneForm:
-        coeffs = [AlgebraElement.zero(self.backend)] * self.rank
-        coeffs[i] = AlgebraElement.unit(self.backend)
-        return OneForm(coeffs)
-
-    def basis_tensor(self, i: int, j: int) -> TensorSquare:
-        return TensorSquare.basis(self.backend, self.rank, i, j)
+        return max((w.norm() for w in self.d1_many(self.d0_many(self.generators))),
+                   default=0.0)
 
     # -- differential structure ---------------------------------------------
 
     def d0(self, a: AlgebraElement) -> OneForm:
         """d(a) = sum_i e_i partial_i(a)."""
-        if a.backend != self.backend:
+        return self.d0_many([a])[0]
+
+    def d0_many(self, elements: Sequence[AlgebraElement]) -> List[OneForm]:
+        """d0 of every element; the derivations' kernel calls are shared by all."""
+        if any(a.backend != self.backend for a in elements):
             raise BackendMismatch("element does not live on the calculus backend")
-        return OneForm([derive(d, a) for d in self.derivations])
+        n = self.rank
+        flat = derive_many([(d, a) for a in elements for d in self.derivations])
+        return [OneForm(flat[s * n:(s + 1) * n]) for s in range(len(elements))]
 
     def wedge(self, t: TensorSquare) -> TwoForm:
         """Quotiented multiplication: b_a = sum_ij c^a_ij a_ij."""
+        return self.wedge_many([t])[0]
+
+    def wedge_many(self, ts: Sequence[TensorSquare]) -> List[TwoForm]:
+        """wedge of every tensor square, in one kernel call."""
+        if not ts:
+            return []
         n, m = self.rank, self.two_form_rank
         c = self.wedge_constants
-        return TwoForm(combine(t.backend, [[(c[alpha, i, j], t.coeffs[i][j])
-                                            for i in range(n) for j in range(n)
-                                            if c[alpha, i, j] != 0.0]
-                                           for alpha in range(m)]))
+        flat = combine(ts[0].backend, [[(c[alpha, i, j], t.coeffs[i][j])
+                                        for i in range(n) for j in range(n)
+                                        if c[alpha, i, j] != 0.0]
+                                       for t in ts for alpha in range(m)])
+        return [TwoForm(flat[s * m:(s + 1) * m]) for s in range(len(ts))]
 
     def d1(self, omega: OneForm) -> TwoForm:
         """d(sum e_i a_i): alpha-coefficient sum_i D^a_i a_i - sum_ik c^a_ik partial_k(a_i)."""
+        return self.d1_many([omega])[0]
+
+    def d1_many(self, omegas: Sequence[OneForm]) -> List[TwoForm]:
+        """d1 of every one-form, in one kernel call after the derivations' own."""
+        if not omegas:
+            return []
         n, m = self.rank, self.two_form_rank
         d, c = self.exterior_constants, self.wedge_constants
+        used = [(i, k) for i in range(n) for k in range(n) if np.any(c[:, i, k] != 0.0)]
+        derived = iter(derive_many([(self.derivations[k], omega.coeffs[i])
+                                    for omega in omegas for i, k in used]))
         slots = []
-        for alpha in range(m):
-            terms = []
-            for i in range(n):
-                if d[alpha, i] != 0.0:
-                    terms.append((d[alpha, i], omega.coeffs[i]))
-                for k in range(n):
-                    if c[alpha, i, k] != 0.0:
-                        terms.append((-c[alpha, i, k],
-                                      derive(self.derivations[k], omega.coeffs[i])))
-            slots.append(terms)
-        return TwoForm(combine(omega.backend, slots))
+        for omega in omegas:
+            partial = {ik: next(derived) for ik in used}
+            for alpha in range(m):
+                terms = []
+                for i in range(n):
+                    if d[alpha, i] != 0.0:
+                        terms.append((d[alpha, i], omega.coeffs[i]))
+                    for k in range(n):
+                        if c[alpha, i, k] != 0.0:
+                            terms.append((-c[alpha, i, k], partial[i, k]))
+                slots.append(terms)
+        flat = combine(omegas[0].backend, slots)
+        return [TwoForm(flat[s * m:(s + 1) * m]) for s in range(len(omegas))]
 
     def wedge_section(self, b: TwoForm) -> TensorSquare:
         """Minimal-norm preimage of a two-form under the wedge (the Q-inverse).
@@ -321,15 +366,23 @@ class CalculusSpec:
         The preimage is the antisymmetric representative; with the shipped
         wedge tables it is the unique antisymmetric solution.
         """
+        return self.wedge_section_many([b])[0]
+
+    def wedge_section_many(self, bs: Sequence[TwoForm]) -> List[TensorSquare]:
+        """wedge_section of every two-form, in three kernel calls."""
+        if not bs:
+            return []
         n, m = self.rank, self.two_form_rank
         pinv = self._wedge_pinv
         flat = combine(self.backend, [[(pinv[ij, a], b.coeffs[a]) for a in range(m)
-                                       if pinv[ij, a] != 0.0] for ij in range(n * n)])
-        t = TensorSquare(_square(flat, n))
-        res = (self.wedge(t) - b).norm()
-        if res > 1e3 * DEFAULT_TOL * max(1.0, b.norm()):
-            raise NoSolution(f"two-form outside the wedge range (residual {res:.3e})")
-        return t
+                                       if pinv[ij, a] != 0.0]
+                                      for b in bs for ij in range(n * n)])
+        ts = [TensorSquare(_square(flat[s * n * n:(s + 1) * n * n], n)) for s in range(len(bs))]
+        for b, miss in zip(bs, subtract_many(list(zip(self.wedge_many(ts), bs)))):
+            res = miss.norm()
+            if res > 1e3 * DEFAULT_TOL * max(1.0, b.norm()):
+                raise NoSolution(f"two-form outside the wedge range (residual {res:.3e})")
+        return ts
 
     # -- braid diagnostics ----------------------------------------------------
 

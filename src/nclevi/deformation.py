@@ -11,7 +11,7 @@ deformed calculus certify the reinterpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .algebra import (
     BackendDescriptor,
     DerivationSpec,
     _canonical,
+    _frozen,
     contract,
 )
 from .calculus import CalculusSpec
@@ -79,7 +80,8 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> Dict[tuple, Al
     rows: Dict[tuple, list] = {}
     for r, grade in enumerate(map(tuple, modes[:, list(action.coords)].tolist())):
         rows.setdefault(grade, []).append(r)
-    return {grade: AlgebraElement._graded(be, *_canonical(modes[r], coeffs[r]))
+    # rows of a canonical element, kept in order, are canonical
+    return {grade: AlgebraElement._graded(be, _frozen(modes[r]), _frozen(coeffs[r]))
             for grade, r in rows.items()}
 
 
@@ -89,14 +91,25 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> Dict[tuple, Al
 def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
                    action: TorusAction) -> AlgebraElement:
     """a x_theta b = sum_{k,l} chi_theta(k, l) a_k b_l over the isotypical parts."""
+    return deform_product_many([(a, b)], theta, action)[0]
+
+
+def deform_product_many(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]], theta,
+                        action: TorusAction) -> List[AlgebraElement]:
+    """deform_product(a, b, theta, action) for every pair, in one kernel call."""
     th = require_skew(theta, action.ndim)
-    da = spectral_decompose(a, action)
-    db = spectral_decompose(b, action)
-    ka = np.array(list(da), dtype=float).reshape(len(da), action.ndim)
-    lb = np.array(list(db), dtype=float).reshape(len(db), action.ndim)
-    chi = np.exp(1j * np.pi * (ka @ th @ lb.T))
-    return contract(a.backend, [[(chi[p, q], ca, cb) for p, ca in enumerate(da.values())
-                                 for q, cb in enumerate(db.values())]])[0]
+    slots = []
+    for a, b in pairs:
+        da = spectral_decompose(a, action)
+        db = spectral_decompose(b, action)
+        ka = np.array(list(da), dtype=float).reshape(len(da), action.ndim)
+        lb = np.array(list(db), dtype=float).reshape(len(db), action.ndim)
+        chi = np.exp(1j * np.pi * (ka @ th @ lb.T))
+        slots.append([(chi[p, q], ca, cb) for p, ca in enumerate(da.values())
+                      for q, cb in enumerate(db.values())])
+    if not slots:
+        return []
+    return contract(pairs[0][0].backend, slots)
 
 
 # -- deformation of the full calculus / metric / connection ----------------------

@@ -12,6 +12,7 @@ budget, and the Levi-Civita solver runs on a grid sized by the metric.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -26,6 +27,7 @@ from .algebra import (
     _canonical,
     combine,
     contract,
+    difference_norms,
     first_noncentral,
     trace,
 )
@@ -214,11 +216,10 @@ class MetricSpec:
                 if comp.support_radius() > be.radius:
                     raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
                                              f"radius {be.radius}")
-        flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
-                             for i in range(n) for j in range(n)])
+        flips = difference_norms([(rows[i][j], rows[j][i]) for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality
         # first where one component fails both checks
-        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * DEFAULT_TOL), None)
+        skew = next((s for s, f in enumerate(flips) if f > 10 * DEFAULT_TOL), None)
         loose = first_noncentral([c for r in rows for c in r], calculus.generators)
         if loose is not None and (skew is None or loose <= skew):
             raise NonCentralResult(f"component ({loose // n},{loose % n}) is not central")
@@ -251,40 +252,70 @@ class MetricSpec:
 
 def metric_eval(g: MetricSpec, t: TensorSquare) -> AlgebraElement:
     """g applied to a tensor square: sum_ij g_ij a_ij."""
+    return metric_eval_many(g, [t])[0]
+
+
+def metric_eval_many(g: MetricSpec, ts: Sequence[TensorSquare]) -> List[AlgebraElement]:
+    """metric_eval of every tensor square, in one kernel call."""
     n = g.rank
     return contract(g.backend, [[(1.0, g.components[i][j], t.coeffs[i][j])
-                                 for i in range(n) for j in range(n)]])[0]
+                                 for i in range(n) for j in range(n)] for t in ts])
 
 
 def v_g(g: MetricSpec, omega: OneForm) -> Functional:
     """The musical map V_g(omega)(eta) = g(omega (x) eta); component j is sum_i g_ij omega_i."""
+    return v_g_many(g, [omega])[0]
+
+
+def v_g_many(g: MetricSpec, omegas: Sequence[OneForm]) -> List[Functional]:
+    """v_g of every one-form, in one kernel call."""
     n = g.rank
-    return Functional(contract(g.backend, [[(1.0, g.components[i][j], omega.coeffs[i])
-                                            for i in range(n)] for j in range(n)]))
+    flat = contract(g.backend, [[(1.0, g.components[i][j], omega.coeffs[i]) for i in range(n)]
+                                for omega in omegas for j in range(n)])
+    return [Functional(flat[s * n:(s + 1) * n]) for s in range(len(omegas))]
 
 
 def v_g_inverse(g: MetricSpec, phi: Functional) -> OneForm:
     """Inverse musical map via the cached inverse components."""
+    return v_g_inverse_many(g, [phi])[0]
+
+
+def v_g_inverse_many(g: MetricSpec, phis: Sequence[Functional]) -> List[OneForm]:
+    """v_g_inverse of every functional, in one kernel call."""
     n = g.rank
-    return OneForm(contract(g.backend, [[(1.0, g.inverse_components[i][j], phi.coeffs[j])
-                                         for j in range(n)] for i in range(n)]))
+    flat = contract(g.backend, [[(1.0, g.inverse_components[i][j], phi.coeffs[j])
+                                 for j in range(n)] for phi in phis for i in range(n)])
+    return [OneForm(flat[s * n:(s + 1) * n]) for s in range(len(phis))]
 
 
 def g2_eval(g: MetricSpec, s: TensorSquare, t: TensorSquare) -> AlgebraElement:
-    """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj.
+    """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj."""
+    return g2_eval_many(g, [(s, t)])[0]
 
-    Three kernel calls: g_li g_kj, then times s_kl, then the sum of those times t_ij.
+
+def g2_eval_many(g: MetricSpec,
+                 pairs: Sequence[Tuple[TensorSquare, TensorSquare]]) -> List[AlgebraElement]:
+    """g2_eval(g, s, t) for every pair (s, t), in three kernel calls.
+
+    The calls form g_li g_kj, then times s_kl, then the sum of those times t_ij,
+    over the quadruples (k, l, i, j) where s_kl, t_ij and g_li g_kj are
+    nonzero; each product g_li g_kj is formed once for all the pairs.
     """
     n = g.rank
     gc = g.components
-    quads = [(k, l, i, j) for k in range(n) for l in range(n) if s.coeffs[k][l].norm() != 0.0
-             for i in range(n) for j in range(n) if t.coeffs[i][j].norm() != 0.0]
-    if not quads:
-        return AlgebraElement.zero(g.backend)
-    gg = contract(g.backend, [[(1.0, gc[l][i], gc[k][j])] for k, l, i, j in quads])
-    ggs = contract(g.backend, [[(1.0, x, s.coeffs[k][l])] for x, (k, l, _, _) in zip(gg, quads)])
-    return contract(g.backend, [[(1.0, x, t.coeffs[i][j])
-                                 for x, (_, _, i, j) in zip(ggs, quads)]])[0]
+    quads = list(itertools.product(range(n), repeat=4))
+    gg = {q: x for q, x in zip(quads, contract(g.backend, [[(1.0, gc[l][i], gc[k][j])]
+                                                          for k, l, i, j in quads]))
+          if x.norm() != 0.0}
+    nonzero = [[(a, b) for a in range(n) for b in range(n) if x.coeffs[a][b].norm() != 0.0]
+               for x in (x for pair in pairs for x in pair)]
+    quads = [[(k, l, i, j) for k, l in s_nz for i, j in t_nz if (k, l, i, j) in gg]
+             for s_nz, t_nz in zip(nonzero[::2], nonzero[1::2])]
+    ggs = iter(contract(g.backend, [[(1.0, gg[k, l, i, j], s.coeffs[k][l])]
+                                    for qs, (s, _) in zip(quads, pairs) for k, l, i, j in qs]))
+    del gg
+    return contract(g.backend, [[(1.0, next(ggs), t.coeffs[i][j]) for _, _, i, j in qs]
+                                for qs, (_, t) in zip(quads, pairs)])
 
 
 @dataclass

@@ -41,6 +41,8 @@ from .algebra import (
     combine,
     contract,
     derive,
+    derive_many,
+    difference_norms,
     trace,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
@@ -86,10 +88,8 @@ class ConnectionCoeffs:
 
     def difference_norm(self, other: "ConnectionCoeffs") -> float:
         n = self.calculus.rank
-        diffs = combine(self.calculus.backend,
-                        [[(1.0, self.gamma[i][j][k]), (-1.0, other.gamma[i][j][k])]
-                         for i, j, k in itertools.product(range(n), repeat=3)])
-        return max(d.norm() for d in diffs)
+        return max(difference_norms([(self.gamma[i][j][k], other.gamma[i][j][k])
+                                     for i, j, k in itertools.product(range(n), repeat=3)]))
 
 
 def apply_connection(nabla: ConnectionCoeffs, omega: OneForm) -> TensorSquare:
@@ -153,26 +153,42 @@ def _pi_g(g: MetricSpec, x, minus=None) -> list:
 
     pi_g_basis, compat_residual and phi_g_apply all evaluate Pi_g here.
     """
+    return _pi_g_many(g, [x], minus)[0]
+
+
+def _pi_g_many(g: MetricSpec, xs, minus=None) -> list:
+    """_pi_g of every cube in xs, less the one cube minus when given, in one kernel call."""
     n = g.rank
     gc = g.components
     unit = AlgebraElement.unit(g.backend)
     slots = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                terms = []
-                for k in range(n):
-                    terms.append((1.0, gc[k][j], x[i][k][l]))
-                    terms.append((1.0, gc[k][i], x[j][k][l]))
-                if minus is not None:
-                    terms.append((-1.0, minus[i][j][l], unit))
-                slots.append(terms)
-    return _cube(contract(g.backend, slots), n)
+    for x in xs:
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    terms = []
+                    for k in range(n):
+                        terms.append((1.0, gc[k][j], x[i][k][l]))
+                        terms.append((1.0, gc[k][i], x[j][k][l]))
+                    if minus is not None:
+                        terms.append((-1.0, minus[i][j][l], unit))
+                    slots.append(terms)
+    return _cubes(contract(g.backend, slots), n)
 
 
 def _cube(flat: list, n: int) -> list:
     """Nested [a][b][c] lists of a flat row-major list of n^3 entries."""
     return [[flat[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+
+
+def _cubes(flat: list, n: int) -> list:
+    """_cube of each consecutive run of n^3 entries."""
+    size = n ** 3
+    return [_cube(flat[s:s + size], n) for s in range(0, len(flat), size)]
+
+
+def _frozen_cube(cube) -> tuple:
+    return tuple(tuple(tuple(r) for r in plane) for plane in cube)
 
 
 def pi_g_basis(g: MetricSpec, nabla: ConnectionCoeffs) -> List[List[OneForm]]:
@@ -195,8 +211,8 @@ def _metric_derivatives(calculus: CalculusSpec, g: MetricSpec) -> list:
     """The cube dg[i][j][l] = partial_l(g_ij)."""
     ders = calculus.derivations
     n = g.rank
-    return [[[derive(ders[l], g.components[i][j]) for l in range(n)] for j in range(n)]
-            for i in range(n)]
+    return _cube(derive_many([(ders[l], g.components[i][j])
+                              for i, j, l in itertools.product(range(n), repeat=3)]), n)
 
 
 def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResidual:
@@ -205,8 +221,7 @@ def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResi
 
 
 def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> CompatibilityResidual:
-    entries = tuple(tuple(tuple(row) for row in plane)
-                    for plane in _pi_g(g, nabla.gamma, minus=dg))
+    entries = _frozen_cube(_pi_g(g, nabla.gamma, minus=dg))
     worst = max(e.norm() for plane in entries for row in plane for e in row)
     return CompatibilityResidual(entries, worst)
 
@@ -214,27 +229,30 @@ def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> Compat
 # -- Phi_g and its factorized inverse ----------------------------------------
 
 
-def _range_check_symmetric(calculus: CalculusSpec, comp, what: str) -> None:
+def _range_check_symmetric(calculus: CalculusSpec, comps, what: str) -> None:
+    """Raise RangeNotSymmetric for the first cube of comps outside Phi_g's range or
+    domain; one kernel call for all of them."""
     n = calculus.rank
-    scale = max((comp[i][j][k].norm() for i in range(n) for j in range(n) for k in range(n)),
-                default=0.0)
-    tol = 1e3 * DEFAULT_TOL * max(1.0, scale)
+    cube = list(itertools.product(range(n), repeat=3))
+    tols = [1e3 * DEFAULT_TOL * max(1.0, max((comp[i][j][k].norm() for i, j, k in cube),
+                                             default=0.0)) for comp in comps]
     if what == "range":
         # range inside Ker(wedge): wedge of each value must vanish
         m = calculus.two_form_rank
         c = calculus.wedge_constants
         wedges = combine(calculus.backend,
                          [[(c[a, j, k], comp[i][j][k]) for j in range(n) for k in range(n)
-                           if c[a, j, k] != 0.0] for i in range(n) for a in range(m)])
+                           if c[a, j, k] != 0.0] for comp in comps
+                          for i in range(n) for a in range(m)])
         for idx, w in enumerate(wedges):
-            if w.norm() > tol:
-                raise RangeNotSymmetric(f"value at basis index {idx // m} is not in Ker(wedge)")
+            if w.norm() > tols[idx // (n * m)]:
+                raise RangeNotSymmetric(
+                    f"value at basis index {idx % (n * m) // m} is not in Ker(wedge)")
     else:
         # domain E (x)sym E: components must be symmetric in the tensor pair
-        flips = combine(calculus.backend,
-                        [[(1.0, comp[i][j][k]), (-1.0, comp[j][i][k])]
-                         for i in range(n) for j in range(n) for k in range(n)])
-        if any(f.norm() > tol for f in flips):
+        flips = difference_norms([(comp[i][j][k], comp[j][i][k])
+                                  for comp in comps for i, j, k in cube])
+        if any(f > tols[idx // n ** 3] for idx, f in enumerate(flips)):
             raise RangeNotSymmetric("map is not determined on the symmetric part")
 
 
@@ -244,8 +262,13 @@ def phi_g_apply(g: MetricSpec, lmap) -> tuple:
     lmap[i][j][k] are the components of L(e_i) = sum e_j (x) e_k L^i_jk, each
     value in Ker(wedge); the output indexes M(e_p (x) e_q) = sum_l e_l M[p][q][l].
     """
-    _range_check_symmetric(g.calculus, lmap, "range")
-    return tuple(tuple(tuple(r) for r in p_) for p_ in _pi_g(g, lmap))
+    return phi_g_apply_many(g, [lmap])[0]
+
+
+def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
+    """phi_g_apply of every map, in two kernel calls."""
+    _range_check_symmetric(g.calculus, lmaps, "range")
+    return [_frozen_cube(out) for out in _pi_g_many(g, lmaps)]
 
 
 @lru_cache(maxsize=None)
@@ -262,29 +285,36 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
     (P_sym)_23 (id (x) V_g^-1) zeta^-1 (L) is inverted in turn; the restricted
     (P_sym)_23 step uses the braid bijection between the projector ranges.
     """
+    return phi_g_invert_many(g, [mmap])[0]
+
+
+def phi_g_invert_many(g: MetricSpec, mmaps) -> list:
+    """phi_g_invert of every map, in four kernel calls."""
     calculus = g.calculus
     n = calculus.rank
-    _range_check_symmetric(calculus, mmap, "domain")
+    _range_check_symmetric(calculus, mmaps, "domain")
     h = g.inverse_components
     gc = g.components
     be = calculus.backend
     cube = list(itertools.product(range(n), repeat=3))
 
     # undo (id (x) V_{g^(2)}): tau3[j,k,r] = sum_p (sum_q h_kq (M/2)[p][q][j]) h_pr
-    hm = _cube(contract(be, [[(0.5, h[k][q], mmap[p][q][j]) for q in range(n)]
-                             for k, p, j in cube]), n)
+    hms = _cubes(contract(be, [[(0.5, h[k][q], mmap[p][q][j]) for q in range(n)]
+                               for mmap in mmaps for k, p, j in cube]), n)
     flat3 = contract(be, [[(1.0, hm[k][p][j], h[p][r]) for p in range(n)]
-                          for j, k, r in cube])
+                          for hm in hms for j, k, r in cube])
 
     # undo (P_sym)_23 on the index cube: tau2 = R tau3 with R the restricted inverse
     rmat = _p23_restricted_inverse(n)
-    tau2 = _cube(combine(be, [[(rmat[a, b], flat3[b]) for b in range(n ** 3)
-                               if abs(rmat[a, b]) > 1e-14] for a in range(n ** 3)]), n)
+    size = n ** 3
+    tau2s = _cubes(combine(be, [[(rmat[a, b], flat3[s + b]) for b in range(size)
+                                 if abs(rmat[a, b]) > 1e-14]
+                                for s in range(0, len(flat3), size) for a in range(size)]), n)
 
     # undo (id (x) V_g^{-1}): tau1[j,k,i] = sum_r tau2[j,k,r] g_ri
-    out = _cube(contract(be, [[(1.0, tau2[j][k][r], gc[r][i]) for r in range(n)]
-                              for i, j, k in cube]), n)
-    return tuple(tuple(tuple(r) for r in p_) for p_ in out)
+    outs = _cubes(contract(be, [[(1.0, tau2[j][k][r], gc[r][i]) for r in range(n)]
+                                for tau2 in tau2s for i, j, k in cube]), n)
+    return [_frozen_cube(out) for out in outs]
 
 
 # -- pointwise solve ---------------------------------------------------------

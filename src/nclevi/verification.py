@@ -2,6 +2,16 @@
 
 Each check returns its worst residual and the tolerance it was held to, so a
 report stays meaningful when everything passes.
+
+A suite draws every random sample first, in a fixed order, and then evaluates
+each law stage by stage: one kernel call per stage covers every sample (for
+example all products a b and b c of the associativity triples, then all
+(a b) c and a (b c), then all differences).  The laws draw nothing, and a
+kernel slot's result does not depend on the other slots of its call, so each
+residual is the one that checking the samples one at a time would give.  The
+batched forms of the module operations (`p_sym_many`, `metric_eval_many`,
+`phi_g_invert_many`, ...) build their kernel slots in the same place as the
+single-object forms.
 """
 
 from __future__ import annotations
@@ -15,25 +25,35 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
     combine,
-    derive,
+    derive_many,
+    difference_norms,
     first_noncentral,
     random_element,
     star,
     trace,
-    wide_mul,
-    wide_sum,
+    wide_products,
 )
-from .calculus import TensorSquare, p_sym, random_one_form, random_tensor_square, sigma
-from .deformation import deform_product
-from .metric import g2_eval, metric_eval, v_g, v_g_inverse, v_g2_matrix
+from .calculus import (
+    TensorSquare,
+    _coefficients,
+    left_mul_many,
+    p_sym_many,
+    random_one_form,
+    random_tensor_square,
+    right_mul_many,
+    sigma,
+    subtract_many,
+)
+from .deformation import deform_product_many
+from .metric import g2_eval_many, metric_eval_many, v_g2_matrix, v_g_inverse_many, v_g_many
 from .models import Model
 from .solver import (
     DEFAULT_KERNEL_FLOOR,
     compat_residual,
     levi_civita,
     nabla0,
-    phi_g_apply,
-    phi_g_invert,
+    phi_g_apply_many,
+    phi_g_invert_many,
 )
 
 
@@ -52,170 +72,219 @@ class Check:
         return f"[{status}] {self.name}: residual {self.residual:.3e} (tol {self.tol:.1e})"
 
 
-def _rand(model: Model, rng) -> AlgebraElement:
-    return random_element(model.backend, rng)
+def _draw(model: Model, rng, count: int) -> tuple:
+    return tuple(random_element(model.backend, rng) for _ in range(count))
 
 
-def _worst_norm(elements) -> float:
-    return max((e.norm() for e in elements), default=0.0)
+def _worst(values) -> float:
+    return max(values, default=0.0)
+
+
+def _split(flat: list, parts: int = 2) -> list:
+    size = len(flat) // parts
+    return [flat[p * size:(p + 1) * size] for p in range(parts)]
+
+
+def _coeffs(x) -> list:
+    return [x] if isinstance(x, AlgebraElement) else _coefficients(x)
 
 
 def _worst_difference(pairs) -> float:
-    """max |a - b| over the pairs, in one kernel call, whatever the elements' supports."""
-    pairs = list(pairs)
-    if not pairs:
-        return 0.0
-    return _worst_norm(combine(pairs[0][0].backend, [[(1.0, a), (-1.0, b)] for a, b in pairs]))
+    """max |x - y| over the pairs, coefficient by coefficient; x and y are algebra
+    elements, one-forms, tensor squares or two-forms."""
+    return _worst(difference_norms([(cx, cy) for x, y in pairs
+                                    for cx, cy in zip(_coeffs(x), _coeffs(y))]))
+
+
+# Each law below evaluates its stages over every sample, one kernel call per
+# stage, and returns its worst residual; a suite draws every sample first.
+# A law drops each stage's results once the next stage has used them, so that
+# only one law's intermediates are held at a time.
+
+
+def _associativity(triples, product) -> float:
+    """(a b) c against a (b c), for `product` mapping a list of pairs to their products."""
+    ab, bc = _split(product([(a, b) for a, b, _ in triples] + [(b, c) for _, b, c in triples]))
+    lhs, rhs = _split(product([(x, c) for x, (_, _, c) in zip(ab, triples)]
+                               + [(a, y) for y, (a, _, _) in zip(bc, triples)]))
+    del ab, bc
+    return _worst_difference(zip(lhs, rhs))
+
+
+def _star_anti_multiplicativity(pairs) -> float:
+    ab, st = _split(wide_products([(a, b) for a, b in pairs]
+                                   + [(star(b), star(a)) for a, b in pairs]))
+    return _worst_difference(zip(map(star, ab), st))
+
+
+def _trace_checks(pairs) -> tuple:
+    """(worst |tr(a b) - tr(b a)|, worst violation of tr(a* a) >= 0)."""
+    ab, ba, aa = _split(wide_products([(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
+                                       + [(star(a), a) for a, _ in pairs]), 3)
+    worst_tr = _worst([abs(trace(x) - trace(y)) for x, y in zip(ab, ba)])
+    pos = [trace(x) for x in aa]
+    return worst_tr, _worst([v for p in pos for v in (max(0.0, -p.real), abs(p.imag))])
+
+
+def _derivation_leibniz(triples, unit: AlgebraElement, derivations) -> float:
+    """delta(a b) against delta(a) b + a delta(b) for the (delta, a, b) triples, and
+    delta(1) against 0."""
+    k = len(triples)
+    ab = wide_products([(a, b) for _, a, b in triples])
+    ders = derive_many([(d, x) for x, (d, _, _) in zip(ab, triples)]
+                       + [(d, a) for d, a, _ in triples] + [(d, b) for d, _, b in triples]
+                       + [(d, unit) for d in derivations])
+    lhs, da, db, d_unit = ders[:k], ders[k:2 * k], ders[2 * k:3 * k], ders[3 * k:]
+    da_b, a_db = _split(wide_products([(x, b) for x, (_, _, b) in zip(da, triples)]
+                                       + [(a, y) for y, (_, a, _) in zip(db, triples)]))
+    rhs = combine(unit.backend, [[(1.0, p), (1.0, q)] for p, q in zip(da_b, a_db)])
+    return _worst([_worst_difference(zip(lhs, rhs))] + [x.norm() for x in d_unit])
 
 
 def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
-    be = model.backend
     tol = DEFAULT_TOL
-    out = []
-    worst = 0.0
-    for _ in range(100):
-        a, b, c = (_rand(model, rng) for _ in range(3))
-        lhs = wide_mul(wide_mul(a, b), c)
-        rhs = wide_mul(a, wide_mul(b, c))
-        worst = max(worst, wide_sum([lhs, -rhs]).norm())
-    out.append(Check("algebra associativity", worst, 10 * tol))
+    triples = [_draw(model, rng, 3) for _ in range(100)]
+    star_pairs = [_draw(model, rng, 2) for _ in range(20)]
+    trace_pairs = [_draw(model, rng, 2) for _ in range(20)]
+    derivations = model.calculus.derivations
+    leibniz = [(d,) + _draw(model, rng, 2) for d in derivations for _ in range(10)]
+    unit = AlgebraElement.unit(model.backend)
+    worst_tr, worst_pos = _trace_checks(trace_pairs)
+    return [Check("algebra associativity", _associativity(triples, wide_products), 10 * tol),
+            Check("star anti-multiplicativity", _star_anti_multiplicativity(star_pairs),
+                  10 * tol),
+            Check("star involution",
+                  _worst_difference((star(star(a)), a) for a, _ in star_pairs), tol),
+            Check("trace tracial", worst_tr, 10 * tol),
+            Check("trace positivity", worst_pos, tol),
+            Check("trace unital", abs(trace(unit) - 1.0), tol),
+            Check("derivation Leibniz", _derivation_leibniz(leibniz, unit, derivations),
+                  10 * tol)]
 
-    worst_star = 0.0
-    worst_inv = 0.0
-    for _ in range(20):
-        a, b = (_rand(model, rng) for _ in range(2))
-        worst_star = max(worst_star, wide_sum(
-            [star(wide_mul(a, b)), -wide_mul(star(b), star(a))]).norm())
-        worst_inv = max(worst_inv, (star(star(a)) - a).norm())
-    out.append(Check("star anti-multiplicativity", worst_star, 10 * tol))
-    out.append(Check("star involution", worst_inv, tol))
 
-    worst_tr = 0.0
-    worst_pos = 0.0
-    for _ in range(20):
-        a, b = (_rand(model, rng) for _ in range(2))
-        worst_tr = max(worst_tr, abs(trace(wide_mul(a, b)) - trace(wide_mul(b, a))))
-        p = trace(wide_mul(star(a), a))
-        worst_pos = max(worst_pos, max(0.0, -p.real), abs(p.imag))
-    out.append(Check("trace tracial", worst_tr, 10 * tol))
-    out.append(Check("trace positivity", worst_pos, tol))
-    unit = AlgebraElement.unit(be)
-    out.append(Check("trace unital", abs(trace(unit) - 1.0), tol))
+def _sigma_bimodule_linearity(pairs) -> float:
+    """sigma(t a) against sigma(t) a, then sigma(a t) against a sigma(t)."""
+    right, sig_right = _split(right_mul_many(pairs + [(sigma(t), a) for t, a in pairs]))
+    worst_right = _worst_difference((sigma(x), y) for x, y in zip(right, sig_right))
+    del right, sig_right
+    left, sig_left = _split(left_mul_many([(a, t) for t, a in pairs]
+                                           + [(a, sigma(t)) for t, a in pairs]))
+    return max(worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left)))
 
-    worst_leib = 0.0
-    for d in model.calculus.derivations:
-        for _ in range(10):
-            a, b = (_rand(model, rng) for _ in range(2))
-            lhs = derive(d, wide_mul(a, b))
-            rhs = wide_sum([wide_mul(derive(d, a), b), wide_mul(a, derive(d, b))])
-            worst_leib = max(worst_leib, wide_sum([lhs, -rhs]).norm())
-        worst_leib = max(worst_leib, derive(d, unit).norm())
-    out.append(Check("derivation Leibniz", worst_leib, 10 * tol))
-    return out
+
+def _d1_leibniz(spec, pairs) -> float:
+    """d1(w a) against d1(w) a - wedge(w (x) d0(a)) for the (w, a) pairs."""
+    n = spec.rank
+    das = spec.d0_many([a for _, a in pairs])
+    w_da = wide_products([(w.coeffs[i], da.coeffs[j])
+                          for (w, _), da in zip(pairs, das) for i in range(n) for j in range(n)])
+    w_da = [TensorSquare([w_da[s + i * n:s + (i + 1) * n] for i in range(n)])
+            for s in range(0, len(w_da), n * n)]
+    lhs, d1w = _split(spec.d1_many(right_mul_many(pairs) + [w for w, _ in pairs]))
+    rhs = subtract_many(list(zip(right_mul_many(list(zip(d1w, (a for _, a in pairs)))),
+                                 spec.wedge_many(w_da))))
+    return _worst_difference(zip(lhs, rhs))
+
+
+def _wedge_section_reconstruction(spec, ts) -> float:
+    """wedge_section(wedge(t)) against t - P_sym(t)."""
+    anti = subtract_many(list(zip(ts, p_sym_many(ts))))
+    return _worst_difference(zip(spec.wedge_section_many(spec.wedge_many(ts)), anti))
 
 
 def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
     tol = DEFAULT_TOL
-    out = []
-    worst_sig = worst_psym = worst_wp = worst_bimod = 0.0
-    for _ in range(20):
-        t = random_tensor_square(spec, rng)
-        worst_sig = max(worst_sig, (sigma(sigma(t)) - t).norm())
-        worst_psym = max(worst_psym, (p_sym(p_sym(t)) - p_sym(t)).norm())
-        worst_wp = max(worst_wp, spec.wedge(p_sym(t)).norm())
-        a = _rand(model, rng)
-        worst_bimod = max(worst_bimod,
-                          (sigma(t.right_mul(a)) - sigma(t).right_mul(a)).norm(),
-                          (sigma(t.left_mul(a)) - sigma(t).left_mul(a)).norm())
-    out.append(Check("sigma involution", worst_sig, tol))
-    out.append(Check("P_sym idempotent", worst_psym, tol))
-    out.append(Check("wedge kills P_sym range", worst_wp, tol))
-    out.append(Check("sigma bimodule linearity", worst_bimod, tol))
+    pairs = [(random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)]
+    dd = [_draw(model, rng, 1)[0] for _ in range(10)]
+    leibniz = [(random_one_form(spec, rng),) + _draw(model, rng, 1) for _ in range(10)]
+    dec = [random_tensor_square(spec, rng) for _ in range(10)]
 
+    ts = [t for t, _ in pairs]
+    sym = p_sym_many(ts)
     report = spec.braid_check()
-    out.append(Check("braid identity", report.braid_residual, tol))
-    out.append(Check("restricted projectors bijective",
-                     0.0 if report.bijective else 1.0, 0.5))
+    return [Check("sigma involution", _worst_difference((sigma(sigma(t)), t) for t in ts), tol),
+            Check("P_sym idempotent", _worst_difference(zip(p_sym_many(sym), sym)), tol),
+            Check("wedge kills P_sym range",
+                  _worst([w.norm() for w in spec.wedge_many(sym)]), tol),
+            Check("sigma bimodule linearity", _sigma_bimodule_linearity(pairs), tol),
+            Check("braid identity", report.braid_residual, tol),
+            Check("restricted projectors bijective", 0.0 if report.bijective else 1.0, 0.5),
+            Check("d compose d vanishes",
+                  _worst(w.norm() for w in spec.d1_many(spec.d0_many(dd))), 100 * tol),
+            Check("d1 Leibniz", _d1_leibniz(spec, leibniz), 1e-8),
+            Check("wedge section reconstructs the complement",
+                  _wedge_section_reconstruction(spec, dec), 1e-9)]
 
-    worst_dd = 0.0
-    for _ in range(10):
-        a = _rand(model, rng)
-        worst_dd = max(worst_dd, spec.d1(spec.d0(a)).norm())
-    out.append(Check("d compose d vanishes", worst_dd, 100 * tol))
 
-    worst_leib = 0.0
-    for _ in range(10):
-        w = random_one_form(spec, rng)
-        a = _rand(model, rng)
-        lhs = spec.d1(w.right_mul(a))
-        n = spec.rank
-        da = spec.d0(a)
-        wo_da = [[wide_mul(w.coeffs[i], da.coeffs[k]) for k in range(n)] for i in range(n)]
-        rhs = spec.d1(w).right_mul(a) - spec.wedge(TensorSquare(wo_da))
-        worst_leib = max(worst_leib, (lhs - rhs).norm())
-    out.append(Check("d1 Leibniz", worst_leib, 1e-8))
+def _metric_bilinearity(g, pairs) -> tuple:
+    """(worst |g(sigma(t)) - g(t)|, worst |g(a t) - a g(t)| and |g(t a) - g(t) a|)."""
+    ts = [t for t, _ in pairs]
+    left = left_mul_many([(a, t) for t, a in pairs])
+    right = right_mul_many(pairs)
+    g_sig, g_t, g_left, g_right = _split(
+        metric_eval_many(g, [sigma(t) for t in ts] + ts + left + right), 4)
+    a_gt, gt_a = _split(wide_products([(a, x) for x, (_, a) in zip(g_t, pairs)]
+                                       + [(x, a) for x, (_, a) in zip(g_t, pairs)]))
+    return _worst_difference(zip(g_sig, g_t)), _worst_difference(
+        [(x, y) for pair in zip(zip(g_left, a_gt), zip(g_right, gt_a)) for x, y in pair])
 
-    worst_dec = 0.0
-    for _ in range(10):
-        t = random_tensor_square(spec, rng)
-        anti = t - p_sym(t)
-        rebuilt = spec.wedge_section(spec.wedge(t))
-        worst_dec = max(worst_dec, (rebuilt - anti).norm())
-    out.append(Check("wedge section reconstructs the complement", worst_dec, 1e-9))
-    return out
+
+def _g2_flip_adjoint(g, pairs) -> float:
+    """g2(sigma(s), t) against g2(s, sigma(t))."""
+    lhs, rhs = _split(g2_eval_many(g, [(sigma(s), t) for s, t in pairs]
+                                    + [(s, sigma(t)) for s, t in pairs]))
+    return _worst_difference(zip(lhs, rhs))
 
 
 def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
     g = model.metric
     tol = DEFAULT_TOL
-    out = []
-    worst_sym = worst_bil = 0.0
-    for _ in range(20):
-        t = random_tensor_square(spec, rng)
-        worst_sym = max(worst_sym, wide_sum(
-            [metric_eval(g, sigma(t)), -metric_eval(g, t)]).norm())
-        a = _rand(model, rng)
-        worst_bil = max(worst_bil,
-                        wide_sum([metric_eval(g, t.left_mul(a)),
-                                  -wide_mul(a, metric_eval(g, t))]).norm(),
-                        wide_sum([metric_eval(g, t.right_mul(a)),
-                                  -wide_mul(metric_eval(g, t), a)]).norm())
-    out.append(Check("metric symmetry g o sigma = g", worst_sym, 100 * tol))
-    out.append(Check("metric bimodule bilinearity", worst_bil, 100 * tol))
-
-    worst_rt = 0.0
-    for _ in range(10):
-        w = random_one_form(spec, rng)
-        back = v_g_inverse(g, v_g(g, w))
-        worst_rt = max(worst_rt, _worst_difference(zip(back.coeffs, w.coeffs)))
-    out.append(Check("V_g roundtrip", worst_rt, 1e-9))
-
-    worst_adj = 0.0
-    for _ in range(10):
-        s = random_tensor_square(spec, rng)
-        t = random_tensor_square(spec, rng)
-        worst_adj = max(worst_adj, wide_sum(
-            [g2_eval(g, sigma(s), t), -g2_eval(g, s, sigma(t))]).norm())
-    out.append(Check("g2 flip adjoint", worst_adj, 1e-8))
-
-    m2 = v_g2_matrix(g)
     n = spec.rank
+    pairs = [(random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)]
+    ws = [random_one_form(spec, rng) for _ in range(10)]
+    adj = [(random_tensor_square(spec, rng), random_tensor_square(spec, rng))
+           for _ in range(10)]
+
+    worst_sym, worst_bil = _metric_bilinearity(g, pairs)
+    m2 = v_g2_matrix(g)
     worst_entry = _worst_difference(
         (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
         for k in range(n) for l in range(n) for i in range(n) for j in range(n))
-    out.append(Check("V_g2 conjugation by sigma", worst_entry, 100 * tol))
     worst_cent = 0.0 if first_noncentral(
         [c for row in g.components for c in row], spec.generators) is None else 1.0
-    out.append(Check("metric components central", worst_cent, 0.5))
-    return out
+    return [Check("metric symmetry g o sigma = g", worst_sym, 100 * tol),
+            Check("metric bimodule bilinearity", worst_bil, 100 * tol),
+            Check("V_g roundtrip",
+                  _worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws)), 1e-9),
+            Check("g2 flip adjoint", _g2_flip_adjoint(g, adj), 1e-8),
+            Check("V_g2 conjugation by sigma", worst_entry, 100 * tol),
+            Check("metric components central", worst_cent, 0.5)]
+
+
+def _phi_roundtrip(g, raws) -> float:
+    """Phi_g^{-1}(Phi_g(L)) against L for the scalar maps L^i_jk = raw[i, j, k]."""
+    n = g.rank
+    unit = AlgebraElement.unit(g.backend)
+    lmaps = [[[[unit * raw[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
+             for raw in raws]
+    backs = phi_g_invert_many(g, phi_g_apply_many(g, lmaps))
+    return _worst_difference((back[i][j][k], lmap[i][j][k]) for back, lmap in zip(backs, lmaps)
+                             for i in range(n) for j in range(n) for k in range(n))
 
 
 def solver_checks(model: Model, rng: np.random.Generator,
                   residual_tol: float = 1e-10) -> List[Check]:
     spec = model.calculus
     g = model.metric
+    n = spec.rank
+    # random maps with symmetric range for the Phi_g roundtrip
+    raws = []
+    for _ in range(10):
+        raw = np.asarray(rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
+        raws.append(0.5 * (raw + np.transpose(raw, (0, 2, 1))))
+
     out = []
     result = levi_civita(spec, g, route="both", residual_tol=residual_tol)
     out.append(Check("LC torsion residual", result.torsion_residual, residual_tol))
@@ -224,28 +293,15 @@ def solver_checks(model: Model, rng: np.random.Generator,
                      0.0 if result.sv_ratio > DEFAULT_KERNEL_FLOOR else 1.0, 0.5))
     out.append(Check("LC route agreement", result.route_difference or 0.0, 1e-9))
 
-    n = spec.rank
     nab0 = nabla0(spec)
     gam = result.connection.gamma
     # (Gamma - nabla_0)^i_jk - (Gamma - nabla_0)^i_kj, each as one sum of four terms
-    worst_sym = _worst_norm(combine(spec.backend, [
+    worst_sym = _worst(x.norm() for x in combine(spec.backend, [
         [(1.0, gam[i][j][k]), (-1.0, nab0.gamma[i][j][k]),
          (-1.0, gam[i][k][j]), (1.0, nab0.gamma[i][k][j])]
         for i in range(n) for j in range(n) for k in range(n)]))
     out.append(Check("torsionless difference is symmetric", worst_sym, 1e-9))
-
-    # Phi_g roundtrip on random symmetric-range maps
-    worst_phi = 0.0
-    for _ in range(10):
-        raw = np.asarray(rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
-        raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-        unit = AlgebraElement.unit(spec.backend)
-        lmap = [[[unit * raw[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
-        back = phi_g_invert(g, phi_g_apply(g, lmap))
-        worst_phi = max(worst_phi, _worst_difference(
-            (back[i][j][k], lmap[i][j][k])
-            for i in range(n) for j in range(n) for k in range(n)))
-    out.append(Check("Phi_g roundtrip", worst_phi, 1e-10))
+    out.append(Check("Phi_g roundtrip", _phi_roundtrip(g, raws), 1e-10))
 
     # (Pi_g(nabla) - dg) is sigma-invariant: the residual entries are (i,j)-symmetric
     res = compat_residual(g, result.connection)
@@ -259,28 +315,19 @@ def solver_checks(model: Model, rng: np.random.Generator,
 def deformation_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     if model.action is None:
         return []
-    be = model.backend
     action = model.action
     na = action.ndim
     theta = np.zeros((na, na))
     if na >= 2:
         theta[0, 1], theta[1, 0] = 0.37, -0.37
-    out = []
-    worst_assoc = 0.0
-    for _ in range(30):
-        a, b, c = (random_element(be, rng) for _ in range(3))
-        lhs = deform_product(deform_product(a, b, theta, action), c, theta, action)
-        rhs = deform_product(a, deform_product(b, c, theta, action), theta, action)
-        worst_assoc = max(worst_assoc, wide_sum([lhs, -rhs]).norm())
-    out.append(Check("deformed product associativity", worst_assoc, 1e-12))
-
-    worst_zero = 0.0
-    for _ in range(10):
-        a, b = (random_element(be, rng) for _ in range(2))
-        lhs = deform_product(a, b, np.zeros((na, na)), action)
-        worst_zero = max(worst_zero, wide_sum([lhs, -wide_mul(a, b)]).norm())
-    out.append(Check("theta = 0 recovers the product", worst_zero, 0.0 + 1e-15))
-    return out
+    triples = [_draw(model, rng, 3) for _ in range(30)]
+    pairs = [_draw(model, rng, 2) for _ in range(10)]
+    undeformed = deform_product_many(pairs, np.zeros((na, na)), action)
+    return [Check("deformed product associativity",
+                  _associativity(triples, lambda ps: deform_product_many(ps, theta, action)),
+                  1e-12),
+            Check("theta = 0 recovers the product",
+                  _worst_difference(zip(undeformed, wide_products(pairs))), 0.0 + 1e-15)]
 
 
 def verify_model(model: Model, seed: int = 0,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nclevi.algebra import AlgebraElement, BackendDescriptor
+from nclevi.calculus import OneForm, TensorSquare
 from nclevi.models import fuzzy_sphere, heisenberg, pauli_matrices, torus_bundle
 
 
@@ -62,6 +63,20 @@ def edge_metric():
     omega = [AlgebraElement.single_mode(be, (4, 0, 0)), zero,
              AlgebraElement.single_mode(be, (0, 0, 4))]
     return model, g, omega
+
+
+def basis_one_form(spec, i):
+    """The basis one-form e_i of the calculus: unit coefficient at i, zero elsewhere."""
+    coeffs = [AlgebraElement.zero(spec.backend)] * spec.rank
+    coeffs[i] = AlgebraElement.unit(spec.backend)
+    return OneForm(coeffs)
+
+
+def basis_tensor(spec, i, j):
+    """The basis tensor e_i (x) e_j of the calculus: unit coefficient at (i, j)."""
+    rows = [[AlgebraElement.zero(spec.backend)] * spec.rank for _ in range(spec.rank)]
+    rows[i][j] = AlgebraElement.unit(spec.backend)
+    return TensorSquare(rows)
 
 
 def max_gamma_norm(conn):

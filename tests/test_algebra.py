@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclevi import algebra
 from nclevi.algebra import (
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
+    combine,
     contract,
     derive,
+    difference_norms,
     first_noncentral,
     mul,
     random_element,
@@ -418,3 +423,60 @@ def test_deform_product_at_zero_theta_is_wide_mul_exactly(a, b, coords):
     want = wide_mul(a, b)
     assert got.modes == want.modes
     assert np.array_equal(got.coeff_array, want.coeff_array)
+
+
+# -- batching: a slot's result does not depend on the other slots of its call ------
+
+
+def assert_same_bits(xs, ys) -> None:
+    """Equal mode arrays and bit-identical coefficients (or matrices), element by element."""
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        if x.backend.kind == "matrix":
+            assert np.array_equal(x.matrix.view(np.uint64), y.matrix.view(np.uint64))
+        else:
+            assert np.array_equal(x.mode_array, y.mode_array)
+            assert np.array_equal(x.coeff_array.view(np.uint64), y.coeff_array.view(np.uint64))
+
+
+_TWISTED3 = BackendDescriptor.graded(3, [[0.0, 0.3, 0.1], [-0.3, 0.0, 0.7], [-0.1, -0.7, 0.0]], 2)
+_MATRIX3 = BackendDescriptor.matrix(3)
+
+term_lists = st.lists(st.lists(st.tuples(coeff, st.integers(0, 5), st.integers(0, 5)),
+                               max_size=4), max_size=4)
+
+
+def operand_pool(backend, seed: int) -> list:
+    """Six operands: random elements of growing support, their products, the unit and zero."""
+    rng = np.random.default_rng(seed)
+    a, b = (random_element(backend, rng, radius=2) for _ in range(2))
+    return [a, b, wide_mul(a, b), wide_mul(wide_mul(a, b), a),
+            AlgebraElement.unit(backend), AlgebraElement.zero(backend)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_TWISTED3, _MATRIX3]), st.integers(0, 2 ** 32 - 1), term_lists,
+       term_lists, st.sampled_from([1, 16, 1 << 12]))
+def test_contract_and_combine_split_into_any_calls_bit_for_bit(backend, seed, s1, s2, budget):
+    # repeated operands, empty slots and, with a small budget, calls that the kernel
+    # splits into several passes all give each slot the result it has alone
+    pool = operand_pool(backend, seed)
+    slots1 = [[(c, pool[i], pool[j]) for c, i, j in slot] for slot in s1]
+    slots2 = [[(c, pool[i], pool[j]) for c, i, j in slot] for slot in s2]
+    sums1 = [[(c, pool[i]) for c, i, _ in slot] for slot in s1]
+    sums2 = [[(c, pool[j]) for c, _, j in slot] for slot in s2]
+    with mock.patch.object(algebra, "_PAIRS_PER_PASS", budget):
+        assert_same_bits(contract(backend, slots1 + slots2),
+                         contract(backend, slots1) + contract(backend, slots2))
+        assert_same_bits(combine(backend, sums1 + sums2),
+                         combine(backend, sums1) + combine(backend, sums2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_TWISTED3, _MATRIX3]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+def test_difference_norms_are_the_norms_of_combined_differences(backend, seed, pairs):
+    pool = operand_pool(backend, seed)
+    pairs = [(pool[i], pool[j]) for i, j in pairs]
+    want = [d.norm() for d in combine(backend, [[(1.0, a), (-1.0, b)] for a, b in pairs])]
+    assert [float.hex(x) for x in difference_norms(pairs)] == [float.hex(x) for x in want]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import basis_one_form, basis_tensor
 from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
 from nclevi.calculus import OneForm, TensorSquare, random_one_form, random_tensor_square, sigma
 from nclevi.errors import NonCentralResult, SingularMetric, TruncationOverflow
@@ -36,8 +37,8 @@ def assert_constant(elements):
 def test_delta_eval_examples(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
     one = AlgebraElement.unit(spec.backend)
-    assert (metric_eval(g, spec.basis_tensor(0, 0)) - one).norm() <= TOL
-    assert metric_eval(g, spec.basis_tensor(0, 1)).norm() <= TOL
+    assert (metric_eval(g, basis_tensor(spec, 0, 0)) - one).norm() <= TOL
+    assert metric_eval(g, basis_tensor(spec, 0, 1)).norm() <= TOL
 
 
 def test_eval_flip_invariant(fuzzy1, torus_twisted):
@@ -65,7 +66,7 @@ def test_eval_bilinear(fuzzy1):
 
 def test_v_g_delta_coordinates(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
-    phi = v_g(g, spec.basis_one_form(1))
+    phi = v_g(g, basis_one_form(spec, 1))
     assert phi.coeffs[0].norm() <= TOL
     assert (phi.coeffs[1] - AlgebraElement.unit(spec.backend)).norm() <= TOL
 
@@ -227,9 +228,9 @@ def test_canonical_metric_positivity_diagnostic(fuzzy1):
 def test_g2_delta_examples(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
     one = AlgebraElement.unit(spec.backend)
-    val = g2_eval(g, spec.basis_tensor(0, 1), spec.basis_tensor(1, 0))
+    val = g2_eval(g, basis_tensor(spec, 0, 1), basis_tensor(spec, 1, 0))
     assert (val - one).norm() <= TOL
-    assert g2_eval(g, spec.basis_tensor(0, 1), spec.basis_tensor(0, 1)).norm() <= TOL
+    assert g2_eval(g, basis_tensor(spec, 0, 1), basis_tensor(spec, 0, 1)).norm() <= TOL
 
 
 def test_g2_flip_adjoint(fuzzy1, torus_twisted):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import basis_one_form, basis_tensor
 from nclevi.algebra import (
     AlgebraElement,
     BackendDescriptor,
@@ -104,7 +105,7 @@ def test_apply_connection_pure_leibniz(torus_comm):
     nab = zero_connection(spec)
     rng = np.random.default_rng(0)
     a = random_element(spec.backend, rng)
-    w = spec.basis_one_form(0).right_mul(a)
+    w = basis_one_form(spec, 0).right_mul(a)
     t = apply_connection(nab, w)
     da = spec.d0(a)
     for k in range(3):
@@ -115,7 +116,7 @@ def test_apply_connection_pure_leibniz(torus_comm):
 def test_apply_connection_fuzzy_basis(fuzzy1):
     spec = fuzzy1.calculus
     nab = ConnectionCoeffs.from_scalars(spec, 0.5j * EPS)
-    t = apply_connection(nab, spec.basis_one_form(0))
+    t = apply_connection(nab, basis_one_form(spec, 0))
     # nabla(e_1) = (i/2)(e_2 (x) e_3 - e_3 (x) e_2)
     assert abs(trace(t.coeffs[1][2]) - 0.5j) <= TOL
     assert abs(trace(t.coeffs[2][1]) + 0.5j) <= TOL
@@ -291,10 +292,10 @@ def test_phi_simple_tensor_example(fuzzy1):
     terms = ((0, 1), (1, 0))    # (xi, eta) of e_1 (x) e_2 and e_2 (x) e_1
     for p in range(3):
         for q in range(3):
-            pair = spec.basis_tensor(p, q)
+            pair = basis_tensor(spec, p, q)
             for l in range(3):
-                want = [wide_sum([g2_eval(g, spec.basis_tensor(xi, 2), pair),
-                                  g2_eval(g, spec.basis_tensor(2, xi), pair)])
+                want = [wide_sum([g2_eval(g, basis_tensor(spec, xi, 2), pair),
+                                  g2_eval(g, basis_tensor(spec, 2, xi), pair)])
                         for xi, eta in terms if eta == l]
                 want = want[0] if want else zero
                 assert wide_sum([out[p][q][l], -want]).norm() <= TOL

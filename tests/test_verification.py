@@ -10,6 +10,7 @@ at a time.
 import numpy as np
 import pytest
 
+from nclevi import algebra
 from nclevi.models import fuzzy_sphere, heisenberg, torus_bundle
 from nclevi.verification import verify_model
 
@@ -219,3 +220,17 @@ def test_verify_model_output_is_pinned(key):
     name, seed = key
     checks = verify_model(MODELS[name](), seed=seed)
     assert [(c.name, c.tol, float.hex(c.residual)) for c in checks] == PINNED[key]
+
+
+def test_verify_model_makes_a_fixed_number_of_kernel_calls(monkeypatch):
+    # drawing and checking one sample at a time made 1,928 graded kernel calls here
+    calls = []
+    kernel = algebra._graded_contract
+
+    def counting(backend, slots):
+        calls.append(len(slots))
+        return kernel(backend, slots)
+
+    monkeypatch.setattr(algebra, "_graded_contract", counting)
+    verify_model(MODELS["torus"](), seed=0)
+    assert len(calls) <= 150
