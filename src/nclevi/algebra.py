@@ -20,8 +20,7 @@ exp(i pi <k, theta l>) per pair and one coalescing pass by (slot, mode).
 Contributions to one output mode are added in (output mode, a-mode, b-mode)
 order whatever order the terms came in, so a sum does not depend on how its
 operands were split into terms, and a slot's result does not depend on the
-other slots of its call.  `difference_norms` gives the norms of differences
-a - b without forming them, adding each mode's coefficients as the kernel does.
+other slots of its call.
 """
 
 from __future__ import annotations
@@ -111,10 +110,11 @@ def _canonical(k: np.ndarray, c: np.ndarray):
     """Sorted, zero-free read-only (modes, coefficients, support radius)."""
     order = np.lexsort(k.T[::-1])
     k, c = k[order], c[order]
-    if np.any(np.all(k[1:] == k[:-1], axis=1)):
+    if (k[1:] == k[:-1]).all(axis=1).any():
         raise ValueError("a mode is given twice")
     nz = c != 0.0
-    return _frozen(k[nz]), _frozen(c[nz]), int(np.abs(k[nz]).max(initial=0))
+    k, c = k[nz], c[nz]
+    return _frozen(k), _frozen(c), int(np.abs(k).max(initial=0))
 
 
 def _truncated(backend: BackendDescriptor, k: np.ndarray, c: np.ndarray):
@@ -438,44 +438,6 @@ def combine(backend: BackendDescriptor,
     return contract(backend, [[(c, a, unit) for c, a in terms] for terms in slots])
 
 
-def difference_norms(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]) -> List[float]:
-    """norm(a - b) for every pair, without forming the differences.
-
-    Each is the norm of combine's a - b bit for bit: a mode's coefficients are
-    added as 0 + a + (-b), in that order, the way the kernel adds them.
-    """
-    if not pairs:
-        return []
-    backend = pairs[0][0].backend
-    _check_algebra(backend, *(x for pair in pairs for x in pair))
-    if backend.kind == MATRIX:
-        return [norm(AlgebraElement._matrix(backend, (0 + a._mat) + (-b._mat)))
-                for a, b in pairs]
-    # code (slot, mode) in base 2 reach + 1, as the kernel does; every a-row comes
-    # before every b-row, so a stable sort keeps a first within a mode
-    sides = [a for a, _ in pairs] + [b for _, b in pairs]
-    reach = max(x.support_radius() for x in sides)
-    base = 2 * reach + 1
-    box = base ** backend.dim
-    if box * len(pairs) >= 2 ** 62:
-        raise OverflowError("mode box too large for the int64 mode code")
-    stride = base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
-    slot = np.repeat(np.arange(len(sides)) % len(pairs), [len(x._c) for x in sides])
-    code = (np.concatenate([x._k for x in sides]) + reach) @ stride + slot * box
-    del slot
-    rank = np.argsort(code, kind="stable")
-    code = code[rank]
-    first = np.ones(len(code), dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    coefs = np.concatenate([a._c for a, _ in pairs] + [-b._c for _, b in pairs])[rank]
-    total = (np.bincount(group, weights=coefs.real)
-             + 1j * np.bincount(group, weights=coefs.imag))
-    out = np.zeros(len(pairs))
-    np.maximum.at(out, code[first] // box, np.abs(total))
-    return out.tolist()
-
-
 # -- module-level operations ------------------------------------------------
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -656,9 +618,7 @@ def random_element(backend: BackendDescriptor, rng: np.random.Generator,
     for _ in range(4):
         k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
         data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
-    # the modes lie within the radius; sorted tuples are the lexicographic order
-    keys = [k for k in sorted(data) if data[k] != 0.0]
-    return AlgebraElement._graded(
-        backend, _frozen(np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim)),
-        _frozen(np.array([data[k] for k in keys], dtype=complex)),
-        max((abs(x) for k in keys for x in k), default=0))
+    # the modes lie within the radius, so the checks of the dict constructor are not needed
+    return AlgebraElement._graded(backend, *_canonical(
+        np.array(list(data), dtype=np.int64).reshape(len(data), backend.dim),
+        np.array(list(data.values()), dtype=complex)))

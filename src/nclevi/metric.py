@@ -12,7 +12,6 @@ budget, and the Levi-Civita solver runs on a grid sized by the metric.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -27,7 +26,6 @@ from .algebra import (
     _canonical,
     combine,
     contract,
-    difference_norms,
     first_noncentral,
     trace,
 )
@@ -216,10 +214,11 @@ class MetricSpec:
                 if comp.support_radius() > be.radius:
                     raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
                                              f"radius {be.radius}")
-        flips = difference_norms([(rows[i][j], rows[j][i]) for i in range(n) for j in range(n)])
+        flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
+                             for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality
         # first where one component fails both checks
-        skew = next((s for s, f in enumerate(flips) if f > 10 * DEFAULT_TOL), None)
+        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * DEFAULT_TOL), None)
         loose = first_noncentral([c for r in rows for c in r], calculus.generators)
         if loose is not None and (skew is None or loose <= skew):
             raise NonCentralResult(f"component ({loose // n},{loose % n}) is not central")
@@ -298,22 +297,23 @@ def g2_eval_many(g: MetricSpec,
     """g2_eval(g, s, t) for every pair (s, t), in three kernel calls.
 
     The calls form g_li g_kj, then times s_kl, then the sum of those times t_ij,
-    over the quadruples (k, l, i, j) where s_kl, t_ij and g_li g_kj are
-    nonzero; each product g_li g_kj is formed once for all the pairs.
+    over each pair's quadruples (k, l, i, j) with s_kl, t_ij and g_li g_kj
+    nonzero; a product g_li g_kj that several pairs need is formed once.
     """
     n = g.rank
     gc = g.components
-    quads = list(itertools.product(range(n), repeat=4))
-    gg = {q: x for q, x in zip(quads, contract(g.backend, [[(1.0, gc[l][i], gc[k][j])]
-                                                          for k, l, i, j in quads]))
+
+    def nonzero(x: TensorSquare) -> list:
+        return [(a, b) for a in range(n) for b in range(n) if x.coeffs[a][b].norm() != 0.0]
+
+    quads = [[(k, l, i, j) for k, l in nonzero(s) for i, j in nonzero(t)] for s, t in pairs]
+    needed = list(dict.fromkeys(q for qs in quads for q in qs))
+    gg = {q: x for q, x in zip(needed, contract(g.backend, [[(1.0, gc[l][i], gc[k][j])]
+                                                          for k, l, i, j in needed]))
           if x.norm() != 0.0}
-    nonzero = [[(a, b) for a in range(n) for b in range(n) if x.coeffs[a][b].norm() != 0.0]
-               for x in (x for pair in pairs for x in pair)]
-    quads = [[(k, l, i, j) for k, l in s_nz for i, j in t_nz if (k, l, i, j) in gg]
-             for s_nz, t_nz in zip(nonzero[::2], nonzero[1::2])]
+    quads = [[q for q in qs if q in gg] for qs in quads]
     ggs = iter(contract(g.backend, [[(1.0, gg[k, l, i, j], s.coeffs[k][l])]
                                     for qs, (s, _) in zip(quads, pairs) for k, l, i, j in qs]))
-    del gg
     return contract(g.backend, [[(1.0, next(ggs), t.coeffs[i][j]) for _, _, i, j in qs]
                                 for qs, (_, t) in zip(quads, pairs)])
 

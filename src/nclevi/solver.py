@@ -42,7 +42,6 @@ from .algebra import (
     contract,
     derive,
     derive_many,
-    difference_norms,
     trace,
 )
 from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
@@ -88,8 +87,10 @@ class ConnectionCoeffs:
 
     def difference_norm(self, other: "ConnectionCoeffs") -> float:
         n = self.calculus.rank
-        return max(difference_norms([(self.gamma[i][j][k], other.gamma[i][j][k])
-                                     for i, j, k in itertools.product(range(n), repeat=3)]))
+        diffs = combine(self.calculus.backend,
+                        [[(1.0, self.gamma[i][j][k]), (-1.0, other.gamma[i][j][k])]
+                         for i, j, k in itertools.product(range(n), repeat=3)])
+        return max(d.norm() for d in diffs)
 
 
 def apply_connection(nabla: ConnectionCoeffs, omega: OneForm) -> TensorSquare:
@@ -250,9 +251,9 @@ def _range_check_symmetric(calculus: CalculusSpec, comps, what: str) -> None:
                     f"value at basis index {idx % (n * m) // m} is not in Ker(wedge)")
     else:
         # domain E (x)sym E: components must be symmetric in the tensor pair
-        flips = difference_norms([(comp[i][j][k], comp[j][i][k])
-                                  for comp in comps for i, j, k in cube])
-        if any(f > tols[idx // n ** 3] for idx, f in enumerate(flips)):
+        flips = combine(calculus.backend, [[(1.0, comp[i][j][k]), (-1.0, comp[j][i][k])]
+                                           for comp in comps for i, j, k in cube])
+        if any(f.norm() > tols[idx // n ** 3] for idx, f in enumerate(flips)):
             raise RangeNotSymmetric("map is not determined on the symmetric part")
 
 

@@ -3,19 +3,22 @@
 Each check returns its worst residual and the tolerance it was held to, so a
 report stays meaningful when everything passes.
 
-A suite draws every random sample first, in a fixed order, and then evaluates
-each law stage by stage: one kernel call per stage covers every sample (for
-example all products a b and b c of the associativity triples, then all
-(a b) c and a (b c), then all differences).  The laws draw nothing, and a
-kernel slot's result does not depend on the other slots of its call, so each
-residual is the one that checking the samples one at a time would give.  The
-batched forms of the module operations (`p_sym_many`, `metric_eval_many`,
-`phi_g_invert_many`, ...) build their kernel slots in the same place as the
-single-object forms.
+A suite draws its random samples in a fixed order, one group of samples at a
+time, and evaluates each law stage by stage over chunks of its group: one
+kernel call per stage covers a chunk (for example all products a b and b c of
+twenty associativity triples, then all (a b) c and a (b c), then all
+differences).  A group is drawn when its laws take it, a large one a chunk at
+a time, so a suite holds one group's samples and one chunk's stage results at
+most.  The laws draw nothing, and a kernel slot's result does not depend on
+the other slots of its call, so each residual is the one that drawing and
+checking the samples one at a time would give.  The batched forms of the
+module operations (`p_sym_many`, `metric_eval_many`, `phi_g_invert_many`, ...)
+build their kernel slots in the same place as the single-object forms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List
 
@@ -26,7 +29,6 @@ from .algebra import (
     AlgebraElement,
     combine,
     derive_many,
-    difference_norms,
     first_noncentral,
     random_element,
     star,
@@ -92,14 +94,33 @@ def _coeffs(x) -> list:
 def _worst_difference(pairs) -> float:
     """max |x - y| over the pairs, coefficient by coefficient; x and y are algebra
     elements, one-forms, tensor squares or two-forms."""
-    return _worst(difference_norms([(cx, cy) for x, y in pairs
-                                    for cx, cy in zip(_coeffs(x), _coeffs(y))]))
+    slots = [[(1.0, cx), (-1.0, cy)] for x, y in pairs for cx, cy in zip(_coeffs(x), _coeffs(y))]
+    return _worst(d.norm() for d in combine(slots[0][0][1].backend, slots))
 
 
-# Each law below evaluates its stages over every sample, one kernel call per
-# stage, and returns its worst residual; a suite draws every sample first.
-# A law drops each stage's results once the next stage has used them, so that
-# only one law's intermediates are held at a time.
+# Each law below evaluates its stages over the samples it is given, one kernel
+# call per stage, and returns its worst residual (or a tuple of them).  A suite
+# hands each law its samples a chunk at a time through `_chunked`.  On the
+# twisted R = 2 torus these sizes keep each law under 0.5 MB of stage results
+# and kernel work, and verify_model under 150 kernel calls; the laws with more
+# work per sample take smaller chunks.
+_SAMPLES_PER_CHUNK = 10
+
+
+def _chunked(law, samples, *args, size: int = _SAMPLES_PER_CHUNK):
+    """law(chunk, *args) over consecutive chunks of `size` samples: the worst
+    residual over the chunks, entry by entry when the law returns a tuple.
+
+    `samples` may be a generator that draws them: each chunk is then drawn
+    after the previous one has been checked.
+    """
+    samples = iter(samples)
+    parts = []
+    while chunk := list(itertools.islice(samples, size)):
+        parts.append(law(chunk, *args))
+    if isinstance(parts[0], tuple):
+        return tuple(_worst(p) for p in zip(*parts))
+    return _worst(parts)
 
 
 def _associativity(triples, product) -> float:
@@ -111,10 +132,12 @@ def _associativity(triples, product) -> float:
     return _worst_difference(zip(lhs, rhs))
 
 
-def _star_anti_multiplicativity(pairs) -> float:
+def _star_laws(pairs) -> tuple:
+    """(worst |(a b)* - b* a*|, worst |a** - a|)."""
     ab, st = _split(wide_products([(a, b) for a, b in pairs]
                                    + [(star(b), star(a)) for a, b in pairs]))
-    return _worst_difference(zip(map(star, ab), st))
+    return (_worst_difference(zip(map(star, ab), st)),
+            _worst_difference((star(star(a)), a) for a, _ in pairs))
 
 
 def _trace_checks(pairs) -> tuple:
@@ -126,40 +149,40 @@ def _trace_checks(pairs) -> tuple:
     return worst_tr, _worst([v for p in pos for v in (max(0.0, -p.real), abs(p.imag))])
 
 
-def _derivation_leibniz(triples, unit: AlgebraElement, derivations) -> float:
-    """delta(a b) against delta(a) b + a delta(b) for the (delta, a, b) triples, and
-    delta(1) against 0."""
-    k = len(triples)
+def _derivation_leibniz(triples) -> float:
+    """delta(a b) against delta(a) b + a delta(b) for the (delta, a, b) triples."""
     ab = wide_products([(a, b) for _, a, b in triples])
-    ders = derive_many([(d, x) for x, (d, _, _) in zip(ab, triples)]
-                       + [(d, a) for d, a, _ in triples] + [(d, b) for d, _, b in triples]
-                       + [(d, unit) for d in derivations])
-    lhs, da, db, d_unit = ders[:k], ders[k:2 * k], ders[2 * k:3 * k], ders[3 * k:]
+    lhs, da, db = _split(derive_many([(d, x) for x, (d, _, _) in zip(ab, triples)]
+                                     + [(d, a) for d, a, _ in triples]
+                                     + [(d, b) for d, _, b in triples]), 3)
     da_b, a_db = _split(wide_products([(x, b) for x, (_, _, b) in zip(da, triples)]
                                        + [(a, y) for y, (_, a, _) in zip(db, triples)]))
-    rhs = combine(unit.backend, [[(1.0, p), (1.0, q)] for p, q in zip(da_b, a_db)])
-    return _worst([_worst_difference(zip(lhs, rhs))] + [x.norm() for x in d_unit])
+    rhs = combine(triples[0][1].backend, [[(1.0, p), (1.0, q)] for p, q in zip(da_b, a_db)])
+    return _worst_difference(zip(lhs, rhs))
 
 
 def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     tol = DEFAULT_TOL
-    triples = [_draw(model, rng, 3) for _ in range(100)]
-    star_pairs = [_draw(model, rng, 2) for _ in range(20)]
-    trace_pairs = [_draw(model, rng, 2) for _ in range(20)]
     derivations = model.calculus.derivations
-    leibniz = [(d,) + _draw(model, rng, 2) for d in derivations for _ in range(10)]
     unit = AlgebraElement.unit(model.backend)
-    worst_tr, worst_pos = _trace_checks(trace_pairs)
-    return [Check("algebra associativity", _associativity(triples, wide_products), 10 * tol),
-            Check("star anti-multiplicativity", _star_anti_multiplicativity(star_pairs),
-                  10 * tol),
-            Check("star involution",
-                  _worst_difference((star(star(a)), a) for a, _ in star_pairs), tol),
+    # the groups of samples are drawn in this order, each when its laws take it
+    worst_assoc = _chunked(_associativity, (_draw(model, rng, 3) for _ in range(100)),
+                           wide_products, size=20)
+    worst_anti, worst_inv = _chunked(_star_laws, (_draw(model, rng, 2) for _ in range(20)),
+                                     size=20)
+    worst_tr, worst_pos = _chunked(_trace_checks, (_draw(model, rng, 2) for _ in range(20)),
+                                   size=20)
+    worst_leibniz = _worst(
+        [_chunked(_derivation_leibniz,
+                  ((d,) + _draw(model, rng, 2) for d in derivations for _ in range(10)), size=15)]
+        + [x.norm() for x in derive_many([(d, unit) for d in derivations])])
+    return [Check("algebra associativity", worst_assoc, 10 * tol),
+            Check("star anti-multiplicativity", worst_anti, 10 * tol),
+            Check("star involution", worst_inv, tol),
             Check("trace tracial", worst_tr, 10 * tol),
             Check("trace positivity", worst_pos, tol),
             Check("trace unital", abs(trace(unit) - 1.0), tol),
-            Check("derivation Leibniz", _derivation_leibniz(leibniz, unit, derivations),
-                  10 * tol)]
+            Check("derivation Leibniz", worst_leibniz, 10 * tol)]
 
 
 def _sigma_bimodule_linearity(pairs) -> float:
@@ -172,7 +195,7 @@ def _sigma_bimodule_linearity(pairs) -> float:
     return max(worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left)))
 
 
-def _d1_leibniz(spec, pairs) -> float:
+def _d1_leibniz(pairs, spec) -> float:
     """d1(w a) against d1(w) a - wedge(w (x) d0(a)) for the (w, a) pairs."""
     n = spec.rank
     das = spec.d0_many([a for _, a in pairs])
@@ -186,7 +209,16 @@ def _d1_leibniz(spec, pairs) -> float:
     return _worst_difference(zip(lhs, rhs))
 
 
-def _wedge_section_reconstruction(spec, ts) -> float:
+def _projector_laws(ts, spec) -> tuple:
+    """(worst |sigma(sigma(t)) - t|, worst |P_sym(P_sym(t)) - P_sym(t)|,
+    worst |wedge(P_sym(t))|)."""
+    sym = p_sym_many(ts)
+    return (_worst_difference((sigma(sigma(t)), t) for t in ts),
+            _worst_difference(zip(p_sym_many(sym), sym)),
+            _worst([w.norm() for w in spec.wedge_many(sym)]))
+
+
+def _wedge_section_reconstruction(ts, spec) -> float:
     """wedge_section(wedge(t)) against t - P_sym(t)."""
     anti = subtract_many(list(zip(ts, p_sym_many(ts))))
     return _worst_difference(zip(spec.wedge_section_many(spec.wedge_many(ts)), anti))
@@ -195,29 +227,30 @@ def _wedge_section_reconstruction(spec, ts) -> float:
 def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
     tol = DEFAULT_TOL
+    # the groups of samples are drawn in this order, each when its laws take it
     pairs = [(random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)]
+    worst_inv, worst_idem, worst_wedge = _chunked(_projector_laws, [t for t, _ in pairs], spec)
+    worst_bimodule = _chunked(_sigma_bimodule_linearity, pairs, size=5)
+    del pairs
     dd = [_draw(model, rng, 1)[0] for _ in range(10)]
-    leibniz = [(random_one_form(spec, rng),) + _draw(model, rng, 1) for _ in range(10)]
-    dec = [random_tensor_square(spec, rng) for _ in range(10)]
-
-    ts = [t for t, _ in pairs]
-    sym = p_sym_many(ts)
+    worst_dd = _worst(w.norm() for w in spec.d1_many(spec.d0_many(dd)))
+    worst_d1 = _chunked(_d1_leibniz, ((random_one_form(spec, rng),) + _draw(model, rng, 1)
+                                      for _ in range(10)), spec)
+    worst_section = _chunked(_wedge_section_reconstruction,
+                             (random_tensor_square(spec, rng) for _ in range(10)), spec)
     report = spec.braid_check()
-    return [Check("sigma involution", _worst_difference((sigma(sigma(t)), t) for t in ts), tol),
-            Check("P_sym idempotent", _worst_difference(zip(p_sym_many(sym), sym)), tol),
-            Check("wedge kills P_sym range",
-                  _worst([w.norm() for w in spec.wedge_many(sym)]), tol),
-            Check("sigma bimodule linearity", _sigma_bimodule_linearity(pairs), tol),
+    return [Check("sigma involution", worst_inv, tol),
+            Check("P_sym idempotent", worst_idem, tol),
+            Check("wedge kills P_sym range", worst_wedge, tol),
+            Check("sigma bimodule linearity", worst_bimodule, tol),
             Check("braid identity", report.braid_residual, tol),
             Check("restricted projectors bijective", 0.0 if report.bijective else 1.0, 0.5),
-            Check("d compose d vanishes",
-                  _worst(w.norm() for w in spec.d1_many(spec.d0_many(dd))), 100 * tol),
-            Check("d1 Leibniz", _d1_leibniz(spec, leibniz), 1e-8),
-            Check("wedge section reconstructs the complement",
-                  _wedge_section_reconstruction(spec, dec), 1e-9)]
+            Check("d compose d vanishes", worst_dd, 100 * tol),
+            Check("d1 Leibniz", worst_d1, 1e-8),
+            Check("wedge section reconstructs the complement", worst_section, 1e-9)]
 
 
-def _metric_bilinearity(g, pairs) -> tuple:
+def _metric_bilinearity(pairs, g) -> tuple:
     """(worst |g(sigma(t)) - g(t)|, worst |g(a t) - a g(t)| and |g(t a) - g(t) a|)."""
     ts = [t for t, _ in pairs]
     left = left_mul_many([(a, t) for t, a in pairs])
@@ -230,7 +263,7 @@ def _metric_bilinearity(g, pairs) -> tuple:
         [(x, y) for pair in zip(zip(g_left, a_gt), zip(g_right, gt_a)) for x, y in pair])
 
 
-def _g2_flip_adjoint(g, pairs) -> float:
+def _g2_flip_adjoint(pairs, g) -> float:
     """g2(sigma(s), t) against g2(s, sigma(t))."""
     lhs, rhs = _split(g2_eval_many(g, [(sigma(s), t) for s, t in pairs]
                                     + [(s, sigma(t)) for s, t in pairs]))
@@ -242,12 +275,16 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     g = model.metric
     tol = DEFAULT_TOL
     n = spec.rank
-    pairs = [(random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)]
+    # the groups of samples are drawn in this order, each when its laws take it
+    worst_sym, worst_bil = _chunked(
+        _metric_bilinearity,
+        ((random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)), g)
     ws = [random_one_form(spec, rng) for _ in range(10)]
-    adj = [(random_tensor_square(spec, rng), random_tensor_square(spec, rng))
-           for _ in range(10)]
-
-    worst_sym, worst_bil = _metric_bilinearity(g, pairs)
+    worst_roundtrip = _worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws))
+    del ws
+    worst_adjoint = _chunked(_g2_flip_adjoint, ((random_tensor_square(spec, rng),
+                                                 random_tensor_square(spec, rng))
+                                                for _ in range(10)), g, size=5)
     m2 = v_g2_matrix(g)
     worst_entry = _worst_difference(
         (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
@@ -256,14 +293,13 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
         [c for row in g.components for c in row], spec.generators) is None else 1.0
     return [Check("metric symmetry g o sigma = g", worst_sym, 100 * tol),
             Check("metric bimodule bilinearity", worst_bil, 100 * tol),
-            Check("V_g roundtrip",
-                  _worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws)), 1e-9),
-            Check("g2 flip adjoint", _g2_flip_adjoint(g, adj), 1e-8),
+            Check("V_g roundtrip", worst_roundtrip, 1e-9),
+            Check("g2 flip adjoint", worst_adjoint, 1e-8),
             Check("V_g2 conjugation by sigma", worst_entry, 100 * tol),
             Check("metric components central", worst_cent, 0.5)]
 
 
-def _phi_roundtrip(g, raws) -> float:
+def _phi_roundtrip(raws, g) -> float:
     """Phi_g^{-1}(Phi_g(L)) against L for the scalar maps L^i_jk = raw[i, j, k]."""
     n = g.rank
     unit = AlgebraElement.unit(g.backend)
@@ -301,7 +337,7 @@ def solver_checks(model: Model, rng: np.random.Generator,
          (-1.0, gam[i][k][j]), (1.0, nab0.gamma[i][k][j])]
         for i in range(n) for j in range(n) for k in range(n)]))
     out.append(Check("torsionless difference is symmetric", worst_sym, 1e-9))
-    out.append(Check("Phi_g roundtrip", _phi_roundtrip(g, raws), 1e-10))
+    out.append(Check("Phi_g roundtrip", _chunked(_phi_roundtrip, raws, g, size=5), 1e-10))
 
     # (Pi_g(nabla) - dg) is sigma-invariant: the residual entries are (i,j)-symmetric
     res = compat_residual(g, result.connection)
@@ -320,12 +356,12 @@ def deformation_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     theta = np.zeros((na, na))
     if na >= 2:
         theta[0, 1], theta[1, 0] = 0.37, -0.37
-    triples = [_draw(model, rng, 3) for _ in range(30)]
+    # the groups of samples are drawn in this order, each when its laws take it
+    worst_assoc = _chunked(_associativity, (_draw(model, rng, 3) for _ in range(30)),
+                           lambda ps: deform_product_many(ps, theta, action))
     pairs = [_draw(model, rng, 2) for _ in range(10)]
     undeformed = deform_product_many(pairs, np.zeros((na, na)), action)
-    return [Check("deformed product associativity",
-                  _associativity(triples, lambda ps: deform_product_many(ps, theta, action)),
-                  1e-12),
+    return [Check("deformed product associativity", worst_assoc, 1e-12),
             Check("theta = 0 recovers the product",
                   _worst_difference(zip(undeformed, wide_products(pairs))), 0.0 + 1e-15)]
 

@@ -13,7 +13,6 @@ from nclevi.algebra import (
     combine,
     contract,
     derive,
-    difference_norms,
     first_noncentral,
     mul,
     random_element,
@@ -471,12 +470,3 @@ def test_contract_and_combine_split_into_any_calls_bit_for_bit(backend, seed, s1
         assert_same_bits(combine(backend, sums1 + sums2),
                          combine(backend, sums1) + combine(backend, sums2))
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([_TWISTED3, _MATRIX3]), st.integers(0, 2 ** 32 - 1),
-       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
-def test_difference_norms_are_the_norms_of_combined_differences(backend, seed, pairs):
-    pool = operand_pool(backend, seed)
-    pairs = [(pool[i], pool[j]) for i, j in pairs]
-    want = [d.norm() for d in combine(backend, [[(1.0, a), (-1.0, b)] for a, b in pairs])]
-    assert [float.hex(x) for x in difference_norms(pairs)] == [float.hex(x) for x in want]

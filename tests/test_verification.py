@@ -2,9 +2,9 @@
 
 Every check's name, tolerance and residual (as float.hex, so bit for bit) on
 three models at two seeds.  The suites draw every sample before evaluating any
-law and evaluate each law stage across all samples in one kernel call; these
-pins hold that evaluation to the residuals of drawing and checking one sample
-at a time.
+law and evaluate each law stage across a chunk of samples in one kernel call;
+these pins hold that evaluation to the residuals of drawing and checking one
+sample at a time.
 """
 
 import numpy as np
