@@ -195,6 +195,8 @@ def _require_unit_phases(components, backend: BackendDescriptor) -> None:
 class MetricSpec:
     """Central, symmetric, invertible component array of a bilinear metric.
 
+    A component with a NaN or infinite entry is refused with ValueError, since
+    the symmetry and centrality checks compare norms, and a NaN passes them.
     Modes that multiply with a sign are refused with NonCommutativeBackend
     before the inverse is formed, since the pointwise inverse would be wrong.
     """
@@ -214,6 +216,9 @@ class MetricSpec:
                 if comp.support_radius() > be.radius:
                     raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
                                              f"radius {be.radius}")
+                data = comp.matrix if be.kind == MATRIX else comp.coeff_array
+                if not np.isfinite(data).all():
+                    raise ValueError(f"component ({i},{j}) is not finite")
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality

@@ -4,8 +4,9 @@ Complex numbers are [re, im] pairs throughout; graded elements list their
 modes in sorted order so documents are deterministic.
 
 A solve report is written to text directly by ``solve_report_text``: each
-distinct value of a matrix-backend Christoffel entry is spelt once, and the
-text is byte-identical to ``json.dumps(solve_report(...), sort_keys=True)``.
+distinct matrix-backend Christoffel entry is encoded once, and each distinct
+value within it spelt once.  The text is byte-identical to
+``json.dumps(solve_report(...), sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -115,10 +116,15 @@ def encode_connection(nabla: ConnectionCoeffs) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def _element_text(a: AlgebraElement) -> str:
-    if a.backend.kind == MATRIX:
-        return _object_text(_matrix_doc(_matrix_text(a.matrix)), "entries")
-    return json.dumps(encode_element(a), sort_keys=True)
+def _element_text(a: AlgebraElement, memo: dict) -> str:
+    """json.dumps(encode_element(a), sort_keys=True); `memo` keeps each distinct
+    matrix's text by its bytes, so equal matrices are written once."""
+    if a.backend.kind != MATRIX:
+        return json.dumps(encode_element(a), sort_keys=True)
+    key = a.matrix.tobytes()
+    if key not in memo:
+        memo[key] = _object_text(_matrix_doc(_matrix_text(a.matrix)), "entries")
+    return memo[key]
 
 
 def _report_doc(result: LeviCivitaResult, model_name: str, metric_source: str,
@@ -147,7 +153,9 @@ def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) 
 
 def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
     """json.dumps(solve_report(...), sort_keys=True), byte for byte, written directly."""
+    memo: dict = {}
     gamma = "[" + ", ".join(
-        "[" + ", ".join("[" + ", ".join(_element_text(a) for a in row) + "]" for row in plane)
+        "[" + ", ".join("[" + ", ".join(_element_text(a, memo) for a in row) + "]"
+                        for row in plane)
         + "]" for plane in result.connection.gamma) + "]"
     return _object_text(_report_doc(result, model_name, metric_source, gamma), "gamma")

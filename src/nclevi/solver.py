@@ -496,7 +496,8 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     # the gate's scale is the largest right-hand side coefficient in mode space
     scale = max(1.0, float(np.max(np.abs(calculus.exterior_constants), initial=0.0)),
                 max(d.norm() for plane in dg for row in plane for d in row))
-    if max(tres, cres) > residual_tol * scale:
+    # written so that a NaN residual fails: NaN compares false, and max() may drop it
+    if not (tres <= residual_tol * scale and cres <= residual_tol * scale):
         raise Inconsistent(
             f"solver output breaches residual tolerance "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")

@@ -79,12 +79,6 @@ def basis_tensor(spec, i, j):
     return TensorSquare(rows)
 
 
-def max_gamma_norm(conn):
-    n = conn.calculus.rank
-    return max(conn.gamma[i][j][k].norm() for i in range(n) for j in range(n)
-               for k in range(n))
-
-
 @pytest.fixture(scope="session")
 def twisted_mode_metric():
     """Builder of torus_bundle(3, 2, theta, radius) and the metric components with

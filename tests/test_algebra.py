@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclevi import algebra
@@ -470,3 +470,71 @@ def test_contract_and_combine_split_into_any_calls_bit_for_bit(backend, seed, s1
         assert_same_bits(combine(backend, sums1 + sums2),
                          combine(backend, sums1) + combine(backend, sums2))
 
+
+
+# -- the matrix kernel: exact zeros skipped, the exact identity passed through ------
+
+
+def reference_matrix_contract(backend, slots) -> list:
+    """Every matrix term by BLAS, summed in the given order from a zero matrix."""
+    out = []
+    for terms in slots:
+        acc = np.zeros((backend.size, backend.size), dtype=complex)
+        for c, a, b in terms:
+            prod = a.matrix @ b.matrix
+            acc = acc + (prod if c == 1.0 else prod * c)
+        out.append(acc)
+    return out
+
+
+def reference_matrix_combine(backend, slots) -> list:
+    out = []
+    for terms in slots:
+        acc = np.zeros((backend.size, backend.size), dtype=complex)
+        for c, a in terms:
+            acc = acc + (a.matrix if c == 1.0 else a.matrix * c)
+        out.append(acc)
+    return out
+
+
+def matrix_pool(size: int, seed: int) -> list:
+    """Zeros of both signs, the identity (also with -0 off the diagonal), real,
+    imaginary and complex multiples of it, and a complex and a real dense matrix,
+    both with zeros of both signs among their entries."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(size, dtype=complex)
+    dense = [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)),
+             rng.standard_normal((size, size)) + 0j]
+    for m in dense:
+        m[rng.random((size, size)) < 0.3] = complex(-0.0, 0.0)
+        m[rng.random((size, size)) < 0.2] = 0.0
+    mats = [np.zeros((size, size), dtype=complex), np.full((size, size), complex(-0.0, -0.0)),
+            eye, np.where(eye == 1.0, eye, complex(-0.0, -0.0)),
+            2.5 * eye, -0.5j * eye, (0.3 - 1.7j) * eye, *dense]
+    be = BackendDescriptor.matrix(size)
+    return [AlgebraElement.from_matrix(be, m) for m in mats]
+
+
+matrix_terms = st.lists(st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5 - 2j, 1j]),
+                                           st.integers(0, 8), st.integers(0, 8)),
+                                 max_size=6), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 8]), st.integers(0, 2 ** 32 - 1), matrix_terms)
+@example(3, 1, [[(1.0, 2, 7)], [(-1.0, 7, 3), (1.0, 0, 8)], []])
+@example(8, 1, [[(1.0, 7, 6), (0.5 - 2j, 4, 8)]])
+def test_matrix_contract_and_combine_match_term_by_term_blas_bit_for_bit(size, seed, terms):
+    # the shortcuts skip BLAS only where BLAS's bits are known: a product with an
+    # exact zero adds only zeros to a sum that starts at +0, and one with the exact
+    # identity is the other operand, up to the sign of its zeros.  A scalar multiple
+    # of the identity is not a shortcut: at size 8, x @ (c I) and x * c differ.
+    pool = matrix_pool(size, seed)
+    be = pool[0].backend
+    slots = [[(c, pool[i], pool[j]) for c, i, j in slot] for slot in terms]
+    sums = [[(c, pool[i]) for c, i, _ in slot] for slot in terms]
+    for got, want in ((contract(be, slots), reference_matrix_contract(be, slots)),
+                      (combine(be, sums), reference_matrix_combine(be, sums))):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x.matrix.view(np.uint64), y.view(np.uint64))

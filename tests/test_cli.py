@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -474,3 +475,50 @@ def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_com
                                       "--metric", str(path)])
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("model", ["fuzzy-sphere", "torus"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_metric_component_exits_two(capsys, tmp_path, fuzzy1, torus_comm,
+                                               model, bad):
+    # a NaN passes the symmetry and centrality checks, which compare norms with a
+    # bound, and an infinity would surface only as a failure of the mathematics
+    doc = encode_metric((fuzzy1 if model == "fuzzy-sphere" else torus_comm).metric)
+    el = doc["components"][0][1]
+    if model == "fuzzy-sphere":
+        el["entries"][0][1] = [bad, 0.0]
+    else:
+        el["terms"] = [[[0, 0, 0], [bad, 0.0]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", model, "--k", "1", "--theta", "0",
+                                      "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+    assert err == "input error: component (0,1) is not finite\n"
+
+
+# sha256 of `nclevi solve` stdout: the matrix kernel's zero and identity shortcuts
+# must leave every bit of these reports as the term-by-term BLAS sums give them
+SOLVE_STDOUT_SHA256 = {
+    ("fuzzy-sphere", 1, "direct"): "9a1d4911165aabe1598c714bd6069f3acbacbf43be4caf435f1f3dc76de80a10",
+    ("fuzzy-sphere", 1, "phi"): "1d33206b96d19a0b499e7a126d9ea9bc58a31616a9d013efab184ad0bc6d088e",
+    ("fuzzy-sphere", 1, "both"): "60b79c2146f4c32f86fbf58e68c15d6c4d2a7a05f118d2ed3b0fc6372235bb7c",
+    ("fuzzy-sphere", 2, "direct"): "5d313e1cdaf0ac22543e02a9a64c8432dfcebab34fd71f6a3f9410891d971e40",
+    ("fuzzy-sphere", 2, "phi"): "1cb342fe96c99ed7b35e2a20e9d13669f24b8a77a45a10e5c7b74f269d3d5f34",
+    ("fuzzy-sphere", 2, "both"): "d067d3c6eedab9912d42a53b5e03adb4095c024328da96eb24d47364d0247e69",
+    ("fuzzy-sphere", 3, "direct"): "b531ff25107cd7c20c61591f1294eea6a3c9d9fbe49a08e221d95a0c54a7805e",
+    ("fuzzy-sphere", 3, "phi"): "adbdb0ca5e367d8acb3ca441ac90d34f284934afb58ea4656fed6c4cc83480d9",
+    ("fuzzy-sphere", 3, "both"): "220d104865f2d65a7655680f3fbfba12213b314d5d688c51964337cfd6000dcf",
+    ("heisenberg", 1, "direct"): "97eec838799c6e70e95a0694d3621668d823e83d71e4a427a854b02199441892",
+    ("heisenberg", 1, "phi"): "e8c0a7be2f059acbbe001a0764be6fc3263635aebff6eb5e0451308763be19cd",
+    ("heisenberg", 1, "both"): "07cae5dafe122bebe21c65be41fb6d9bd89f026db79d588bbc4618e7dc923fba",
+}
+
+
+@pytest.mark.parametrize("model,k,route", sorted(SOLVE_STDOUT_SHA256))
+def test_solve_stdout_pinned(capsys, model, k, route):
+    code, out, err = run_cli(capsys, ["solve", "--model", model, "--k", str(k),
+                                      "--route", route])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_STDOUT_SHA256[model, k, route]

@@ -1,8 +1,11 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import basis_one_form, basis_tensor
+from nclevi import solver
 from nclevi.algebra import (
     AlgebraElement,
     BackendDescriptor,
@@ -488,6 +491,22 @@ def test_residual_gate_raises_inconsistent():
     assert levi_civita(model.calculus, g, route="direct").compat_residual <= 1e-11
     with pytest.raises(Inconsistent, match=r"solver output breaches residual tolerance"):
         levi_civita(model.calculus, g, route="direct", residual_tol=1e-20)
+
+
+@pytest.mark.parametrize("which", ["torsion", "compatibility"])
+def test_nan_residual_fails_the_gate(monkeypatch, which):
+    # a NaN compares false with any bound, and max(1e-12, nan) is 1e-12, so the
+    # gate must be written to fail closed on either residual
+    model = heisenberg()
+    nan = float("nan")
+    if which == "torsion":
+        monkeypatch.setattr(solver, "torsion_residual", lambda nabla: nan)
+    else:
+        real = solver._compat_residual
+        monkeypatch.setattr(solver, "_compat_residual", lambda g, nabla, dg: dataclasses.replace(
+            real(g, nabla, dg), max_norm=nan))
+    with pytest.raises(Inconsistent, match=r"nan"):
+        levi_civita(model.calculus, model.metric, route="direct")
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
