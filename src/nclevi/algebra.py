@@ -13,21 +13,22 @@ needs it: the constructors that take modes and the truncated product `mul`.
 Intermediate results (`contract`, `wide_mul`, `wide_sum`) keep every mode
 their products have, on the same descriptor.
 
-Every graded product and sum goes through one kernel, `contract`, which
-computes out[s] = sum of c a b over the terms (c, a, b) of slot s for many
-slots at once: one ragged outer product of all mode pairs, one Weyl phase
+Every graded product goes through one kernel, `contract`, which computes
+out[s] = sum of c a b over the terms (c, a, b) of slot s for many slots at
+once: one ragged outer product of all mode pairs, one Weyl phase
 exp(i pi <k, theta l>) per pair and one coalescing pass by (slot, mode).
 Contributions to one output mode are added in (output mode, a-mode, b-mode)
 order whatever order the terms came in, so a sum does not depend on how its
 operands were split into terms, and a slot's result does not depend on the
-other slots of its call.
+other slots of its call.  Graded sums (`combine`) share the coalescing pass
+but form no pairs and no phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,7 +181,7 @@ class AlgebraElement:
     @classmethod
     def zero(cls, backend: BackendDescriptor) -> "AlgebraElement":
         if backend.kind == MATRIX:
-            return cls._matrix(backend, np.zeros((backend.size, backend.size), dtype=complex))
+            return cls._matrix(backend, _zero_matrix(backend.size))
         return cls._graded(backend, _frozen(np.zeros((0, backend.dim), dtype=np.int64)),
                            _frozen(np.zeros(0, dtype=complex)), 0)
 
@@ -295,27 +296,24 @@ def contract(backend: BackendDescriptor,
     Every operand and every result is on `backend`.  A graded slot keeps every
     mode of its products, whatever their support: nothing is truncated here.
     An empty slot is zero.  Matrix slots are summed term by term in the given
-    order, starting from a zero matrix.  A term with an operand that is
-    exactly zero is skipped, and an operand that is exactly the identity
-    passes the other operand's matrix through; every other product is BLAS's.
-    Both shortcuts give the bits BLAS would for finite operands: the sum starts
-    from +0, so no signed zero of a skipped or passed-through product survives.
+    order: the first live term is added to +0 into a fresh array, the rest in
+    place, and a slot with no live term is a shared read-only zero.  A term
+    with an operand that is exactly zero is skipped, and an operand that is
+    exactly the identity passes the other operand's matrix through; every
+    other product is BLAS's.  Both shortcuts give the bits BLAS would for
+    finite operands: a sum starts from +0, so no signed zero of a skipped or
+    passed-through product survives.  Each distinct operand is classified once
+    per call, by its [0, 0] entry first: one that is neither 0 nor 1 is dense
+    without a look at the rest.
     """
     if backend.kind == MATRIX:
         kinds = _matrix_kinds(backend, (x for terms in slots for _, a, b in terms for x in (a, b)),
                               _identity(backend.size))
-        out = []
-        for terms in slots:
-            acc = np.zeros((backend.size, backend.size), dtype=complex)
-            for c, a, b in terms:
-                ka, kb = kinds[id(a)], kinds[id(b)]
-                if ka == _ZERO or kb == _ZERO:
-                    continue
-                prod = (b._mat if ka == _IDENTITY else a._mat if kb == _IDENTITY
-                        else a._mat @ b._mat)
-                acc = acc + (prod if c == 1.0 else prod * c)
-            out.append(AlgebraElement._matrix(backend, acc))
-        return out
+        return _matrix_sums(backend, (
+            ((c, b._mat if kinds[id(a)] == _IDENTITY else
+              a._mat if kinds[id(b)] == _IDENTITY else a._mat @ b._mat)
+             for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO)
+            for terms in slots))
     return _graded_contract(backend, slots)
 
 
@@ -329,18 +327,53 @@ def _identity(size: int) -> np.ndarray:
     return _frozen(np.eye(size, dtype=complex).view(float))
 
 
+@lru_cache(maxsize=8)
+def _zero_matrix(size: int) -> np.ndarray:
+    """The read-only N x N zero that every matrix zero element shares."""
+    return _frozen(np.zeros((size, size), dtype=complex))
+
+
 def _matrix_kinds(backend: BackendDescriptor, operands: Iterable[AlgebraElement],
                   identity: Optional[np.ndarray] = None) -> dict:
     """id(x) -> _ZERO, _IDENTITY (equal to the float view `identity`) or _DENSE for
-    each distinct matrix operand, each checked once against `backend`."""
+    each distinct matrix operand, each checked once against `backend`.
+
+    An operand whose [0, 0] entry is neither 0 nor 1 can be neither the zero
+    matrix nor the identity, so only the others are scanned in full.
+    """
     kinds: dict = {}
     for x in operands:
         if id(x) not in kinds:
-            _check_algebra(backend, x)
-            kinds[id(x)] = (_ZERO if not x._mat.any() else
+            if x.backend is not backend:
+                _check_algebra(backend, x)
+            corner = x._mat.item(0)
+            kinds[id(x)] = (_DENSE if corner != 0 and corner != 1 else
+                            _ZERO if not x._mat.any() else
                             _IDENTITY if identity is not None
                             and np.array_equal(x._mat.view(float), identity) else _DENSE)
     return kinds
+
+
+def _matrix_sums(backend: BackendDescriptor,
+                 slots: Iterable[Iterable[Tuple[complex, np.ndarray]]]) -> List[AlgebraElement]:
+    """One element per slot: the sum of c m over its live terms (c, m), in order.
+
+    The first term is added to +0, as a sum that starts from a zero matrix
+    would, into a fresh array; the rest are added in place.  A slot with no
+    term is the shared read-only zero.
+    """
+    out = []
+    for terms in slots:
+        acc = None
+        for c, m in terms:
+            term = m if c == 1.0 else m * c
+            if acc is None:
+                acc = term + 0.0
+            else:
+                acc += term
+        out.append(AlgebraElement._matrix(backend, _zero_matrix(backend.size)
+                                          if acc is None else acc))
+    return out
 
 
 def _check_algebra(backend: BackendDescriptor, *elements: AlgebraElement) -> None:
@@ -349,53 +382,86 @@ def _check_algebra(backend: BackendDescriptor, *elements: AlgebraElement) -> Non
             raise BackendMismatch(f"operands live on different backends: {x.backend} vs {backend}")
 
 
-def _graded_contract(backend: BackendDescriptor,
-                     slots: Sequence[Sequence[Term]]) -> List[AlgebraElement]:
-    """The graded kernel: the one place that forms Weyl phases and coalesces modes."""
+class _TermTable(NamedTuple):
+    """The terms of a graded kernel call as arrays.
+
+    ops holds one row per operand position of a term: indices into the
+    distinct operands, whose modes and coefficients are concatenated in kk
+    and cc, operand i's rows starting at offset[i] and numbering size[i].
+    """
+
+    kk: np.ndarray
+    cc: np.ndarray
+    size: np.ndarray
+    offset: np.ndarray
+    rad: np.ndarray
+    ops: np.ndarray
+    coef: np.ndarray
+    slot: np.ndarray
+
+
+def _term_table(backend: BackendDescriptor, slots: Sequence[Sequence[tuple]],
+                width: int) -> Optional[_TermTable]:
+    """The table of terms (c, x_1, ..., x_width) over `slots`, each distinct operand
+    checked once against `backend`; None when there is no term."""
     operands: list = []
     where: dict = {}
     t_ops, t_coef, t_slot = [], [], []
     for s, terms in enumerate(slots):
-        for c, a, b in terms:
-            for x in (a, b):
+        for term in terms:
+            for x in term[1:]:
                 i = where.get(id(x))
                 if i is None:
                     i = where[id(x)] = len(operands)
                     operands.append(x)
                 t_ops.append(i)
-            t_coef.append(c)
+            t_coef.append(term[0])
             t_slot.append(s)
-    nslots = len(slots)
     if not operands:
-        return [AlgebraElement.zero(backend) for _ in range(nslots)]
+        return None
     _check_algebra(backend, *operands)
     size, rad = np.array([(len(x._c), x.support_radius()) for x in operands],
                          dtype=np.int64).T
-    kk = np.concatenate([x._k for x in operands])
-    cc = np.concatenate([x._c for x in operands])
-    offset = np.cumsum(size) - size
-    t_a, t_b = np.array(t_ops).reshape(-1, 2).T
-    t_slot = np.array(t_slot)
-    t_coef = np.array(t_coef, dtype=complex)
-    rows = kk @ backend.theta if backend.theta.any() else None
-    t_pairs = size[t_a] * size[t_b]
-    # modes lie in the box |k_i| <= reach; code (slot, mode) in base 2 reach + 1
-    reach = int((rad[t_a] + rad[t_b]).max())
+    return _TermTable(kk=np.concatenate([x._k for x in operands]),
+                      cc=np.concatenate([x._c for x in operands]),
+                      size=size, offset=np.cumsum(size) - size, rad=rad,
+                      ops=np.array(t_ops).reshape(-1, width).T,
+                      coef=np.array(t_coef, dtype=complex), slot=np.array(t_slot))
+
+
+def _mode_code(backend: BackendDescriptor, reach: int, nslots: int) -> Tuple[int, np.ndarray]:
+    """(box, stride) coding (slot, mode) as slot * box + (mode + reach) @ stride, for
+    modes in the box |k_i| <= reach: base 2 reach + 1 digits, one per coordinate."""
     base = 2 * reach + 1
     box = base ** backend.dim
     if box * nslots >= 2 ** 62:
         raise OverflowError("mode box too large for the int64 mode code")
-    stride = base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
+    return box, base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
+
+
+def _graded_contract(backend: BackendDescriptor,
+                     slots: Sequence[Sequence[Term]]) -> List[AlgebraElement]:
+    """The graded kernel: the one place that forms Weyl phases."""
+    nslots = len(slots)
+    table = _term_table(backend, slots, 2)
+    if table is None:
+        return [AlgebraElement.zero(backend) for _ in range(nslots)]
+    kk, cc, size, offset = table.kk, table.cc, table.size, table.offset
+    t_a, t_b = table.ops
+    rows = kk @ backend.theta if backend.theta.any() else None
+    t_pairs = size[t_a] * size[t_b]
+    reach = int((table.rad[t_a] + table.rad[t_b]).max())
+    box, stride = _mode_code(backend, reach, nslots)
 
     out: List[AlgebraElement] = []
-    for s0, s1, lo_t, hi_t in _passes(t_slot, t_pairs, nslots):
+    for s0, s1, lo_t, hi_t in _passes(table.slot, t_pairs, nslots):
         npairs = t_pairs[lo_t:hi_t]
         term = np.repeat(np.arange(lo_t, hi_t), npairs)
         within = np.arange(len(term)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
         nb = size[t_b[term]]
         ia = offset[t_a[term]] + within // nb
         ib = offset[t_b[term]] + within % nb
-        slot, value = t_slot[term], t_coef[term]
+        slot, value = table.slot[term], table.coef[term]
         # each per-pair array is dropped once used, so that few are alive at a time
         del term, within, nb
         kb = kk[ib]
@@ -411,34 +477,73 @@ def _graded_contract(backend: BackendDescriptor,
         order = np.lexsort((a_code, code))
         del a_code
         code = code[order]
-        first = np.empty(len(code), dtype=bool)
-        first[:1] = True
-        np.not_equal(code[1:], code[:-1], out=first[1:])
-        del code
-        group = np.cumsum(first) - 1
-        value = value[order]
-        coef = (np.bincount(group, weights=value.real)
-                + 1j * np.bincount(group, weights=value.imag))
-        keep = coef != 0.0
-        lead = order[first][keep]
-        gmode, gcoef = _frozen(mode[lead]), _frozen(coef[keep])
-        bounds = np.searchsorted(slot[lead], np.arange(s0, s1 + 1))
-        # support radius per slot: the largest |k_i| over its rows (0 when empty)
-        grad = np.abs(gmode).max(axis=1, initial=0)
-        filled = bounds[1:] > bounds[:-1]
-        srad = np.zeros(s1 - s0, dtype=np.int64)
-        srad[filled] = np.maximum.reduceat(grad, bounds[:-1][filled]) if filled.any() else 0
-        bounds, srad = bounds.tolist(), srad.tolist()
-        for s in range(s0, s1):
-            lo, hi = bounds[s - s0], bounds[s - s0 + 1]
-            out.append(AlgebraElement._graded(backend, gmode[lo:hi], gcoef[lo:hi],
-                                              srad[s - s0]))
+        out += _coalesce(backend, s0, s1, slot, mode, value, code, order)
     return out
+
+
+def _graded_combine(backend: BackendDescriptor,
+                    slots: Sequence[Sequence[Tuple[complex, AlgebraElement]]]
+                    ) -> List[AlgebraElement]:
+    """The graded sums: each term's scaled modes, coalesced by (slot, mode)."""
+    nslots = len(slots)
+    table = _term_table(backend, slots, 1)
+    if table is None:
+        return [AlgebraElement.zero(backend) for _ in range(nslots)]
+    (t_a,) = table.ops
+    t_rows = table.size[t_a]
+    reach = int(table.rad[t_a].max())
+    box, stride = _mode_code(backend, reach, nslots)
+
+    out: List[AlgebraElement] = []
+    for s0, s1, lo_t, hi_t in _passes(table.slot, t_rows, nslots):
+        nrows = t_rows[lo_t:hi_t]
+        term = np.repeat(np.arange(lo_t, hi_t), nrows)
+        ia = (table.offset[t_a[term]] + np.arange(len(term))
+              - np.repeat(np.cumsum(nrows) - nrows, nrows))
+        slot, mode = table.slot[term], table.kk[ia]
+        value = table.coef[term] * table.cc[ia]
+        del term
+        code = (mode + reach) @ stride + (slot - s0) * box
+        # a term's rows are its operand's distinct modes, so a (slot, mode) group
+        # holds at most one row per term and the stable sort keeps term order
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        out += _coalesce(backend, s0, s1, slot, mode, value, code, order)
+    return out
+
+
+def _coalesce(backend: BackendDescriptor, s0: int, s1: int, slot: np.ndarray,
+              mode: np.ndarray, value: np.ndarray, code: np.ndarray,
+              order: np.ndarray) -> List[AlgebraElement]:
+    """The elements of slots s0 .. s1 - 1: the rows' values summed over equal
+    (slot, mode) codes, in `order`, exact zeros dropped.  `code` is sorted by
+    `order`; slot, mode and value are not."""
+    first = np.empty(len(code), dtype=bool)
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    value = value[order]
+    coef = (np.bincount(group, weights=value.real)
+            + 1j * np.bincount(group, weights=value.imag))
+    keep = coef != 0.0
+    lead = order[first][keep]
+    gmode, gcoef = _frozen(mode[lead]), _frozen(coef[keep])
+    bounds = np.searchsorted(slot[lead], np.arange(s0, s1 + 1))
+    # support radius per slot: the largest |k_i| over its rows (0 when empty)
+    grad = np.abs(gmode).max(axis=1, initial=0)
+    filled = bounds[1:] > bounds[:-1]
+    srad = np.zeros(s1 - s0, dtype=np.int64)
+    srad[filled] = np.maximum.reduceat(grad, bounds[:-1][filled]) if filled.any() else 0
+    bounds, srad = bounds.tolist(), srad.tolist()
+    return [AlgebraElement._graded(backend, gmode[bounds[i]:bounds[i + 1]],
+                                   gcoef[bounds[i]:bounds[i + 1]], srad[i])
+            for i in range(s1 - s0)]
 
 
 def _passes(t_slot: np.ndarray, t_pairs: np.ndarray, nslots: int) -> list:
     """(s0, s1, first term, end term) of consecutive slot ranges, each forming about
-    _PAIRS_PER_PASS mode pairs at most."""
+    _PAIRS_PER_PASS rows at most, a term forming t_pairs rows: its mode pairs
+    in a product, its operand's modes in a sum."""
     if int(t_pairs.sum()) <= _PAIRS_PER_PASS:
         return [(0, nslots, 0, len(t_slot))]
     ends = np.cumsum(np.bincount(t_slot, weights=t_pairs, minlength=nslots))
@@ -455,24 +560,18 @@ def combine(backend: BackendDescriptor,
             slots: Sequence[Sequence[Tuple[complex, AlgebraElement]]]) -> List[AlgebraElement]:
     """out[s] = sum of c a over the terms (c, a) of slots[s], one element per slot.
 
-    Graded sums are `contract` against the unit, so they keep every mode of
-    their terms; matrix sums add the scaled matrices in the given order,
-    starting from a zero matrix and skipping exactly zero terms, as `contract`
-    does.
+    Graded sums keep every mode of their terms: each term's modes are scaled
+    by c, sorted stably by (slot, mode) and coalesced as `contract` coalesces,
+    with no pairs and no phases, so a sum has the bits of `contract` against
+    the unit.  Matrix sums add the scaled matrices in the given order, skipping
+    exactly zero terms, as `contract` does: one look at an operand's [0, 0]
+    entry settles most of them, and a slot is summed in place from +0.
     """
     if backend.kind == MATRIX:
         kinds = _matrix_kinds(backend, (a for terms in slots for _, a in terms))
-        out = []
-        for terms in slots:
-            acc = np.zeros((backend.size, backend.size), dtype=complex)
-            for c, a in terms:
-                if kinds[id(a)] == _ZERO:
-                    continue
-                acc = acc + (a._mat if c == 1.0 else a._mat * c)
-            out.append(AlgebraElement._matrix(backend, acc))
-        return out
-    unit = AlgebraElement.unit(backend)
-    return contract(backend, [[(c, a, unit) for c, a in terms] for terms in slots])
+        return _matrix_sums(backend, ([(c, a._mat) for c, a in terms if kinds[id(a)] != _ZERO]
+                                      for terms in slots))
+    return _graded_combine(backend, slots)
 
 
 # -- module-level operations ------------------------------------------------
@@ -526,7 +625,7 @@ def trace(a: AlgebraElement) -> complex:
 def norm(a: AlgebraElement) -> float:
     """Entrywise / coefficientwise max modulus; the residual norm used everywhere."""
     if a.backend.kind == MATRIX:
-        return float(np.max(np.abs(a._mat))) if a.backend.size else 0.0
+        return float(np.abs(a._mat).max())
     return float(np.abs(a._c).max(initial=0.0))
 
 
@@ -649,13 +748,15 @@ def random_element(backend: BackendDescriptor, rng: np.random.Generator,
     if backend.kind == MATRIX:
         n = backend.size
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return AlgebraElement(backend, mat=m / max(1.0, np.sqrt(n)))
+        return AlgebraElement._matrix(backend, m / max(1.0, np.sqrt(n)))
     r = min(radius, backend.radius)
     data: dict = {}
     for _ in range(4):
         k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
         data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
-    # the modes lie within the radius, so the checks of the dict constructor are not needed
-    return AlgebraElement._graded(backend, *_canonical(
-        np.array(list(data), dtype=np.int64).reshape(len(data), backend.dim),
-        np.array(list(data.values()), dtype=complex)))
+    # distinct keys within the radius, sorted as tuples: already canonical once
+    # exact-zero sums are dropped
+    modes = sorted(k for k, c in data.items() if c != 0.0)
+    return AlgebraElement._graded(
+        backend, _frozen(np.array(modes, dtype=np.int64).reshape(len(modes), backend.dim)),
+        _frozen(np.array([data[k] for k in modes], dtype=complex)))

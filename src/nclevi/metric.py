@@ -116,11 +116,12 @@ class TorusGrid:
         return out
 
     def read_back(self, values: np.ndarray, dim: int,
-                  floor: float) -> List[Tuple[np.ndarray, np.ndarray]]:
+                  floor: float) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], float]:
         """Fourier modes of grid values, the inverse of `sample`.
 
         One (modes, coefficients) pair per row of `values`, holding the
         coefficients above `floor`; modes have `dim` entries, zero off `coords`.
+        Also returns the largest modulus dropped under the floor (0.0 if none).
         """
         d = len(self.coords)
         grid_shape = (self.size,) * d
@@ -129,11 +130,10 @@ class TorusGrid:
         idx = np.indices(grid_shape).reshape(d, self.points)
         modes = np.zeros((self.points, dim), dtype=np.int64)
         modes[:, list(self.coords)] = np.where(idx > self.size // 2, idx - self.size, idx).T
-        out = []
-        for row in coeffs:
-            keep = np.abs(row) > floor
-            out.append((modes[keep], row[keep]))
-        return out
+        mags = np.abs(coeffs)
+        keep = mags > floor
+        dropped = float(np.max(mags, where=~keep, initial=0.0))
+        return [(modes[k], row[k]) for k, row in zip(keep, coeffs)], dropped
 
 
 def central_element(backend: BackendDescriptor, modes: np.ndarray,
@@ -163,8 +163,8 @@ def _central_inverse(components, backend: BackendDescriptor):
             f"component matrix singular (relative singular value {ratio:.3e})")
     inv_pts = np.linalg.inv(pts)
     scale = float(np.max(np.abs(inv_pts)))
-    modes = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
-                           _INVERSE_TAIL * max(scale, 1.0))
+    modes, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
+                              _INVERSE_TAIL * max(scale, 1.0))
     reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
     if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
         raise SingularMetric("inverse components decay too slowly for the truncation budget")

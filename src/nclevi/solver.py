@@ -427,9 +427,11 @@ class LeviCivitaResult:
     reduced square compatibility operator left once torsion is removed;
     pointwise_residual is the largest residual of the pointwise solve over
     every torsion and compatibility row (0 on the phi route).  stats holds the
-    grid points, the equations and unknowns per point, and the seconds spent
-    in the pointwise core, the read-back to modes (0 on the phi route) and the
-    residual gates.
+    grid points, the equations and unknowns per point, gamma_reach (the
+    largest support radius over Gamma's entries, 0 on the matrix backend),
+    dropped_tail (the largest modulus the read-back dropped under its 1e-16
+    floor, 0.0 on the phi route), and the seconds spent in the pointwise
+    core, the read-back to modes (0 on the phi route) and the residual gates.
     """
 
     connection: ConnectionCoeffs
@@ -443,13 +445,15 @@ class LeviCivitaResult:
 
 
 def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid,
-                         x: np.ndarray) -> ConnectionCoeffs:
-    """Christoffel coefficients from grid values: every mode above the 1e-16 floor."""
+                         x: np.ndarray) -> Tuple[ConnectionCoeffs, float]:
+    """Christoffel coefficients from grid values: every mode above the 1e-16 floor,
+    with the largest modulus the floor dropped."""
     n = calculus.rank
     be = calculus.backend
-    flat = [central_element(be, k, c) for k, c in grid.read_back(x.T, be.dim, 1e-16)]
+    modes, dropped = grid.read_back(x.T, be.dim, 1e-16)
+    flat = [central_element(be, k, c) for k, c in modes]
     return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
-                                        for j in range(n)] for i in range(n)])
+                                        for j in range(n)] for i in range(n)]), dropped
 
 
 def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
@@ -480,11 +484,12 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         return ConnectionCoeffs(calculus, _cube(gamma, n))
 
     diff: Optional[float] = None
+    dropped = 0.0
     if route == "phi":
         nabla, pointwise_res = solve_phi(), 0.0
     else:
         start = time.perf_counter()
-        nabla = _gamma_from_solution(calculus, grid, x)
+        nabla, dropped = _gamma_from_solution(calculus, grid, x)
         seconds["readback_s"] = time.perf_counter() - start
         if route == "both":
             diff = nabla.difference_norm(solve_phi())
@@ -502,7 +507,9 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
             f"solver output breaches residual tolerance "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")
     stats = {"grid_points": grid.points, "equations": equations, "unknowns": unknowns,
-             **seconds}
+             "gamma_reach": max(el.support_radius()
+                                for plane in nabla.gamma for row in plane for el in row),
+             "dropped_tail": dropped, **seconds}
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
                             sv_ratio=sv_ratio, route=route, pointwise_residual=pointwise_res,
                             stats=stats, route_difference=diff)

@@ -472,6 +472,54 @@ def test_contract_and_combine_split_into_any_calls_bit_for_bit(backend, seed, s1
 
 
 
+_UNTWISTED3 = BackendDescriptor.graded(3, np.zeros((3, 3)), 2)
+
+sum_lists = st.lists(st.lists(st.tuples(st.one_of(st.sampled_from([1.0, -1.0, 0.5]), coeff),
+                                        st.integers(0, 6)),
+                              max_size=5), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_TWISTED3, _UNTWISTED3]), st.integers(0, 2 ** 32 - 1), sum_lists,
+       st.sampled_from([1, 16, 1 << 12]))
+@example(_TWISTED3, 0, [[(1.0, 0), (1.0, 6)], [], [(0.5, 2), (-0.5, 2)], [(1.0, 5), (1.0, 4)]],
+         1 << 12)
+@example(_UNTWISTED3, 1, [[(0.5, 6), (1.0, 1), (0.5, 6), (-1.0, 1), (1.0, 0)]], 16)
+def test_graded_combine_is_contract_against_the_unit_bit_for_bit(backend, seed, terms, budget):
+    # pool[6] is -pool[0], so terms may cancel to an exact zero; repeated operands,
+    # empty slots and multi-pass calls are covered as in the split test above
+    pool = operand_pool(backend, seed)
+    pool.append(-1.0 * pool[0])
+    unit = AlgebraElement.unit(backend)
+    sums = [[(c, pool[i]) for c, i in slot] for slot in terms]
+    with mock.patch.object(algebra, "_PAIRS_PER_PASS", budget):
+        assert_same_bits(combine(backend, sums),
+                         contract(backend, [[(c, a, unit) for c, a in slot] for slot in sums]))
+
+
+def checked_random_element(backend, rng, radius=1):
+    """random_element's graded draws, built through the checked dict constructor."""
+    r = min(radius, backend.radius)
+    data: dict = {}
+    for _ in range(4):
+        k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
+        data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
+    return AlgebraElement.from_modes(backend, data)
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_random_element_matches_checked_construction(dim):
+    be = BackendDescriptor.graded(dim, np.zeros((dim, dim)), 2)
+    for seed in range(20):
+        for radius in (1, 2, 5):     # 5 is capped at the backend's radius 2
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = random_element(be, rng, radius), checked_random_element(be, ref, radius)
+            assert_same_bits([got], [want])
+            assert got.support_radius() == want.support_radius()
+            # the same draws, in the same order
+            assert rng.random() == ref.random()
+
+
 # -- the matrix kernel: exact zeros skipped, the exact identity passed through ------
 
 
@@ -500,7 +548,10 @@ def reference_matrix_combine(backend, slots) -> list:
 def matrix_pool(size: int, seed: int) -> list:
     """Zeros of both signs, the identity (also with -0 off the diagonal), real,
     imaginary and complex multiples of it, and a complex and a real dense matrix,
-    both with zeros of both signs among their entries."""
+    both with zeros of both signs among their entries; then copies of the complex
+    one with [0, 0] exactly 1, +0 and -0, and the identity with one nonzero entry
+    off the diagonal (the identity itself at size 1).  The last four have the
+    [0, 0] entry of a zero or an identity, so the kernel must look further."""
     rng = np.random.default_rng(seed)
     eye = np.eye(size, dtype=complex)
     dense = [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)),
@@ -508,15 +559,21 @@ def matrix_pool(size: int, seed: int) -> list:
     for m in dense:
         m[rng.random((size, size)) < 0.3] = complex(-0.0, 0.0)
         m[rng.random((size, size)) < 0.2] = 0.0
+    corners = [dense[0].copy() for _ in range(3)]
+    for m, corner in zip(corners, (1.0, 0j, complex(-0.0, -0.0))):
+        m[0, 0] = corner
+    near_eye = eye.copy()
+    if size > 1:
+        near_eye[-1, 0] = 1e-3
     mats = [np.zeros((size, size), dtype=complex), np.full((size, size), complex(-0.0, -0.0)),
             eye, np.where(eye == 1.0, eye, complex(-0.0, -0.0)),
-            2.5 * eye, -0.5j * eye, (0.3 - 1.7j) * eye, *dense]
+            2.5 * eye, -0.5j * eye, (0.3 - 1.7j) * eye, *dense, *corners, near_eye]
     be = BackendDescriptor.matrix(size)
     return [AlgebraElement.from_matrix(be, m) for m in mats]
 
 
 matrix_terms = st.lists(st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5 - 2j, 1j]),
-                                           st.integers(0, 8), st.integers(0, 8)),
+                                           st.integers(0, 12), st.integers(0, 12)),
                                  max_size=6), max_size=4)
 
 
@@ -524,6 +581,8 @@ matrix_terms = st.lists(st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5 - 2j,
 @given(st.sampled_from([1, 3, 8]), st.integers(0, 2 ** 32 - 1), matrix_terms)
 @example(3, 1, [[(1.0, 2, 7)], [(-1.0, 7, 3), (1.0, 0, 8)], []])
 @example(8, 1, [[(1.0, 7, 6), (0.5 - 2j, 4, 8)]])
+@example(3, 2, [[(1.0, 9, 12), (1j, 12, 10), (-1.0, 11, 9)], [(0.5 - 2j, 12, 12)]])
+@example(8, 3, [[(1.0, 0, 7), (0.5 - 2j, 12, 1), (-1.0, 1, 0)], [(1j, 10, 11)]])
 def test_matrix_contract_and_combine_match_term_by_term_blas_bit_for_bit(size, seed, terms):
     # the shortcuts skip BLAS only where BLAS's bits are known: a product with an
     # exact zero adds only zeros to a sum that starts at +0, and one with the exact

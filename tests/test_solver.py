@@ -739,7 +739,9 @@ def test_underdetermined_torsion_raises_non_unique_on_every_route():
             levi_civita(calculus, g, route=route)
 
 
-STAT_KEYS = {"grid_points", "equations", "unknowns", "core_s", "readback_s", "gates_s"}
+STAT_KEYS = {"grid_points", "equations", "unknowns", "gamma_reach", "dropped_tail",
+             "core_s", "readback_s", "gates_s"}
+COUNT_KEYS = {"grid_points", "equations", "unknowns", "gamma_reach"}
 
 
 def test_stats_schema_and_square_system_on_every_shipped_model(fuzzy1, heis):
@@ -756,6 +758,15 @@ def test_stats_schema_and_square_system_on_every_shipped_model(fuzzy1, heis):
             assert stats["grid_points"] == points
             # the reduced system is square: a stacked system would have n m + n^3 rows
             assert stats["equations"] == stats["unknowns"] == n * n * (n + 1) // 2
-            for key in STAT_KEYS - {"grid_points", "equations", "unknowns"}:
+            for key in STAT_KEYS - COUNT_KEYS:
                 assert type(stats[key]) is float and stats[key] >= 0.0
-            assert all(type(stats[k]) is int for k in ("grid_points", "equations", "unknowns"))
+            assert all(type(stats[k]) is int and stats[k] >= 0 for k in COUNT_KEYS)
+            # the read-back drops only what its 1e-16 floor drops; the phi route reads nothing back
+            assert stats["dropped_tail"] <= 1e-16
+            if route == "phi":
+                assert stats["dropped_tail"] == 0.0
+            else:
+                # the modes read back are frequencies of the odd-sized grid
+                assert 2 * stats["gamma_reach"] < points
+            if calculus.backend.kind == "matrix":
+                assert stats["gamma_reach"] == 0
