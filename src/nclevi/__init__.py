@@ -61,7 +61,6 @@ from .solver import (
     CompatibilityResidual,
     ConnectionCoeffs,
     LeviCivitaResult,
-    apply_connection,
     compat_residual,
     koszul_oracle,
     levi_civita,

@@ -26,6 +26,7 @@ but form no pairs and no phases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -133,33 +134,12 @@ class AlgebraElement:
     Matrix backend: wraps an N x N complex ndarray.  Graded backend: wraps the
     int64 mode array (K, t), sorted lexicographically with no repeats, and
     the complex coefficient vector (K,) with no zero entries; `mode_array`
-    and `coeff_array` expose them read-only.  Instances are immutable.
+    and `coeff_array` expose them read-only.  Instances are immutable.  The
+    validated constructors are `from_matrix` and `from_modes`, each for its
+    own backend kind; they raise BackendMismatch on the other.
     """
 
     __slots__ = ("backend", "_mat", "_k", "_c", "_rad")
-
-    def __init__(self, backend: BackendDescriptor, *, mat: Optional[np.ndarray] = None,
-                 modes: Optional[Mapping[tuple, complex]] = None):
-        self.backend = backend
-        if backend.kind == MATRIX:
-            if mat is None:
-                raise ValueError("matrix backend element needs a matrix")
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (backend.size, backend.size):
-                raise ValueError(f"expected {backend.size}x{backend.size} matrix, got {arr.shape}")
-            self._mat = _frozen(arr.copy())
-            self._k = self._c = None
-            self._rad = 0
-            return
-        modes = modes or {}
-        keys = [tuple(int(x) for x in k) for k in modes]
-        bad = [k for k in keys if len(k) != backend.dim]
-        if bad:
-            raise ValueError(f"mode {bad[0]} has wrong dimension")
-        self._mat = None
-        self._k, self._c, self._rad = _truncated(
-            backend, np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim),
-            np.array([complex(v) for v in modes.values()], dtype=complex))
 
     @classmethod
     def _matrix(cls, backend: BackendDescriptor, mat: np.ndarray) -> "AlgebraElement":
@@ -194,15 +174,30 @@ class AlgebraElement:
 
     @classmethod
     def from_matrix(cls, backend: BackendDescriptor, mat) -> "AlgebraElement":
-        return cls(backend, mat=mat)
+        """A matrix-backend element holding a C-ordered complex copy of mat."""
+        if backend.kind != MATRIX:
+            raise BackendMismatch("from_matrix needs a matrix backend")
+        arr = np.asarray(mat, dtype=complex)
+        if arr.shape != (backend.size, backend.size):
+            raise ValueError(f"expected {backend.size}x{backend.size} matrix, got {arr.shape}")
+        return cls._matrix(backend, arr.copy())
 
     @classmethod
     def from_modes(cls, backend: BackendDescriptor, modes: Mapping) -> "AlgebraElement":
-        return cls(backend, modes=modes)
+        """A graded element from {mode: coefficient}; modes beyond the radius overflow."""
+        if backend.kind != GRADED:
+            raise BackendMismatch("from_modes needs a graded backend")
+        keys = [tuple(int(x) for x in k) for k in modes]
+        bad = [k for k in keys if len(k) != backend.dim]
+        if bad:
+            raise ValueError(f"mode {bad[0]} has wrong dimension")
+        return cls._graded(backend, *_truncated(
+            backend, np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim),
+            np.array([complex(v) for v in modes.values()], dtype=complex)))
 
     @classmethod
     def single_mode(cls, backend: BackendDescriptor, mode: Sequence[int], coeff: complex = 1.0) -> "AlgebraElement":
-        return cls(backend, modes={tuple(mode): coeff})
+        return cls.from_modes(backend, {tuple(mode): coeff})
 
     # -- data views --------------------------------------------------------
 
@@ -609,7 +604,7 @@ def _restrict(prod: AlgebraElement, be: BackendDescriptor) -> AlgebraElement:
 def star(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: conjugate transpose / mode reflection with conjugated coefficients."""
     if a.backend.kind == MATRIX:
-        return AlgebraElement(a.backend, mat=a._mat.conj().T)
+        return AlgebraElement.from_matrix(a.backend, a._mat.conj().T)
     # reflection reverses the lexicographic order
     return AlgebraElement._graded(a.backend, _frozen(-a._k[::-1]),
                                   _frozen(np.conj(a._c[::-1])), a._rad)
@@ -620,6 +615,15 @@ def trace(a: AlgebraElement) -> complex:
     if a.backend.kind == MATRIX:
         return complex(np.trace(a._mat)) / a.backend.size
     return a.coefficient((0,) * a.backend.dim)
+
+
+def worst(values) -> float:
+    """The largest of the values, 0.0 if there are none, NaN if any is NaN.
+
+    Python's max keeps a NaN only when it comes first, so a residual reduced
+    with it could hide one."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def norm(a: AlgebraElement) -> float:

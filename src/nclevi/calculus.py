@@ -3,7 +3,8 @@
 The calculus is finite data: wedge constants c^a_{ij} mapping the tensor square
 onto two-forms, exterior constants D^a_i encoding d(e_i), and an ordered list of
 derivations realizing d on the algebra.  One-forms, tensor squares and two-forms
-are coefficient arrays over the algebra backend; the canonical flip is the
+are coefficient arrays over the algebra backend, and share the `Module` base
+that does their coefficientwise arithmetic; the canonical flip is the
 coefficient transpose and the symmetrizer is its average with the identity.
 
 Each operation that needs the algebra kernel has a batched form (`p_sym_many`,
@@ -14,7 +15,7 @@ inputs in one kernel call; the single-input form is that call on one input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .algebra import (
     derive_many,
     products,
     random_element,
+    worst,
 )
 from .errors import BackendMismatch, NoSolution
 
@@ -86,10 +88,40 @@ def left_mul_many(pairs: Sequence[Tuple[AlgebraElement, "Module"]]) -> list:
                     products([(a, c) for a, x in pairs for c in _coefficients(x)]))
 
 
-class OneForm:
-    """Sum e_i a_i over the central basis, stored as the coefficient vector a."""
+class Module:
+    """The arithmetic shared by one-forms, tensor squares, two-forms and
+    functionals, coefficient by coefficient through `_coefficients` and
+    `_rebuild`; each kind adds only its constructor checks, rank and backend."""
 
     __slots__ = ("coeffs",)
+
+    def __add__(self, other: "Module") -> "Module":
+        return _pairwise([(self, other)], 1.0)[0]
+
+    def __sub__(self, other: "Module") -> "Module":
+        return _pairwise([(self, other)], -1.0)[0]
+
+    def __neg__(self) -> "Module":
+        return self.scale(-1.0)
+
+    def scale(self, z: complex) -> "Module":
+        return _rebuild([self], [c * z for c in _coefficients(self)])[0]
+
+    def right_mul(self, a: AlgebraElement) -> "Module":
+        return right_mul_many([(self, a)])[0]
+
+    def left_mul(self, a: AlgebraElement) -> "Module":
+        # central basis: a e_i = e_i a, so the left action multiplies coefficients from the left
+        return left_mul_many([(a, self)])[0]
+
+    def norm(self) -> float:
+        return worst(c.norm() for c in _coefficients(self))
+
+
+class OneForm(Module):
+    """Sum e_i a_i over the central basis, stored as the coefficient vector a."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[AlgebraElement]):
         coeffs = tuple(coeffs)
@@ -108,33 +140,11 @@ class OneForm:
     def rank(self) -> int:
         return len(self.coeffs)
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return _pairwise([(self, other)], 1.0)[0]
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return _pairwise([(self, other)], -1.0)[0]
-
-    def __neg__(self) -> "OneForm":
-        return OneForm([-a for a in self.coeffs])
-
-    def right_mul(self, a: AlgebraElement) -> "OneForm":
-        return right_mul_many([(self, a)])[0]
-
-    def left_mul(self, a: AlgebraElement) -> "OneForm":
-        # central basis: a e_i = e_i a, so the left action multiplies coefficients from the left
-        return left_mul_many([(a, self)])[0]
-
-    def scale(self, z: complex) -> "OneForm":
-        return OneForm([c * z for c in self.coeffs])
-
-    def norm(self) -> float:
-        return max(c.norm() for c in self.coeffs)
-
-
-class TensorSquare:
+class TensorSquare(Module):
     """Sum e_i (x) e_j a_ij, stored as the n x n coefficient array."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
         rows = _as_element_rows(coeffs)
@@ -151,56 +161,20 @@ class TensorSquare:
     def backend(self) -> BackendDescriptor:
         return self.coeffs[0][0].backend
 
-    def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        return _pairwise([(self, other)], 1.0)[0]
 
-    def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return _pairwise([(self, other)], -1.0)[0]
-
-    def __neg__(self) -> "TensorSquare":
-        return self.scale(-1.0)
-
-    def scale(self, z: complex) -> "TensorSquare":
-        return TensorSquare([[a * z for a in r] for r in self.coeffs])
-
-    def right_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return right_mul_many([(self, a)])[0]
-
-    def left_mul(self, a: AlgebraElement) -> "TensorSquare":
-        return left_mul_many([(a, self)])[0]
-
-    def norm(self) -> float:
-        return max(c.norm() for r in self.coeffs for c in r)
-
-
-class TwoForm:
+class TwoForm(Module):
     """Sum f_a b_a over the chosen two-form basis."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[AlgebraElement]):
         self.coeffs = tuple(coeffs)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return _pairwise([(self, other)], 1.0)[0]
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return _pairwise([(self, other)], -1.0)[0]
-
-    def right_mul(self, a: AlgebraElement) -> "TwoForm":
-        return right_mul_many([(self, a)])[0]
-
-    def norm(self) -> float:
-        return max((c.norm() for c in self.coeffs), default=0.0)
 
 
 def sigma(t: TensorSquare) -> TensorSquare:
     """Canonical flip: coefficient transpose."""
     n = t.rank
     return TensorSquare([[t.coeffs[j][i] for j in range(n)] for i in range(n)])
-
-
-Module = Union[OneForm, TensorSquare, TwoForm]
 
 
 def p_sym(t: TensorSquare) -> TensorSquare:
@@ -299,8 +273,7 @@ class CalculusSpec:
 
     def d_squared_residual(self) -> float:
         """max_a |d1(d0(a))| over the generator list."""
-        return max((w.norm() for w in self.d1_many(self.d0_many(self.generators))),
-                   default=0.0)
+        return worst(w.norm() for w in self.d1_many(self.d0_many(self.generators)))
 
     # -- differential structure ---------------------------------------------
 

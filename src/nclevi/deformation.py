@@ -173,7 +173,8 @@ def deform_connection(calculus: CalculusSpec, nabla: ConnectionCoeffs, g: Metric
     cres = compat_residual(g_t, nab_t).max_norm
     scale = max(1.0, max(nab_t.gamma[i][j][k].norm()
                          for i in range(n) for j in range(n) for k in range(n)))
-    if max(tres, cres) > DEFAULT_RESIDUAL_TOL * scale:
+    # written so that a NaN residual fails: NaN compares false
+    if not (tres <= DEFAULT_RESIDUAL_TOL * scale and cres <= DEFAULT_RESIDUAL_TOL * scale):
         raise Inconsistent(
             f"deformed connection fails its certificates "
             f"(torsion {tres:.3e}, compatibility {cres:.3e})")

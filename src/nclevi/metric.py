@@ -12,6 +12,7 @@ budget, and the Levi-Civita solver runs on a grid sized by the metric.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -29,7 +30,7 @@ from .algebra import (
     first_noncentral,
     trace,
 )
-from .calculus import CalculusSpec, OneForm, TensorSquare
+from .calculus import CalculusSpec, Module, OneForm, TensorSquare
 from .errors import (
     BackendMismatch,
     NonCentralResult,
@@ -47,10 +48,10 @@ _INVERSE_EXTRA_RADIUS = 40
 _INVERSE_TAIL = 1e-12
 
 
-class Functional:
+class Functional(Module):
     """Element of E^*: phi(sum e_i a_i) = sum phi_i a_i."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[AlgebraElement]):
         self.coeffs = tuple(coeffs)
@@ -62,14 +63,6 @@ class Functional:
     def __call__(self, omega: OneForm) -> AlgebraElement:
         return contract(self.coeffs[0].backend,
                         [[(1.0, f, a) for f, a in zip(self.coeffs, omega.coeffs)]])[0]
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(combine(self.coeffs[0].backend,
-                                  [[(1.0, a), (-1.0, b)]
-                                   for a, b in zip(self.coeffs, other.coeffs)]))
-
-    def norm(self) -> float:
-        return max(c.norm() for c in self.coeffs)
 
 
 def _grid_sizes(ndim: int, radius: int) -> int:
@@ -299,28 +292,20 @@ def g2_eval(g: MetricSpec, s: TensorSquare, t: TensorSquare) -> AlgebraElement:
 
 def g2_eval_many(g: MetricSpec,
                  pairs: Sequence[Tuple[TensorSquare, TensorSquare]]) -> List[AlgebraElement]:
-    """g2_eval(g, s, t) for every pair (s, t), in three kernel calls.
+    """g2_eval(g, s, t) for every pair (s, t): the sum over (k, l, i, j) of
+    V_g2[(k, l), (i, j)] s_kl t_ij, in two kernel calls after v_g2_matrix's.
 
-    The calls form g_li g_kj, then times s_kl, then the sum of those times t_ij,
-    over each pair's quadruples (k, l, i, j) with s_kl, t_ij and g_li g_kj
-    nonzero; a product g_li g_kj that several pairs need is formed once.
+    Exactly zero entries of V_g2 are skipped, so a diagonal metric gives n^2
+    terms per pair.
     """
     n = g.rank
-    gc = g.components
-
-    def nonzero(x: TensorSquare) -> list:
-        return [(a, b) for a in range(n) for b in range(n) if x.coeffs[a][b].norm() != 0.0]
-
-    quads = [[(k, l, i, j) for k, l in nonzero(s) for i, j in nonzero(t)] for s, t in pairs]
-    needed = list(dict.fromkeys(q for qs in quads for q in qs))
-    gg = {q: x for q, x in zip(needed, contract(g.backend, [[(1.0, gc[l][i], gc[k][j])]
-                                                          for k, l, i, j in needed]))
-          if x.norm() != 0.0}
-    quads = [[q for q in qs if q in gg] for qs in quads]
-    ggs = iter(contract(g.backend, [[(1.0, gg[k, l, i, j], s.coeffs[k][l])]
-                                    for qs, (s, _) in zip(quads, pairs) for k, l, i, j in qs]))
-    return contract(g.backend, [[(1.0, next(ggs), t.coeffs[i][j]) for _, _, i, j in qs]
-                                for qs, (_, t) in zip(quads, pairs)])
+    m2 = v_g2_matrix(g).entries
+    live = [(k, l, i, j) for k, l, i, j in itertools.product(range(n), repeat=4)
+            if m2[k * n + l][i * n + j].norm() != 0.0]
+    ms = iter(contract(g.backend, [[(1.0, m2[k * n + l][i * n + j], s.coeffs[k][l])]
+                                   for s, _ in pairs for k, l, i, j in live]))
+    return contract(g.backend, [[(1.0, next(ms), t.coeffs[i][j]) for _, _, i, j in live]
+                                for _, t in pairs])
 
 
 @dataclass

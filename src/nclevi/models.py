@@ -10,8 +10,8 @@ deformation engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class Model:
     calculus: CalculusSpec
     metric: MetricSpec
     action: Optional[TorusAction] = None
-    params: Dict = field(default_factory=dict)
 
     @property
     def backend(self) -> BackendDescriptor:
@@ -146,8 +145,7 @@ def fuzzy_sphere(k: int) -> Model:
 
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
     metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
-    return Model(name="fuzzy-sphere", calculus=calculus, metric=metric,
-                 params={"k": k, "size": size})
+    return Model(name="fuzzy-sphere", calculus=calculus, metric=metric)
 
 
 def heisenberg() -> Model:
@@ -167,7 +165,7 @@ def heisenberg() -> Model:
     generators = [AlgebraElement.unit(backend)]
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
     metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
-    return Model(name="heisenberg", calculus=calculus, metric=metric, params={})
+    return Model(name="heisenberg", calculus=calculus, metric=metric)
 
 
 def torus_bundle(m: int, n: int, theta, radius: int) -> Model:
@@ -197,8 +195,7 @@ def torus_bundle(m: int, n: int, theta, radius: int) -> Model:
         generators.append(AlgebraElement.single_mode(backend, tuple(-x for x in e)))
     calculus = CalculusSpec(m, len(pairs), c, exterior, derivations, backend, generators)
     metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=gamma_matrices(m)))
-    return Model(name="torus", calculus=calculus, metric=metric, action=action,
-                 params={"dims": m, "deformed": n, "radius": radius})
+    return Model(name="torus", calculus=calculus, metric=metric, action=action)
 
 
 def random_central_metric(model: Model, rng: np.random.Generator) -> MetricSpec:
@@ -212,8 +209,9 @@ def random_central_metric(model: Model, rng: np.random.Generator) -> MetricSpec:
     calculus = model.calculus
     be = calculus.backend
     n = calculus.rank
-    # a matrix backend has dim 0, so it has no free coordinate either
-    free = list(range(model.params.get("deformed", be.dim), be.dim))
+    # the coordinates the torus action leaves alone; a model with no action has none
+    moved = model.action.coords if model.action is not None else range(be.dim)
+    free = [c for c in range(be.dim) if c not in moved]
     if not free:
         return MetricSpec.from_scalar_matrix(
             calculus, np.diag(1.0 + rng.uniform(0.0, 1.0, size=n)))

@@ -3,10 +3,10 @@
 Complex numbers are [re, im] pairs throughout; graded elements list their
 modes in sorted order so documents are deterministic.
 
-A solve report is written to text directly by ``solve_report_text``: each
-distinct matrix-backend Christoffel entry is encoded once, and each distinct
-value within it spelt once.  The text is byte-identical to
-``json.dumps(solve_report(...), sort_keys=True)``.
+A solve report has one writer, ``solve_report_text``, which writes the JSON
+text directly: each distinct matrix-backend Christoffel entry is encoded
+once, and each distinct value within it spelt once.  ``solve_report`` is that
+text parsed back into a dict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import GRADED, MATRIX, AlgebraElement, BackendDescriptor
 from .calculus import CalculusSpec
 from .metric import MetricSpec
-from .solver import ConnectionCoeffs, LeviCivitaResult
+from .solver import LeviCivitaResult
 
 SCHEMA_VERSION = 1
 
@@ -110,12 +110,6 @@ def decode_metric(calculus: CalculusSpec, doc: dict) -> MetricSpec:
     return MetricSpec(calculus, comps)
 
 
-def encode_connection(nabla: ConnectionCoeffs) -> list:
-    n = nabla.calculus.rank
-    return [[[encode_element(nabla.gamma[i][j][k]) for k in range(n)]
-             for j in range(n)] for i in range(n)]
-
-
 def _element_text(a: AlgebraElement, memo: dict) -> str:
     """json.dumps(encode_element(a), sort_keys=True); `memo` keeps each distinct
     matrix's text by its bytes, so equal matrices are written once."""
@@ -127,9 +121,19 @@ def _element_text(a: AlgebraElement, memo: dict) -> str:
     return memo[key]
 
 
-def _report_doc(result: LeviCivitaResult, model_name: str, metric_source: str,
-                gamma) -> dict:
-    """The solve report's fields, around a Christoffel array encoded by the caller."""
+def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) -> dict:
+    """The solve report as a dict: solve_report_text's document, parsed."""
+    return json.loads(solve_report_text(result, model_name, metric_source))
+
+
+def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
+    """The solve report as JSON text with sorted keys, the Christoffel array
+    written entry by entry and every other field through json.dumps."""
+    memo: dict = {}
+    gamma = "[" + ", ".join(
+        "[" + ", ".join("[" + ", ".join(_element_text(a, memo) for a in row) + "]"
+                        for row in plane)
+        + "]" for plane in result.connection.gamma) + "]"
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": model_name,
@@ -144,18 +148,4 @@ def _report_doc(result: LeviCivitaResult, model_name: str, metric_source: str,
     }
     if result.route_difference is not None:
         report["route_difference"] = result.route_difference
-    return report
-
-
-def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) -> dict:
-    return _report_doc(result, model_name, metric_source, encode_connection(result.connection))
-
-
-def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
-    """json.dumps(solve_report(...), sort_keys=True), byte for byte, written directly."""
-    memo: dict = {}
-    gamma = "[" + ", ".join(
-        "[" + ", ".join("[" + ", ".join(_element_text(a, memo) for a in row) + "]"
-                        for row in plane)
-        + "]" for plane in result.connection.gamma) + "]"
-    return _object_text(_report_doc(result, model_name, metric_source, gamma), "gamma")
+    return _object_text(report, "gamma")

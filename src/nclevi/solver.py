@@ -1,13 +1,14 @@
 """Connections on the one-form module and the Levi-Civita solver.
 
 A connection is its Christoffel array Gamma^i_{jk} with nabla(e_i) =
-sum_jk e_j (x) e_k Gamma^i_{jk}; the Leibniz term rides along in
-apply_connection.  Torsion and metric compatibility are both algebraic in
-Gamma, so the Levi-Civita connection is the solution of one structured linear
-system.  Two independent routes are provided: the direct solve of
-{torsion = 0} u {compatibility = dg}, and the reference-connection route
-nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
-zeta / V_g / P_sym factorization.
+sum_jk e_j (x) e_k Gamma^i_{jk}.  Torsion and metric compatibility are both
+algebraic in Gamma, so the Levi-Civita connection is the solution of one
+structured linear system.  Two independent routes are provided: the direct
+solve of {torsion = 0} u {compatibility = dg}, and the reference-connection
+route nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
+zeta / V_g / P_sym factorization.  Phi_g checks its range with the calculus'
+wedge and its inverse checks its domain against the flip; dg and the Koszul
+oracle's derivatives of g^{-1} each come from one CalculusSpec.d0_many call.
 
 Metric components are central, so the direct system splits into one system
 per point of the torus grid over the coordinates the metric varies along (one
@@ -40,11 +41,18 @@ from .algebra import (
     AlgebraElement,
     combine,
     contract,
-    derive,
-    derive_many,
     trace,
+    worst,
 )
-from .calculus import CalculusSpec, OneForm, TensorSquare, TwoForm, cube_projectors
+from .calculus import (
+    CalculusSpec,
+    OneForm,
+    TensorSquare,
+    TwoForm,
+    cube_projectors,
+    sigma,
+    subtract_many,
+)
 from .errors import (
     Inconsistent,
     NonCommutativeBackend,
@@ -90,19 +98,7 @@ class ConnectionCoeffs:
         diffs = combine(self.calculus.backend,
                         [[(1.0, self.gamma[i][j][k]), (-1.0, other.gamma[i][j][k])]
                          for i, j, k in itertools.product(range(n), repeat=3)])
-        return max(d.norm() for d in diffs)
-
-
-def apply_connection(nabla: ConnectionCoeffs, omega: OneForm) -> TensorSquare:
-    """nabla(sum e_i a_i): coefficient T_jk = sum_i Gamma^i_jk a_i + partial_k(a_j)."""
-    spec = nabla.calculus
-    n = spec.rank
-    unit = AlgebraElement.unit(spec.backend)
-    flat = contract(spec.backend,
-                    [[(1.0, nabla.gamma[i][j][k], omega.coeffs[i]) for i in range(n)]
-                     + [(1.0, derive(spec.derivations[k], omega.coeffs[j]), unit)]
-                     for j in range(n) for k in range(n)])
-    return TensorSquare([flat[j * n:(j + 1) * n] for j in range(n)])
+        return worst(d.norm() for d in diffs)
 
 
 def torsion(nabla: ConnectionCoeffs) -> List[TwoForm]:
@@ -120,7 +116,7 @@ def torsion(nabla: ConnectionCoeffs) -> List[TwoForm]:
 
 
 def torsion_residual(nabla: ConnectionCoeffs) -> float:
-    return max((t.norm() for t in torsion(nabla)), default=0.0)
+    return worst(t.norm() for t in torsion(nabla))
 
 
 def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
@@ -208,53 +204,31 @@ class CompatibilityResidual:
         return self.entries[i][j][l]
 
 
-def _metric_derivatives(calculus: CalculusSpec, g: MetricSpec) -> list:
-    """The cube dg[i][j][l] = partial_l(g_ij)."""
-    ders = calculus.derivations
-    n = g.rank
-    return _cube(derive_many([(ders[l], g.components[i][j])
-                              for i, j, l in itertools.product(range(n), repeat=3)]), n)
+def _derivatives(calculus: CalculusSpec, rows) -> list:
+    """The cube [i][j][l] = partial_l(rows[i][j]) of an n x n array, from one d0_many call."""
+    n = len(rows)
+    forms = calculus.d0_many([el for row in rows for el in row])
+    return [[forms[i * n + j].coeffs for j in range(n)] for i in range(n)]
 
 
 def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResidual:
     """Residual of Pi_g(nabla) = dg on the basis; zero iff the connection is compatible."""
-    return _compat_residual(g, nabla, _metric_derivatives(nabla.calculus, g))
+    return _compat_residual(g, nabla, _derivatives(nabla.calculus, g.components))
 
 
 def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> CompatibilityResidual:
     entries = _frozen_cube(_pi_g(g, nabla.gamma, minus=dg))
-    worst = max(e.norm() for plane in entries for row in plane for e in row)
-    return CompatibilityResidual(entries, worst)
+    return CompatibilityResidual(
+        entries, worst(e.norm() for plane in entries for row in plane for e in row))
 
 
 # -- Phi_g and its factorized inverse ----------------------------------------
 
 
-def _range_check_symmetric(calculus: CalculusSpec, comps, what: str) -> None:
-    """Raise RangeNotSymmetric for the first cube of comps outside Phi_g's range or
-    domain; one kernel call for all of them."""
-    n = calculus.rank
-    cube = list(itertools.product(range(n), repeat=3))
-    tols = [1e3 * DEFAULT_TOL * max(1.0, max((comp[i][j][k].norm() for i, j, k in cube),
-                                             default=0.0)) for comp in comps]
-    if what == "range":
-        # range inside Ker(wedge): wedge of each value must vanish
-        m = calculus.two_form_rank
-        c = calculus.wedge_constants
-        wedges = combine(calculus.backend,
-                         [[(c[a, j, k], comp[i][j][k]) for j in range(n) for k in range(n)
-                           if c[a, j, k] != 0.0] for comp in comps
-                          for i in range(n) for a in range(m)])
-        for idx, w in enumerate(wedges):
-            if w.norm() > tols[idx // (n * m)]:
-                raise RangeNotSymmetric(
-                    f"value at basis index {idx % (n * m) // m} is not in Ker(wedge)")
-    else:
-        # domain E (x)sym E: components must be symmetric in the tensor pair
-        flips = combine(calculus.backend, [[(1.0, comp[i][j][k]), (-1.0, comp[j][i][k])]
-                                           for comp in comps for i, j, k in cube])
-        if any(f.norm() > tols[idx // n ** 3] for idx, f in enumerate(flips)):
-            raise RangeNotSymmetric("map is not determined on the symmetric part")
+def _tolerance(cube) -> float:
+    """The range and domain checks' tolerance for one component cube of Phi_g's maps."""
+    return 1e3 * DEFAULT_TOL * max(1.0, worst(x.norm() for plane in cube
+                                              for row in plane for x in row))
 
 
 def phi_g_apply(g: MetricSpec, lmap) -> tuple:
@@ -267,8 +241,13 @@ def phi_g_apply(g: MetricSpec, lmap) -> tuple:
 
 
 def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
-    """phi_g_apply of every map, in two kernel calls."""
-    _range_check_symmetric(g.calculus, lmaps, "range")
+    """phi_g_apply of every map, in two kernel calls; each value L(e_i) must be in Ker(wedge)."""
+    n = g.rank
+    wedges = g.calculus.wedge_many([TensorSquare(lmap[i]) for lmap in lmaps for i in range(n)])
+    tols = [_tolerance(lmap) for lmap in lmaps]
+    for s, w in enumerate(wedges):
+        if w.norm() > tols[s // n]:
+            raise RangeNotSymmetric(f"value at basis index {s % n} is not in Ker(wedge)")
     return [_frozen_cube(out) for out in _pi_g_many(g, lmaps)]
 
 
@@ -290,10 +269,16 @@ def phi_g_invert(g: MetricSpec, mmap) -> tuple:
 
 
 def phi_g_invert_many(g: MetricSpec, mmaps) -> list:
-    """phi_g_invert of every map, in four kernel calls."""
+    """phi_g_invert of every map, in five kernel calls; each square M[.][.][k] must be
+    sigma-invariant, since Phi_g's domain is E (x)sym E."""
     calculus = g.calculus
     n = calculus.rank
-    _range_check_symmetric(calculus, mmaps, "domain")
+    squares = [TensorSquare([[mmap[i][j][k] for j in range(n)] for i in range(n)])
+               for mmap in mmaps for k in range(n)]
+    flips = subtract_many([(t, sigma(t)) for t in squares])
+    tols = [_tolerance(mmap) for mmap in mmaps]
+    if any(f.norm() > tols[s // n] for s, f in enumerate(flips)):
+        raise RangeNotSymmetric("map is not determined on the symmetric part")
     h = g.inverse_components
     gc = g.components
     be = calculus.backend
@@ -414,8 +399,8 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     cube = gamma.reshape(-1, n, n, n)
     tors = (np.einsum("ajk,pijk->pia", calculus.wedge_constants, cube)
             + calculus.exterior_constants.T)
-    res = max(float(np.max(np.abs(tors), initial=0.0)),
-              float(np.max(np.abs(pi_g(cube) - dgpts))))
+    res = worst([float(np.max(np.abs(tors), initial=0.0)),
+                 float(np.max(np.abs(pi_g(cube) - dgpts)))])
     return grid, gamma.reshape(-1, n ** 3), ratio, res, ops.shape[1:]
 
 
@@ -471,7 +456,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         raise ValueError(f"unknown route {route!r}")
     n = calculus.rank
     start = time.perf_counter()
-    dg = _metric_derivatives(calculus, g)
+    dg = _derivatives(calculus, g.components)
     grid, x, sv_ratio, pointwise_res, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
     seconds = {"core_s": time.perf_counter() - start, "readback_s": 0.0}
 
@@ -548,17 +533,13 @@ def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:
     cvec = structure_constants(calculus)
     gdown = g.inverse_components     # classical metric on vector fields
     gup = g.components               # its inverse
-    ders = calculus.derivations
-
-    def pd(idx: int, el: AlgebraElement) -> AlgebraElement:
-        return derive(ders[idx], el)
+    dgdown = _derivatives(calculus, gdown)   # dgdown[j][k][i] = d_i g_jk
 
     cube = list(itertools.product(range(n), repeat=3))
     # inner[i][j][k] = d_i g_jk + d_j g_ik - d_k g_ij + bracket terms, on g down
     slots = []
     for i, j, k in cube:
-        terms = [(1.0, pd(i, gdown[j][k])), (1.0, pd(j, gdown[i][k])),
-                 (-1.0, pd(k, gdown[i][j]))]
+        terms = [(1.0, dgdown[j][k][i]), (1.0, dgdown[i][k][j]), (-1.0, dgdown[i][j][k])]
         for l in range(n):
             for cf, pair in ((cvec[l, i, j], (l, k)),
                              (-cvec[l, i, k], (l, j)),

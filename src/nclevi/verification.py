@@ -34,6 +34,7 @@ from .algebra import (
     star,
     trace,
     wide_products,
+    worst,
 )
 from .calculus import (
     TensorSquare,
@@ -78,10 +79,6 @@ def _draw(model: Model, rng, count: int) -> tuple:
     return tuple(random_element(model.backend, rng) for _ in range(count))
 
 
-def _worst(values) -> float:
-    return max(values, default=0.0)
-
-
 def _split(flat: list, parts: int = 2) -> list:
     size = len(flat) // parts
     return [flat[p * size:(p + 1) * size] for p in range(parts)]
@@ -95,7 +92,7 @@ def _worst_difference(pairs) -> float:
     """max |x - y| over the pairs, coefficient by coefficient; x and y are algebra
     elements, one-forms, tensor squares or two-forms."""
     slots = [[(1.0, cx), (-1.0, cy)] for x, y in pairs for cx, cy in zip(_coeffs(x), _coeffs(y))]
-    return _worst(d.norm() for d in combine(slots[0][0][1].backend, slots))
+    return worst(d.norm() for d in combine(slots[0][0][1].backend, slots))
 
 
 # Each law below evaluates its stages over the samples it is given, one kernel
@@ -119,8 +116,8 @@ def _chunked(law, samples, *args, size: int = _SAMPLES_PER_CHUNK):
     while chunk := list(itertools.islice(samples, size)):
         parts.append(law(chunk, *args))
     if isinstance(parts[0], tuple):
-        return tuple(_worst(p) for p in zip(*parts))
-    return _worst(parts)
+        return tuple(worst(p) for p in zip(*parts))
+    return worst(parts)
 
 
 def _associativity(triples, product) -> float:
@@ -144,9 +141,9 @@ def _trace_checks(pairs) -> tuple:
     """(worst |tr(a b) - tr(b a)|, worst violation of tr(a* a) >= 0)."""
     ab, ba, aa = _split(wide_products([(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
                                        + [(star(a), a) for a, _ in pairs]), 3)
-    worst_tr = _worst([abs(trace(x) - trace(y)) for x, y in zip(ab, ba)])
+    worst_tr = worst([abs(trace(x) - trace(y)) for x, y in zip(ab, ba)])
     pos = [trace(x) for x in aa]
-    return worst_tr, _worst([v for p in pos for v in (max(0.0, -p.real), abs(p.imag))])
+    return worst_tr, worst([v for p in pos for v in (max(0.0, -p.real), abs(p.imag))])
 
 
 def _derivation_leibniz(triples) -> float:
@@ -172,7 +169,7 @@ def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
                                      size=20)
     worst_tr, worst_pos = _chunked(_trace_checks, (_draw(model, rng, 2) for _ in range(20)),
                                    size=20)
-    worst_leibniz = _worst(
+    worst_leibniz = worst(
         [_chunked(_derivation_leibniz,
                   ((d,) + _draw(model, rng, 2) for d in derivations for _ in range(10)), size=15)]
         + [x.norm() for x in derive_many([(d, unit) for d in derivations])])
@@ -192,7 +189,7 @@ def _sigma_bimodule_linearity(pairs) -> float:
     del right, sig_right
     left, sig_left = _split(left_mul_many([(a, t) for t, a in pairs]
                                            + [(a, sigma(t)) for t, a in pairs]))
-    return max(worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left)))
+    return worst([worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left))])
 
 
 def _d1_leibniz(pairs, spec) -> float:
@@ -215,7 +212,7 @@ def _projector_laws(ts, spec) -> tuple:
     sym = p_sym_many(ts)
     return (_worst_difference((sigma(sigma(t)), t) for t in ts),
             _worst_difference(zip(p_sym_many(sym), sym)),
-            _worst([w.norm() for w in spec.wedge_many(sym)]))
+            worst([w.norm() for w in spec.wedge_many(sym)]))
 
 
 def _wedge_section_reconstruction(ts, spec) -> float:
@@ -233,7 +230,7 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     worst_bimodule = _chunked(_sigma_bimodule_linearity, pairs, size=5)
     del pairs
     dd = [_draw(model, rng, 1)[0] for _ in range(10)]
-    worst_dd = _worst(w.norm() for w in spec.d1_many(spec.d0_many(dd)))
+    worst_dd = worst(w.norm() for w in spec.d1_many(spec.d0_many(dd)))
     worst_d1 = _chunked(_d1_leibniz, ((random_one_form(spec, rng),) + _draw(model, rng, 1)
                                       for _ in range(10)), spec)
     worst_section = _chunked(_wedge_section_reconstruction,
@@ -332,7 +329,7 @@ def solver_checks(model: Model, rng: np.random.Generator,
     nab0 = nabla0(spec)
     gam = result.connection.gamma
     # (Gamma - nabla_0)^i_jk - (Gamma - nabla_0)^i_kj, each as one sum of four terms
-    worst_sym = _worst(x.norm() for x in combine(spec.backend, [
+    worst_sym = worst(x.norm() for x in combine(spec.backend, [
         [(1.0, gam[i][j][k]), (-1.0, nab0.gamma[i][j][k]),
          (-1.0, gam[i][k][j]), (1.0, nab0.gamma[i][k][j])]
         for i in range(n) for j in range(n) for k in range(n)]))

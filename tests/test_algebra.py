@@ -20,6 +20,7 @@ from nclevi.algebra import (
     trace,
     wide_mul,
     wide_sum,
+    worst,
 )
 from nclevi.calculus import OneForm
 from nclevi.deformation import TorusAction, deform_product
@@ -80,6 +81,29 @@ def test_backend_mismatch():
     b = AlgebraElement.unit(graded2(0.2))
     with pytest.raises(BackendMismatch):
         mul(a, b)
+
+
+def test_constructors_refuse_the_other_backend_kind():
+    graded, matrix = graded2(0.0, radius=3), BackendDescriptor.matrix(2)
+    with pytest.raises(BackendMismatch):
+        AlgebraElement.from_matrix(graded, np.eye(2))
+    with pytest.raises(BackendMismatch):
+        AlgebraElement.from_modes(matrix, {(0, 0): 1.0})
+    with pytest.raises(TypeError):
+        AlgebraElement(matrix, mat=np.eye(2))
+    # the matrix is copied in C order, whatever the order of the input
+    src = np.arange(4.0).reshape(2, 2)
+    a = AlgebraElement.from_matrix(matrix, src.T)
+    src[0, 0] = 9.0
+    assert a.matrix.flags.c_contiguous and a.matrix[0, 0] == 0.0
+
+
+def test_worst_keeps_nan_wherever_it_comes():
+    assert worst([]) == 0.0
+    assert worst([1.0, 3.0, 2.0]) == 3.0
+    for values in ([np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan]):
+        assert np.isnan(worst(values))
+        assert np.isnan(worst(iter(values)))
 
 
 def test_truncation_overflow():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,9 @@ from nclevi.deformation import (
     require_skew,
     spectral_decompose,
 )
-from nclevi.errors import NonSkew
+from nclevi.errors import Inconsistent, NonSkew
 from nclevi.models import random_central_metric, torus_bundle
-from nclevi.solver import levi_civita
+from nclevi.solver import ConnectionCoeffs, compat_residual, levi_civita, torsion_residual
 
 TOL = 1e-12
 
@@ -273,3 +275,18 @@ def test_deforming_into_a_sign_phase_metric_rejected(twisted_mode_metric):
     calc_t = deform_calculus(model.calculus, skew2(1.0 / 3.0), model.action)
     with pytest.raises(NonCommutativeBackend):
         deform_metric(g, calc_t)
+
+
+def test_nan_coefficient_fails_the_certificates():
+    # one NaN Christoffel entry among finite ones: the residuals report NaN
+    # wherever it falls, and the deformed connection is refused
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=3)
+    g = random_central_metric(model, np.random.default_rng(0))
+    gamma = [[list(row) for row in plane]
+             for plane in levi_civita(model.calculus, g).connection.gamma]
+    gamma[0][1][2] = gamma[0][1][2] * math.nan
+    nabla = ConnectionCoeffs(model.calculus, gamma)
+    assert math.isnan(torsion_residual(nabla))
+    assert math.isnan(compat_residual(g, nabla).max_norm)
+    with pytest.raises(Inconsistent):
+        deform_connection(model.calculus, nabla, g, skew2(0.3), model.action)

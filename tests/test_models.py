@@ -61,9 +61,8 @@ def test_gamma_matrices_trace_orthonormal():
 
 
 def test_fuzzy_dimension_count(fuzzy1, fuzzy2):
-    assert fuzzy1.params["size"] == 1 + 4 == 5
-    assert fuzzy2.params["size"] == 1 + 4 + 9 == 14
-    assert fuzzy1.backend.size == 5
+    assert fuzzy1.backend.size == 1 + 4 == 5
+    assert fuzzy2.backend.size == 1 + 4 + 9 == 14
 
 
 def test_fuzzy_ranks(fuzzy1):
@@ -250,7 +249,7 @@ def reference_metric_components(model, rng, scale=0.004):
     n diagonal offsets, then per pair i <= j a free coordinate, an amplitude and a
     phase, giving 0.5 amp e^{i phase} on the +1 mode and its conjugate on the -1 mode."""
     be, n = model.backend, model.calculus.rank
-    free = list(range(model.params["deformed"], be.dim))
+    free = list(range(len(model.action.coords), be.dim))
     unit = AlgebraElement.unit(be)
     comps = [[AlgebraElement.zero(be)] * n for _ in range(n)]
     for i in range(n):

@@ -15,12 +15,11 @@ from nclevi.verification import algebra_checks
 # name -> {parameter: repr of its default, or the kind of a * / ** parameter};
 # public callables without optional parameters are left out
 PINNED = {
-    "AlgebraElement": {"mat": "None", "modes": "None"},
     "BackendDescriptor": {"size": "0", "dim": "0", "twist": "()", "radius": "0"},
     "CalculusSpec": {"generators": "()"},
     "DerivationSpec": {"element": "None", "index": "-1"},
     "LeviCivitaResult": {"route_difference": "None"},
-    "Model": {"action": "None", "params": "<factory>"},
+    "Model": {"action": "None"},
     "TorusAction": {"coords": "()"},
     "levi_civita": {"route": "'direct'", "residual_tol": "1e-10"},
     # samplers and the algebra suite, outside nclevi.__all__

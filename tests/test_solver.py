@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import basis_one_form, basis_tensor
+from conftest import basis_tensor
 from nclevi import solver
 from nclevi.algebra import (
     AlgebraElement,
@@ -16,15 +16,14 @@ from nclevi.algebra import (
     wide_mul,
     wide_sum,
 )
-from nclevi.calculus import CalculusSpec, TwoForm, random_one_form
+from nclevi.calculus import CalculusSpec, TwoForm
 from nclevi.errors import Inconsistent, NonCommutativeBackend, NonUnique, RangeNotSymmetric
 from nclevi.metric import MetricSpec, central_coords, central_element
 from nclevi.models import fuzzy_sphere, heisenberg, random_central_metric, torus_bundle
 from nclevi.solver import (
     ConnectionCoeffs,
-    _metric_derivatives,
+    _derivatives,
     _solve_pointwise,
-    apply_connection,
     compat_residual,
     koszul_oracle,
     levi_civita,
@@ -98,49 +97,6 @@ def test_brute_force_matches_hand_computation():
     expected[0, 1, 2] = expected[0, 2, 1] = -0.5
     expected[1, 0, 2] = expected[1, 2, 0] = 0.5
     assert np.max(np.abs(HEISENBERG_EXPECTED - expected)) <= 1e-12
-
-
-# -- apply_connection ---------------------------------------------------------
-
-
-def test_apply_connection_pure_leibniz(torus_comm):
-    spec = torus_comm.calculus
-    nab = zero_connection(spec)
-    rng = np.random.default_rng(0)
-    a = random_element(spec.backend, rng)
-    w = basis_one_form(spec, 0).right_mul(a)
-    t = apply_connection(nab, w)
-    da = spec.d0(a)
-    for k in range(3):
-        assert wide_sum([t.coeffs[0][k], -da.coeffs[k]]).norm() <= TOL
-        assert t.coeffs[1][k].norm() <= TOL
-
-
-def test_apply_connection_fuzzy_basis(fuzzy1):
-    spec = fuzzy1.calculus
-    nab = ConnectionCoeffs.from_scalars(spec, 0.5j * EPS)
-    t = apply_connection(nab, basis_one_form(spec, 0))
-    # nabla(e_1) = (i/2)(e_2 (x) e_3 - e_3 (x) e_2)
-    assert abs(trace(t.coeffs[1][2]) - 0.5j) <= TOL
-    assert abs(trace(t.coeffs[2][1]) + 0.5j) <= TOL
-    assert t.coeffs[0][0].norm() <= TOL
-
-
-def test_apply_connection_leibniz_random(fuzzy1):
-    spec = fuzzy1.calculus
-    rng = np.random.default_rng(1)
-    nab = ConnectionCoeffs.from_scalars(spec, 0.5j * EPS)
-    for _ in range(5):
-        w = random_one_form(spec, rng)
-        a = random_element(spec.backend, rng)
-        lhs = apply_connection(nab, w.right_mul(a))
-        rhs = apply_connection(nab, w).right_mul(a)
-        da = spec.d0(a)
-        for j in range(3):
-            for k in range(3):
-                extra = wide_mul(w.coeffs[j], da.coeffs[k])
-                d = wide_sum([lhs.coeffs[j][k], -rhs.coeffs[j][k], -extra])
-                assert d.norm() <= 1e-10
 
 
 # -- torsion -----------------------------------------------------------------------
@@ -217,7 +173,7 @@ def test_pi_g_of_levi_civita_is_dg_at_the_edge(edge_metric):
     model, g, _ = edge_metric
     spec = model.calculus
     pi = pi_g_basis(g, levi_civita(spec, g).connection)
-    dg = _metric_derivatives(spec, g)
+    dg = _derivatives(spec, g.components)
     worst = max(wide_sum([pi[i][j].coeffs[l], -dg[i][j][l]]).norm()
                 for i in range(3) for j in range(3) for l in range(3))
     assert worst <= 1e-10
@@ -638,7 +594,7 @@ def reference_joint_solve(calculus, g, grid):
     comps = [el for row in g.components for el in row]
     assert grid.coords == central_coords(comps)
     gpts = grid.sample(comps).T.reshape(-1, n, n)
-    dg = _metric_derivatives(calculus, g)
+    dg = _derivatives(calculus, g.components)
     dgpts = grid.sample([e for plane in dg for row in plane for e in row]).T
 
     def col(i, j, k):
@@ -708,7 +664,7 @@ def _complex_valued_case():
         "fuzzy-sphere-1", "fuzzy-sphere-2", "heisenberg", "complex-valued-metric"])
 def test_reduced_core_matches_stacked_joint_operator(case):
     calculus, g = case()
-    grid, x, ratio, res, size = _solve_pointwise(calculus, g, _metric_derivatives(calculus, g))
+    grid, x, ratio, res, size = _solve_pointwise(calculus, g, _derivatives(calculus, g.components))
     want = reference_joint_solve(calculus, g, grid)
     assert x.shape == want.shape == (grid.points, calculus.rank ** 3)
     assert np.max(np.abs(x - want)) <= 1e-13
