@@ -6,6 +6,7 @@ derivations realizing d on the algebra.  One-forms, tensor squares and two-forms
 are coefficient arrays over the algebra backend, and share the `Module` base
 that does their coefficientwise arithmetic; the canonical flip is the
 coefficient transpose and the symmetrizer is its average with the identity.
+`CalculusSpec` solves the scalar torsion equations once, at construction.
 
 Each operation that needs the algebra kernel has a batched form (`p_sym_many`,
 `right_mul_many`, `CalculusSpec.d1_many`, ...) that evaluates it for many
@@ -236,8 +237,10 @@ class CalculusSpec:
     Invariants enforced at construction: the wedge constants are antisymmetric
     in the lower pair (so the flip's symmetric part lies in Ker(wedge)), they
     realize the full two-form basis, and d compose d vanishes on the supplied
-    generators.  The pseudo-inverse of the wedge table, an n^2 x m matrix, is
-    formed once here; wedge_section, nabla0 and structure_constants read it.
+    generators.  One SVD of the m x n^2 wedge table c decides its rank and
+    solves the torsion equations c . Gamma^i = -D_i once, for nabla0, the direct
+    solve and the Koszul brackets: torsion_particular (n x n x n) holds c^+(-D_i)
+    and torsion_kernel an orthonormal basis of ker c, real when c is.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -261,10 +264,17 @@ class CalculusSpec:
         anti = np.max(np.abs(c + np.transpose(c, (0, 2, 1)))) if c.size else 0.0
         if anti > _ANTISYM_TOL:
             raise ValueError(f"wedge constants are not antisymmetric (residual {anti:.3e})")
-        flat = c.reshape(self.two_form_rank, self.rank * self.rank)
-        if np.linalg.matrix_rank(flat, tol=1e-10) != self.two_form_rank:
+        n, m = self.rank, self.two_form_rank
+        flat = c.reshape(m, n * n)
+        _, s, vh = np.linalg.svd(flat if np.any(flat.imag) else flat.real)
+        if np.count_nonzero(s > 1e-10) != m:
             raise ValueError("wedge constants do not realize the two-form basis")
         self._wedge_pinv = np.linalg.pinv(flat)
+        # column by column: one product with the whole of -D can flip signed zeros
+        self.torsion_particular = np.array(
+            [(self._wedge_pinv @ -self.exterior_constants[:, i]).reshape(n, n)
+             for i in range(n)])
+        self.torsion_kernel = vh[m:].conj().T
         res = self.d_squared_residual()
         if res > 10 * DEFAULT_TOL:
             raise ValueError(f"d compose d does not vanish on generators (residual {res:.3e})")

@@ -130,8 +130,12 @@ def _cmd_solve(args, model: Model, g, source: str, tol: float) -> int:
 
 
 def _read_verify(args) -> tuple:
-    models = [_build_model(s.strip(), args) for s in args.models.split(",") if s.strip()]
-    return models, _default_tol(args)
+    names = [s.strip() for s in args.models.split(",") if s.strip()]
+    if not names:
+        raise ValueError("--models names no model")
+    if len(set(names)) < len(names):
+        raise ValueError(f"--models names a model twice: {args.models!r}")
+    return [_build_model(name, args) for name in names], _default_tol(args)
 
 
 def _cmd_verify(args, models: List[Model], tol: float) -> int:
@@ -179,6 +183,8 @@ def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: f
 
 
 def _read_oracle_compare(args) -> tuple:
+    if args.metrics < 1:
+        raise ValueError(f"--metrics must be at least 1, not {args.metrics}")
     # theta = 0 throughout; marking the last coordinate as undeformed lets the
     # metric sampler vary along it, so the comparison is not vacuous
     free = max(1, args.dims - 1)

@@ -140,8 +140,9 @@ def central_element(backend: BackendDescriptor, modes: np.ndarray,
 def _central_inverse(components, backend: BackendDescriptor):
     """Invert an n x n array of central elements pointwise on the torus grid.
 
-    Returns (inverse components, sv_ratio).  The components are on `backend`
-    and may reach beyond its radius, up to the decay budget.
+    SingularMetric if the component matrix is singular at a grid point.  The
+    inverse components are on `backend` and may reach beyond its radius, up to
+    the decay budget.
     """
     n = len(components)
     flat = [el for row in components for el in row]
@@ -162,7 +163,7 @@ def _central_inverse(components, backend: BackendDescriptor):
     if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
         raise SingularMetric("inverse components decay too slowly for the truncation budget")
     inv = [central_element(backend, k, c) for k, c in modes]
-    return [inv[i * n:(i + 1) * n] for i in range(n)], ratio
+    return [inv[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _require_unit_phases(components, backend: BackendDescriptor) -> None:
@@ -224,9 +225,7 @@ class MetricSpec:
             raise ValueError(f"components not symmetric at ({skew // n},{skew % n})")
         self.components = tuple(tuple(r) for r in rows)
         _require_unit_phases(rows, be)
-        inv, ratio = _central_inverse(rows, be)
-        self.inverse_components = tuple(tuple(r) for r in inv)
-        self.sv_ratio = float(ratio)
+        self.inverse_components = tuple(tuple(r) for r in _central_inverse(rows, be))
 
     @property
     def rank(self) -> int:
@@ -287,19 +286,21 @@ def v_g_inverse_many(g: MetricSpec, phis: Sequence[Functional]) -> List[OneForm]
 
 def g2_eval(g: MetricSpec, s: TensorSquare, t: TensorSquare) -> AlgebraElement:
     """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj."""
-    return g2_eval_many(g, [(s, t)])[0]
+    return g2_eval_many(v_g2_matrix(g), [(s, t)])[0]
 
 
-def g2_eval_many(g: MetricSpec,
+def g2_eval_many(table: "Vg2Matrix",
                  pairs: Sequence[Tuple[TensorSquare, TensorSquare]]) -> List[AlgebraElement]:
-    """g2_eval(g, s, t) for every pair (s, t): the sum over (k, l, i, j) of
-    V_g2[(k, l), (i, j)] s_kl t_ij, in two kernel calls after v_g2_matrix's.
+    """g2_eval(table.metric, s, t) for every pair (s, t), read from the caller's
+    V_g2 table: the sum over (k, l, i, j) of V_g2[(k, l), (i, j)] s_kl t_ij, in
+    two kernel calls.
 
     Exactly zero entries of V_g2 are skipped, so a diagonal metric gives n^2
     terms per pair.
     """
+    g = table.metric
     n = g.rank
-    m2 = v_g2_matrix(g).entries
+    m2 = table.entries
     live = [(k, l, i, j) for k, l, i, j in itertools.product(range(n), repeat=4)
             if m2[k * n + l][i * n + j].norm() != 0.0]
     ms = iter(contract(g.backend, [[(1.0, m2[k * n + l][i * n + j], s.coeffs[k][l])]

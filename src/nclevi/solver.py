@@ -12,14 +12,16 @@ oracle's derivatives of g^{-1} each come from one CalculusSpec.d0_many call.
 
 Metric components are central, so the direct system splits into one system
 per point of the torus grid over the coordinates the metric varies along (one
-point on the matrix backend and for constant metrics).  Torsion is scalar and
-fixes the antisymmetric part of each Gamma^i once for the whole grid; what
-compatibility must fix per point is a square system of n^2 (n+1)/2 equations
-when the wedge rank is n(n-1)/2, and fewer equations than unknowns (NonUnique)
-otherwise.  The kernel certificate is the smallest per-point singular-value
-ratio of that reduced operator; one batched solve gives the solution.  Gamma
-is built from g^{-1} and dg, so the grid is sized by the metric, not by the
-truncation radius: 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate read
+point on the matrix backend and for constant metrics).  Torsion is scalar, and
+CalculusSpec solves it once: nabla_0, the direct solve and the Koszul oracle's
+brackets read its particular solution c^+(-D) and its basis of ker c.  What
+compatibility must fix per point is then a square system of n^2 (n+1)/2
+equations when the wedge rank is n(n-1)/2, and fewer equations than unknowns
+(NonUnique) otherwise.  The kernel certificate is the smallest per-point
+singular-value ratio of that reduced operator; one batched solve gives the
+solution, and the torsion and compatibility gates decide every route's answer.
+Gamma is built from g^{-1} and dg, so the grid is sized by the metric, not by
+the truncation radius: 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate read
 every mode of Gamma back by FFT, with no clip.  Metrics whose modes multiply
 with a sign (<s, theta s'> odd) never reach the solver: MetricSpec refuses
 them with NonCommutativeBackend.
@@ -120,24 +122,14 @@ def torsion_residual(nabla: ConnectionCoeffs) -> float:
 
 
 def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
-    """The reference torsion-less connection: minimal-norm scalar solution of the wedge system.
+    """The reference torsion-less connection: the calculus' minimal-norm scalar
+    solution c^+(-D_i) of the wedge system c . gamma^i = -D_i.
 
-    The scalar system c . gamma^i = -D_i is solvable because the wedge constants
-    realize the two-form basis; the pseudo-inverse picks the antisymmetric
-    representative.
+    The system is solvable because the wedge constants realize the two-form
+    basis; the pseudo-inverse picks the antisymmetric representative.  The
+    torsion gate checks the result.
     """
-    n, m = calculus.rank, calculus.two_form_rank
-    gamma = np.zeros((n, n, n), dtype=complex)
-    if m:
-        flat = calculus.wedge_constants.reshape(m, n * n)
-        for i in range(n):
-            rhs = -calculus.exterior_constants[:, i]
-            sol = calculus._wedge_pinv @ rhs
-            res = float(np.max(np.abs(flat @ sol - rhs)))
-            if res > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
-                raise NoSolution(f"scalar torsion system inconsistent (residual {res:.3e})")
-            gamma[i] = sol.reshape(n, n)
-    nab = ConnectionCoeffs.from_scalars(calculus, gamma)
+    nab = ConnectionCoeffs.from_scalars(calculus, calculus.torsion_particular)
     res = torsion_residual(nab)
     if res > 1e-10:
         raise NoSolution(f"reference connection fails the torsion check ({res:.3e})")
@@ -317,44 +309,29 @@ def _real_valued(el: AlgebraElement) -> bool:
     return np.array_equal(k, -k[::-1]) and np.array_equal(c, c[::-1].conj())
 
 
-def _torsion_free_part(calculus: CalculusSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Gamma^i = gamma_p[i] + kernel y^i solves the torsion rows c . Gamma^i = -D_i.
-
-    One SVD of the m x n^2 wedge table gives the particular solution
-    c^+(-D_i), rows of gamma_p, and an orthonormal basis of ker(c), the
-    columns of kernel (real when the wedge table is).
-    """
-    n, m = calculus.rank, calculus.two_form_rank
-    flat = calculus.wedge_constants.reshape(m, n * n)
-    if not np.any(flat.imag):
-        flat = flat.real
-    u, s, vh = np.linalg.svd(flat)
-    gamma_p = (vh[:m].conj().T @ ((u.conj().T @ -calculus.exterior_constants) / s[:, None])).T
-    return gamma_p, vh[m:].conj().T
-
-
 def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
-                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, float, Tuple[int, int]]:
+                     dg: list) -> Tuple[TorusGrid, np.ndarray, float, Tuple[int, int]]:
     """Torsion = 0 and Pi_g(nabla) = dg at each point of the grid sized by the metric.
 
     The grid has 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate the
     metric varies along, a reach being the largest support radius of the
     components, so no mode of Gamma within that reach aliases.
 
-    Torsion is scalar, so it is removed once: Gamma = Gamma_p + (I_n (x) ker c) y
-    leaves n (n^2 - m) unknowns per point.  Compatibility rows (i, j, l) and
-    (j, i, l) coincide, so the rows i <= j remain: n^2 (n+1)/2 of them.  With
-    more unknowns than rows the connection is not unique; otherwise (the wedge
-    rank m = n(n-1)/2) the reduced system is square, real when the metric and
-    the wedge table are, and one batched solve gives y after its singular
-    values give the kernel certificate.  Returns the grid, the Christoffel
-    values at its points (points x n^3), the smallest per-point singular-value
-    ratio of the reduced operator, the largest residual over every torsion
-    and compatibility row, and the (equations, unknowns) of the reduced
-    system per point.
+    Torsion is scalar and solved by the calculus: Gamma = Gamma_p + (I_n (x) ker c) y,
+    from its torsion_particular and torsion_kernel, leaves n (n^2 - m) unknowns
+    per point.  Compatibility rows (i, j, l) and (j, i, l) coincide, so the rows
+    i <= j remain: n^2 (n+1)/2 of them.  With more unknowns than rows the
+    connection is not unique; otherwise (the wedge rank m = n(n-1)/2) the
+    reduced system is square, real when the metric and the wedge table are, and
+    one batched solve gives y after its singular values give the kernel
+    certificate.  Returns the grid, the Christoffel values at its points
+    (points x n^3), the smallest per-point singular-value ratio of the reduced
+    operator and the (equations, unknowns) per point; levi_civita's gates check
+    the answer.
     """
     n = calculus.rank
-    gamma_p, kernel = _torsion_free_part(calculus)
+    gamma_p = calculus.torsion_particular.reshape(n, n * n)
+    kernel = calculus.torsion_kernel
     q = kernel.shape[1]
     rows_i, rows_j = np.triu_indices(n)
     size = len(rows_i) * n
@@ -373,18 +350,16 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     if real:
         gpts = gpts.real
 
-    def pi_g(gamma):
-        # entry [p, i, j, l] = sum_k g_kj Gamma^i_kl + g_ki Gamma^j_kl at point p
-        return (np.einsum("pkj,pikl->pijl", gpts, gamma)
-                + np.einsum("pki,pjkl->pijl", gpts, gamma))
-
     # reduced rows (i <= j, l), columns (a, r): delta_ai B_jlr + delta_aj B_ilr
     b = np.einsum("pkj,klr->pjlr", gpts, kernel.reshape(n, n, q))
     sel_i, sel_j = np.eye(n)[rows_i], np.eye(n)[rows_j]
     ops = (np.einsum("ea,pelr->pelar", sel_i, b[:, rows_j])
            + np.einsum("ea,pelr->pelar", sel_j, b[:, rows_i])).reshape(-1, size, n * q)
-    particular = np.broadcast_to(gamma_p.reshape(n, n, n), dgpts.shape)
-    rhs = (dgpts - pi_g(particular))[:, rows_i, rows_j].reshape(-1, size)
+    # Pi_g(Gamma_p) at point p: entry [p, i, j, l] = sum_k g_kj Gp^i_kl + g_ki Gp^j_kl
+    particular = np.broadcast_to(calculus.torsion_particular, dgpts.shape)
+    pi_p = (np.einsum("pkj,pikl->pijl", gpts, particular)
+            + np.einsum("pki,pjkl->pijl", gpts, particular))
+    rhs = (dgpts - pi_p)[:, rows_i, rows_j].reshape(-1, size)
     svals = np.linalg.svd(ops, compute_uv=False)
     ratio = float(np.min(svals[:, -1] / np.maximum(svals[:, 0], np.finfo(float).tiny)))
     if ratio <= DEFAULT_KERNEL_FLOOR:
@@ -396,22 +371,17 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
     cols = np.stack([rhs.real, rhs.imag], axis=-1) if real else rhs[..., None]
     y = np.linalg.solve(ops, cols) @ parts
     gamma = gamma_p + np.einsum("sr,pir->pis", kernel, y.reshape(-1, n, q))
-    cube = gamma.reshape(-1, n, n, n)
-    tors = (np.einsum("ajk,pijk->pia", calculus.wedge_constants, cube)
-            + calculus.exterior_constants.T)
-    res = worst([float(np.max(np.abs(tors), initial=0.0)),
-                 float(np.max(np.abs(pi_g(cube) - dgpts)))])
-    return grid, gamma.reshape(-1, n ** 3), ratio, res, ops.shape[1:]
+    return grid, gamma.reshape(-1, n ** 3), ratio, ops.shape[1:]
 
 
 @dataclass
 class LeviCivitaResult:
     """A Levi-Civita connection with its certificates.
 
-    sv_ratio is the smallest singular-value ratio, over the solve grid, of the
-    reduced square compatibility operator left once torsion is removed;
-    pointwise_residual is the largest residual of the pointwise solve over
-    every torsion and compatibility row (0 on the phi route).  stats holds the
+    torsion_residual and compat_residual are the gates' residuals of the
+    returned connection, on every route.  sv_ratio is the smallest
+    singular-value ratio, over the solve grid, of the reduced square
+    compatibility operator left once torsion is removed.  stats holds the
     grid points, the equations and unknowns per point, gamma_reach (the
     largest support radius over Gamma's entries, 0 on the matrix backend),
     dropped_tail (the largest modulus the read-back dropped under its 1e-16
@@ -424,7 +394,6 @@ class LeviCivitaResult:
     compat_residual: float
     sv_ratio: float
     route: str
-    pointwise_residual: float
     stats: dict
     route_difference: Optional[float] = None
 
@@ -457,7 +426,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     n = calculus.rank
     start = time.perf_counter()
     dg = _derivatives(calculus, g.components)
-    grid, x, sv_ratio, pointwise_res, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
+    grid, x, sv_ratio, (equations, unknowns) = _solve_pointwise(calculus, g, dg)
     seconds = {"core_s": time.perf_counter() - start, "readback_s": 0.0}
 
     def solve_phi() -> ConnectionCoeffs:
@@ -471,7 +440,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     diff: Optional[float] = None
     dropped = 0.0
     if route == "phi":
-        nabla, pointwise_res = solve_phi(), 0.0
+        nabla = solve_phi()
     else:
         start = time.perf_counter()
         nabla, dropped = _gamma_from_solution(calculus, grid, x)
@@ -496,8 +465,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
                                 for plane in nabla.gamma for row in plane for el in row),
              "dropped_tail": dropped, **seconds}
     return LeviCivitaResult(connection=nabla, torsion_residual=tres, compat_residual=cres,
-                            sv_ratio=sv_ratio, route=route, pointwise_residual=pointwise_res,
-                            stats=stats, route_difference=diff)
+                            sv_ratio=sv_ratio, route=route, stats=stats, route_difference=diff)
 
 
 # -- classical cross-check ------------------------------------------------------
@@ -507,11 +475,10 @@ def structure_constants(calculus: CalculusSpec) -> np.ndarray:
     """Frame bracket constants recovered from the exterior constants.
 
     d(e_i) = -(1/2) sum_jk C^i_jk e_j ^ e_k, so the minimal-norm solution of
-    c . C^i = -2 D_i is the antisymmetric bracket table.
+    c . C^i = -2 D_i, twice the calculus' torsion_particular, is the
+    antisymmetric bracket table.
     """
-    n = calculus.rank
-    pinv, d = calculus._wedge_pinv, calculus.exterior_constants
-    return np.array([(pinv @ (-2.0 * d[:, i])).reshape(n, n) for i in range(n)])
+    return 2.0 * calculus.torsion_particular
 
 
 def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:

@@ -39,11 +39,10 @@ from .algebra import (
 from .calculus import (
     TensorSquare,
     _coefficients,
-    left_mul_many,
+    _rebuild,
     p_sym_many,
     random_one_form,
     random_tensor_square,
-    right_mul_many,
     sigma,
     subtract_many,
 )
@@ -86,6 +85,18 @@ def _split(flat: list, parts: int = 2) -> list:
 
 def _coeffs(x) -> list:
     return [x] if isinstance(x, AlgebraElement) else _coefficients(x)
+
+
+def _wide_right(pairs) -> list:
+    """x a for every (module object x, element a), untruncated as in the algebra laws."""
+    return _rebuild([x for x, _ in pairs],
+                    wide_products([(c, a) for x, a in pairs for c in _coefficients(x)]))
+
+
+def _wide_left(pairs) -> list:
+    """a x for every (element a, module object x), untruncated; the basis is central."""
+    return _rebuild([x for _, x in pairs],
+                    wide_products([(a, c) for a, x in pairs for c in _coefficients(x)]))
 
 
 def _worst_difference(pairs) -> float:
@@ -184,11 +195,11 @@ def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 
 def _sigma_bimodule_linearity(pairs) -> float:
     """sigma(t a) against sigma(t) a, then sigma(a t) against a sigma(t)."""
-    right, sig_right = _split(right_mul_many(pairs + [(sigma(t), a) for t, a in pairs]))
+    right, sig_right = _split(_wide_right(pairs + [(sigma(t), a) for t, a in pairs]))
     worst_right = _worst_difference((sigma(x), y) for x, y in zip(right, sig_right))
     del right, sig_right
-    left, sig_left = _split(left_mul_many([(a, t) for t, a in pairs]
-                                           + [(a, sigma(t)) for t, a in pairs]))
+    left, sig_left = _split(_wide_left([(a, t) for t, a in pairs]
+                                        + [(a, sigma(t)) for t, a in pairs]))
     return worst([worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left))])
 
 
@@ -200,8 +211,8 @@ def _d1_leibniz(pairs, spec) -> float:
                           for (w, _), da in zip(pairs, das) for i in range(n) for j in range(n)])
     w_da = [TensorSquare([w_da[s + i * n:s + (i + 1) * n] for i in range(n)])
             for s in range(0, len(w_da), n * n)]
-    lhs, d1w = _split(spec.d1_many(right_mul_many(pairs) + [w for w, _ in pairs]))
-    rhs = subtract_many(list(zip(right_mul_many(list(zip(d1w, (a for _, a in pairs)))),
+    lhs, d1w = _split(spec.d1_many(_wide_right(pairs) + [w for w, _ in pairs]))
+    rhs = subtract_many(list(zip(_wide_right(list(zip(d1w, (a for _, a in pairs)))),
                                  spec.wedge_many(w_da))))
     return _worst_difference(zip(lhs, rhs))
 
@@ -250,8 +261,8 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 def _metric_bilinearity(pairs, g) -> tuple:
     """(worst |g(sigma(t)) - g(t)|, worst |g(a t) - a g(t)| and |g(t a) - g(t) a|)."""
     ts = [t for t, _ in pairs]
-    left = left_mul_many([(a, t) for t, a in pairs])
-    right = right_mul_many(pairs)
+    left = _wide_left([(a, t) for t, a in pairs])
+    right = _wide_right(pairs)
     g_sig, g_t, g_left, g_right = _split(
         metric_eval_many(g, [sigma(t) for t in ts] + ts + left + right), 4)
     a_gt, gt_a = _split(wide_products([(a, x) for x, (_, a) in zip(g_t, pairs)]
@@ -260,10 +271,10 @@ def _metric_bilinearity(pairs, g) -> tuple:
         [(x, y) for pair in zip(zip(g_left, a_gt), zip(g_right, gt_a)) for x, y in pair])
 
 
-def _g2_flip_adjoint(pairs, g) -> float:
-    """g2(sigma(s), t) against g2(s, sigma(t))."""
-    lhs, rhs = _split(g2_eval_many(g, [(sigma(s), t) for s, t in pairs]
-                                    + [(s, sigma(t)) for s, t in pairs]))
+def _g2_flip_adjoint(pairs, m2) -> float:
+    """g2(sigma(s), t) against g2(s, sigma(t)), for m2 the metric's V_g2 table."""
+    lhs, rhs = _split(g2_eval_many(m2, [(sigma(s), t) for s, t in pairs]
+                                     + [(s, sigma(t)) for s, t in pairs]))
     return _worst_difference(zip(lhs, rhs))
 
 
@@ -279,10 +290,10 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     ws = [random_one_form(spec, rng) for _ in range(10)]
     worst_roundtrip = _worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws))
     del ws
+    m2 = v_g2_matrix(g)
     worst_adjoint = _chunked(_g2_flip_adjoint, ((random_tensor_square(spec, rng),
                                                  random_tensor_square(spec, rng))
-                                                for _ in range(10)), g, size=5)
-    m2 = v_g2_matrix(g)
+                                                for _ in range(10)), m2, size=5)
     worst_entry = _worst_difference(
         (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
         for k in range(n) for l in range(n) for i in range(n) for j in range(n))

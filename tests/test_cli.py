@@ -163,6 +163,36 @@ def test_verify_runs_green(capsys):
     assert "torus" in report["results"] and "heisenberg" in report["results"]
 
 
+def test_verify_at_radius_one_passes(capsys):
+    # the module laws multiply radius-1 samples without truncating, as the algebra laws do
+    code, out, err = run_cli(capsys, ["verify", "--models", "torus", "--radius", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["results"]["torus"] and all(c["passed"] for c in report["results"]["torus"])
+
+
+def _refused_input(capsys, argv, detail):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError" and detail in doc["detail"]
+
+
+def test_verify_refuses_an_empty_model_list(capsys):
+    _refused_input(capsys, ["verify", "--models", ","], "names no model")
+
+
+def test_verify_refuses_a_model_named_twice(capsys):
+    # the report holds one entry per model name, so a repeat would be run and not shown
+    _refused_input(capsys, ["verify", "--models", "torus,torus"], "a model twice")
+
+
+@pytest.mark.parametrize("metrics", ["0", "-3"])
+def test_oracle_compare_refuses_no_trials(capsys, metrics):
+    _refused_input(capsys, ["oracle-compare", "--metrics", metrics], "at least 1")
+
+
 def test_singular_metric_exits_one(capsys, tmp_path):
     model = torus_bundle(3, 2, np.zeros((2, 2)), radius=2)
     g = MetricSpec.from_scalar_matrix(model.calculus, np.eye(3))

@@ -588,7 +588,8 @@ def reference_joint_solve(calculus, g, grid):
     """Per point of the core's grid, the stacked (n m + n^3) x n^3 operator of
     every torsion row (i, alpha) and every compatibility row (i, j, l), written
     out entry by entry, and its least-squares solution: the system the reduced
-    core replaces."""
+    core replaces.  Returns the solutions and the (operator, right-hand side)
+    pair of each point."""
     n, m = calculus.rank, calculus.two_form_rank
     c, d = calculus.wedge_constants, calculus.exterior_constants
     comps = [el for row in g.components for el in row]
@@ -600,7 +601,7 @@ def reference_joint_solve(calculus, g, grid):
     def col(i, j, k):
         return (i * n + j) * n + k
 
-    out = []
+    out, systems = [], []
     for gp, rhs_compat in zip(gpts, dgpts):
         rows, rhs = [], []
         for i in range(n):
@@ -623,7 +624,8 @@ def reference_joint_solve(calculus, g, grid):
         b = np.concatenate([np.array(rhs, dtype=complex), rhs_compat])
         x, *_ = np.linalg.lstsq(a, b, rcond=None)
         out.append(x)
-    return np.array(out)
+        systems.append((a, b))
+    return np.array(out), systems
 
 
 def _ladder_case(m):
@@ -664,10 +666,12 @@ def _complex_valued_case():
         "fuzzy-sphere-1", "fuzzy-sphere-2", "heisenberg", "complex-valued-metric"])
 def test_reduced_core_matches_stacked_joint_operator(case):
     calculus, g = case()
-    grid, x, ratio, res, size = _solve_pointwise(calculus, g, _derivatives(calculus, g.components))
-    want = reference_joint_solve(calculus, g, grid)
+    grid, x, ratio, size = _solve_pointwise(calculus, g, _derivatives(calculus, g.components))
+    want, systems = reference_joint_solve(calculus, g, grid)
     assert x.shape == want.shape == (grid.points, calculus.rank ** 3)
     assert np.max(np.abs(x - want)) <= 1e-13
+    # every torsion and compatibility row holds at the core's solution
+    res = max(float(np.max(np.abs(a @ xp - b))) for (a, b), xp in zip(systems, x))
     assert res <= 1e-13 and ratio > 1e-8
 
 
@@ -680,19 +684,48 @@ def test_direct_pass_fail_unchanged_on_untwisted_ladder(m, radius):
     assert levi_civita(model.calculus, g, route="direct").compat_residual <= 1e-11
 
 
-def test_underdetermined_torsion_raises_non_unique_on_every_route():
-    # rank 3 with the single two-form e_1 ^ e_2: torsion fixes 3 of the 27
-    # Christoffel symbols, leaving 24 unknowns per point against 18 equations
+def _underdetermined_calculus():
+    # rank 3 with the single two-form e_1 ^ e_2
     backend = BackendDescriptor.matrix(1)
     wedge = np.zeros((1, 3, 3))
     wedge[0, 0, 1], wedge[0, 1, 0] = 1.0, -1.0
-    calculus = CalculusSpec(3, 1, wedge, np.zeros((1, 3)),
-                            [DerivationSpec.zero() for _ in range(3)], backend,
-                            [AlgebraElement.unit(backend)])
+    return CalculusSpec(3, 1, wedge, np.zeros((1, 3)),
+                        [DerivationSpec.zero() for _ in range(3)], backend,
+                        [AlgebraElement.unit(backend)])
+
+
+def test_underdetermined_torsion_raises_non_unique_on_every_route():
+    # torsion fixes 3 of the 27 Christoffel symbols, leaving 24 unknowns per
+    # point against 18 equations
+    calculus = _underdetermined_calculus()
     g = MetricSpec.from_scalar_matrix(calculus, np.eye(3))
     for route in ("direct", "phi", "both"):
         with pytest.raises(NonUnique, match="24 unknowns per point against 18"):
             levi_civita(calculus, g, route=route)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fuzzy_sphere(1).calculus, lambda: fuzzy_sphere(3).calculus,
+    lambda: heisenberg().calculus,
+    lambda: torus_bundle(3, 2, np.array([[0.0, 0.3], [-0.3, 0.0]]), radius=2).calculus,
+    lambda: torus_bundle(5, 4, np.zeros((4, 4)), radius=1).calculus,
+    lambda: torus_bundle(1, 1, np.zeros((1, 1)), radius=2).calculus,
+    _underdetermined_calculus,
+], ids=["fuzzy-sphere-1", "fuzzy-sphere-3", "heisenberg", "torus-3-twisted", "torus-5",
+        "torus-1-no-two-forms", "underdetermined"])
+def test_calculus_keeps_the_torsion_solution(build):
+    # Gamma^i = torsion_particular[i] + torsion_kernel y solves c . Gamma^i = -D_i for every y
+    calculus = build()
+    n, m = calculus.rank, calculus.two_form_rank
+    flat = calculus.wedge_constants.reshape(m, n * n)
+    particular = calculus.torsion_particular.reshape(n, n * n)
+    assert calculus.torsion_particular.shape == (n, n, n)
+    assert np.max(np.abs(flat @ particular.T + calculus.exterior_constants),
+                  initial=0.0) <= 1e-12
+    kernel = calculus.torsion_kernel
+    assert kernel.shape == (n * n, n * n - m)
+    assert np.max(np.abs(kernel.conj().T @ kernel - np.eye(n * n - m)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(flat @ kernel), initial=0.0) <= 1e-12
 
 
 STAT_KEYS = {"grid_points", "equations", "unknowns", "gamma_reach", "dropped_tail",
