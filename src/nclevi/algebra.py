@@ -1,11 +1,11 @@
 """Unital *-algebra backends: dense complex matrices and truncated twisted Fourier algebras.
 
 Every other module consumes these elements as coefficient arithmetic.  Both
-backends are finite data: an N x N complex matrix, or finitely many Fourier
-modes of Z^t with a hard truncation radius, stored as a read-only int64 mode
-array (K, t) in lexicographic order beside a read-only complex coefficient
-vector (K,).  Elements are immutable after construction and all operations
-are pure.
+backends are finite data: an N x N complex matrix, of which a multiple of the
+identity is held as two numbers, or finitely many Fourier modes of Z^t with a
+hard truncation radius, stored as a read-only int64 mode array (K, t) in
+lexicographic order beside a read-only complex coefficient vector (K,).
+Elements are immutable after construction and all operations are pure.
 
 Every element of an algebra carries that algebra's one descriptor.  The
 truncation radius R is checked where the truncated algebra or outside input
@@ -131,19 +131,24 @@ def _truncated(backend: BackendDescriptor, k: np.ndarray, c: np.ndarray):
 class AlgebraElement:
     """A member of a backend algebra.
 
-    Matrix backend: wraps an N x N complex ndarray.  Graded backend: wraps the
-    int64 mode array (K, t), sorted lexicographically with no repeats, and
-    the complex coefficient vector (K,) with no zero entries; `mode_array`
-    and `coeff_array` expose them read-only.  Instances are immutable.  The
-    validated constructors are `from_matrix` and `from_modes`, each for its
-    own backend kind; they raise BackendMismatch on the other.
+    Matrix backend: wraps an N x N complex ndarray, or for an element c I of
+    M_N(C) with N >= 2 made by `zero`, `unit`, scalar `*`, `star`, `contract`
+    or `combine` its central form: the pair (diagonal entry, off-diagonal
+    entry), which `central_form` exposes.  `matrix` builds the full array
+    from it on each call.  Graded backend: wraps the int64 mode array (K, t),
+    sorted lexicographically with no repeats, and the complex coefficient
+    vector (K,) with no zero entries; `mode_array` and `coeff_array` expose
+    them read-only.  Instances are immutable.  The validated constructors are
+    `from_matrix` and `from_modes`, each for its own backend kind; they raise
+    BackendMismatch on the other.
     """
 
     __slots__ = ("backend", "_mat", "_k", "_c", "_rad")
 
     @classmethod
     def _matrix(cls, backend: BackendDescriptor, mat: np.ndarray) -> "AlgebraElement":
-        """Wrap a fresh complex N x N array read-only, without a copy or checks."""
+        """Wrap a fresh complex N x N array, or a central form (2,), read-only,
+        without a copy or checks."""
         out = object.__new__(cls)
         out.backend, out._mat, out._k, out._c, out._rad = backend, _frozen(mat), None, None, 0
         return out
@@ -168,7 +173,8 @@ class AlgebraElement:
     @classmethod
     def unit(cls, backend: BackendDescriptor) -> "AlgebraElement":
         if backend.kind == MATRIX:
-            return cls._matrix(backend, np.eye(backend.size, dtype=complex))
+            return cls._matrix(backend, np.eye(1, dtype=complex) if backend.size == 1
+                               else np.array([1.0, 0.0], dtype=complex))
         return cls._graded(backend, _frozen(np.zeros((1, backend.dim), dtype=np.int64)),
                            _frozen(np.ones(1, dtype=complex)), 0)
 
@@ -203,9 +209,18 @@ class AlgebraElement:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The read-only N x N array; built afresh from a central form."""
         if self.backend.kind != MATRIX:
             raise BackendMismatch("not a matrix-backend element")
-        return self._mat
+        return self._mat if self._mat.ndim == 2 else _frozen(_full(self._mat, self.backend.size))
+
+    @property
+    def central_form(self) -> Optional[np.ndarray]:
+        """The read-only (diagonal entry, off-diagonal entry) pair of a matrix
+        element held as c I, None for one held as a full array."""
+        if self.backend.kind != MATRIX:
+            raise BackendMismatch("not a matrix-backend element")
+        return self._mat if self._mat.ndim == 1 else None
 
     def _require_graded(self) -> None:
         if self.backend.kind != GRADED:
@@ -294,25 +309,36 @@ def contract(backend: BackendDescriptor,
     order: the first live term is added to +0 into a fresh array, the rest in
     place, and a slot with no live term is a shared read-only zero.  A term
     with an operand that is exactly zero is skipped, and an operand that is
-    exactly the identity passes the other operand's matrix through; every
-    other product is BLAS's.  Both shortcuts give the bits BLAS would for
-    finite operands: a sum starts from +0, so no signed zero of a skipped or
-    passed-through product survives.  Each distinct operand is classified once
-    per call, by its [0, 0] entry first: one that is neither 0 nor 1 is dense
-    without a look at the rest.
+    exactly the identity passes the other operand through, in its own form;
+    every other product is BLAS's, with a central form built out in full
+    first.  Both shortcuts give the bits BLAS would for finite operands: a sum
+    starts from +0, so no signed zero of a skipped or passed-through product
+    survives.  A slot whose live terms all give central forms is summed as
+    central forms, through the same ufunc calls as full arrays, so each entry
+    has the bits it would have in full.  Each distinct operand is classified
+    once per call, by its [0, 0] entry first: one that is neither 0 nor 1 is
+    neither zero nor the identity without a look at the rest.
     """
     if backend.kind == MATRIX:
+        size = backend.size
         kinds = _matrix_kinds(backend, (x for terms in slots for _, a, b in terms for x in (a, b)),
-                              _identity(backend.size))
+                              _identity(size))
+        # M_1(C) holds no central forms, so its products need not look at the forms
+        full_only = size == 1
         return _matrix_sums(backend, (
             ((c, b._mat if kinds[id(a)] == _IDENTITY else
-              a._mat if kinds[id(b)] == _IDENTITY else a._mat @ b._mat)
+              a._mat if kinds[id(b)] == _IDENTITY else
+              a._mat @ b._mat if full_only else _product(a._mat, b._mat, size))
              for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO)
             for terms in slots))
     return _graded_contract(backend, slots)
 
 
+# an operand's kind: exactly zero, exactly the identity, or any other (multiplied by BLAS)
 _ZERO, _IDENTITY, _DENSE = range(3)
+
+# the central form of the identity, viewed as (re, im) float pairs
+_UNIT_FORM = _frozen(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @lru_cache(maxsize=8)
@@ -324,8 +350,25 @@ def _identity(size: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _zero_matrix(size: int) -> np.ndarray:
-    """The read-only N x N zero that every matrix zero element shares."""
-    return _frozen(np.zeros((size, size), dtype=complex))
+    """The read-only zero that every matrix zero element shares: the central form
+    (0, 0), or the 1 x 1 zero array of M_1(C)."""
+    return _frozen(np.zeros((1, 1) if size == 1 else 2, dtype=complex))
+
+
+def _full(m: np.ndarray, size: int) -> np.ndarray:
+    """m itself if it is an N x N array; for a central form, a fresh N x N array
+    with its diagonal entry on the diagonal and its off-diagonal entry elsewhere."""
+    if m.ndim == 2:
+        return m
+    out = np.full((size, size), m[1])
+    np.fill_diagonal(out, m[0])
+    return out
+
+
+def _product(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """BLAS's product of two matrix operands' arrays, a central form built out in
+    full first: x @ (c I) need not have the bits of x * c."""
+    return _full(x, size) @ _full(y, size)
 
 
 def _matrix_kinds(backend: BackendDescriptor, operands: Iterable[AlgebraElement],
@@ -333,19 +376,22 @@ def _matrix_kinds(backend: BackendDescriptor, operands: Iterable[AlgebraElement]
     """id(x) -> _ZERO, _IDENTITY (equal to the float view `identity`) or _DENSE for
     each distinct matrix operand, each checked once against `backend`.
 
-    An operand whose [0, 0] entry is neither 0 nor 1 can be neither the zero
-    matrix nor the identity, so only the others are scanned in full.
+    An operand whose [0, 0] entry (a central form's diagonal entry) is neither
+    0 nor 1 can be neither the zero matrix nor the identity, so only the
+    others are scanned in full.
     """
     kinds: dict = {}
     for x in operands:
         if id(x) not in kinds:
             if x.backend is not backend:
                 _check_algebra(backend, x)
-            corner = x._mat.item(0)
+            m = x._mat
+            corner = m.item(0)
             kinds[id(x)] = (_DENSE if corner != 0 and corner != 1 else
-                            _ZERO if not x._mat.any() else
-                            _IDENTITY if identity is not None
-                            and np.array_equal(x._mat.view(float), identity) else _DENSE)
+                            _ZERO if not m.any() else
+                            _IDENTITY if identity is not None and np.array_equal(
+                                m.view(float), identity if m.ndim == 2 else _UNIT_FORM)
+                            else _DENSE)
     return kinds
 
 
@@ -355,8 +401,11 @@ def _matrix_sums(backend: BackendDescriptor,
 
     The first term is added to +0, as a sum that starts from a zero matrix
     would, into a fresh array; the rest are added in place.  A slot with no
-    term is the shared read-only zero.
+    term is the shared read-only zero.  Central forms add as central forms
+    until a full array meets them; the sum is then built out in full.
     """
+    size = backend.size
+    full_only = size == 1       # as in `contract`
     out = []
     for terms in slots:
         acc = None
@@ -364,10 +413,12 @@ def _matrix_sums(backend: BackendDescriptor,
             term = m if c == 1.0 else m * c
             if acc is None:
                 acc = term + 0.0
-            else:
+            elif full_only or acc.ndim == term.ndim:
                 acc += term
-        out.append(AlgebraElement._matrix(backend, _zero_matrix(backend.size)
-                                          if acc is None else acc))
+            else:
+                acc = _full(acc, size)
+                acc += _full(term, size)
+        out.append(AlgebraElement._matrix(backend, _zero_matrix(size) if acc is None else acc))
     return out
 
 
@@ -560,7 +611,8 @@ def combine(backend: BackendDescriptor,
     with no pairs and no phases, so a sum has the bits of `contract` against
     the unit.  Matrix sums add the scaled matrices in the given order, skipping
     exactly zero terms, as `contract` does: one look at an operand's [0, 0]
-    entry settles most of them, and a slot is summed in place from +0.
+    entry settles most of them, and a slot is summed in place from +0.  A slot
+    of central forms sums to a central form, with the bits of the full sum.
     """
     if backend.kind == MATRIX:
         kinds = _matrix_kinds(backend, (a for terms in slots for _, a in terms))
@@ -604,6 +656,8 @@ def _restrict(prod: AlgebraElement, be: BackendDescriptor) -> AlgebraElement:
 def star(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: conjugate transpose / mode reflection with conjugated coefficients."""
     if a.backend.kind == MATRIX:
+        if a._mat.ndim == 1:
+            return AlgebraElement._matrix(a.backend, a._mat.conj())
         return AlgebraElement.from_matrix(a.backend, a._mat.conj().T)
     # reflection reverses the lexicographic order
     return AlgebraElement._graded(a.backend, _frozen(-a._k[::-1]),
@@ -613,7 +667,10 @@ def star(a: AlgebraElement) -> AlgebraElement:
 def trace(a: AlgebraElement) -> complex:
     """Normalized trace (matrix backend) or zero-mode coefficient (graded backend)."""
     if a.backend.kind == MATRIX:
-        return complex(np.trace(a._mat)) / a.backend.size
+        # a central form sums its diagonal alone: the same pairwise sum of the same N values
+        m = a._mat
+        total = np.trace(m) if m.ndim == 2 else np.full(a.backend.size, m[0]).sum()
+        return complex(total) / a.backend.size
     return a.coefficient((0,) * a.backend.dim)
 
 

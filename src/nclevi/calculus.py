@@ -22,10 +22,12 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    MATRIX,
     AlgebraElement,
     BackendDescriptor,
     DerivationSpec,
     combine,
+    contract,
     derive_many,
     products,
     random_element,
@@ -237,10 +239,12 @@ class CalculusSpec:
     Invariants enforced at construction: the wedge constants are antisymmetric
     in the lower pair (so the flip's symmetric part lies in Ker(wedge)), they
     realize the full two-form basis, and d compose d vanishes on the supplied
-    generators.  One SVD of the m x n^2 wedge table c decides its rank and
-    solves the torsion equations c . Gamma^i = -D_i once, for nabla0, the direct
-    solve and the Koszul brackets: torsion_particular (n x n x n) holds c^+(-D_i)
-    and torsion_kernel an orthonormal basis of ker c, real when c is.
+    generators, checked through the derivations' commutators where they are
+    inner (see `d_squared_residual`).  One SVD of the m x n^2 wedge table c
+    decides its rank and solves the torsion equations c . Gamma^i = -D_i once,
+    for nabla0, the direct solve and the Koszul brackets: torsion_particular
+    (n x n x n) holds c^+(-D_i) and torsion_kernel an orthonormal basis of
+    ker c, real when c is.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -282,8 +286,33 @@ class CalculusSpec:
     # -- consistency -------------------------------------------------------
 
     def d_squared_residual(self) -> float:
-        """max_a |d1(d0(a))| over the generator list."""
-        return worst(w.norm() for w in self.d1_many(self.d0_many(self.generators)))
+        """max_a |d1(d0(a))| over the generator list.
+
+        On the matrix backend, when every derivation is inner (a -> i [Y_i, a])
+        and the wedge table is exactly antisymmetric, the Jacobi identity gives
+        d1(d0(a))^alpha = [W_alpha, a] with
+        W_alpha = i sum_i D^alpha_i Y_i + sum_{k<i} c^alpha_ik [Y_k, Y_i],
+        so each generator costs two products per two-form instead of the six
+        that d0 and then d1 take.  Every other calculus goes through d0 and d1.
+        """
+        c, d = self.wedge_constants, self.exterior_constants
+        if not (self.backend.kind == MATRIX and self.generators
+                and all(delta.kind == "inner" for delta in self.derivations)
+                and np.array_equal(c, -np.transpose(c, (0, 2, 1)))):
+            return worst(w.norm() for w in self.d1_many(self.d0_many(self.generators)))
+        n, m = self.rank, self.two_form_rank
+        ys = [delta.element for delta in self.derivations]
+        pairs = [(k, i) for i in range(n) for k in range(i) if np.any(c[:, i, k] != 0.0)]
+        brackets = contract(self.backend, [[(1.0, ys[k], ys[i]), (-1.0, ys[i], ys[k])]
+                                           for k, i in pairs])
+        ws = combine(self.backend, [[(1j * d[alpha, i], ys[i]) for i in range(n)
+                                     if d[alpha, i] != 0.0]
+                                    + [(c[alpha, i, k], b) for (k, i), b in zip(pairs, brackets)
+                                       if c[alpha, i, k] != 0.0]
+                                    for alpha in range(m)])
+        return worst(r.norm() for r in contract(self.backend, [[(1.0, w, a), (-1.0, a, w)]
+                                                               for w in ws
+                                                               for a in self.generators]))
 
     # -- differential structure ---------------------------------------------
 

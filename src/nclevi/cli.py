@@ -9,6 +9,7 @@ computes; a ValueError counts as an input error only while input is read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,7 +237,9 @@ def _apply_config(argv: List[str]) -> List[str]:
     return [rest[0]] + flags + rest[1:] if rest else flags
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="nclevi",
         description="Levi-Civita connections for desk-scale noncommutative geometries")

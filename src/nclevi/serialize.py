@@ -5,8 +5,9 @@ modes in sorted order so documents are deterministic.
 
 A solve report has one writer, ``solve_report_text``, which writes the JSON
 text directly: each distinct matrix-backend Christoffel entry is encoded
-once, and each distinct value within it spelt once.  ``solve_report`` is that
-text parsed back into a dict.
+once, and each distinct value within it spelt once; an entry held as c I is
+written from its two values without building the matrix.  ``solve_report``
+is that text parsed back into a dict.
 """
 
 from __future__ import annotations
@@ -110,14 +111,25 @@ def decode_metric(calculus: CalculusSpec, doc: dict) -> MetricSpec:
     return MetricSpec(calculus, comps)
 
 
+def _central_text(form: np.ndarray, size: int) -> str:
+    """_matrix_text of the N x N matrix with central form (diagonal, off-diagonal),
+    from the two spelt values."""
+    diag, off = (f"[{_float_text(z.real)}, {_float_text(z.imag)}]" for z in form.tolist())
+    return "[" + ", ".join("[" + (off + ", ") * r + diag + (", " + off) * (size - 1 - r) + "]"
+                           for r in range(size)) + "]"
+
+
 def _element_text(a: AlgebraElement, memo: dict) -> str:
     """json.dumps(encode_element(a), sort_keys=True); `memo` keeps each distinct
-    matrix's text by its bytes, so equal matrices are written once."""
+    matrix's text by its bytes, or a central form's by (N, its bytes), so equal
+    matrices are written once."""
     if a.backend.kind != MATRIX:
         return json.dumps(encode_element(a), sort_keys=True)
-    key = a.matrix.tobytes()
+    form, size = a.central_form, a.backend.size
+    key = a.matrix.tobytes() if form is None else (size, form.tobytes())
     if key not in memo:
-        memo[key] = _object_text(_matrix_doc(_matrix_text(a.matrix)), "entries")
+        text = _matrix_text(a.matrix) if form is None else _central_text(form, size)
+        memo[key] = _object_text(_matrix_doc(text), "entries")
     return memo[key]
 
 

@@ -103,6 +103,9 @@ def _worst_difference(pairs) -> float:
     """max |x - y| over the pairs, coefficient by coefficient; x and y are algebra
     elements, one-forms, tensor squares or two-forms."""
     slots = [[(1.0, cx), (-1.0, cy)] for x, y in pairs for cx, cy in zip(_coeffs(x), _coeffs(y))]
+    if not slots:
+        # a calculus with no two-forms: two-forms have no coefficients to differ in
+        return 0.0
     return worst(d.norm() for d in combine(slots[0][0][1].backend, slots))
 
 

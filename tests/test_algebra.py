@@ -322,6 +322,10 @@ def ref_mul(theta, a: dict, b: dict) -> dict:
     return out
 
 
+def _moduli(a) -> dict:
+    return {k: abs(v) for k, v in a.modes.items()}
+
+
 def ref_combine(terms) -> dict:
     out: dict = {}
     for c, d in terms:
@@ -330,11 +334,15 @@ def ref_combine(terms) -> dict:
     return out
 
 
-def assert_matches(el, ref: dict, tol: float = 1e-12) -> None:
+def assert_matches(el, ref: dict, tol: float = 1e-12, scale=None) -> None:
+    """el's modes equal ref's, each to max(tol, 16 eps scale[mode]): a sum whose
+    terms reach sum |c a_k b_l| = scale[mode] rounds at about eps times that."""
     got = el.modes
     assert all(abs(v) > 0 for v in got.values())
+    eps, scale = np.finfo(float).eps, scale or {}
     for k in set(got) | set(ref):
-        assert abs(got.get(k, 0.0) - ref.get(k, 0.0)) <= tol, k
+        bound = max(tol, 16 * eps * scale.get(k, 0.0))
+        assert abs(got.get(k, 0.0) - ref.get(k, 0.0)) <= bound, k
     assert set(got) <= set(ref)
 
 
@@ -357,15 +365,22 @@ def test_mul_and_wide_mul_match_reference(a, b):
 @given(st.lists(st.tuples(coeff, st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=5),
        st.lists(st.tuples(coeff, st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=5),
        graded_elements(_SMALL), graded_elements(_SMALL), graded_elements(_SMALL))
+# sum |c a_k b_l| reaches about 3,165 at mode (-1, 7), where kernel and reference
+# differ by 1.35e-12 and each lies within 7.1e-13 of the exact value
+@example([], [(1, 2, 2), (2, 2, 2)], AlgebraElement.zero(_SMALL),
+         AlgebraElement.from_modes(_SMALL, {(0, 2): 2}),
+         AlgebraElement.from_modes(_SMALL, {(-2, 0): 2, (1, 1): 1, (2, 2): 2}))
 def test_multi_slot_contract_matches_reference(slot1, slot2, x, y, z):
     # operands of support up to 2, 4 and 6, beyond the radius 3
     ops = [x, wide_mul(x, y), wide_mul(wide_mul(y, z), z), AlgebraElement.zero(_SMALL)]
     slots = [[(c, ops[i], ops[j]) for c, i, j in slot] for slot in (slot1, slot2, [])]
     out = contract(_SMALL, slots)
     assert len(out) == 3
+    flat = np.zeros_like(_SMALL.theta)
     for slot, el in zip(slots, out):
         want = ref_combine([(c, ref_mul(_SMALL.theta, a.modes, b.modes)) for c, a, b in slot])
-        assert_matches(el, want)
+        scale = ref_combine([(abs(c), ref_mul(flat, _moduli(a), _moduli(b))) for c, a, b in slot])
+        assert_matches(el, want, scale=scale)
         assert el.backend == _SMALL
     assert out[2].modes == {}
 
@@ -621,3 +636,83 @@ def test_matrix_contract_and_combine_match_term_by_term_blas_bit_for_bit(size, s
         assert len(got) == len(want)
         for x, y in zip(got, want):
             assert np.array_equal(x.matrix.view(np.uint64), y.view(np.uint64))
+
+
+# -- central forms: c I held as (diagonal entry, off-diagonal entry) ---------------
+
+
+_SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+_KERNEL_COEFFS = [1.0, -1.0, 0.5 - 2j, 1j]
+_GENERAL = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+central_entries = st.one_of(
+    st.sampled_from(_SIGNED_ZEROS + [1 + 0j, complex(1.0, -0.0), -1 + 0j, 2.5 + 0j, -0.5j]),
+    _GENERAL)
+# a general coefficient rounds where the fixed ones are exact, so scalar complex
+# arithmetic, which rounds otherwise than NumPy's, would show
+kernel_coeffs = st.one_of(st.sampled_from(_KERNEL_COEFFS), _GENERAL)
+
+
+def assert_same_matrices(got, want) -> None:
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.array_equal(x.matrix.view(np.uint64), y.matrix.view(np.uint64))
+
+
+def assert_same_scalar(x, y) -> None:
+    assert np.array_equal(np.array([x]).view(np.uint64), np.array([y]).view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 8]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(central_entries, st.sampled_from(_SIGNED_ZEROS)),
+                min_size=1, max_size=3),
+       st.lists(st.lists(st.tuples(kernel_coeffs, st.integers(0, 40), st.integers(0, 40)),
+                         max_size=6), max_size=4))
+def test_central_forms_match_full_arrays_bit_for_bit(size, seed, pairs, terms):
+    be = BackendDescriptor.matrix(size)
+    unit, full_unit = AlgebraElement.unit(be), AlgebraElement.from_matrix(be, np.eye(size))
+    # central forms as the algebra makes them, each beside the same calls on full arrays
+    twins = [(unit, full_unit), (AlgebraElement.zero(be), full_unit * 0.0)]
+    twins += [(unit * d, full_unit * d) for d, _ in pairs]
+    twins += [(star(x), star(y)) for x, y in twins[2:]]
+    # and as given: any diagonal entry beside a zero of either sign
+    for p in pairs:
+        x = AlgebraElement._matrix(be, np.array(p, dtype=complex))
+        twins.append((x, AlgebraElement.from_matrix(be, x.matrix)))
+    assert all(x.central_form is not None and y.central_form is None for x, y in twins)
+    scalars = _KERNEL_COEFFS + [d for d, _ in pairs]
+    for x, y in twins:
+        assert_same_matrices([x, star(x)] + [x * z for z in scalars],
+                             [y, star(y)] + [y * z for z in scalars])
+        assert_same_scalar(x.norm(), y.norm())
+        assert_same_scalar(trace(x), trace(y))
+    # slots that mix central forms with full, zero and identity operands
+    dense = matrix_pool(size, seed)
+    central = [x for x, _ in twins] + dense
+    full = [y for _, y in twins] + dense
+    pick = [[(c, i % len(central), j % len(central)) for c, i, j in slot] for slot in terms]
+
+    def kernel_calls(pool):
+        return (contract(be, [[(c, pool[i], pool[j]) for c, i, j in s] for s in pick])
+                + combine(be, [[(c, pool[i]) for c, i, _ in s] for s in pick]))
+
+    assert_same_matrices(kernel_calls(central), kernel_calls(full))
+
+
+def test_central_forms_stay_central():
+    be = BackendDescriptor.matrix(3)
+    unit = AlgebraElement.unit(be)
+    half = unit * 0.5j
+    dense = random_element(be, np.random.default_rng(0))
+    assert unit.central_form.tolist() == [1.0, 0.0]
+    assert half.central_form is not None and star(half).central_form is not None
+    # a slot of central forms, identities passing their operand through, stays central
+    sums = contract(be, [[(1.0, half, unit), (-1.0, unit, half)], [(1.0, half, half)],
+                         [(1.0, half, dense)]])
+    assert sums[0].central_form is not None and sums[0].norm() == 0.0
+    # c I times c' I and c I times a full matrix are BLAS products, in full
+    assert sums[1].central_form is None and sums[2].central_form is None
+    assert combine(be, [[(2.0, half), (1j, unit)]])[0].central_form is not None
+    assert combine(be, [[(2.0, half), (1.0, dense)]])[0].central_form is None
+    # M_1(C) keeps its one entry as a full 1 x 1 array
+    assert AlgebraElement.unit(BackendDescriptor.matrix(1)).central_form is None

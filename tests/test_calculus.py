@@ -1,10 +1,15 @@
+import copy
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_one_form, basis_tensor
-from nclevi.algebra import AlgebraElement, random_element, trace, wide_mul, wide_sum
+from nclevi import algebra
+from nclevi.algebra import AlgebraElement, random_element, trace, wide_mul, wide_sum, worst
 from nclevi.calculus import (
+    CalculusSpec,
     TensorSquare,
     p_sym,
     random_one_form,
@@ -12,7 +17,7 @@ from nclevi.calculus import (
     sigma,
 )
 from nclevi.errors import NoSolution
-from nclevi.models import torus_bundle
+from nclevi.models import fuzzy_sphere, torus_bundle
 
 TOL = 1e-12
 
@@ -84,6 +89,36 @@ def test_d1_of_d0_vanishes(fuzzy1, heis, torus_twisted):
         for _ in range(5):
             a = random_element(spec.backend, rng)
             assert spec.d1(spec.d0(a)).norm() <= 1e-10
+
+
+def _d_squared_through_d0_d1(spec) -> float:
+    return worst(w.norm() for w in spec.d1_many(spec.d0_many(spec.generators)))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_d_squared_commutator_form_matches_d0_d1(k):
+    # the inner derivations' Jacobi identity: d1(d0(a))^alpha = [W_alpha, a]
+    spec = fuzzy_sphere(k).calculus
+    assert abs(spec.d_squared_residual() - _d_squared_through_d0_d1(spec)) <= 1e-13
+    # one exterior sign flipped: both forms see d compose d fail, and the build refuses it
+    flipped = spec.exterior_constants.copy()
+    flipped[0, 2] *= -1
+    bad = copy.copy(spec)
+    bad.exterior_constants = flipped
+    assert bad.d_squared_residual() > 0.1 and _d_squared_through_d0_d1(bad) > 0.1
+    with pytest.raises(ValueError, match="d compose d"):
+        CalculusSpec(spec.rank, spec.two_form_rank, spec.wedge_constants, flipped,
+                     spec.derivations, spec.backend, spec.generators)
+
+
+def test_fuzzy_sphere_build_takes_36_dense_products(monkeypatch):
+    # the d compose d check: [Y_k, Y_i] for 3 pairs, then [W_alpha, a] for 3 two-forms
+    # and 5 generators, two products each; the metric's entries are 0 or I
+    calls = []
+    product = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda *args: calls.append(1) or product(*args))
+    fuzzy_sphere(5)
+    assert len(calls) == 36
 
 
 def test_d1_basis_fuzzy_matches_exterior_constants(fuzzy1):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,13 +12,16 @@ from nclevi.cli import main
 from nclevi.metric import MetricSpec
 from nclevi.models import torus_bundle
 from nclevi.serialize import (
+    _element_text,
     _matrix_text,
     _pairs,
     decode_element,
     decode_metric,
     encode_element,
     encode_metric,
+    solve_report_text,
 )
+from nclevi.solver import ConnectionCoeffs, levi_civita
 
 
 # -- serialization roundtrips --------------------------------------------------
@@ -170,6 +174,15 @@ def test_verify_at_radius_one_passes(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["results"]["torus"] and all(c["passed"] for c in report["results"]["torus"])
+
+
+def test_verify_runs_every_check_on_a_calculus_with_no_two_forms(capsys):
+    # rank 1: d1's Leibniz law compares two-forms that have no coefficients
+    code, out, err = run_cli(capsys, ["verify", "--models", "torus", "--dims", "1",
+                                      "--deformed", "1", "--theta", "0"])
+    assert code == 0, err
+    checks = json.loads(out)["results"]["torus"]
+    assert len(checks) == 31 and all(c["passed"] for c in checks)
 
 
 def _refused_input(capsys, argv, detail):
@@ -341,6 +354,28 @@ def test_encode_element_matches_reference(fuzzy1, torus_twisted):
     for a in (AlgebraElement.from_matrix(fuzzy1.backend, mat), graded,
               AlgebraElement.zero(torus_twisted.backend)):
         assert_same_content(json.loads(json.dumps(encode_element(a))), reference_element(a))
+
+
+def test_central_entry_text_matches_the_full_matrix_encoder(fuzzy1):
+    be = fuzzy1.backend
+    unit = AlgebraElement.unit(be)
+    for z in (0.5j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.0, 1e300 - 1e-300j, 5e-324,
+              complex(np.nan, 1.0), complex(np.inf, -0.0)):
+        with np.errstate(invalid="ignore"):     # inf times the off-diagonal zero is NaN
+            a = unit * z
+        full = AlgebraElement.from_matrix(be, a.matrix)
+        assert a.central_form is not None and full.central_form is None
+        assert _element_text(a, {}) == _element_text(full, {}) \
+            == json.dumps(encode_element(full), sort_keys=True)
+    # a whole report: Gamma held as c I against the same Gamma in full
+    result = levi_civita(fuzzy1.calculus, fuzzy1.metric, route="both")
+    gamma = result.connection.gamma
+    assert all(a.central_form is not None for plane in gamma for row in plane for a in row)
+    full = [[[AlgebraElement.from_matrix(be, a.matrix) for a in row] for row in plane]
+            for plane in gamma]
+    twin = dataclasses.replace(result, connection=ConnectionCoeffs(fuzzy1.calculus, full))
+    assert solve_report_text(result, "fuzzy-sphere", "default") \
+        == solve_report_text(twin, "fuzzy-sphere", "default")
 
 
 def _special_values_matrix():
