@@ -82,7 +82,7 @@ class BackendDescriptor:
             if th.shape != (self.dim, self.dim):
                 raise ValueError("twist matrix has wrong shape")
             skew = np.max(np.abs(th + th.T)) if self.dim else 0.0
-            if skew > 1e-12:
+            if not skew <= 1e-12:
                 raise NonSkew(f"twist matrix is not skew-symmetric (|theta+theta^T| = {skew:.3e})")
         else:
             raise ValueError(f"unknown backend kind {self.kind!r}")
@@ -315,9 +315,12 @@ def contract(backend: BackendDescriptor,
     starts from +0, so no signed zero of a skipped or passed-through product
     survives.  A slot whose live terms all give central forms is summed as
     central forms, through the same ufunc calls as full arrays, so each entry
-    has the bits it would have in full.  Each distinct operand is classified
-    once per call, by its [0, 0] entry first: one that is neither 0 nor 1 is
-    neither zero nor the identity without a look at the rest.
+    has the bits it would have in full.  A slot whose live terms are x and
+    -x, with x one finite array (the commutator [x, a] of an identity a,
+    whose two products both pass x through), is the shared zero without a
+    sum; see `_matrix_sums`.  Each distinct operand is classified once per
+    call, by its [0, 0] entry first: one that is neither 0 nor 1 is neither
+    zero nor the identity without a look at the rest.
     """
     if backend.kind == MATRIX:
         size = backend.size
@@ -326,20 +329,16 @@ def contract(backend: BackendDescriptor,
         # M_1(C) holds no central forms, so its products need not look at the forms
         full_only = size == 1
         return _matrix_sums(backend, (
-            ((c, b._mat if kinds[id(a)] == _IDENTITY else
+            [(c, b._mat if kinds[id(a)] == _IDENTITY else
               a._mat if kinds[id(b)] == _IDENTITY else
               a._mat @ b._mat if full_only else _product(a._mat, b._mat, size))
-             for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO)
+             for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO]
             for terms in slots))
     return _graded_contract(backend, slots)
 
 
 # an operand's kind: exactly zero, exactly the identity, or any other (multiplied by BLAS)
 _ZERO, _IDENTITY, _DENSE = range(3)
-
-# the central form of the identity, viewed as (re, im) float pairs
-_UNIT_FORM = _frozen(np.array([1.0, 0.0, 0.0, 0.0]))
-
 
 @lru_cache(maxsize=8)
 def _identity(size: int) -> np.ndarray:
@@ -377,8 +376,9 @@ def _matrix_kinds(backend: BackendDescriptor, operands: Iterable[AlgebraElement]
     each distinct matrix operand, each checked once against `backend`.
 
     An operand whose [0, 0] entry (a central form's diagonal entry) is neither
-    0 nor 1 can be neither the zero matrix nor the identity, so only the
-    others are scanned in full.
+    0 nor 1 can be neither the zero matrix nor the identity; of the others, a
+    central form is settled by its off-diagonal entry and a full array is
+    scanned in full.
     """
     kinds: dict = {}
     for x in operands:
@@ -387,27 +387,50 @@ def _matrix_kinds(backend: BackendDescriptor, operands: Iterable[AlgebraElement]
                 _check_algebra(backend, x)
             m = x._mat
             corner = m.item(0)
-            kinds[id(x)] = (_DENSE if corner != 0 and corner != 1 else
-                            _ZERO if not m.any() else
-                            _IDENTITY if identity is not None and np.array_equal(
-                                m.view(float), identity if m.ndim == 2 else _UNIT_FORM)
-                            else _DENSE)
+            if corner != 0 and corner != 1:
+                kinds[id(x)] = _DENSE
+            elif m.ndim == 1:
+                kinds[id(x)] = (_DENSE if m.item(1) != 0 else _ZERO if corner == 0 else
+                                _IDENTITY if identity is not None else _DENSE)
+            else:
+                kinds[id(x)] = (_ZERO if not m.any() else
+                                _IDENTITY if identity is not None and np.array_equal(
+                                    m.view(float), identity) else _DENSE)
     return kinds
 
 
 def _matrix_sums(backend: BackendDescriptor,
-                 slots: Iterable[Iterable[Tuple[complex, np.ndarray]]]) -> List[AlgebraElement]:
+                 slots: Iterable[Sequence[Tuple[complex, np.ndarray]]]) -> List[AlgebraElement]:
     """One element per slot: the sum of c m over its live terms (c, m), in order.
 
     The first term is added to +0, as a sum that starts from a zero matrix
     would, into a fresh array; the rest are added in place.  A slot with no
     term is the shared read-only zero.  Central forms add as central forms
     until a full array meets them; the sum is then built out in full.
+
+    A slot of exactly the terms (c, m) and (-c, m), with c = 1 or -1 and m one
+    array with finite entries, is the shared zero too: m + 0.0 and then += -m
+    gives +0 in every entry, the zero's own bits.  A NaN or infinite entry
+    keeps the full sum, which is NaN there; each such array is scanned for
+    them once per call.  Other c are summed, since c m may overflow.
     """
     size = backend.size
     full_only = size == 1       # as in `contract`
+    zero = _zero_matrix(size)
+    # the arrays scanned are operands' own (no product is one array twice), so
+    # they outlive the call and their ids stay theirs
+    finite: dict = {}
     out = []
     for terms in slots:
+        if len(terms) == 2:
+            (c, m), (c2, m2) = terms
+            if m is m2 and c == -c2 and (c == 1.0 or c == -1.0):
+                ok = finite.get(id(m))
+                if ok is None:
+                    ok = finite[id(m)] = bool(np.isfinite(m).all())
+                if ok:
+                    out.append(AlgebraElement._matrix(backend, zero))
+                    continue
         acc = None
         for c, m in terms:
             term = m if c == 1.0 else m * c
@@ -418,7 +441,7 @@ def _matrix_sums(backend: BackendDescriptor,
             else:
                 acc = _full(acc, size)
                 acc += _full(term, size)
-        out.append(AlgebraElement._matrix(backend, _zero_matrix(size) if acc is None else acc))
+        out.append(AlgebraElement._matrix(backend, zero if acc is None else acc))
     return out
 
 
@@ -612,7 +635,9 @@ def combine(backend: BackendDescriptor,
     the unit.  Matrix sums add the scaled matrices in the given order, skipping
     exactly zero terms, as `contract` does: one look at an operand's [0, 0]
     entry settles most of them, and a slot is summed in place from +0.  A slot
-    of central forms sums to a central form, with the bits of the full sum.
+    of central forms sums to a central form, with the bits of the full sum,
+    and a slot x - x of one finite array is the shared zero without a sum,
+    with those bits too (see `_matrix_sums`).
     """
     if backend.kind == MATRIX:
         kinds = _matrix_kinds(backend, (a for terms in slots for _, a in terms))
@@ -731,7 +756,14 @@ def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
 
 
 def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[AlgebraElement]:
-    """derive(delta, a) for every pair; the inner commutators take two kernel calls in all."""
+    """derive(delta, a) for every pair.
+
+    The inner commutators i [x, a] take one kernel call in all on the matrix
+    backend, one slot [(1, x, a), (-1, a, x)] each, so the commutator with
+    an identity a is the shared zero (see `contract`); that slot has the bits
+    of the two products summed by `combine`.  On the graded backend they take
+    two: the truncated `products`, then `combine`.
+    """
     inner = []
     for delta, a in pairs:
         if delta.kind == "inner":
@@ -745,10 +777,13 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
                 raise BackendMismatch("grading index exceeds backend dimension")
     if inner:
         # i [x, a] = i (x a - a x)
-        prods = products([(x, a) for x, a in inner] + [(a, x) for x, a in inner])
-        comms = iter(combine(inner[0][0].backend,
-                             [[(1.0, xa), (-1.0, ax)]
-                              for xa, ax in zip(prods[:len(inner)], prods[len(inner):])]))
+        backend = inner[0][0].backend
+        if backend.kind == MATRIX:
+            comms = iter(contract(backend, [[(1.0, x, a), (-1.0, a, x)] for x, a in inner]))
+        else:
+            prods = products([(x, a) for x, a in inner] + [(a, x) for x, a in inner])
+            comms = iter(combine(backend, [[(1.0, xa), (-1.0, ax)] for xa, ax in
+                                           zip(prods[:len(inner)], prods[len(inner):])]))
     out = []
     for delta, a in pairs:
         if delta.kind == "zero":
@@ -786,8 +821,8 @@ def wide_sum(elements: Sequence[AlgebraElement]) -> AlgebraElement:
 
 def first_noncentral(elements: Sequence[AlgebraElement],
                      generators: Iterable[AlgebraElement]) -> Optional[int]:
-    """Index of the first element with max |[a, g]| > DEFAULT_TOL over the
-    generators, or None if every element is central.
+    """Index of the first element with max |[a, g]| > DEFAULT_TOL (or NaN) over
+    the generators, or None if every element is central.
 
     The commutators of every element with every generator come from one kernel call.
     """
@@ -799,7 +834,7 @@ def first_noncentral(elements: Sequence[AlgebraElement],
                                for a in elements for g in generators])
     # slots run element by element, so the first failing slot names the element
     return next((s // len(generators) for s, c in enumerate(comms)
-                 if norm(c) > DEFAULT_TOL), None)
+                 if not norm(c) <= DEFAULT_TOL), None)
 
 
 def random_element(backend: BackendDescriptor, rng: np.random.Generator,

@@ -16,7 +16,7 @@ inputs in one kernel call; the single-input form is that call on one input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,15 +236,18 @@ class BraidReport:
 class CalculusSpec:
     """The differential calculus: wedge constants, exterior constants, derivations.
 
-    Invariants enforced at construction: the wedge constants are antisymmetric
-    in the lower pair (so the flip's symmetric part lies in Ker(wedge)), they
-    realize the full two-form basis, and d compose d vanishes on the supplied
-    generators, checked through the derivations' commutators where they are
-    inner (see `d_squared_residual`).  One SVD of the m x n^2 wedge table c
-    decides its rank and solves the torsion equations c . Gamma^i = -D_i once,
-    for nabla0, the direct solve and the Koszul brackets: torsion_particular
-    (n x n x n) holds c^+(-D_i) and torsion_kernel an orthonormal basis of
-    ker c, real when c is.
+    Invariants enforced at construction: the wedge and exterior constants are
+    finite, the wedge constants are antisymmetric in the lower pair (so the
+    flip's symmetric part lies in Ker(wedge)), they realize the full two-form
+    basis, and d compose d vanishes on the supplied generators.  Where the
+    derivations are inner, d compose d is [W_alpha, a] (see
+    `d_squared_residual`), and the bound |[W, a]| <= 2 N max|W| max|a|
+    settles the check when it is at most the tolerance: the commutators are
+    formed only when it is not, or when it is NaN.  One SVD of the m x n^2
+    wedge table c decides its rank and solves the torsion equations
+    c . Gamma^i = -D_i once, for nabla0, the direct solve and the Koszul
+    brackets: torsion_particular (n x n x n) holds c^+(-D_i) and
+    torsion_kernel an orthonormal basis of ker c, real when c is.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -265,8 +268,10 @@ class CalculusSpec:
 
     def _validate(self) -> None:
         c = self.wedge_constants
+        if not (np.isfinite(c).all() and np.isfinite(self.exterior_constants).all()):
+            raise ValueError("wedge and exterior constants must be finite")
         anti = np.max(np.abs(c + np.transpose(c, (0, 2, 1)))) if c.size else 0.0
-        if anti > _ANTISYM_TOL:
+        if not anti <= _ANTISYM_TOL:
             raise ValueError(f"wedge constants are not antisymmetric (residual {anti:.3e})")
         n, m = self.rank, self.two_form_rank
         flat = c.reshape(m, n * n)
@@ -279,8 +284,15 @@ class CalculusSpec:
             [(self._wedge_pinv @ -self.exterior_constants[:, i]).reshape(n, n)
              for i in range(n)])
         self.torsion_kernel = vh[m:].conj().T
-        res = self.d_squared_residual()
-        if res > 10 * DEFAULT_TOL:
+        tol = 10 * DEFAULT_TOL
+        ws = self._jacobi_forms()
+        # entrywise |[W, a]| <= 2 N max|W| max|a|: a bound at most tol settles
+        # the check without the commutators; a NaN bound settles nothing
+        if ws is not None and (2 * self.backend.size * worst(w.norm() for w in ws)
+                               * worst(a.norm() for a in self.generators)) <= tol:
+            return
+        res = self.d_squared_residual() if ws is None else self._commutator_residual(ws)
+        if not res <= tol:
             raise ValueError(f"d compose d does not vanish on generators (residual {res:.3e})")
 
     # -- consistency -------------------------------------------------------
@@ -295,24 +307,36 @@ class CalculusSpec:
         so each generator costs two products per two-form instead of the six
         that d0 and then d1 take.  Every other calculus goes through d0 and d1.
         """
+        ws = self._jacobi_forms()
+        if ws is None:
+            return worst(w.norm() for w in self.d1_many(self.d0_many(self.generators)))
+        return self._commutator_residual(ws)
+
+    def _commutator_residual(self, ws: Sequence[AlgebraElement]) -> float:
+        """max |[W, a]| over the elements W and the generators a."""
+        comms = contract(self.backend, [[(1.0, w, a), (-1.0, a, w)]
+                                        for w in ws for a in self.generators])
+        return worst(r.norm() for r in comms)
+
+    def _jacobi_forms(self) -> Optional[List[AlgebraElement]]:
+        """W_alpha of `d_squared_residual` for every two-form alpha, from the
+        brackets [Y_k, Y_i] the wedge table uses; None for a calculus that
+        must go through d0 and d1."""
         c, d = self.wedge_constants, self.exterior_constants
         if not (self.backend.kind == MATRIX and self.generators
                 and all(delta.kind == "inner" for delta in self.derivations)
                 and np.array_equal(c, -np.transpose(c, (0, 2, 1)))):
-            return worst(w.norm() for w in self.d1_many(self.d0_many(self.generators)))
+            return None
         n, m = self.rank, self.two_form_rank
         ys = [delta.element for delta in self.derivations]
         pairs = [(k, i) for i in range(n) for k in range(i) if np.any(c[:, i, k] != 0.0)]
         brackets = contract(self.backend, [[(1.0, ys[k], ys[i]), (-1.0, ys[i], ys[k])]
                                            for k, i in pairs])
-        ws = combine(self.backend, [[(1j * d[alpha, i], ys[i]) for i in range(n)
-                                     if d[alpha, i] != 0.0]
-                                    + [(c[alpha, i, k], b) for (k, i), b in zip(pairs, brackets)
-                                       if c[alpha, i, k] != 0.0]
-                                    for alpha in range(m)])
-        return worst(r.norm() for r in contract(self.backend, [[(1.0, w, a), (-1.0, a, w)]
-                                                               for w in ws
-                                                               for a in self.generators]))
+        return combine(self.backend, [[(1j * d[alpha, i], ys[i]) for i in range(n)
+                                       if d[alpha, i] != 0.0]
+                                      + [(c[alpha, i, k], b) for (k, i), b in zip(pairs, brackets)
+                                         if c[alpha, i, k] != 0.0]
+                                      for alpha in range(m)])
 
     # -- differential structure ---------------------------------------------
 

@@ -37,7 +37,7 @@ from .models import (
     random_central_metric,
     torus_bundle,
 )
-from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_report_text
+from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_report_fragments
 from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
@@ -102,13 +102,17 @@ def _dumps(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
 
 
-def _emit(text: str, args, summary: str) -> None:
-    """Write one line of JSON text to --out or stdout, and the summary to stderr."""
+def _emit(fragments: List[str], args, summary: str) -> None:
+    """Write one line of JSON text, given as the strings that make it up, to
+    --out or stdout, and the summary to stderr.  The fragments are written as
+    they are, so a large report is never joined into one string."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(fragments)
+            fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(fragments)
+        sys.stdout.write("\n")
     print(summary, file=sys.stderr)
 
 
@@ -124,8 +128,9 @@ def _read_solve(args) -> tuple:
 
 def _cmd_solve(args, model: Model, g, source: str, tol: float) -> int:
     result = levi_civita(model.calculus, g, route=args.route, residual_tol=tol)
-    text = solve_report_text(result, model.name, source)
-    _emit(text, args, f"solved {model.name}: torsion {result.torsion_residual:.2e}, "
+    # every fragment is spelt before --out is opened, so a failure leaves no partial report
+    report = solve_report_fragments(result, model.name, source)
+    _emit(report, args, f"solved {model.name}: torsion {result.torsion_residual:.2e}, "
                         f"compatibility {result.compat_residual:.2e}")
     return 0
 
@@ -151,7 +156,7 @@ def _cmd_verify(args, models: List[Model], tol: float) -> int:
             print(f"{model.name}: {c.line()}", file=sys.stderr)
         ok = ok and all(c.passed for c in checks)
     report["passed"] = ok
-    _emit(_dumps(report), args, "verification " + ("passed" if ok else "FAILED"))
+    _emit([_dumps(report)], args, "verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
 
@@ -179,7 +184,7 @@ def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: f
         "commutation_difference": diff,
         "metric": encode_metric(g),
     }
-    _emit(_dumps(report), args, f"deformation commutes with the solver to {diff:.2e}")
+    _emit([_dumps(report)], args, f"deformation commutes with the solver to {diff:.2e}")
     return 0 if diff <= 1e-8 else 1
 
 
@@ -207,7 +212,7 @@ def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
                      "route_difference": result.route_difference})
     report = {"schema_version": SCHEMA_VERSION, "model": model.name, "trials": rows,
               "max_difference": worst}
-    _emit(_dumps(report), args, f"solver vs classical oracle: max difference {worst:.2e}")
+    _emit([_dumps(report)], args, f"solver vs classical oracle: max difference {worst:.2e}")
     return 0 if worst <= 1e-8 else 1
 
 

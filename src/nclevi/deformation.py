@@ -43,7 +43,7 @@ def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and th.shape[0] != dim:
         raise NonSkew(f"deformation matrix must be {dim}x{dim}, got {th.shape[0]}x{th.shape[0]}")
     dev = float(np.max(np.abs(th + th.T))) if th.size else 0.0
-    if dev > 1e-14:
+    if not dev <= 1e-14:
         raise NonSkew(f"deformation matrix is not skew-symmetric: |theta + theta^T| = {dev:.3e}")
     return th
 

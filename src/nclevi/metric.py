@@ -210,14 +210,19 @@ class MetricSpec:
                 if comp.support_radius() > be.radius:
                     raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
                                              f"radius {be.radius}")
-                data = comp.matrix if be.kind == MATRIX else comp.coeff_array
+                if be.kind != MATRIX:
+                    data = comp.coeff_array
+                else:
+                    # a central form holds every distinct entry of its matrix
+                    form = comp.central_form
+                    data = comp.matrix if form is None else form
                 if not np.isfinite(data).all():
                     raise ValueError(f"component ({i},{j}) is not finite")
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
         # row-major: the first failing component names the error, centrality
         # first where one component fails both checks
-        skew = next((s for s, f in enumerate(flips) if f.norm() > 10 * DEFAULT_TOL), None)
+        skew = next((s for s, f in enumerate(flips) if not f.norm() <= 10 * DEFAULT_TOL), None)
         loose = first_noncentral([c for r in rows for c in r], calculus.generators)
         if loose is not None and (skew is None or loose <= skew):
             raise NonCentralResult(f"component ({loose // n},{loose % n}) is not central")

@@ -3,10 +3,11 @@
 Complex numbers are [re, im] pairs throughout; graded elements list their
 modes in sorted order so documents are deterministic.
 
-A solve report has one writer, ``solve_report_text``, which writes the JSON
-text directly: each distinct matrix-backend Christoffel entry is encoded
-once, and each distinct value within it spelt once; an entry held as c I is
-written from its two values without building the matrix.  ``solve_report``
+A solve report has one writer, ``solve_report_fragments``, which writes the
+JSON text directly as a list of strings: each distinct matrix-backend
+Christoffel entry is encoded once, and each distinct value within it spelt
+once; an entry held as c I is written from its two values without building
+the matrix.  ``solve_report_text`` joins the fragments, and ``solve_report``
 is that text parsed back into a dict.
 """
 
@@ -62,13 +63,6 @@ def _matrix_text(z: np.ndarray) -> str:
                          dtype=object)
     rows = pair_text[codes].tolist()
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
-
-
-def _object_text(doc: dict, raw_key: str) -> str:
-    """json.dumps(doc, sort_keys=True), with doc[raw_key] already JSON text."""
-    return "{" + ", ".join(
-        f"{json.dumps(k)}: {v if k == raw_key else json.dumps(v, sort_keys=True)}"
-        for k, v in sorted(doc.items())) + "}"
 
 
 def _matrix_doc(entries) -> dict:
@@ -129,7 +123,8 @@ def _element_text(a: AlgebraElement, memo: dict) -> str:
     key = a.matrix.tobytes() if form is None else (size, form.tobytes())
     if key not in memo:
         text = _matrix_text(a.matrix) if form is None else _central_text(form, size)
-        memo[key] = _object_text(_matrix_doc(text), "entries")
+        # json.dumps(_matrix_doc(text), sort_keys=True), the text spliced in
+        memo[key] = f'{{"entries": {text}, "kind": "{MATRIX}"}}'
     return memo[key]
 
 
@@ -139,19 +134,27 @@ def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) 
 
 
 def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
-    """The solve report as JSON text with sorted keys, the Christoffel array
-    written entry by entry and every other field through json.dumps."""
-    memo: dict = {}
-    gamma = "[" + ", ".join(
-        "[" + ", ".join("[" + ", ".join(_element_text(a, memo) for a in row) + "]"
-                        for row in plane)
-        + "]" for plane in result.connection.gamma) + "]"
+    """The solve report as JSON text with sorted keys: the fragments of
+    `solve_report_fragments`, joined."""
+    return "".join(solve_report_fragments(result, model_name, metric_source))
+
+
+def solve_report_fragments(result: LeviCivitaResult, model_name: str,
+                           metric_source: str) -> list:
+    """The solve report's JSON text as a flat list of strings, in order.
+
+    The Christoffel array is written entry by entry, each entry's text one
+    fragment shared by equal entries, and every other field through
+    json.dumps.  The text is never joined here, so `nclevi solve` writes the
+    fragments as they are, and a 91 x 91 entry repeated 27 times is not
+    copied into one string.
+    """
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": model_name,
         "metric": metric_source,
         "route": result.route,
-        "gamma": gamma,
+        "gamma": None,          # written below, entry by entry
         "torsion_residual": result.torsion_residual,
         "compat_residual": result.compat_residual,
         "min_singular_value": result.sv_ratio,
@@ -160,4 +163,24 @@ def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: 
     }
     if result.route_difference is not None:
         report["route_difference"] = result.route_difference
-    return _object_text(report, "gamma")
+    memo: dict = {}
+    out = ["{"]
+    for n, (key, value) in enumerate(sorted(report.items())):
+        out.append(f"{', ' if n else ''}{json.dumps(key)}: ")
+        if key != "gamma":
+            out.append(json.dumps(value, sort_keys=True))
+            continue
+        out.append("[")
+        for i, plane in enumerate(result.connection.gamma):
+            out.append(", [" if i else "[")
+            for j, row in enumerate(plane):
+                out.append(", [" if j else "[")
+                for k, a in enumerate(row):
+                    if k:
+                        out.append(", ")
+                    out.append(_element_text(a, memo))
+                out.append("]")
+            out.append("]")
+        out.append("]")
+    out.append("}")
+    return out

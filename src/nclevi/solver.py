@@ -131,7 +131,7 @@ def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
     """
     nab = ConnectionCoeffs.from_scalars(calculus, calculus.torsion_particular)
     res = torsion_residual(nab)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise NoSolution(f"reference connection fails the torsion check ({res:.3e})")
     return nab
 

@@ -203,6 +203,13 @@ def test_is_central_examples(paulis):
     assert first_noncentral([s1], paulis) is not None
 
 
+def test_nan_element_is_not_central(paulis):
+    # a NaN commutator compares false with the tolerance, so it must not pass as central
+    be = paulis[0].backend
+    nan = AlgebraElement.from_matrix(be, [[1.0, 0.0], [np.nan, 1.0]])
+    assert first_noncentral([AlgebraElement.unit(be), nan], paulis) == 1
+
+
 def test_partial_twist_center():
     # 3-torus, twist only between coordinates 1 and 2: U^(0,0,1) is central
     theta = np.zeros((3, 3))
@@ -306,6 +313,9 @@ def test_wide_results_stay_in_their_algebra():
 def test_nonskew_twist_rejected():
     with pytest.raises(NonSkew):
         BackendDescriptor.graded(2, np.array([[0.0, 0.1], [0.1, 0.0]]), 2)
+    # a NaN compares false with the bound, so it must fail the check, not pass it
+    with pytest.raises(NonSkew, match="nan"):
+        BackendDescriptor.graded(2, np.array([[0.0, np.nan], [-np.nan, 0.0]]), 2)
 
 
 # -- the contraction kernel against a naive dict convolution ---------------------
@@ -716,3 +726,59 @@ def test_central_forms_stay_central():
     assert combine(be, [[(2.0, half), (1.0, dense)]])[0].central_form is None
     # M_1(C) keeps its one entry as a full 1 x 1 array
     assert AlgebraElement.unit(BackendDescriptor.matrix(1)).central_form is None
+
+
+# -- x - x: a commutator with the identity is the shared zero without a sum --------
+
+
+_NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+               complex(-0.0, -np.inf), complex(np.inf, np.nan)]
+cancel_entries = st.one_of(st.sampled_from(_SIGNED_ZEROS), _GENERAL,
+                           st.floats(-1e308, 1e308).map(complex))
+
+
+@st.composite
+def cancel_operands(draw):
+    """(N, m): m an N x N array or a central form, its entries finite or, now and
+    then, one of them NaN or infinite."""
+    size = draw(st.sampled_from([2, 3, 8]))
+    shape = (2,) if draw(st.booleans()) else (size, size)
+    count = int(np.prod(shape))
+    entries = draw(st.lists(cancel_entries, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, count - 1))] = draw(st.sampled_from(_NON_FINITE))
+    return size, np.array(entries, dtype=complex).reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cancel_operands(), st.sampled_from([1.0, -1.0, complex(1.0, -0.0)]))
+@example((3, np.array(_SIGNED_ZEROS * 2 + _NON_FINITE[:1]).reshape(3, 3)), -1.0)
+def test_x_minus_x_is_the_full_sum_bit_for_bit(operand, c):
+    size, m = operand
+    be = BackendDescriptor.matrix(size)
+    x = AlgebraElement._matrix(be, m)
+    unit, full_unit = AlgebraElement.unit(be), AlgebraElement.from_matrix(be, np.eye(size))
+    with np.errstate(invalid="ignore"):         # inf - inf is NaN, as in the full sum
+        want = reference_matrix_combine(be, [[(c, x), (-c, x)]])[0]
+        got = (combine(be, [[(c, x), (-c, x)]])
+               + contract(be, [[(c, x, unit), (-c, unit, x)], [(c, x, full_unit),
+                                                                (-c, full_unit, x)]]))
+    for y in got:
+        assert np.array_equal(y.matrix.view(np.uint64), want.view(np.uint64))
+    finite = np.isfinite(x.matrix)
+    if finite.all():
+        # the shared zero: no array is summed
+        assert all(y.central_form is not None and y.norm() == 0.0 for y in got)
+    else:
+        assert all(np.isnan(y.matrix[~finite]).all() for y in got)
+
+
+def test_x_minus_x_rule_needs_one_array_and_a_unit_coefficient():
+    be = BackendDescriptor.matrix(3)
+    x = random_element(be, np.random.default_rng(5))
+    twin = AlgebraElement.from_matrix(be, x.matrix)
+    # 2x - 2x, x - x + x and x - (a copy of x) are summed in full
+    sums = combine(be, [[(2.0, x), (-2.0, x)], [(1.0, x), (-1.0, x), (1.0, x)],
+                        [(1.0, x), (-1.0, twin)], [(1.0, x), (-1.0, x)]])
+    assert [s.central_form is None for s in sums] == [True, True, True, False]
+    assert [s.norm() for s in sums] == [0.0, x.norm(), 0.0, 0.0]

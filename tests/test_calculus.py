@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import basis_one_form, basis_tensor
 from nclevi import algebra
-from nclevi.algebra import AlgebraElement, random_element, trace, wide_mul, wide_sum, worst
+from nclevi.algebra import (
+    AlgebraElement,
+    DerivationSpec,
+    random_element,
+    trace,
+    wide_mul,
+    wide_sum,
+    worst,
+)
 from nclevi.calculus import (
     CalculusSpec,
     TensorSquare,
@@ -17,7 +25,8 @@ from nclevi.calculus import (
     sigma,
 )
 from nclevi.errors import NoSolution
-from nclevi.models import fuzzy_sphere, torus_bundle
+from nclevi.models import fuzzy_sphere, heisenberg, torus_bundle
+from nclevi.solver import nabla0
 
 TOL = 1e-12
 
@@ -111,14 +120,72 @@ def test_d_squared_commutator_form_matches_d0_d1(k):
                      spec.derivations, spec.backend, spec.generators)
 
 
-def test_fuzzy_sphere_build_takes_36_dense_products(monkeypatch):
-    # the d compose d check: [Y_k, Y_i] for 3 pairs, then [W_alpha, a] for 3 two-forms
-    # and 5 generators, two products each; the metric's entries are 0 or I
+def test_fuzzy_sphere_build_takes_6_dense_products(monkeypatch):
+    # the d compose d check: [Y_k, Y_i] for 3 pairs, two products each; the bound
+    # 2 N max|W_alpha| max|a| settles [W_alpha, a] without forming it, and the
+    # metric's entries are 0 or I
     calls = []
     product = algebra._product
     monkeypatch.setattr(algebra, "_product", lambda *args: calls.append(1) or product(*args))
     fuzzy_sphere(5)
-    assert len(calls) == 36
+    assert len(calls) == 6
+
+
+def _rebuild(spec, exterior=None, derivations=None, generators=None):
+    return CalculusSpec(spec.rank, spec.two_form_rank, spec.wedge_constants,
+                        spec.exterior_constants if exterior is None else exterior,
+                        spec.derivations if derivations is None else derivations,
+                        spec.backend, spec.generators if generators is None else generators)
+
+
+def test_bound_does_not_settle_a_flipped_sign(monkeypatch):
+    # one exterior sign flipped: W_alpha is large, so the bound settles nothing and
+    # the build forms [W_alpha, a] for 3 two-forms and 5 generators after the brackets
+    spec = fuzzy_sphere(5).calculus
+    flipped = spec.exterior_constants.copy()
+    flipped[0, 2] *= -1
+    calls = []
+    product = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda *args: calls.append(1) or product(*args))
+    with pytest.raises(ValueError, match="d compose d"):
+        _rebuild(spec, exterior=flipped)
+    assert len(calls) == 6 + 2 * 3 * 5
+
+
+@pytest.mark.parametrize("where", ["generator", "derivation"])
+def test_nan_entry_fails_the_d_squared_check(where):
+    # a NaN bound settles nothing, and the exact residual is NaN, which no gate
+    # passes; k = 2, since at k = 1 every W_alpha is exactly zero
+    spec = fuzzy_sphere(2).calculus
+    elements = [g.matrix for g in spec.generators] if where == "generator" else \
+        [d.element.matrix for d in spec.derivations]
+    bad = elements[0].copy()
+    bad[1, 2] = complex(np.nan, 0.0)
+    swapped = [AlgebraElement.from_matrix(spec.backend, m) for m in [bad] + elements[1:]]
+    with pytest.raises(ValueError, match="d compose d"):
+        if where == "generator":
+            _rebuild(spec, generators=swapped)
+        else:
+            _rebuild(spec, derivations=[DerivationSpec.inner(x) for x in swapped])
+
+
+@pytest.mark.parametrize("model", ["heisenberg", "fuzzy-sphere"])
+@pytest.mark.parametrize("table", ["exterior", "wedge"])
+def test_non_finite_constants_are_refused(model, table):
+    spec = (heisenberg() if model == "heisenberg" else fuzzy_sphere(1)).calculus
+    ext, wedge = spec.exterior_constants.copy(), spec.wedge_constants.copy()
+    (ext if table == "exterior" else wedge)[0, 0] = np.nan if table == "exterior" else np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        CalculusSpec(spec.rank, spec.two_form_rank, wedge, ext, spec.derivations,
+                     spec.backend, spec.generators)
+
+
+def test_nabla0_refuses_a_nan_torsion_residual(heis):
+    # exterior constants changed after construction: the torsion gate sees NaN
+    bad = copy.copy(heis.calculus)
+    bad.exterior_constants = np.full_like(bad.exterior_constants, np.nan)
+    with pytest.raises(NoSolution, match="nan"):
+        nabla0(bad)
 
 
 def test_d1_basis_fuzzy_matches_exterior_constants(fuzzy1):

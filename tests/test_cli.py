@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nclevi import cli
+from nclevi import algebra, cli
 from nclevi.algebra import AlgebraElement, random_element
 from nclevi.cli import main
 from nclevi.metric import MetricSpec
@@ -113,6 +113,12 @@ def test_deform_rejects_nonskew_theta(capsys):
         "deform", "--theta", "[[0, 0.1], [0.1, 0]]"])
     assert code == 2
     assert json.loads(out)["error"] == "NonSkew"
+    # JSON admits NaN: a NaN deformation is refused as input, for solve as for deform
+    for command in ("deform", "solve"):
+        code, out, err = run_cli(capsys, [command, "--theta", "[[0, NaN], [NaN, 0]]"]
+                                 + (["--model", "torus"] if command == "solve" else []))
+        assert code == 2
+        assert json.loads(out)["error"] == "NonSkew"
 
 
 def test_deform_commutes(capsys):
@@ -587,3 +593,50 @@ def test_solve_stdout_pinned(capsys, model, k, route):
                                       "--route", route])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_STDOUT_SHA256[model, k, route]
+
+
+# -- the streamed report ----------------------------------------------------------
+
+
+STREAM_MODELS = [["--model", "fuzzy-sphere", "--k", str(k)] for k in range(1, 6)] + [
+    ["--model", "heisenberg"],
+    ["--model", "torus", "--dims", "3", "--deformed", "2", "--theta", "0.5", "--radius", "2"]]
+
+
+@pytest.mark.parametrize("route", ["direct", "phi", "both"])
+@pytest.mark.parametrize("model", STREAM_MODELS, ids=lambda argv: "-".join(argv[1::2]))
+def test_streamed_report_is_the_report_text(capsys, tmp_path, model, route):
+    # `nclevi solve` writes the report's fragments unjoined: the bytes on stdout and
+    # in --out are the one joined text and its newline
+    argv = ["solve", *model, "--route", route]
+    args = cli.build_parser().parse_args(argv)
+    calc_model, g, source, tol = args.read(args)
+    result = levi_civita(calc_model.calculus, g, route=route, residual_tol=tol)
+    want = solve_report_text(result, calc_model.name, source) + "\n"
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and out == want
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert code == 0 and out == "" and path.read_bytes() == want.encode()
+
+
+def test_fuzzy_sphere_cli_solve_sums_six_full_arrays(monkeypatch, tmp_path, capsys):
+    # a timing-free guard on the k = 5 solve: the build's three brackets [Y_k, Y_i]
+    # take 6 BLAS products and give 3 full arrays, which give the 3 full W_alpha;
+    # every other kernel result is a central form (Gamma, dg of 0 and I, the
+    # metric's centrality commutators), so no other N x N array is summed
+    products, full = [], []
+    product, sums = algebra._product, algebra._matrix_sums
+
+    def counted_sums(backend, slots):
+        out = sums(backend, slots)
+        full.extend(x for x in out if x.central_form is None)
+        return out
+
+    monkeypatch.setattr(algebra, "_product", lambda *a: products.append(1) or product(*a))
+    monkeypatch.setattr(algebra, "_matrix_sums", counted_sums)
+    code = main(["solve", "--model", "fuzzy-sphere", "--k", "5",
+                 "--out", str(tmp_path / "report.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert (len(products), len(full)) == (6, 6)

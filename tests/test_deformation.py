@@ -66,6 +66,8 @@ def test_bicharacter_rejects_nonskew():
         bicharacter(np.array([[0.0, 0.1], [0.1, 0.0]]), (1, 0), (0, 1))
     with pytest.raises(NonSkew):
         require_skew([[0.0, 0.2], [-0.1, 0.0]])
+    with pytest.raises(NonSkew, match="nan"):
+        require_skew([[0.0, np.nan], [np.nan, 0.0]])
 
 
 # -- deformed product ----------------------------------------------------------------

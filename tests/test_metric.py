@@ -134,6 +134,19 @@ def test_noncentral_component_rejected(fuzzy1):
         MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, bad]])
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_non_finite_central_component_is_refused(fuzzy2, bad):
+    # the finiteness check reads a central form's two entries, not its full matrix
+    spec = fuzzy2.calculus
+    unit = AlgebraElement.unit(spec.backend)
+    zero = AlgebraElement.zero(spec.backend)
+    with np.errstate(invalid="ignore"):     # inf times the off-diagonal zero is NaN
+        odd = unit * bad
+    assert odd.central_form is not None
+    with pytest.raises(ValueError, match=r"component \(1,1\) is not finite"):
+        MetricSpec(spec, [[unit, zero, zero], [zero, odd, zero], [zero, zero, unit]])
+
+
 def test_first_failing_component_is_named_in_row_major_order(fuzzy1, torus_twisted):
     for model in (fuzzy1, torus_twisted):
         spec = model.calculus
