@@ -45,17 +45,7 @@ from .errors import (
     SizeTooLarge,
     TruncationOverflow,
 )
-from .metric import (
-    CanonicalMetricData,
-    Functional,
-    MetricSpec,
-    canonical_metric,
-    g2_eval,
-    metric_eval,
-    v_g,
-    v_g2_matrix,
-    v_g_inverse,
-)
+from .metric import Functional, MetricSpec, canonical_metric, v_g2_matrix
 from .models import Model, fuzzy_sphere, heisenberg, random_central_metric, torus_bundle
 from .solver import (
     CompatibilityResidual,

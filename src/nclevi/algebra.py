@@ -10,8 +10,9 @@ Elements are immutable after construction and all operations are pure.
 Every element of an algebra carries that algebra's one descriptor.  The
 truncation radius R is checked where the truncated algebra or outside input
 needs it: the constructors that take modes and the truncated product `mul`.
-Intermediate results (`contract`, `wide_mul`, `wide_sum`) keep every mode
-their products have, on the same descriptor.
+Intermediate results (`contract`, `wide_mul`, `wide_sum` and the inner
+derivations of `derive_many`) keep every mode their products have, on the
+same descriptor.
 
 Every graded product goes through one kernel, `contract`, which computes
 out[s] = sum of c a b over the terms (c, a, b) of slot s for many slots at
@@ -715,6 +716,13 @@ def norm(a: AlgebraElement) -> float:
     return float(np.abs(a._c).max(initial=0.0))
 
 
+def finite(a: AlgebraElement) -> bool:
+    """Whether every entry (matrix backend) or coefficient (graded backend) of
+    a is finite; a central form holds every distinct entry of its matrix, so
+    its two numbers are read, not the full array."""
+    return bool(np.isfinite(a._mat if a.backend.kind == MATRIX else a._c).all())
+
+
 @dataclass(frozen=True)
 class DerivationSpec:
     """A derivation of the backend algebra.
@@ -758,11 +766,11 @@ def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
 def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[AlgebraElement]:
     """derive(delta, a) for every pair.
 
-    The inner commutators i [x, a] take one kernel call in all on the matrix
-    backend, one slot [(1, x, a), (-1, a, x)] each, so the commutator with
-    an identity a is the shared zero (see `contract`); that slot has the bits
-    of the two products summed by `combine`.  On the graded backend they take
-    two: the truncated `products`, then `combine`.
+    The inner commutators i [x, a] take one kernel call in all, one slot
+    [(1, x, a), (-1, a, x)] each, on either backend: a graded commutator
+    keeps every mode of its products, as `contract` does, and on the matrix
+    backend the commutator with an identity a is the shared zero (see
+    `contract`), with the bits of the two products summed by `combine`.
     """
     inner = []
     for delta, a in pairs:
@@ -777,13 +785,8 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
                 raise BackendMismatch("grading index exceeds backend dimension")
     if inner:
         # i [x, a] = i (x a - a x)
-        backend = inner[0][0].backend
-        if backend.kind == MATRIX:
-            comms = iter(contract(backend, [[(1.0, x, a), (-1.0, a, x)] for x, a in inner]))
-        else:
-            prods = products([(x, a) for x, a in inner] + [(a, x) for x, a in inner])
-            comms = iter(combine(backend, [[(1.0, xa), (-1.0, ax)] for xa, ax in
-                                           zip(prods[:len(inner)], prods[len(inner):])]))
+        comms = iter(contract(inner[0][0].backend,
+                              [[(1.0, x, a), (-1.0, a, x)] for x, a in inner]))
     out = []
     for delta, a in pairs:
         if delta.kind == "zero":

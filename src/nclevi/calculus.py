@@ -8,9 +8,11 @@ that does their coefficientwise arithmetic; the canonical flip is the
 coefficient transpose and the symmetrizer is its average with the identity.
 `CalculusSpec` solves the scalar torsion equations once, at construction.
 
-Each operation that needs the algebra kernel has a batched form (`p_sym_many`,
+Each operation that needs the algebra kernel is a batched form (`p_sym_many`,
 `right_mul_many`, `CalculusSpec.d1_many`, ...) that evaluates it for many
-inputs in one kernel call; the single-input form is that call on one input.
+inputs in one kernel call; one input is a list of one.  The bimodule action
+(`right_mul_many`, `left_mul_many`) is the untruncated product `wide_products`,
+as in the algebra laws.
 """
 
 from __future__ import annotations
@@ -29,17 +31,14 @@ from .algebra import (
     combine,
     contract,
     derive_many,
-    products,
+    finite,
     random_element,
+    wide_products,
     worst,
 )
 from .errors import BackendMismatch, NoSolution
 
 _ANTISYM_TOL = 1e-12
-
-
-def _as_element_rows(rows) -> tuple:
-    return tuple(tuple(r) for r in rows)
 
 
 def _square(flat: list, n: int) -> list:
@@ -80,15 +79,16 @@ def subtract_many(pairs: Sequence[tuple]) -> list:
 
 
 def right_mul_many(pairs: Sequence[Tuple["Module", AlgebraElement]]) -> list:
-    """x.right_mul(a) for every pair, in one kernel call."""
+    """x a for every (module object x, element a), untruncated, in one kernel call."""
     return _rebuild([x for x, _ in pairs],
-                    products([(c, a) for x, a in pairs for c in _coefficients(x)]))
+                    wide_products([(c, a) for x, a in pairs for c in _coefficients(x)]))
 
 
 def left_mul_many(pairs: Sequence[Tuple[AlgebraElement, "Module"]]) -> list:
-    """x.left_mul(a) for every pair (a, x), in one kernel call; the basis is central."""
+    """a x for every (element a, module object x), untruncated, in one kernel
+    call; the basis is central, so a multiplies each coefficient from the left."""
     return _rebuild([x for _, x in pairs],
-                    products([(a, c) for a, x in pairs for c in _coefficients(x)]))
+                    wide_products([(a, c) for a, x in pairs for c in _coefficients(x)]))
 
 
 class Module:
@@ -109,13 +109,6 @@ class Module:
 
     def scale(self, z: complex) -> "Module":
         return _rebuild([self], [c * z for c in _coefficients(self)])[0]
-
-    def right_mul(self, a: AlgebraElement) -> "Module":
-        return right_mul_many([(self, a)])[0]
-
-    def left_mul(self, a: AlgebraElement) -> "Module":
-        # central basis: a e_i = e_i a, so the left action multiplies coefficients from the left
-        return left_mul_many([(a, self)])[0]
 
     def norm(self) -> float:
         return worst(c.norm() for c in _coefficients(self))
@@ -150,7 +143,7 @@ class TensorSquare(Module):
     __slots__ = ()
 
     def __init__(self, coeffs):
-        rows = _as_element_rows(coeffs)
+        rows = tuple(tuple(r) for r in coeffs)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("tensor square needs a square coefficient array")
@@ -236,18 +229,21 @@ class BraidReport:
 class CalculusSpec:
     """The differential calculus: wedge constants, exterior constants, derivations.
 
-    Invariants enforced at construction: the wedge and exterior constants are
-    finite, the wedge constants are antisymmetric in the lower pair (so the
-    flip's symmetric part lies in Ker(wedge)), they realize the full two-form
-    basis, and d compose d vanishes on the supplied generators.  Where the
-    derivations are inner, d compose d is [W_alpha, a] (see
-    `d_squared_residual`), and the bound |[W, a]| <= 2 N max|W| max|a|
-    settles the check when it is at most the tolerance: the commutators are
-    formed only when it is not, or when it is NaN.  One SVD of the m x n^2
-    wedge table c decides its rank and solves the torsion equations
-    c . Gamma^i = -D_i once, for nabla0, the direct solve and the Koszul
-    brackets: torsion_particular (n x n x n) holds c^+(-D_i) and
-    torsion_kernel an orthonormal basis of ker c, real when c is.
+    Invariants enforced at construction: the generators, the inner
+    derivations' elements and the wedge and exterior constants are finite
+    (where every W_alpha below is exactly zero, as at fuzzy_sphere(1), d
+    compose d cannot see a NaN generator), the wedge constants are
+    antisymmetric in the lower pair (so the flip's symmetric part lies in
+    Ker(wedge)), they realize the full two-form basis, and d compose d
+    vanishes on the supplied generators.  Where the derivations are inner,
+    d compose d is [W_alpha, a] (see `d_squared_residual`), and the bound
+    |[W, a]| <= 2 N max|W| max|a| settles the check when it is at most the
+    tolerance: the commutators are formed only when it is not, or when it is
+    NaN.  One SVD of the m x n^2 wedge table c decides its rank and solves
+    the torsion equations c . Gamma^i = -D_i once, for nabla0, the direct
+    solve and the Koszul brackets: torsion_particular (n x n x n) holds
+    c^+(-D_i) and torsion_kernel an orthonormal basis of ker c, real when c
+    is.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -264,6 +260,9 @@ class CalculusSpec:
         self.generators = tuple(generators)
         if len(self.derivations) != self.rank:
             raise ValueError("need one derivation per basis one-form")
+        if not all(map(finite, self.generators + tuple(
+                delta.element for delta in self.derivations if delta.kind == "inner"))):
+            raise ValueError("generators and derivation elements must be finite")
         self._validate()
 
     def _validate(self) -> None:
@@ -305,7 +304,7 @@ class CalculusSpec:
         d1(d0(a))^alpha = [W_alpha, a] with
         W_alpha = i sum_i D^alpha_i Y_i + sum_{k<i} c^alpha_ik [Y_k, Y_i],
         so each generator costs two products per two-form instead of the six
-        that d0 and then d1 take.  Every other calculus goes through d0 and d1.
+        that d0_many and d1_many take.  Every other calculus goes through both.
         """
         ws = self._jacobi_forms()
         if ws is None:
@@ -321,7 +320,7 @@ class CalculusSpec:
     def _jacobi_forms(self) -> Optional[List[AlgebraElement]]:
         """W_alpha of `d_squared_residual` for every two-form alpha, from the
         brackets [Y_k, Y_i] the wedge table uses; None for a calculus that
-        must go through d0 and d1."""
+        must go through d0_many and d1_many."""
         c, d = self.wedge_constants, self.exterior_constants
         if not (self.backend.kind == MATRIX and self.generators
                 and all(delta.kind == "inner" for delta in self.derivations)
@@ -340,12 +339,9 @@ class CalculusSpec:
 
     # -- differential structure ---------------------------------------------
 
-    def d0(self, a: AlgebraElement) -> OneForm:
-        """d(a) = sum_i e_i partial_i(a)."""
-        return self.d0_many([a])[0]
-
     def d0_many(self, elements: Sequence[AlgebraElement]) -> List[OneForm]:
-        """d0 of every element; the derivations' kernel calls are shared by all."""
+        """d(a) = sum_i e_i partial_i(a) for every element a; the derivations'
+        kernel calls are shared by all."""
         if any(a.backend != self.backend for a in elements):
             raise BackendMismatch("element does not live on the calculus backend")
         n = self.rank
@@ -368,12 +364,10 @@ class CalculusSpec:
                                        for t in ts for alpha in range(m)])
         return [TwoForm(flat[s * m:(s + 1) * m]) for s in range(len(ts))]
 
-    def d1(self, omega: OneForm) -> TwoForm:
-        """d(sum e_i a_i): alpha-coefficient sum_i D^a_i a_i - sum_ik c^a_ik partial_k(a_i)."""
-        return self.d1_many([omega])[0]
-
     def d1_many(self, omegas: Sequence[OneForm]) -> List[TwoForm]:
-        """d1 of every one-form, in one kernel call after the derivations' own."""
+        """d(sum e_i a_i) for every one-form, with alpha-coefficient
+        sum_i D^a_i a_i - sum_ik c^a_ik partial_k(a_i), in one kernel call
+        after the derivations' own."""
         if not omegas:
             return []
         n, m = self.rank, self.two_form_rank
@@ -396,16 +390,14 @@ class CalculusSpec:
         flat = combine(omegas[0].backend, slots)
         return [TwoForm(flat[s * m:(s + 1) * m]) for s in range(len(omegas))]
 
-    def wedge_section(self, b: TwoForm) -> TensorSquare:
-        """Minimal-norm preimage of a two-form under the wedge (the Q-inverse).
+    def wedge_section_many(self, bs: Sequence[TwoForm]) -> List[TensorSquare]:
+        """The minimal-norm preimage under the wedge (the Q-inverse) of every
+        two-form, in three kernel calls.
 
         The preimage is the antisymmetric representative; with the shipped
-        wedge tables it is the unique antisymmetric solution.
+        wedge tables it is the unique antisymmetric solution.  A two-form
+        outside the wedge range, or holding NaN, raises NoSolution.
         """
-        return self.wedge_section_many([b])[0]
-
-    def wedge_section_many(self, bs: Sequence[TwoForm]) -> List[TensorSquare]:
-        """wedge_section of every two-form, in three kernel calls."""
         if not bs:
             return []
         n, m = self.rank, self.two_form_rank
@@ -416,7 +408,7 @@ class CalculusSpec:
         ts = [TensorSquare(_square(flat[s * n * n:(s + 1) * n * n], n)) for s in range(len(bs))]
         for b, miss in zip(bs, subtract_many(list(zip(self.wedge_many(ts), bs)))):
             res = miss.norm()
-            if res > 1e3 * DEFAULT_TOL * max(1.0, b.norm()):
+            if not res <= 1e3 * DEFAULT_TOL * max(1.0, b.norm()):
                 raise NoSolution(f"two-form outside the wedge range (residual {res:.3e})")
         return ts
 

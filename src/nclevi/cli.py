@@ -242,6 +242,10 @@ def _apply_config(argv: List[str]) -> List[str]:
     return [rest[0]] + flags + rest[1:] if rest else flags
 
 
+_THETA_HELP = ("skew deformation block as a row-major JSON matrix, or a scalar s for "
+               "[[0, s], [-s, 0]]; a nonzero scalar needs --deformed 2")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing reads it and never changes it."""
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1, help="fuzzy sphere cutoff")
     sp.add_argument("--dims", type=int, default=3)
     sp.add_argument("--deformed", type=int, default=2)
-    sp.add_argument("--theta", default="0")
+    sp.add_argument("--theta", default="0", help=_THETA_HELP + " (default: 0)")
     sp.add_argument("--radius", type=int, default=3)
     sp.add_argument("--metric", default=None, help="metric components JSON file")
     sp.add_argument("--route", choices=("direct", "phi", "both"), default="both")
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, default=1)
     vp.add_argument("--dims", type=int, default=3)
     vp.add_argument("--deformed", type=int, default=2)
-    vp.add_argument("--theta", default="0.3")
+    vp.add_argument("--theta", default="0.3", help=_THETA_HELP + ", and so does the default 0.3")
     vp.add_argument("--radius", type=int, default=2)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--tol", type=float, default=None,
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("deform", help="check that deformation commutes with the solver")
     dp.add_argument("--dims", type=int, default=3)
     dp.add_argument("--deformed", type=int, default=2)
-    dp.add_argument("--theta", default="0.3")
+    dp.add_argument("--theta", default="0.3",
+                    help=_THETA_HELP + ", and so do the default 0.3 and --extra-theta's 0.2")
     dp.add_argument("--extra-theta", dest="extra_theta", default="0.2")
     dp.add_argument("--radius", type=int, default=3)
     dp.add_argument("--seed", type=int, default=0)

@@ -27,6 +27,7 @@ from .algebra import (
     _canonical,
     combine,
     contract,
+    finite,
     first_noncentral,
     trace,
 )
@@ -210,13 +211,7 @@ class MetricSpec:
                 if comp.support_radius() > be.radius:
                     raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
                                              f"radius {be.radius}")
-                if be.kind != MATRIX:
-                    data = comp.coeff_array
-                else:
-                    # a central form holds every distinct entry of its matrix
-                    form = comp.central_form
-                    data = comp.matrix if form is None else form
-                if not np.isfinite(data).all():
+                if not finite(comp):
                     raise ValueError(f"component ({i},{j}) is not finite")
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]
                              for i in range(n) for j in range(n)])
@@ -251,54 +246,36 @@ class MetricSpec:
 # -- operations ---------------------------------------------------------------
 
 
-def metric_eval(g: MetricSpec, t: TensorSquare) -> AlgebraElement:
-    """g applied to a tensor square: sum_ij g_ij a_ij."""
-    return metric_eval_many(g, [t])[0]
-
-
 def metric_eval_many(g: MetricSpec, ts: Sequence[TensorSquare]) -> List[AlgebraElement]:
-    """metric_eval of every tensor square, in one kernel call."""
+    """g applied to every tensor square, sum_ij g_ij a_ij, in one kernel call."""
     n = g.rank
     return contract(g.backend, [[(1.0, g.components[i][j], t.coeffs[i][j])
                                  for i in range(n) for j in range(n)] for t in ts])
 
 
-def v_g(g: MetricSpec, omega: OneForm) -> Functional:
-    """The musical map V_g(omega)(eta) = g(omega (x) eta); component j is sum_i g_ij omega_i."""
-    return v_g_many(g, [omega])[0]
-
-
 def v_g_many(g: MetricSpec, omegas: Sequence[OneForm]) -> List[Functional]:
-    """v_g of every one-form, in one kernel call."""
+    """The musical map V_g(omega)(eta) = g(omega (x) eta) of every one-form, in
+    one kernel call; component j is sum_i g_ij omega_i."""
     n = g.rank
     flat = contract(g.backend, [[(1.0, g.components[i][j], omega.coeffs[i]) for i in range(n)]
                                 for omega in omegas for j in range(n)])
     return [Functional(flat[s * n:(s + 1) * n]) for s in range(len(omegas))]
 
 
-def v_g_inverse(g: MetricSpec, phi: Functional) -> OneForm:
-    """Inverse musical map via the cached inverse components."""
-    return v_g_inverse_many(g, [phi])[0]
-
-
 def v_g_inverse_many(g: MetricSpec, phis: Sequence[Functional]) -> List[OneForm]:
-    """v_g_inverse of every functional, in one kernel call."""
+    """The inverse musical map of every functional, through the cached inverse
+    components, in one kernel call."""
     n = g.rank
     flat = contract(g.backend, [[(1.0, g.inverse_components[i][j], phi.coeffs[j])
                                  for j in range(n)] for phi in phis for i in range(n)])
     return [OneForm(flat[s * n:(s + 1) * n]) for s in range(len(phis))]
 
 
-def g2_eval(g: MetricSpec, s: TensorSquare, t: TensorSquare) -> AlgebraElement:
-    """Pairing on the tensor square: on basis tensors ((e_k,e_l),(e_i,e_j)) -> g_li g_kj."""
-    return g2_eval_many(v_g2_matrix(g), [(s, t)])[0]
-
-
 def g2_eval_many(table: "Vg2Matrix",
                  pairs: Sequence[Tuple[TensorSquare, TensorSquare]]) -> List[AlgebraElement]:
-    """g2_eval(table.metric, s, t) for every pair (s, t), read from the caller's
-    V_g2 table: the sum over (k, l, i, j) of V_g2[(k, l), (i, j)] s_kl t_ij, in
-    two kernel calls.
+    """The pairing g2(s, t) on the tensor square, ((e_k,e_l),(e_i,e_j)) -> g_li g_kj
+    on basis tensors, for every pair (s, t), read from the caller's V_g2 table of
+    g: the sum of V_g2[(k, l), (i, j)] s_kl t_ij, in two kernel calls.
 
     Exactly zero entries of V_g2 are skipped, so a diagonal metric gives n^2
     terms per pair.
@@ -343,36 +320,19 @@ def v_g2_matrix(g: MetricSpec) -> Vg2Matrix:
 # -- canonical trace metric ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalMetricData:
-    """Operator realization of the frame: e_i acts as 1 (x) s_i on H_A (x) W.
-
-    spinor_ops holds the w x w operators s_i; frame_pair_trace(i, j) is
-    w_ij = tr(s_i s_j) / w, the spinor trace that the metric components reduce to.
-    """
-
-    spinor_ops: tuple
-
-    @property
-    def spinor_dim(self) -> int:
-        return self.spinor_ops[0].shape[0]
-
-    def frame_pair_trace(self, i: int, j: int) -> complex:
-        w = self.spinor_dim
-        return complex(np.trace(self.spinor_ops[i] @ self.spinor_ops[j])) / w
-
-
-def canonical_metric(calculus: CalculusSpec, data: CanonicalMetricData) -> MetricSpec:
+def canonical_metric(calculus: CalculusSpec, spinor_ops) -> MetricSpec:
     """The metric of the spectral triple's trace: tau(g_ij c) = tau(e_i e_j c) for every c.
 
-    With e_i acting as 1 (x) s_i, e_i e_j = 1 (x) s_i s_j, and the trace over
-    H_A (x) W factorizes as tau(c) tr(s_i s_j) / w; so g_ij = w_ij 1 on either
-    backend.  tests/test_metric.py checks this against the partial trace of
-    the Kronecker realization on the matrix models.
+    e_i acts as 1 (x) s_i on H_A (x) W, for spinor_ops the w x w operators
+    s_i; so e_i e_j = 1 (x) s_i s_j, and the trace over H_A (x) W factorizes
+    as tau(c) tr(s_i s_j) / w, which makes g_ij = (tr(s_i s_j) / w) 1 on
+    either backend.  tests/test_metric.py checks this against the partial
+    trace of the Kronecker realization on the matrix models.
     """
     n = calculus.rank
-    if len(data.spinor_ops) != n:
+    if len(spinor_ops) != n:
         raise ValueError("need one spinor operator per basis one-form")
+    w = spinor_ops[0].shape[0]
     unit = AlgebraElement.unit(calculus.backend)
-    return MetricSpec(calculus, [[unit * data.frame_pair_trace(i, j) for j in range(n)]
-                                 for i in range(n)])
+    return MetricSpec(calculus, [[unit * (complex(np.trace(spinor_ops[i] @ spinor_ops[j])) / w)
+                                  for j in range(n)] for i in range(n)])

@@ -19,7 +19,7 @@ from .algebra import AlgebraElement, BackendDescriptor, DerivationSpec
 from .calculus import CalculusSpec
 from .deformation import TorusAction, embed_theta
 from .errors import SizeTooLarge
-from .metric import CanonicalMetricData, MetricSpec, canonical_metric
+from .metric import MetricSpec, canonical_metric
 
 DEFAULT_MATRIX_CAP = 128
 
@@ -144,7 +144,7 @@ def fuzzy_sphere(k: int) -> Model:
     generators += [AlgebraElement.from_matrix(backend, x) for x in gen]
 
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
+    metric = canonical_metric(calculus, pauli_matrices())
     return Model(name="fuzzy-sphere", calculus=calculus, metric=metric)
 
 
@@ -164,7 +164,7 @@ def heisenberg() -> Model:
     derivations = [DerivationSpec.zero() for _ in range(3)]
     generators = [AlgebraElement.unit(backend)]
     calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=pauli_matrices()))
+    metric = canonical_metric(calculus, pauli_matrices())
     return Model(name="heisenberg", calculus=calculus, metric=metric)
 
 
@@ -194,7 +194,7 @@ def torus_bundle(m: int, n: int, theta, radius: int) -> Model:
         generators.append(AlgebraElement.single_mode(backend, tuple(e)))
         generators.append(AlgebraElement.single_mode(backend, tuple(-x for x in e)))
     calculus = CalculusSpec(m, len(pairs), c, exterior, derivations, backend, generators)
-    metric = canonical_metric(calculus, CanonicalMetricData(spinor_ops=gamma_matrices(m)))
+    metric = canonical_metric(calculus, gamma_matrices(m))
     return Model(name="torus", calculus=calculus, metric=metric, action=action)
 
 

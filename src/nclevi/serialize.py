@@ -5,10 +5,10 @@ modes in sorted order so documents are deterministic.
 
 A solve report has one writer, ``solve_report_fragments``, which writes the
 JSON text directly as a list of strings: each distinct matrix-backend
-Christoffel entry is encoded once, and each distinct value within it spelt
-once; an entry held as c I is written from its two values without building
-the matrix.  ``solve_report_text`` joins the fragments, and ``solve_report``
-is that text parsed back into a dict.
+Christoffel entry is encoded once, and an entry held as c I is written from
+its two spelt values without building the matrix.  ``solve_report_text``
+joins the fragments, and ``solve_report`` is that text parsed back into a
+dict.
 """
 
 from __future__ import annotations
@@ -40,29 +40,6 @@ def _float_text(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _distinct(bits: np.ndarray) -> tuple:
-    """The distinct values of an integer array and each entry's index among them."""
-    values, codes = np.unique(bits, return_inverse=True)
-    return values, codes.reshape(bits.shape)
-
-
-def _matrix_text(z: np.ndarray) -> str:
-    """json.dumps(_pairs(z)) for a complex matrix, each distinct value spelt once.
-
-    Values are told apart by their bit patterns, so -0.0 stays apart from 0.0.
-    """
-    re_bits, re_codes = _distinct(z.real.view(np.uint64))
-    im_bits, im_codes = _distinct(z.imag.view(np.uint64))
-    pairs, codes = _distinct(re_codes * len(im_bits) + im_codes)
-    re_text = [_float_text(x) for x in re_bits.view(float).tolist()]
-    im_text = [_float_text(x) for x in im_bits.view(float).tolist()]
-    pair_text = np.array([f"[{re_text[r]}, {im_text[i]}]"
-                          for r, i in (divmod(p, len(im_bits)) for p in pairs.tolist())],
-                         dtype=object)
-    rows = pair_text[codes].tolist()
-    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def _matrix_doc(entries) -> dict:
@@ -106,8 +83,8 @@ def decode_metric(calculus: CalculusSpec, doc: dict) -> MetricSpec:
 
 
 def _central_text(form: np.ndarray, size: int) -> str:
-    """_matrix_text of the N x N matrix with central form (diagonal, off-diagonal),
-    from the two spelt values."""
+    """json.dumps(_pairs(m)) of the N x N matrix m with central form (diagonal,
+    off-diagonal), from the two spelt values."""
     diag, off = (f"[{_float_text(z.real)}, {_float_text(z.imag)}]" for z in form.tolist())
     return "[" + ", ".join("[" + (off + ", ") * r + diag + (", " + off) * (size - 1 - r) + "]"
                            for r in range(size)) + "]"
@@ -122,7 +99,7 @@ def _element_text(a: AlgebraElement, memo: dict) -> str:
     form, size = a.central_form, a.backend.size
     key = a.matrix.tobytes() if form is None else (size, form.tobytes())
     if key not in memo:
-        text = _matrix_text(a.matrix) if form is None else _central_text(form, size)
+        text = json.dumps(_pairs(a.matrix)) if form is None else _central_text(form, size)
         # json.dumps(_matrix_doc(text), sort_keys=True), the text spliced in
         memo[key] = f'{{"entries": {text}, "kind": "{MATRIX}"}}'
     return memo[key]

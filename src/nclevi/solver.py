@@ -218,9 +218,10 @@ def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> Compat
 
 
 def _tolerance(cube) -> float:
-    """The range and domain checks' tolerance for one component cube of Phi_g's maps."""
-    return 1e3 * DEFAULT_TOL * max(1.0, worst(x.norm() for plane in cube
-                                              for row in plane for x in row))
+    """The range and domain checks' tolerance for one component cube of Phi_g's
+    maps; NaN, which no residual is at most, if an entry holds NaN."""
+    return 1e3 * DEFAULT_TOL * worst([1.0] + [x.norm() for plane in cube
+                                             for row in plane for x in row])
 
 
 def phi_g_apply(g: MetricSpec, lmap) -> tuple:
@@ -238,7 +239,7 @@ def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
     wedges = g.calculus.wedge_many([TensorSquare(lmap[i]) for lmap in lmaps for i in range(n)])
     tols = [_tolerance(lmap) for lmap in lmaps]
     for s, w in enumerate(wedges):
-        if w.norm() > tols[s // n]:
+        if not w.norm() <= tols[s // n]:
             raise RangeNotSymmetric(f"value at basis index {s % n} is not in Ker(wedge)")
     return [_frozen_cube(out) for out in _pi_g_many(g, lmaps)]
 
@@ -269,7 +270,7 @@ def phi_g_invert_many(g: MetricSpec, mmaps) -> list:
                for mmap in mmaps for k in range(n)]
     flips = subtract_many([(t, sigma(t)) for t in squares])
     tols = [_tolerance(mmap) for mmap in mmaps]
-    if any(f.norm() > tols[s // n] for s, f in enumerate(flips)):
+    if any(not f.norm() <= tols[s // n] for s, f in enumerate(flips)):
         raise RangeNotSymmetric("map is not determined on the symmetric part")
     h = g.inverse_components
     gc = g.components

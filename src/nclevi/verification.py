@@ -11,9 +11,11 @@ differences).  A group is drawn when its laws take it, a large one a chunk at
 a time, so a suite holds one group's samples and one chunk's stage results at
 most.  The laws draw nothing, and a kernel slot's result does not depend on
 the other slots of its call, so each residual is the one that drawing and
-checking the samples one at a time would give.  The batched forms of the
-module operations (`p_sym_many`, `metric_eval_many`, `phi_g_invert_many`, ...)
-build their kernel slots in the same place as the single-object forms.
+checking the samples one at a time would give.  The laws run the batched
+forms of the module operations (`p_sym_many`, `metric_eval_many`,
+`phi_g_invert_many`, ...), the forms the solver runs; the bimodule action
+(`right_mul_many`, `left_mul_many`) is untruncated, as the algebra laws'
+products are.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from .algebra import (
 from .calculus import (
     TensorSquare,
     _coefficients,
-    _rebuild,
+    left_mul_many,
     p_sym_many,
     random_one_form,
     random_tensor_square,
+    right_mul_many,
     sigma,
     subtract_many,
 )
@@ -85,18 +88,6 @@ def _split(flat: list, parts: int = 2) -> list:
 
 def _coeffs(x) -> list:
     return [x] if isinstance(x, AlgebraElement) else _coefficients(x)
-
-
-def _wide_right(pairs) -> list:
-    """x a for every (module object x, element a), untruncated as in the algebra laws."""
-    return _rebuild([x for x, _ in pairs],
-                    wide_products([(c, a) for x, a in pairs for c in _coefficients(x)]))
-
-
-def _wide_left(pairs) -> list:
-    """a x for every (element a, module object x), untruncated; the basis is central."""
-    return _rebuild([x for _, x in pairs],
-                    wide_products([(a, c) for a, x in pairs for c in _coefficients(x)]))
 
 
 def _worst_difference(pairs) -> float:
@@ -198,10 +189,10 @@ def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 
 def _sigma_bimodule_linearity(pairs) -> float:
     """sigma(t a) against sigma(t) a, then sigma(a t) against a sigma(t)."""
-    right, sig_right = _split(_wide_right(pairs + [(sigma(t), a) for t, a in pairs]))
+    right, sig_right = _split(right_mul_many(pairs + [(sigma(t), a) for t, a in pairs]))
     worst_right = _worst_difference((sigma(x), y) for x, y in zip(right, sig_right))
     del right, sig_right
-    left, sig_left = _split(_wide_left([(a, t) for t, a in pairs]
+    left, sig_left = _split(left_mul_many([(a, t) for t, a in pairs]
                                         + [(a, sigma(t)) for t, a in pairs]))
     return worst([worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left))])
 
@@ -214,8 +205,8 @@ def _d1_leibniz(pairs, spec) -> float:
                           for (w, _), da in zip(pairs, das) for i in range(n) for j in range(n)])
     w_da = [TensorSquare([w_da[s + i * n:s + (i + 1) * n] for i in range(n)])
             for s in range(0, len(w_da), n * n)]
-    lhs, d1w = _split(spec.d1_many(_wide_right(pairs) + [w for w, _ in pairs]))
-    rhs = subtract_many(list(zip(_wide_right(list(zip(d1w, (a for _, a in pairs)))),
+    lhs, d1w = _split(spec.d1_many(right_mul_many(pairs) + [w for w, _ in pairs]))
+    rhs = subtract_many(list(zip(right_mul_many(list(zip(d1w, (a for _, a in pairs)))),
                                  spec.wedge_many(w_da))))
     return _worst_difference(zip(lhs, rhs))
 
@@ -230,7 +221,7 @@ def _projector_laws(ts, spec) -> tuple:
 
 
 def _wedge_section_reconstruction(ts, spec) -> float:
-    """wedge_section(wedge(t)) against t - P_sym(t)."""
+    """The wedge section of wedge(t) against t - P_sym(t)."""
     anti = subtract_many(list(zip(ts, p_sym_many(ts))))
     return _worst_difference(zip(spec.wedge_section_many(spec.wedge_many(ts)), anti))
 
@@ -264,8 +255,8 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 def _metric_bilinearity(pairs, g) -> tuple:
     """(worst |g(sigma(t)) - g(t)|, worst |g(a t) - a g(t)| and |g(t a) - g(t) a|)."""
     ts = [t for t, _ in pairs]
-    left = _wide_left([(a, t) for t, a in pairs])
-    right = _wide_right(pairs)
+    left = left_mul_many([(a, t) for t, a in pairs])
+    right = right_mul_many(pairs)
     g_sig, g_t, g_left, g_right = _split(
         metric_eval_many(g, [sigma(t) for t in ts] + ts + left + right), 4)
     a_gt, gt_a = _split(wide_products([(a, x) for x, (_, a) in zip(g_t, pairs)]

@@ -13,18 +13,21 @@ from nclevi.algebra import (
     combine,
     contract,
     derive,
+    derive_many,
     first_noncentral,
     mul,
     random_element,
     star,
     trace,
     wide_mul,
+    wide_products,
     wide_sum,
     worst,
 )
 from nclevi.calculus import OneForm
 from nclevi.deformation import TorusAction, deform_product
 from nclevi.errors import BackendMismatch, NonSkew, TruncationOverflow
+from nclevi.models import torus_bundle
 
 TOL = 1e-12
 
@@ -190,6 +193,20 @@ def test_leibniz_random_inner_and_grading():
         lhs = derive(d, wide_mul(a, b))
         rhs = wide_sum([wide_mul(derive(d, a), b), wide_mul(a, derive(d, b))])
         assert wide_sum([lhs, -rhs]).norm() <= 10 * TOL
+
+
+def test_graded_inner_derivation_is_the_commutator():
+    # one contract slot [(1, x, a), (-1, a, x)] per commutator, as on the matrix
+    # backend: x (a b) reaches radius 6 > R = 4 and keeps every mode
+    be = torus_bundle(3, 2, np.array([[0.0, 0.3], [-0.3, 0.0]]), 4).backend
+    rng = np.random.default_rng(21)
+    x, a, b = (random_element(be, rng, radius=2) for _ in range(3))
+    delta = DerivationSpec.inner(x)
+    da, db, dab = derive_many([(delta, a), (delta, b), (delta, wide_mul(a, b))])
+    want = wide_sum([wide_mul(x, a), -wide_mul(a, x)]) * 1j
+    assert wide_sum([da, -want]).norm() <= 1e-12
+    da_b, a_db = wide_products([(da, b), (a, db)])
+    assert wide_sum([dab, -da_b, -a_db]).norm() <= 1e-12
 
 
 # -- centrality --------------------------------------------------------------------

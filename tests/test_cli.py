@@ -13,8 +13,6 @@ from nclevi.metric import MetricSpec
 from nclevi.models import torus_bundle
 from nclevi.serialize import (
     _element_text,
-    _matrix_text,
-    _pairs,
     decode_element,
     decode_metric,
     encode_element,
@@ -382,24 +380,6 @@ def test_central_entry_text_matches_the_full_matrix_encoder(fuzzy1):
     twin = dataclasses.replace(result, connection=ConnectionCoeffs(fuzzy1.calculus, full))
     assert solve_report_text(result, "fuzzy-sphere", "default") \
         == solve_report_text(twin, "fuzzy-sphere", "default")
-
-
-def _special_values_matrix():
-    """Signed zeros, a subnormal, infinities, NaN and repeated values."""
-    z = np.full((4, 5), complex(0.5, -0.0))
-    z[0] = [complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), 5e-324, -5e-324]
-    z[1, :3] = [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-np.inf, np.nan)]
-    z[2] = [0.1 + 0.2j, 1e300 - 1e-300j, 0.1 + 0.2j, 2.0 ** -1074 * 3, -0.0 + 1j]
-    return z
-
-
-@pytest.mark.parametrize("case", ["special", "distinct", "one-value"])
-def test_matrix_text_matches_json_dumps(case):
-    rng = np.random.default_rng(4)
-    z = {"special": _special_values_matrix,
-         "distinct": lambda: rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
-         "one-value": lambda: np.full((3, 3), complex(-0.0, 0.5))}[case]()
-    assert _matrix_text(z) == json.dumps(_pairs(z))
 
 
 @pytest.fixture

@@ -236,16 +236,16 @@ def test_v_g_deformation_matrix_identity(torus_twisted):
     # V_{g_theta} computed in the deformed calculus equals the deformation of V_g:
     # on grade-0 metric components the musical coefficients agree verbatim
     from nclevi.calculus import OneForm
-    from nclevi.metric import v_g
+    from nclevi.metric import v_g_many
     rng = np.random.default_rng(10)
     g = random_central_metric(torus_twisted, rng)
     th = skew2(0.33)
     calc_t = deform_calculus(torus_twisted.calculus, th, torus_twisted.action)
     g_t = deform_metric(g, calc_t)
     w = OneForm([random_element(torus_twisted.backend, rng) for _ in range(3)])
-    undeformed = v_g(g, w)
+    undeformed = v_g_many(g, [w])[0]
     w_t = OneForm([deform_element(c, calc_t.backend) for c in w.coeffs])
-    deformed = v_g(g_t, w_t)
+    deformed = v_g_many(g_t, [w_t])[0]
     for a, b in zip(undeformed.coeffs, deformed.coeffs):
         assert wide_sum([deform_element(a, calc_t.backend), -b]).norm() <= 1e-12
 

@@ -3,17 +3,24 @@ import pytest
 
 from conftest import basis_one_form, basis_tensor
 from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
-from nclevi.calculus import OneForm, TensorSquare, random_one_form, random_tensor_square, sigma
+from nclevi.calculus import (
+    OneForm,
+    TensorSquare,
+    left_mul_many,
+    random_one_form,
+    random_tensor_square,
+    right_mul_many,
+    sigma,
+)
 from nclevi.errors import NonCentralResult, SingularMetric, TruncationOverflow
 from nclevi.metric import (
-    CanonicalMetricData,
     Functional,
     MetricSpec,
-    g2_eval,
-    metric_eval,
-    v_g,
+    g2_eval_many,
+    metric_eval_many,
     v_g2_matrix,
-    v_g_inverse,
+    v_g_inverse_many,
+    v_g_many,
 )
 from nclevi.models import gamma_matrices, pauli_matrices, torus_bundle
 
@@ -31,14 +38,15 @@ def assert_constant(elements):
         assert (el - AlgebraElement.unit(el.backend) * trace(el)).norm() <= 10 * TOL
 
 
-# -- metric_eval ------------------------------------------------------------------
+# -- metric_eval_many ------------------------------------------------------------------
 
 
 def test_delta_eval_examples(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
     one = AlgebraElement.unit(spec.backend)
-    assert (metric_eval(g, basis_tensor(spec, 0, 0)) - one).norm() <= TOL
-    assert metric_eval(g, basis_tensor(spec, 0, 1)).norm() <= TOL
+    diagonal, off = metric_eval_many(g, [basis_tensor(spec, 0, 0), basis_tensor(spec, 0, 1)])
+    assert (diagonal - one).norm() <= TOL
+    assert off.norm() <= TOL
 
 
 def test_eval_flip_invariant(fuzzy1, torus_twisted):
@@ -47,7 +55,8 @@ def test_eval_flip_invariant(fuzzy1, torus_twisted):
         spec, g = model.calculus, model.metric
         for _ in range(10):
             t = random_tensor_square(spec, rng)
-            d = wide_sum([metric_eval(g, sigma(t)), -metric_eval(g, t)])
+            g_sig, g_t = metric_eval_many(g, [sigma(t), t])
+            d = wide_sum([g_sig, -g_t])
             assert d.norm() <= 10 * TOL
 
 
@@ -56,8 +65,10 @@ def test_eval_bilinear(fuzzy1):
     rng = np.random.default_rng(1)
     t = random_tensor_square(spec, rng)
     a = random_element(spec.backend, rng)
-    left = wide_sum([metric_eval(g, t.left_mul(a)), -wide_mul(a, metric_eval(g, t))])
-    right = wide_sum([metric_eval(g, t.right_mul(a)), -wide_mul(metric_eval(g, t), a)])
+    g_left, g_t, g_right = metric_eval_many(
+        g, left_mul_many([(a, t)]) + [t] + right_mul_many([(t, a)]))
+    left = wide_sum([g_left, -wide_mul(a, g_t)])
+    right = wide_sum([g_right, -wide_mul(g_t, a)])
     assert left.norm() <= 1e-10 and right.norm() <= 1e-10
 
 
@@ -66,7 +77,7 @@ def test_eval_bilinear(fuzzy1):
 
 def test_v_g_delta_coordinates(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
-    phi = v_g(g, basis_one_form(spec, 1))
+    phi = v_g_many(g, [basis_one_form(spec, 1)])[0]
     assert phi.coeffs[0].norm() <= TOL
     assert (phi.coeffs[1] - AlgebraElement.unit(spec.backend)).norm() <= TOL
 
@@ -77,7 +88,7 @@ def test_v_g_inverse_diagonal(fuzzy1):
     unit = AlgebraElement.unit(spec.backend)
     zero = AlgebraElement.zero(spec.backend)
     phi = Functional([unit, zero, zero])
-    w = v_g_inverse(g, phi)
+    w = v_g_inverse_many(g, [phi])[0]
     assert (w.coeffs[0] - unit * 0.5).norm() <= TOL
     assert w.coeffs[1].norm() <= TOL
 
@@ -90,7 +101,7 @@ def test_v_g_roundtrips(fuzzy1, torus_comm, edge_metric):
     _, edge_g, edge_omega = edge_metric
     cases.append((edge_g, OneForm(edge_omega)))
     for g, w in cases:
-        back = v_g_inverse(g, v_g(g, w))
+        back = v_g_inverse_many(g, v_g_many(g, [w]))[0]
         assert max(wide_sum([a, -b]).norm()
                    for a, b in zip(back.coeffs, w.coeffs)) <= 1e-9
 
@@ -212,7 +223,7 @@ def test_canonical_metric_is_the_kronecker_partial_trace(fuzzy1, fuzzy2, heis):
     the spinor factor; the shipped components are those matrices, byte for byte,
     and satisfy the trace equation for random c."""
     ops = pauli_matrices()
-    w = CanonicalMetricData(spinor_ops=ops).spinor_dim
+    w = ops[0].shape[0]
     rng = np.random.default_rng(7)
     for model in (fuzzy1, fuzzy2, heis):
         size = model.backend.size
@@ -241,9 +252,10 @@ def test_canonical_metric_positivity_diagnostic(fuzzy1):
 def test_g2_delta_examples(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
     one = AlgebraElement.unit(spec.backend)
-    val = g2_eval(g, basis_tensor(spec, 0, 1), basis_tensor(spec, 1, 0))
+    e01, e10 = basis_tensor(spec, 0, 1), basis_tensor(spec, 1, 0)
+    val, crossed = g2_eval_many(v_g2_matrix(g), [(e01, e10), (e01, e01)])
     assert (val - one).norm() <= TOL
-    assert g2_eval(g, basis_tensor(spec, 0, 1), basis_tensor(spec, 0, 1)).norm() <= TOL
+    assert crossed.norm() <= TOL
 
 
 def test_g2_flip_adjoint(fuzzy1, torus_twisted):
@@ -253,7 +265,8 @@ def test_g2_flip_adjoint(fuzzy1, torus_twisted):
         for _ in range(5):
             s = random_tensor_square(spec, rng)
             t = random_tensor_square(spec, rng)
-            d = wide_sum([g2_eval(g, sigma(s), t), -g2_eval(g, s, sigma(t))])
+            lhs, rhs = g2_eval_many(v_g2_matrix(g), [(sigma(s), t), (s, sigma(t))])
+            d = wide_sum([lhs, -rhs])
             assert d.norm() <= 1e-9
 
 
@@ -296,7 +309,7 @@ def test_hilbert_module_identity(fuzzy1):
         y = random_tensor_square(spec, rng)
         # S(sum e_k (x) e_l x_kl) has coefficients x_lk^* on the self-adjoint frame
         sx = TensorSquare([[star(x.coeffs[j][i]) for j in range(n)] for i in range(n)])
-        lhs = g2_eval(g, sx, y)
+        lhs = g2_eval_many(v_g2_matrix(g), [(sx, y)])[0]
         # <<f, <<e, e'>>_g f'>>_g unwound on coefficients for the delta metric:
         # <<x, y>>_{g2} = sum_kl x_kl^* y_kl
         rhs = wide_sum([wide_mul(star(x.coeffs[k][l]), y.coeffs[k][l])
@@ -321,6 +334,6 @@ def test_v_g_inverse_then_v_g(fuzzy1, torus_comm):
     for model in (fuzzy1, torus_comm):
         spec, g = model.calculus, model.metric
         phis = Functional([random_element(spec.backend, rng) for _ in range(3)])
-        back = v_g(g, v_g_inverse(g, phis))
+        back = v_g_many(g, v_g_inverse_many(g, [phis]))[0]
         assert max(wide_sum([a, -b]).norm()
                    for a, b in zip(back.coeffs, phis.coeffs)) <= 1e-9

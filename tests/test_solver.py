@@ -247,14 +247,15 @@ def test_phi_simple_tensor_example(fuzzy1):
     # cross-check against the simple-tensor expansion: each term xi (x) eta of
     # L(e_3) contributes Phi_g = zeta(eta (x) V_{g2}(xi (x) e_3 + e_3 (x) xi)),
     # whose value at (p,q) is e_eta (g2(xi (x) e_3, e_p (x) e_q) + g2(e_3 (x) xi, ...))
-    from nclevi.metric import g2_eval
+    from nclevi.metric import g2_eval_many, v_g2_matrix
+    table = v_g2_matrix(g)
     terms = ((0, 1), (1, 0))    # (xi, eta) of e_1 (x) e_2 and e_2 (x) e_1
     for p in range(3):
         for q in range(3):
             pair = basis_tensor(spec, p, q)
             for l in range(3):
-                want = [wide_sum([g2_eval(g, basis_tensor(spec, xi, 2), pair),
-                                  g2_eval(g, basis_tensor(spec, 2, xi), pair)])
+                want = [wide_sum(g2_eval_many(table, [(basis_tensor(spec, xi, 2), pair),
+                                                      (basis_tensor(spec, 2, xi), pair)]))
                         for xi, eta in terms if eta == l]
                 want = want[0] if want else zero
                 assert wide_sum([out[p][q][l], -want]).norm() <= TOL
@@ -299,6 +300,18 @@ def test_phi_rejects_asymmetric_range(fuzzy1):
     lmap[0][0][1] = unit   # e_1 (x) e_2 alone is not in Ker(wedge)
     with pytest.raises(RangeNotSymmetric):
         phi_g_apply(g, lmap)
+
+
+@pytest.mark.parametrize("op", ["apply", "invert"])
+def test_phi_refuses_a_cube_with_one_nan_entry(fuzzy1, op):
+    # the cube is symmetric in every index pair, so only the NaN can fail the
+    # range (apply) or domain (invert) check: it makes the tolerance NaN
+    unit = AlgebraElement.unit(fuzzy1.backend)
+    cube = [[[unit] * 3 for _ in range(3)] for _ in range(3)]
+    cube[0][0][0] = unit * np.nan
+    phi = solver.phi_g_apply_many if op == "apply" else solver.phi_g_invert_many
+    with pytest.raises(RangeNotSymmetric):
+        phi(fuzzy1.metric, [cube])
 
 
 def test_phi_right_linear(fuzzy1):
