@@ -13,7 +13,6 @@ from .algebra import (
     BackendDescriptor,
     DerivationSpec,
     derive,
-    mul,
     star,
     trace,
 )

@@ -8,11 +8,10 @@ lexicographic order beside a read-only complex coefficient vector (K,).
 Elements are immutable after construction and all operations are pure.
 
 Every element of an algebra carries that algebra's one descriptor.  The
-truncation radius R is checked where the truncated algebra or outside input
-needs it: the constructors that take modes and the truncated product `mul`.
-Intermediate results (`contract`, `wide_mul`, `wide_sum` and the inner
-derivations of `derive_many`) keep every mode their products have, on the
-same descriptor.
+truncation radius R bounds outside input only: the constructors that take
+modes refuse a mode beyond it.  Every computed result (`contract`, the product
+`a * b` = `wide_mul`, `wide_sum` and the inner derivations of `derive_many`)
+keeps every mode its products have, on the same descriptor.
 
 Every graded product goes through one kernel, `contract`, which computes
 out[s] = sum of c a b over the terms (c, a, b) of slot s for many slots at
@@ -39,10 +38,6 @@ from .errors import BackendMismatch, NonSkew, TruncationOverflow
 # The one absolute tolerance of the centrality, symmetry, d compose d and suite
 # checks, on every backend.
 DEFAULT_TOL = 1e-12
-
-# Relative weight below which beyond-radius modes of a product are treated as
-# floating-point dust rather than genuine overflow.
-_DUST_REL = 1e-14
 
 # Mode pairs the graded kernel forms per pass.  A pair's temporaries take
 # about 120 bytes, so a pass stays near 0.5 MB however large the contraction;
@@ -268,7 +263,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return mul(self, other)
+            return wide_mul(self, other)
         z = complex(other)
         if self.backend.kind == MATRIX:
             return AlgebraElement._matrix(self.backend, self._mat * z)
@@ -327,12 +322,10 @@ def contract(backend: BackendDescriptor,
         size = backend.size
         kinds = _matrix_kinds(backend, (x for terms in slots for _, a, b in terms for x in (a, b)),
                               _identity(size))
-        # M_1(C) holds no central forms, so its products need not look at the forms
-        full_only = size == 1
         return _matrix_sums(backend, (
             [(c, b._mat if kinds[id(a)] == _IDENTITY else
               a._mat if kinds[id(b)] == _IDENTITY else
-              a._mat @ b._mat if full_only else _product(a._mat, b._mat, size))
+              _product(a._mat, b._mat, size))
              for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO]
             for terms in slots))
     return _graded_contract(backend, slots)
@@ -416,7 +409,6 @@ def _matrix_sums(backend: BackendDescriptor,
     them once per call.  Other c are summed, since c m may overflow.
     """
     size = backend.size
-    full_only = size == 1       # as in `contract`
     zero = _zero_matrix(size)
     # the arrays scanned are operands' own (no product is one array twice), so
     # they outlive the call and their ids stay theirs
@@ -437,7 +429,7 @@ def _matrix_sums(backend: BackendDescriptor,
             term = m if c == 1.0 else m * c
             if acc is None:
                 acc = term + 0.0
-            elif full_only or acc.ndim == term.ndim:
+            elif acc.ndim == term.ndim:
                 acc += term
             else:
                 acc = _full(acc, size)
@@ -649,36 +641,6 @@ def combine(backend: BackendDescriptor,
 
 # -- module-level operations ------------------------------------------------
 
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Backend product; graded case is the twisted convolution of Fourier modes."""
-    return products([(a, b)])[0]
-
-
-def products(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]]) -> List[AlgebraElement]:
-    """mul(a, b) for every pair, in one kernel call.
-
-    This is the product of the truncated algebra: a graded coefficient beyond
-    the radius R raises TruncationOverflow unless it is below _DUST_REL
-    relative to the product's largest coefficient (or to 1), in which case it
-    is dropped.
-    """
-    if not pairs:
-        return []
-    prods = contract(pairs[0][0].backend, [[(1.0, a, b)] for a, b in pairs])
-    return [_restrict(p, a.backend) for p, (a, _) in zip(prods, pairs)]
-
-
-def _restrict(prod: AlgebraElement, be: BackendDescriptor) -> AlgebraElement:
-    if be.kind == MATRIX or prod.support_radius() <= be.radius:
-        return prod
-    inside = np.abs(prod._k).max(axis=1) <= be.radius
-    loud = ~inside & (np.abs(prod._c) > _DUST_REL * max(norm(prod), 1.0))
-    if loud.any():
-        raise TruncationOverflow(f"product support {tuple(prod._k[np.argmax(loud)].tolist())} "
-                                 f"exceeds truncation radius {be.radius}")
-    return AlgebraElement._graded(be, _frozen(prod._k[inside]), _frozen(prod._c[inside]))
-
-
 def star(a: AlgebraElement) -> AlgebraElement:
     """Adjoint: conjugate transpose / mode reflection with conjugated coefficients."""
     if a.backend.kind == MATRIX:
@@ -803,7 +765,7 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
 
 
 def wide_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The untruncated product: every mode of a b, whatever its support."""
+    """The product a b, which `a * b` gives: every mode, whatever its support."""
     return wide_products([(a, b)])[0]
 
 

@@ -41,9 +41,8 @@ from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_repor
 from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
-_VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge)
-_MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralResult,
-                TruncationOverflow)
+_VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge, TruncationOverflow)
+_MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralResult)
 
 _COMMAND_KEYS = {
     "solve": {"model", "k", "dims", "deformed", "theta", "radius", "metric",

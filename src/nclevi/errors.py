@@ -10,7 +10,7 @@ class BackendMismatch(GeometryError):
 
 
 class TruncationOverflow(GeometryError):
-    """A graded product would carry weight outside the truncation radius."""
+    """A mode lies beyond the truncation radius of its algebra."""
 
 
 class NonSkew(GeometryError):

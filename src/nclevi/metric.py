@@ -6,8 +6,9 @@ are scalar multiples of the unit, so the component matrix is numeric.  On the
 graded backend components are Fourier polynomials over the untwisted
 coordinates.  `TorusGrid` moves central data between modes and values on a
 torus grid (one point, read through the trace, for constant data); inverses
-are computed on it pointwise and read back by FFT with an explicit decay
-budget, and the Levi-Civita solver runs on a grid sized by the metric.
+are computed on it pointwise and read back by FFT on a grid the metric sizes,
+within a fixed budget of points, and the Levi-Civita solver runs on a grid
+sized by the metric.  The truncation radius only bounds the components given.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .errors import (
 # Relative singular-value floor for component-matrix invertibility.
 SV_RATIO_FLOOR = 1e-8
 
-# How far beyond the backend radius an inverse component may reach before the
-# metric is declared non-invertible within the truncation budget.
-_INVERSE_EXTRA_RADIUS = 40
+# The inverse's relative read-back floor, and the most grid points its grid may
+# take: an inverse that does not decay within them is refused.
 _INVERSE_TAIL = 1e-12
+_INVERSE_GRID_BUDGET = 1 << 17
 
 
 class Functional(Module):
@@ -64,12 +65,6 @@ class Functional(Module):
     def __call__(self, omega: OneForm) -> AlgebraElement:
         return contract(self.coeffs[0].backend,
                         [[(1.0, f, a) for f, a in zip(self.coeffs, omega.coeffs)]])[0]
-
-
-def _grid_sizes(ndim: int, radius: int) -> int:
-    if ndim <= 2:
-        return 2 * (radius + _INVERSE_EXTRA_RADIUS) + 1
-    return 2 * (radius + 8) + 1
 
 
 def central_coords(elements: Sequence[AlgebraElement]) -> Tuple[int, ...]:
@@ -141,28 +136,39 @@ def central_element(backend: BackendDescriptor, modes: np.ndarray,
 def _central_inverse(components, backend: BackendDescriptor):
     """Invert an n x n array of central elements pointwise on the torus grid.
 
-    SingularMetric if the component matrix is singular at a grid point.  The
-    inverse components are on `backend` and may reach beyond its radius, up to
-    the decay budget.
+    The metric sizes the grid, not the truncation radius: it starts at
+    16 reach(g) + 1 points per coordinate the metric varies along, a reach
+    being the largest support radius of the components, and grows as
+    size -> 2 size + 1 until the inverse read back above the tail floor has
+    4 reach(g^-1) < size.  SingularMetric if the component matrix is singular
+    at a grid point, or if the next grid would exceed _INVERSE_GRID_BUDGET
+    points.  The inverse components are on `backend` and may reach beyond
+    its radius.
     """
     n = len(components)
     flat = [el for row in components for el in row]
     coords = central_coords(flat)
-    grid = TorusGrid(coords, _grid_sizes(len(coords), backend.radius))
-    pts = grid.sample(flat).T.reshape(-1, n, n)
-    svals = np.linalg.svd(pts, compute_uv=False)
-    smin, smax = float(np.min(svals)), float(np.max(svals))
-    ratio = smin / smax if smax > 0 else 0.0
-    if ratio <= SV_RATIO_FLOOR:
-        raise SingularMetric(
-            f"component matrix singular (relative singular value {ratio:.3e})")
-    inv_pts = np.linalg.inv(pts)
-    scale = float(np.max(np.abs(inv_pts)))
-    modes, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
-                              _INVERSE_TAIL * max(scale, 1.0))
-    reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
-    if reach > min(backend.radius + _INVERSE_EXTRA_RADIUS, grid.size // 2 - 4):
-        raise SingularMetric("inverse components decay too slowly for the truncation budget")
+    size = 16 * max(el.support_radius() for el in flat) + 1
+    while True:
+        if size ** len(coords) > _INVERSE_GRID_BUDGET:
+            raise SingularMetric(f"inverse components do not decay within the grid budget "
+                                 f"of {_INVERSE_GRID_BUDGET} points")
+        grid = TorusGrid(coords, size)
+        pts = grid.sample(flat).T.reshape(-1, n, n)
+        svals = np.linalg.svd(pts, compute_uv=False)
+        smin, smax = float(np.min(svals)), float(np.max(svals))
+        ratio = smin / smax if smax > 0 else 0.0
+        if ratio <= SV_RATIO_FLOOR:
+            raise SingularMetric(
+                f"component matrix singular (relative singular value {ratio:.3e})")
+        inv_pts = np.linalg.inv(pts)
+        scale = float(np.max(np.abs(inv_pts)))
+        modes, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
+                                  _INVERSE_TAIL * max(scale, 1.0))
+        reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
+        if 4 * reach < size:
+            break
+        size = 2 * size + 1
     inv = [central_element(backend, k, c) for k, c in modes]
     return [inv[i * n:(i + 1) * n] for i in range(n)]
 

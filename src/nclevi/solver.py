@@ -136,17 +136,12 @@ def nabla0(calculus: CalculusSpec) -> ConnectionCoeffs:
     return nab
 
 
-def _pi_g(g: MetricSpec, x, minus=None) -> list:
-    """Pi_g on a component cube: entry [i][j][l] = sum_k g_kj x^i_kl + g_ki x^j_kl,
-    less minus[i][j][l] when given; one kernel call for every entry.
+def _pi_g_many(g: MetricSpec, xs, minus=None) -> list:
+    """Pi_g of every component cube x in xs: entry [i][j][l] = sum_k g_kj x^i_kl +
+    g_ki x^j_kl, less the one cube minus[i][j][l] when given, in one kernel call.
 
     pi_g_basis, compat_residual and phi_g_apply all evaluate Pi_g here.
     """
-    return _pi_g_many(g, [x], minus)[0]
-
-
-def _pi_g_many(g: MetricSpec, xs, minus=None) -> list:
-    """_pi_g of every cube in xs, less the one cube minus when given, in one kernel call."""
     n = g.rank
     gc = g.components
     unit = AlgebraElement.unit(g.backend)
@@ -182,7 +177,7 @@ def _frozen_cube(cube) -> tuple:
 
 def pi_g_basis(g: MetricSpec, nabla: ConnectionCoeffs) -> List[List[OneForm]]:
     """Pi_g(nabla) on basis tensors: Pi(e_i (x) e_j) = sum_l e_l (sum_k g_kj G^i_kl + g_ki G^j_kl)."""
-    return [[OneForm(row) for row in plane] for plane in _pi_g(g, nabla.gamma)]
+    return [[OneForm(row) for row in plane] for plane in _pi_g_many(g, [nabla.gamma])[0]]
 
 
 @dataclass
@@ -209,7 +204,7 @@ def compat_residual(g: MetricSpec, nabla: ConnectionCoeffs) -> CompatibilityResi
 
 
 def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> CompatibilityResidual:
-    entries = _frozen_cube(_pi_g(g, nabla.gamma, minus=dg))
+    entries = _frozen_cube(_pi_g_many(g, [nabla.gamma], minus=dg)[0])
     return CompatibilityResidual(
         entries, worst(e.norm() for plane in entries for row in plane for e in row))
 
@@ -433,7 +428,7 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
     def solve_phi() -> ConnectionCoeffs:
         nab0 = nabla0(calculus)
         # Phi_g^{-1} is linear: Phi_g^{-1}(dg - Pi_g(nabla_0)) = -Phi_g^{-1}(Pi_g(nabla_0) - dg)
-        lmap = phi_g_invert(g, _pi_g(g, nab0.gamma, minus=dg))
+        lmap = phi_g_invert(g, _pi_g_many(g, [nab0.gamma], minus=dg)[0])
         gamma = combine(calculus.backend, [[(1.0, nab0.gamma[i][j][k]), (-1.0, lmap[i][j][k])]
                                            for i, j, k in itertools.product(range(n), repeat=3)])
         return ConnectionCoeffs(calculus, _cube(gamma, n))

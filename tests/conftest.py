@@ -65,6 +65,22 @@ def edge_metric():
     return model, g, omega
 
 
+def cosine_metric(model, amplitude, coords):
+    """The metric of `model` with g_cc = 1 + amplitude cos(2 pi x_c) for each
+    coordinate c in coords, and the unit elsewhere on the diagonal."""
+    from nclevi.metric import MetricSpec
+    be = model.backend
+    n = model.calculus.rank
+    unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
+    comps = [[unit if i == j else zero for j in range(n)] for i in range(n)]
+    for c in coords:
+        k = np.zeros(be.dim, dtype=int)
+        k[c] = 1
+        comps[c][c] = unit + AlgebraElement.from_modes(
+            be, {tuple(k): amplitude / 2, tuple(-k): amplitude / 2})
+    return MetricSpec(model.calculus, comps)
+
+
 def basis_one_form(spec, i):
     """The basis one-form e_i of the calculus: unit coefficient at i, zero elsewhere."""
     coeffs = [AlgebraElement.zero(spec.backend)] * spec.rank

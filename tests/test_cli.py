@@ -162,6 +162,14 @@ def test_oracle_compare_explicit_tol_wins(capsys, monkeypatch):
     assert json.loads(out)["error"] == "Inconsistent"
 
 
+def test_oracle_compare_output_does_not_depend_on_the_radius(capsys):
+    # every route, g^-1 included, is sized by the metric, so the radius that
+    # holds the metrics changes no digit
+    outputs = [run_cli(capsys, ["oracle-compare", "--radius", radius])
+               for radius in ("1", "4")]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
 def test_verify_runs_green(capsys):
     code, out, err = run_cli(capsys, [
         "verify", "--models", "heisenberg,torus", "--radius", "2", "--theta", "0.3"])
@@ -222,6 +230,21 @@ def test_singular_metric_exits_one(capsys, tmp_path):
         "--theta", "0", "--radius", "2", "--metric", str(path)])
     assert code == 1
     assert json.loads(out)["error"] == "SingularMetric"
+
+
+def test_metric_mode_beyond_radius_exits_two(capsys, tmp_path):
+    # the radius bounds outside input, so a metric file with a mode beyond it
+    # is refused as input
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=2)
+    doc = encode_metric(MetricSpec.from_scalar_matrix(model.calculus, np.eye(3)))
+    doc["components"][2][2]["terms"].append([[0, 0, 3], [0.001, 0.0]])
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "torus", "--theta", "0",
+                                      "--radius", "2", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "TruncationOverflow"
+    assert err.startswith("input error: ")
 
 
 def test_sign_phase_metric_exits_two(capsys, tmp_path, twisted_mode_metric):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import basis_one_form, basis_tensor
+from conftest import basis_one_form, basis_tensor, cosine_metric
 from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
 from nclevi.calculus import (
     OneForm,
@@ -133,6 +133,27 @@ def test_singular_metric_vanishing_component(torus_comm):
     phi = unit + AlgebraElement.from_modes(be, {(0, 0, 1): -0.5, (0, 0, -1): -0.5})
     with pytest.raises(SingularMetric):
         MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, phi]])
+
+
+def test_slow_inverse_on_two_coordinates_is_built():
+    # the inverse reaches 55 along each coordinate, far beyond R = 3: the
+    # metric sizes its grid and keeps growing it until the read-back settles
+    model = torus_bundle(4, 2, np.zeros((2, 2)), radius=3)
+    g = cosine_metric(model, 0.9, [2, 3])
+    assert max(c.support_radius() for row in g.inverse_components for c in row) == 55
+    for c in (2, 3):
+        one = wide_mul(g.components[c][c], g.inverse_components[c][c])
+        assert (one - AlgebraElement.unit(model.backend)).norm() <= 1e-10
+
+
+@pytest.mark.parametrize("radius", [1, 4])
+def test_inverse_that_does_not_decay_is_refused_whatever_the_radius(radius):
+    # 1 + a cos(2 pi x_2) with a = 1 - 1e-7 nearly vanishes: its inverse needs
+    # more grid points than the budget, at any radius
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius)
+    with pytest.raises(SingularMetric, match="grid budget") as err:
+        cosine_metric(model, 1 - 1e-7, [2])
+    assert "radius" not in str(err.value)
 
 
 def test_noncentral_component_rejected(fuzzy1):

@@ -1,0 +1,52 @@
+"""The truncation radius bounds outside input and enters no computation.
+
+An algebra's radius R is read where input is checked: the descriptor itself,
+the mode constructors' `_truncated`, `random_element`'s draws and
+`MetricSpec`'s components, and in `deform_backend`, which carries R over to
+the deformed algebra.  A read anywhere else would let an answer depend on the
+R a user picked.  Reads are found in the syntax trees, so a docstring that
+mentions the radius does not count; the CLI's `args.radius` is the parsed
+`--radius` option, the input itself.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nclevi"
+
+INPUT_SITES = {
+    ("algebra", ("BackendDescriptor",)),
+    ("algebra", ("_truncated",)),
+    ("algebra", ("random_element",)),
+    ("metric", ("MetricSpec", "__init__")),
+    ("deformation", ("deform_backend",)),
+}
+
+
+def _radius_reads(tree: ast.AST) -> list:
+    """(enclosing class and function names, line) of every `x.radius` read but `args.radius`."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "radius"
+                    and isinstance(child.ctx, ast.Load)
+                    and not (isinstance(child.value, ast.Name) and child.value.id == "args")):
+                out.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_radius_is_read_only_where_input_is_checked():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _radius_reads(ast.parse(path.read_text(encoding="utf-8"))):
+            if not any(path.stem == module and scope[:len(site)] == site
+                       for module, site in INPUT_SITES):
+                stray.append(f"{path.stem}.{'.'.join(scope) or '<module>'} (line {line})")
+    assert not stray, f"the truncation radius is read outside input checks: {stray}"

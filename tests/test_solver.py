@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import basis_tensor
+from conftest import basis_tensor, cosine_metric
 from nclevi import solver
 from nclevi.algebra import (
     AlgebraElement,
@@ -492,6 +492,35 @@ def test_radius_is_not_an_input_to_the_answer(m):
             for plane in res.connection.gamma for row in plane for el in row))
         assert levi_civita(model.calculus, g, route="both").route_difference <= 1e-13
     assert len(direct) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_radius_is_not_an_input_to_any_route(seed):
+    # g^-1's grid is sized by the metric as well, so the inverse, both routes
+    # and the Koszul oracle give the same bits at every radius that holds g
+    seen = set()
+    for radius in (1, 2, 4, 6):
+        model = torus_bundle(3, 2, np.zeros((2, 2)), radius)
+        g = random_central_metric(model, np.random.default_rng(seed))
+        conns = [levi_civita(model.calculus, g, route=route).connection
+                 for route in ("direct", "phi")] + [koszul_oracle(model.calculus, g)]
+        elements = [c for row in g.inverse_components for c in row] + [
+            el for nab in conns for plane in nab.gamma for row in plane for el in row]
+        seen.add(tuple((el.mode_array.tobytes(), el.coeff_array.tobytes())
+                       for el in elements))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("radius", [1, 4, 8])
+def test_slowly_decaying_inverse_solves_at_every_radius(radius):
+    # g_22 = 1 + 0.9 cos(2 pi x_2): its inverse reaches 55, beyond every radius
+    # here, and the metric, not R, sizes the grid it is read back on
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius)
+    g = cosine_metric(model, 0.9, [2])
+    res = levi_civita(model.calculus, g, route="both")
+    assert res.torsion_residual <= 1e-10 and res.compat_residual <= 1e-10
+    assert res.route_difference <= 1e-9
+    assert koszul_oracle(model.calculus, g).difference_norm(res.connection) <= 1e-8
 
 
 # -- pointwise direct solve: metamorphic, oracle and phase-rule checks --------
