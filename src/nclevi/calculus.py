@@ -38,15 +38,15 @@ from .algebra import (
 )
 from .errors import BackendMismatch, NoSolution
 
-_ANTISYM_TOL = 1e-12
-
 
 def _square(flat: list, n: int) -> list:
     return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _coefficients(x: "Module") -> list:
-    """The coefficients of a one-form, two-form or (row by row) tensor square."""
+def _coefficients(x) -> list:
+    """The coefficients of an algebra element (itself), a one-form, two-form or tensor square."""
+    if isinstance(x, AlgebraElement):
+        return [x]
     if isinstance(x, TensorSquare):
         return [c for row in x.coeffs for c in row]
     return list(x.coeffs)
@@ -66,11 +66,21 @@ def _rebuild(xs: Sequence["Module"], flat: list) -> list:
     return out
 
 
+def _sums(pairs, sign: float) -> list:
+    """cx + sign cy for the coefficients of every like-shaped pair, flat, in one kernel call."""
+    flat = [(cx, cy) for x, y in pairs for cx, cy in zip(_coefficients(x), _coefficients(y))]
+    return combine(flat[0][0].backend, [[(1.0, cx), (sign, cy)] for cx, cy in flat]) if flat else []
+
+
 def _pairwise(pairs: Sequence[tuple], sign: float) -> list:
     """x + sign y for every pair of like-shaped objects, in one kernel call."""
-    flat = [(cx, cy) for x, y in pairs for cx, cy in zip(_coefficients(x), _coefficients(y))]
-    sums = combine(flat[0][0].backend, [[(1.0, cx), (sign, cy)] for cx, cy in flat]) if flat else []
-    return _rebuild([x for x, _ in pairs], sums)
+    return _rebuild([x for x, _ in pairs], _sums(pairs, sign))
+
+
+def worst_difference(pairs) -> float:
+    """max |x - y| over the pairs, coefficient by coefficient, in one kernel call;
+    x and y are algebra elements, one-forms, tensor squares or two-forms."""
+    return worst(d.norm() for d in _sums(pairs, -1.0))
 
 
 def subtract_many(pairs: Sequence[tuple]) -> list:
@@ -270,7 +280,7 @@ class CalculusSpec:
         if not (np.isfinite(c).all() and np.isfinite(self.exterior_constants).all()):
             raise ValueError("wedge and exterior constants must be finite")
         anti = np.max(np.abs(c + np.transpose(c, (0, 2, 1)))) if c.size else 0.0
-        if not anti <= _ANTISYM_TOL:
+        if not anti <= DEFAULT_TOL:
             raise ValueError(f"wedge constants are not antisymmetric (residual {anti:.3e})")
         n, m = self.rank, self.two_form_rank
         flat = c.reshape(m, n * n)

@@ -18,17 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import (
-    Inconsistent,
-    NonCentralResult,
-    NonCommutativeBackend,
-    NonSkew,
-    NonUnique,
-    NoSolution,
-    SingularMetric,
-    SizeTooLarge,
-    TruncationOverflow,
-)
+from .errors import GeometryError, NonSkew
 from .deformation import deform_connection
 from .models import (
     Model,
@@ -40,17 +30,6 @@ from .models import (
 from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_report_fragments
 from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
-
-_VALIDATION_ERRORS = (NonSkew, NonCommutativeBackend, SizeTooLarge, TruncationOverflow)
-_MATH_ERRORS = (NonUnique, Inconsistent, SingularMetric, NoSolution, NonCentralResult)
-
-_COMMAND_KEYS = {
-    "solve": {"model", "k", "dims", "deformed", "theta", "radius", "metric",
-              "route", "tol", "out"},
-    "verify": {"models", "k", "dims", "deformed", "theta", "radius", "seed", "tol", "out"},
-    "deform": {"dims", "deformed", "theta", "extra_theta", "radius", "seed", "tol", "out"},
-    "oracle-compare": {"dims", "radius", "metrics", "seed", "tol", "out"},
-}
 
 
 def _parse_theta(text, size: int) -> np.ndarray:
@@ -215,7 +194,7 @@ def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
     return 0 if worst <= 1e-8 else 1
 
 
-def _apply_config(argv: List[str]) -> List[str]:
+def _apply_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -227,7 +206,8 @@ def _apply_config(argv: List[str]) -> List[str]:
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     command = argv[0] if argv and not argv[0].startswith("-") else None
-    allowed = _COMMAND_KEYS.get(command or "", set())
+    sub = parser.commands.get(command)
+    allowed = sub.option_dests if sub else frozenset()
     flags: List[str] = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
@@ -241,6 +221,18 @@ def _apply_config(argv: List[str]) -> List[str]:
     return [rest[0]] + flags + rest[1:] if rest else flags
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; its option_dests, every dest but --help's, are its config keys."""
+
+    option_dests: frozenset = frozenset()
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            self.option_dests = self.option_dests | {action.dest}
+        return action
+
+
 _THETA_HELP = ("skew deformation block as a row-major JSON matrix, or a scalar s for "
                "[[0, s], [-s, 0]]; a nonzero scalar needs --deformed 2")
 
@@ -252,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nclevi",
         description="Levi-Civita connections for desk-scale noncommutative geometries")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    parser.commands = sub.choices  # command name -> its _CommandParser
 
     sp = sub.add_parser("solve", help="solve for the Levi-Civita connection")
     sp.add_argument("--model", required=True, choices=("fuzzy-sphere", "heisenberg", "torus"))
@@ -317,15 +310,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(_apply_config(argv))
+            args = parser.parse_args(_apply_config(argv, parser))
             inputs = args.read(args)
         except ValueError as exc:
             return _fail(exc, 2, "input error")
         return args.func(args, *inputs)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc, 2, "input error")
-    except _MATH_ERRORS as exc:
-        return _fail(exc, 1, "mathematical failure")
+    except GeometryError as exc:
+        return _fail(exc, exc.exit_code,
+                     "input error" if exc.exit_code == 2 else "mathematical failure")
     except OSError as exc:
         return _fail(exc, 2, "i/o error", "IOError")
 

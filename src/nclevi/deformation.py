@@ -25,14 +25,9 @@ from .algebra import (
     contract,
 )
 from .calculus import CalculusSpec
-from .errors import BackendMismatch, Inconsistent, NonSkew
+from .errors import BackendMismatch, NonSkew
 from .metric import MetricSpec
-from .solver import (
-    DEFAULT_RESIDUAL_TOL,
-    ConnectionCoeffs,
-    compat_residual,
-    torsion_residual,
-)
+from .solver import DEFAULT_RESIDUAL_TOL, ConnectionCoeffs, _derivatives, certify
 
 
 def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
@@ -160,8 +155,8 @@ def deform_connection(calculus: CalculusSpec, nabla: ConnectionCoeffs, g: Metric
                       theta, action: TorusAction) -> DeformedConnection:
     """Deform (nabla, g) and certify torsion-lessness and compatibility in the new calculus.
 
-    The certificates must pass the solver's DEFAULT_RESIDUAL_TOL, relative to
-    the largest Christoffel coefficient.
+    The certificates pass the solver's gate, `solver.certify`, at its
+    DEFAULT_RESIDUAL_TOL relative to the largest right-hand-side coefficient.
     """
     calc_t = deform_calculus(calculus, theta, action)
     g_t = deform_metric(g, calc_t)
@@ -169,13 +164,6 @@ def deform_connection(calculus: CalculusSpec, nabla: ConnectionCoeffs, g: Metric
     gamma = [[[deform_element(nabla.gamma[i][j][k], calc_t.backend) for k in range(n)]
               for j in range(n)] for i in range(n)]
     nab_t = ConnectionCoeffs(calc_t, gamma)
-    tres = torsion_residual(nab_t)
-    cres = compat_residual(g_t, nab_t).max_norm
-    scale = max(1.0, max(nab_t.gamma[i][j][k].norm()
-                         for i in range(n) for j in range(n) for k in range(n)))
-    # written so that a NaN residual fails: NaN compares false
-    if not (tres <= DEFAULT_RESIDUAL_TOL * scale and cres <= DEFAULT_RESIDUAL_TOL * scale):
-        raise Inconsistent(
-            f"deformed connection fails its certificates "
-            f"(torsion {tres:.3e}, compatibility {cres:.3e})")
+    tres, cres = certify(nab_t, g_t, _derivatives(calc_t, g_t.components),
+                         DEFAULT_RESIDUAL_TOL, "deformed connection fails its certificates")
     return DeformedConnection(calc_t, nab_t, g_t, tres, cres)

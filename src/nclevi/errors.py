@@ -1,19 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; exit_code is the status `nclevi` exits with."""
 
 
 class GeometryError(Exception):
-    """Base class for all mathematical / validation failures."""
+    """Base class for all mathematical / validation failures: a mathematical one exits 1."""
+
+    exit_code = 1
+
+
+class InputError(GeometryError):
+    """Base class for input that fails validation: it exits 2."""
+
+    exit_code = 2
 
 
 class BackendMismatch(GeometryError):
     """Operands live over different algebra backends."""
 
 
-class TruncationOverflow(GeometryError):
+class TruncationOverflow(InputError):
     """A mode lies beyond the truncation radius of its algebra."""
 
 
-class NonSkew(GeometryError):
+class NonSkew(InputError):
     """A deformation matrix fails the skew-symmetry requirement."""
 
 
@@ -21,8 +29,8 @@ class SingularMetric(GeometryError):
     """Metric component matrix is not invertible within tolerance."""
 
 
-class NonCentralResult(GeometryError):
-    """A computed metric component fails the centrality test."""
+class NonCentralResult(InputError):
+    """A metric component fails the centrality test."""
 
 
 class NoSolution(GeometryError):
@@ -41,9 +49,9 @@ class RangeNotSymmetric(GeometryError):
     """A map expected to take values in the symmetric part does not."""
 
 
-class NonCommutativeBackend(GeometryError):
+class NonCommutativeBackend(InputError):
     """A classical-only routine was invoked on a noncommutative backend."""
 
 
-class SizeTooLarge(GeometryError):
+class SizeTooLarge(InputError):
     """Requested model exceeds the configured dimension cap."""

@@ -104,25 +104,26 @@ class TorusGrid:
                 row += el.coeff_array @ np.exp(2j * np.pi * (ks @ pos))
         return out
 
-    def read_back(self, values: np.ndarray, dim: int,
-                  floor: float) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], float]:
-        """Fourier modes of grid values, the inverse of `sample`.
+    def read_back(self, values: np.ndarray, backend: BackendDescriptor,
+                  floor: float) -> Tuple[List[AlgebraElement], float]:
+        """Central elements on `backend` with these grid values, the inverse of `sample`.
 
-        One (modes, coefficients) pair per row of `values`, holding the
-        coefficients above `floor`; modes have `dim` entries, zero off `coords`.
-        Also returns the largest modulus dropped under the floor (0.0 if none).
+        One element per row of `values`, holding the Fourier modes (zero off
+        `coords`) whose coefficients are above `floor`.  Also returns the
+        largest modulus dropped under the floor (0.0 if none).
         """
         d = len(self.coords)
         grid_shape = (self.size,) * d
         coeffs = np.fft.fftn(values.reshape((len(values),) + grid_shape),
                              axes=range(1, d + 1)).reshape(len(values), -1) / self.points
         idx = np.indices(grid_shape).reshape(d, self.points)
-        modes = np.zeros((self.points, dim), dtype=np.int64)
+        modes = np.zeros((self.points, backend.dim), dtype=np.int64)
         modes[:, list(self.coords)] = np.where(idx > self.size // 2, idx - self.size, idx).T
         mags = np.abs(coeffs)
         keep = mags > floor
         dropped = float(np.max(mags, where=~keep, initial=0.0))
-        return [(modes[k], row[k]) for k, row in zip(keep, coeffs)], dropped
+        return [central_element(backend, modes[k], row[k])
+                for k, row in zip(keep, coeffs)], dropped
 
 
 def central_element(backend: BackendDescriptor, modes: np.ndarray,
@@ -139,11 +140,12 @@ def _central_inverse(components, backend: BackendDescriptor):
     The metric sizes the grid, not the truncation radius: it starts at
     16 reach(g) + 1 points per coordinate the metric varies along, a reach
     being the largest support radius of the components, and grows as
-    size -> 2 size + 1 until the inverse read back above the tail floor has
-    4 reach(g^-1) < size.  SingularMetric if the component matrix is singular
-    at a grid point, or if the next grid would exceed _INVERSE_GRID_BUDGET
-    points.  The inverse components are on `backend` and may reach beyond
-    its radius.
+    size -> 2 size + 1 until the inverse read back above the tail floor
+    (_INVERSE_TAIL times its largest value on the grid) has
+    4 reach(g^-1) < size.  SingularMetric if the component matrix is
+    singular at a grid point, or if the next grid would exceed
+    _INVERSE_GRID_BUDGET points.  The inverse components are on `backend`
+    and may reach beyond its radius.
     """
     n = len(components)
     flat = [el for row in components for el in row]
@@ -163,14 +165,10 @@ def _central_inverse(components, backend: BackendDescriptor):
                 f"component matrix singular (relative singular value {ratio:.3e})")
         inv_pts = np.linalg.inv(pts)
         scale = float(np.max(np.abs(inv_pts)))
-        modes, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend.dim,
-                                  _INVERSE_TAIL * max(scale, 1.0))
-        reach = max((int(np.abs(k).max(initial=0)) for k, _ in modes), default=0)
-        if 4 * reach < size:
-            break
+        inv, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend, _INVERSE_TAIL * scale)
+        if 4 * max(el.support_radius() for el in inv) < size:
+            return [inv[i * n:(i + 1) * n] for i in range(n)]
         size = 2 * size + 1
-    inv = [central_element(backend, k, c) for k, c in modes]
-    return [inv[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _require_unit_phases(components, backend: BackendDescriptor) -> None:

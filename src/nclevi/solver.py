@@ -54,6 +54,7 @@ from .calculus import (
     cube_projectors,
     sigma,
     subtract_many,
+    worst_difference,
 )
 from .errors import (
     Inconsistent,
@@ -62,7 +63,7 @@ from .errors import (
     NoSolution,
     RangeNotSymmetric,
 )
-from .metric import MetricSpec, TorusGrid, central_coords, central_element
+from .metric import MetricSpec, TorusGrid, central_coords
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_KERNEL_FLOOR = 1e-8
@@ -97,10 +98,8 @@ class ConnectionCoeffs:
 
     def difference_norm(self, other: "ConnectionCoeffs") -> float:
         n = self.calculus.rank
-        diffs = combine(self.calculus.backend,
-                        [[(1.0, self.gamma[i][j][k]), (-1.0, other.gamma[i][j][k])]
-                         for i, j, k in itertools.product(range(n), repeat=3)])
-        return worst(d.norm() for d in diffs)
+        return worst_difference((self.gamma[i][j][k], other.gamma[i][j][k])
+                                for i, j, k in itertools.product(range(n), repeat=3))
 
 
 def torsion(nabla: ConnectionCoeffs) -> List[TwoForm]:
@@ -394,16 +393,18 @@ class LeviCivitaResult:
     route_difference: Optional[float] = None
 
 
-def _gamma_from_solution(calculus: CalculusSpec, grid: TorusGrid,
-                         x: np.ndarray) -> Tuple[ConnectionCoeffs, float]:
-    """Christoffel coefficients from grid values: every mode above the 1e-16 floor,
-    with the largest modulus the floor dropped."""
-    n = calculus.rank
-    be = calculus.backend
-    modes, dropped = grid.read_back(x.T, be.dim, 1e-16)
-    flat = [central_element(be, k, c) for k, c in modes]
-    return ConnectionCoeffs(calculus, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
-                                        for j in range(n)] for i in range(n)]), dropped
+def certify(nabla: ConnectionCoeffs, g: MetricSpec, dg: list, tol: float,
+            what: str) -> Tuple[float, float]:
+    """The Levi-Civita gate: nabla's torsion and compatibility residuals if each is at
+    most tol max(1, max|D|, max|dg|), for dg g's derivative cube; else Inconsistent(what)."""
+    tres = torsion_residual(nabla)
+    cres = _compat_residual(g, nabla, dg).max_norm
+    scale = max(1.0, float(np.max(np.abs(nabla.calculus.exterior_constants), initial=0.0)),
+                max(d.norm() for plane in dg for row in plane for d in row))
+    # written so that a NaN residual fails: NaN compares false, and max() may drop it
+    if not (tres <= tol * scale and cres <= tol * scale):
+        raise Inconsistent(f"{what} (torsion {tres:.3e}, compatibility {cres:.3e})")
+    return tres, cres
 
 
 def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
@@ -439,23 +440,15 @@ def levi_civita(calculus: CalculusSpec, g: MetricSpec, route: str = "direct",
         nabla = solve_phi()
     else:
         start = time.perf_counter()
-        nabla, dropped = _gamma_from_solution(calculus, grid, x)
+        flat, dropped = grid.read_back(x.T, calculus.backend, 1e-16)
+        nabla = ConnectionCoeffs(calculus, _cube(flat, n))
         seconds["readback_s"] = time.perf_counter() - start
         if route == "both":
             diff = nabla.difference_norm(solve_phi())
 
     start = time.perf_counter()
-    tres = torsion_residual(nabla)
-    cres = _compat_residual(g, nabla, dg).max_norm
+    tres, cres = certify(nabla, g, dg, residual_tol, "solver output breaches residual tolerance")
     seconds["gates_s"] = time.perf_counter() - start
-    # the gate's scale is the largest right-hand side coefficient in mode space
-    scale = max(1.0, float(np.max(np.abs(calculus.exterior_constants), initial=0.0)),
-                max(d.norm() for plane in dg for row in plane for d in row))
-    # written so that a NaN residual fails: NaN compares false, and max() may drop it
-    if not (tres <= residual_tol * scale and cres <= residual_tol * scale):
-        raise Inconsistent(
-            f"solver output breaches residual tolerance "
-            f"(torsion {tres:.3e}, compatibility {cres:.3e})")
     stats = {"grid_points": grid.points, "equations": equations, "unknowns": unknowns,
              "gamma_reach": max(el.support_radius()
                                 for plane in nabla.gamma for row in plane for el in row),

@@ -40,7 +40,6 @@ from .algebra import (
 )
 from .calculus import (
     TensorSquare,
-    _coefficients,
     left_mul_many,
     p_sym_many,
     random_one_form,
@@ -48,6 +47,7 @@ from .calculus import (
     right_mul_many,
     sigma,
     subtract_many,
+    worst_difference,
 )
 from .deformation import deform_product_many
 from .metric import g2_eval_many, metric_eval_many, v_g2_matrix, v_g_inverse_many, v_g_many
@@ -86,20 +86,6 @@ def _split(flat: list, parts: int = 2) -> list:
     return [flat[p * size:(p + 1) * size] for p in range(parts)]
 
 
-def _coeffs(x) -> list:
-    return [x] if isinstance(x, AlgebraElement) else _coefficients(x)
-
-
-def _worst_difference(pairs) -> float:
-    """max |x - y| over the pairs, coefficient by coefficient; x and y are algebra
-    elements, one-forms, tensor squares or two-forms."""
-    slots = [[(1.0, cx), (-1.0, cy)] for x, y in pairs for cx, cy in zip(_coeffs(x), _coeffs(y))]
-    if not slots:
-        # a calculus with no two-forms: two-forms have no coefficients to differ in
-        return 0.0
-    return worst(d.norm() for d in combine(slots[0][0][1].backend, slots))
-
-
 # Each law below evaluates its stages over the samples it is given, one kernel
 # call per stage, and returns its worst residual (or a tuple of them).  A suite
 # hands each law its samples a chunk at a time through `_chunked`.  On the
@@ -131,15 +117,15 @@ def _associativity(triples, product) -> float:
     lhs, rhs = _split(product([(x, c) for x, (_, _, c) in zip(ab, triples)]
                                + [(a, y) for y, (a, _, _) in zip(bc, triples)]))
     del ab, bc
-    return _worst_difference(zip(lhs, rhs))
+    return worst_difference(zip(lhs, rhs))
 
 
 def _star_laws(pairs) -> tuple:
     """(worst |(a b)* - b* a*|, worst |a** - a|)."""
     ab, st = _split(wide_products([(a, b) for a, b in pairs]
                                    + [(star(b), star(a)) for a, b in pairs]))
-    return (_worst_difference(zip(map(star, ab), st)),
-            _worst_difference((star(star(a)), a) for a, _ in pairs))
+    return (worst_difference(zip(map(star, ab), st)),
+            worst_difference((star(star(a)), a) for a, _ in pairs))
 
 
 def _trace_checks(pairs) -> tuple:
@@ -160,7 +146,7 @@ def _derivation_leibniz(triples) -> float:
     da_b, a_db = _split(wide_products([(x, b) for x, (_, _, b) in zip(da, triples)]
                                        + [(a, y) for y, (_, a, _) in zip(db, triples)]))
     rhs = combine(triples[0][1].backend, [[(1.0, p), (1.0, q)] for p, q in zip(da_b, a_db)])
-    return _worst_difference(zip(lhs, rhs))
+    return worst_difference(zip(lhs, rhs))
 
 
 def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
@@ -190,11 +176,11 @@ def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
 def _sigma_bimodule_linearity(pairs) -> float:
     """sigma(t a) against sigma(t) a, then sigma(a t) against a sigma(t)."""
     right, sig_right = _split(right_mul_many(pairs + [(sigma(t), a) for t, a in pairs]))
-    worst_right = _worst_difference((sigma(x), y) for x, y in zip(right, sig_right))
+    worst_right = worst_difference((sigma(x), y) for x, y in zip(right, sig_right))
     del right, sig_right
     left, sig_left = _split(left_mul_many([(a, t) for t, a in pairs]
                                         + [(a, sigma(t)) for t, a in pairs]))
-    return worst([worst_right, _worst_difference((sigma(x), y) for x, y in zip(left, sig_left))])
+    return worst([worst_right, worst_difference((sigma(x), y) for x, y in zip(left, sig_left))])
 
 
 def _d1_leibniz(pairs, spec) -> float:
@@ -208,22 +194,22 @@ def _d1_leibniz(pairs, spec) -> float:
     lhs, d1w = _split(spec.d1_many(right_mul_many(pairs) + [w for w, _ in pairs]))
     rhs = subtract_many(list(zip(right_mul_many(list(zip(d1w, (a for _, a in pairs)))),
                                  spec.wedge_many(w_da))))
-    return _worst_difference(zip(lhs, rhs))
+    return worst_difference(zip(lhs, rhs))
 
 
 def _projector_laws(ts, spec) -> tuple:
     """(worst |sigma(sigma(t)) - t|, worst |P_sym(P_sym(t)) - P_sym(t)|,
     worst |wedge(P_sym(t))|)."""
     sym = p_sym_many(ts)
-    return (_worst_difference((sigma(sigma(t)), t) for t in ts),
-            _worst_difference(zip(p_sym_many(sym), sym)),
+    return (worst_difference((sigma(sigma(t)), t) for t in ts),
+            worst_difference(zip(p_sym_many(sym), sym)),
             worst([w.norm() for w in spec.wedge_many(sym)]))
 
 
 def _wedge_section_reconstruction(ts, spec) -> float:
     """The wedge section of wedge(t) against t - P_sym(t)."""
     anti = subtract_many(list(zip(ts, p_sym_many(ts))))
-    return _worst_difference(zip(spec.wedge_section_many(spec.wedge_many(ts)), anti))
+    return worst_difference(zip(spec.wedge_section_many(spec.wedge_many(ts)), anti))
 
 
 def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
@@ -261,7 +247,7 @@ def _metric_bilinearity(pairs, g) -> tuple:
         metric_eval_many(g, [sigma(t) for t in ts] + ts + left + right), 4)
     a_gt, gt_a = _split(wide_products([(a, x) for x, (_, a) in zip(g_t, pairs)]
                                        + [(x, a) for x, (_, a) in zip(g_t, pairs)]))
-    return _worst_difference(zip(g_sig, g_t)), _worst_difference(
+    return worst_difference(zip(g_sig, g_t)), worst_difference(
         [(x, y) for pair in zip(zip(g_left, a_gt), zip(g_right, gt_a)) for x, y in pair])
 
 
@@ -269,7 +255,7 @@ def _g2_flip_adjoint(pairs, m2) -> float:
     """g2(sigma(s), t) against g2(s, sigma(t)), for m2 the metric's V_g2 table."""
     lhs, rhs = _split(g2_eval_many(m2, [(sigma(s), t) for s, t in pairs]
                                      + [(s, sigma(t)) for s, t in pairs]))
-    return _worst_difference(zip(lhs, rhs))
+    return worst_difference(zip(lhs, rhs))
 
 
 def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
@@ -282,13 +268,13 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
         _metric_bilinearity,
         ((random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)), g)
     ws = [random_one_form(spec, rng) for _ in range(10)]
-    worst_roundtrip = _worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws))
+    worst_roundtrip = worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws))
     del ws
     m2 = v_g2_matrix(g)
     worst_adjoint = _chunked(_g2_flip_adjoint, ((random_tensor_square(spec, rng),
                                                  random_tensor_square(spec, rng))
                                                 for _ in range(10)), m2, size=5)
-    worst_entry = _worst_difference(
+    worst_entry = worst_difference(
         (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
         for k in range(n) for l in range(n) for i in range(n) for j in range(n))
     worst_cent = 0.0 if first_noncentral(
@@ -308,7 +294,7 @@ def _phi_roundtrip(raws, g) -> float:
     lmaps = [[[[unit * raw[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
              for raw in raws]
     backs = phi_g_invert_many(g, phi_g_apply_many(g, lmaps))
-    return _worst_difference((back[i][j][k], lmap[i][j][k]) for back, lmap in zip(backs, lmaps)
+    return worst_difference((back[i][j][k], lmap[i][j][k]) for back, lmap in zip(backs, lmaps)
                              for i in range(n) for j in range(n) for k in range(n))
 
 
@@ -343,7 +329,7 @@ def solver_checks(model: Model, rng: np.random.Generator,
 
     # (Pi_g(nabla) - dg) is sigma-invariant: the residual entries are (i,j)-symmetric
     res = compat_residual(g, result.connection)
-    worst_flip = _worst_difference(
+    worst_flip = worst_difference(
         (res.entry(i, j, l), res.entry(j, i, l))
         for i in range(n) for j in range(n) for l in range(n))
     out.append(Check("compatibility defect sigma-invariant", worst_flip, 1e-9))
@@ -365,7 +351,7 @@ def deformation_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     undeformed = deform_product_many(pairs, np.zeros((na, na)), action)
     return [Check("deformed product associativity", worst_assoc, 1e-12),
             Check("theta = 0 recovers the product",
-                  _worst_difference(zip(undeformed, wide_products(pairs))), 0.0 + 1e-15)]
+                  worst_difference(zip(undeformed, wide_products(pairs))), 0.0 + 1e-15)]
 
 
 def verify_model(model: Model, seed: int = 0,

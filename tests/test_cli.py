@@ -10,7 +10,7 @@ from nclevi import algebra, cli
 from nclevi.algebra import AlgebraElement, random_element
 from nclevi.cli import main
 from nclevi.metric import MetricSpec
-from nclevi.models import torus_bundle
+from nclevi.models import fuzzy_sphere, torus_bundle
 from nclevi.serialize import (
     _element_text,
     decode_element,
@@ -259,6 +259,22 @@ def test_sign_phase_metric_exits_two(capsys, tmp_path, twisted_mode_metric):
     assert json.loads(out)["error"] == "NonCommutativeBackend"
 
 
+def test_non_central_metric_component_exits_two(capsys, tmp_path):
+    # a non-central --metric component is refused as input, as a non-symmetric one is
+    calc = fuzzy_sphere(2).calculus
+    doc = encode_metric(MetricSpec.from_scalar_matrix(calc, np.eye(3)))
+    diag = np.diag(np.arange(1.0, calc.backend.size + 1))
+    doc["components"][0][1] = doc["components"][1][0] = encode_element(
+        AlgebraElement.from_matrix(calc.backend, diag))
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "fuzzy-sphere", "--k", "2",
+                                      "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "NonCentralResult"
+    assert err.startswith("input error: ")
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "fuzzy-sphere", "k": 1}))
@@ -273,6 +289,36 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["solve", "--config", str(cfg)])
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+# the options of each subcommand, by dest, with a value each parses to itself
+COMMAND_OPTIONS = {
+    "solve": {"model": "torus", "k": 2, "dims": 4, "deformed": 3, "theta": "0.1",
+              "radius": 5, "metric": "g.json", "route": "phi", "tol": 1e-9, "out": "o.json"},
+    "verify": {"models": "torus", "k": 2, "dims": 4, "deformed": 3, "theta": "0.1",
+               "radius": 5, "seed": 3, "tol": 1e-9, "out": "o.json"},
+    "deform": {"dims": 4, "deformed": 3, "theta": "0.1", "extra_theta": "0.4", "radius": 5,
+               "seed": 3, "tol": 1e-9, "out": "o.json"},
+    "oracle-compare": {"dims": 4, "radius": 5, "metrics": 2, "seed": 3, "tol": 1e-9,
+                       "out": "o.json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_config_keys_are_the_subcommand_options(capsys, tmp_path, command):
+    # a config file may set each option of its own subcommand, and nothing else
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(COMMAND_OPTIONS[command]))
+    parser = cli.build_parser()
+    args = parser.parse_args(cli._apply_config([command, "--config", str(cfg)], parser))
+    assert {dest: getattr(args, dest) for dest in COMMAND_OPTIONS[command]} == \
+        COMMAND_OPTIONS[command]
+    others = {k for c, opts in COMMAND_OPTIONS.items() if c != command for k in opts}
+    for key in sorted(others - set(COMMAND_OPTIONS[command])):
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert f"unknown config key {key!r}" in json.loads(out)["detail"]
 
 
 def test_solve_takes_no_seed(capsys, tmp_path):

@@ -1,0 +1,83 @@
+"""Each decision is made in one module.
+
+The exit status of an error is its class's `exit_code`, so the CLI catches
+`GeometryError` once and names no subclass; the Levi-Civita gate is
+`solver.certify`, so only the solver raises `Inconsistent`; and grid values
+become elements in `TorusGrid.read_back`, so the solver builds no central
+element itself.  The code is read from its syntax trees, so a docstring that
+names one of these does not count.
+"""
+
+import ast
+from pathlib import Path
+
+from nclevi import errors
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nclevi"
+
+# every GeometryError subclass -> the status `nclevi` exits with: 1 for a
+# mathematical failure, 2 for input that fails validation
+EXIT_CODES = {
+    "GeometryError": 1,
+    "InputError": 2,
+    "BackendMismatch": 1,
+    "Inconsistent": 1,
+    "NoSolution": 1,
+    "NonUnique": 1,
+    "RangeNotSymmetric": 1,
+    "SingularMetric": 1,
+    "NonCentralResult": 2,
+    "NonCommutativeBackend": 2,
+    "NonSkew": 2,
+    "SizeTooLarge": 2,
+    "TruncationOverflow": 2,
+}
+
+
+def _error_classes() -> list:
+    out, todo = [], [errors.GeometryError]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo += cls.__subclasses__()
+    return out
+
+
+def _tree(module: str) -> ast.AST:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _names(node: ast.AST) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    assert {cls.__name__: cls.exit_code for cls in _error_classes()} == EXIT_CODES
+
+
+def test_cli_catches_no_error_subclass():
+    # neither a subclass by name nor a module-level tuple of them
+    tree = _tree("cli")
+    aliases = {t.id for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)}
+    banned = aliases | {cls.__name__ for cls in _error_classes()} - {"GeometryError"}
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught |= _names(node.type)
+    assert not caught & banned, f"cli.py catches {sorted(caught & banned)}"
+
+
+def test_only_the_solver_raises_inconsistent():
+    raisers = {path.stem for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and "Inconsistent" in _names(node.exc)}
+    assert raisers == {"solver"}
+
+
+def test_solver_builds_no_central_element():
+    calls = [node.lineno for node in ast.walk(_tree("solver"))
+             if isinstance(node, ast.Call) and "central_element" in _names(node.func)]
+    assert not calls, f"solver.py calls central_element at lines {calls}"

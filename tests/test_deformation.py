@@ -19,7 +19,9 @@ from nclevi.deformation import (
     require_skew,
     spectral_decompose,
 )
+from nclevi import solver
 from nclevi.errors import Inconsistent, NonSkew
+from nclevi.metric import MetricSpec
 from nclevi.models import random_central_metric, torus_bundle
 from nclevi.solver import ConnectionCoeffs, compat_residual, levi_civita, torsion_residual
 
@@ -291,3 +293,29 @@ def test_nan_coefficient_fails_the_certificates():
     assert math.isnan(compat_residual(g, nabla).max_norm)
     with pytest.raises(Inconsistent):
         deform_connection(model.calculus, nabla, g, skew2(0.3), model.action)
+
+
+@pytest.mark.parametrize("nudge, accepted", [(2.5e-13, True), (2.5e-11, False)])
+def test_deform_gate_is_the_solver_gate(nudge, accepted):
+    # on 1000 g the solver's gate allows compatibility up to 1e-10 max|dg| = 1.19e-9;
+    # nudging Gamma^0_11 by 2.5e-13 gives 3.2e-10, which an absolute 1e-10 would
+    # refuse, and deform_connection decides as the solver's gate does
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=3)
+    g0 = random_central_metric(model, np.random.default_rng(0))
+    g = MetricSpec(model.calculus, [[1000.0 * c for c in row] for row in g0.components])
+    gamma = [[list(row) for row in plane]
+             for plane in levi_civita(model.calculus, g).connection.gamma]
+    gamma[0][1][1] = gamma[0][1][1] + AlgebraElement.unit(model.backend) * nudge
+    nabla = ConnectionCoeffs(model.calculus, gamma)
+    cres = compat_residual(g, nabla).max_norm
+    assert cres > 1e-10
+    dg = solver._derivatives(model.calculus, g.components)
+    if accepted:
+        assert solver.certify(nabla, g, dg, 1e-10, "gate") == (torsion_residual(nabla), cres)
+        out = deform_connection(model.calculus, nabla, g, skew2(0.3), model.action)
+        assert out.compat_residual == pytest.approx(cres, rel=1e-6)
+    else:
+        with pytest.raises(Inconsistent, match="gate"):
+            solver.certify(nabla, g, dg, 1e-10, "gate")
+        with pytest.raises(Inconsistent, match="deformed connection fails its certificates"):
+            deform_connection(model.calculus, nabla, g, skew2(0.3), model.action)
