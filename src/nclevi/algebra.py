@@ -17,11 +17,14 @@ Every graded product goes through one kernel, `contract`, which computes
 out[s] = sum of c a b over the terms (c, a, b) of slot s for many slots at
 once: one ragged outer product of all mode pairs, one Weyl phase
 exp(i pi <k, theta l>) per pair and one coalescing pass by (slot, mode).
-Contributions to one output mode are added in (output mode, a-mode, b-mode)
-order whatever order the terms came in, so a sum does not depend on how its
-operands were split into terms, and a slot's result does not depend on the
-other slots of its call.  Graded sums (`combine`) share the coalescing pass
-but form no pairs and no phases.
+Each distinct operand's mode rows are coded as integers once per call, so a
+pair's code is the sum of its rows' codes, and output modes are formed only
+at the first pair of each coalesced group.  Contributions to one output mode
+are added in (output mode, a-mode, term) order whatever order the terms came
+in, so a sum does not depend on how its operands were split into terms, and
+a slot's result does not depend on the other slots of its call.  Graded sums
+(`combine`) share the row codes and the coalescing pass but form no pairs
+and no phases.
 """
 
 from __future__ import annotations
@@ -492,8 +495,10 @@ def _term_table(backend: BackendDescriptor, slots: Sequence[Sequence[tuple]],
 
 
 def _mode_code(backend: BackendDescriptor, reach: int, nslots: int) -> Tuple[int, np.ndarray]:
-    """(box, stride) coding (slot, mode) as slot * box + (mode + reach) @ stride, for
-    modes in the box |k_i| <= reach: base 2 reach + 1 digits, one per coordinate."""
+    """(box, stride) coding (slot, mode) as slot * box + mode @ stride, for modes in
+    the box |k_i| <= reach: balanced base 2 reach + 1 digits, one per coordinate,
+    so one slot's codes are box consecutive integers and the code of a sum of
+    modes is the sum of their codes."""
     base = 2 * reach + 1
     box = base ** backend.dim
     if box * nslots >= 2 ** 62:
@@ -503,7 +508,14 @@ def _mode_code(backend: BackendDescriptor, reach: int, nslots: int) -> Tuple[int
 
 def _graded_contract(backend: BackendDescriptor,
                      slots: Sequence[Sequence[Term]]) -> List[AlgebraElement]:
-    """The graded kernel: the one place that forms Weyl phases."""
+    """The graded kernel: the one place that forms Weyl phases.
+
+    Every row of the distinct operands' concatenated modes kk is coded once,
+    kk @ stride; a pair's (slot, mode) code is its two row codes summed plus
+    the slot's offset, and a pair's a-mode code breaks ties, so one lexsort
+    puts every pass in (slot, output mode, a-mode, term) order without a
+    per-pair mode array.  `_coalesce` adds the modes up at the group leads.
+    """
     nslots = len(slots)
     table = _term_table(backend, slots, 2)
     if table is None:
@@ -514,6 +526,7 @@ def _graded_contract(backend: BackendDescriptor,
     t_pairs = size[t_a] * size[t_b]
     reach = int((table.rad[t_a] + table.rad[t_b]).max())
     box, stride = _mode_code(backend, reach, nslots)
+    row_code = kk @ stride
 
     out: List[AlgebraElement] = []
     for s0, s1, lo_t, hi_t in _passes(table.slot, t_pairs, nslots):
@@ -526,20 +539,16 @@ def _graded_contract(backend: BackendDescriptor,
         slot, value = table.slot[term], table.coef[term]
         # each per-pair array is dropped once used, so that few are alive at a time
         del term, within, nb
-        kb = kk[ib]
         if rows is not None:
-            value = value * np.exp(1j * np.pi * (rows[ia] * kb).sum(axis=1))
+            value = value * np.exp(1j * np.pi * (rows[ia] * kk[ib]).sum(axis=1))
         value = value * cc[ia] * cc[ib]
-        ka = kk[ia]
-        mode = ka + kb
-        a_code = (ka + reach) @ stride
-        del ia, ib, ka, kb
-        code = (mode + reach) @ stride + (slot - s0) * box
+        a_code = row_code[ia]
+        code = a_code + row_code[ib] + (slot - s0) * box
         # canonical order: slot, output mode, then a-mode (which fixes the b-mode)
         order = np.lexsort((a_code, code))
         del a_code
         code = code[order]
-        out += _coalesce(backend, s0, s1, slot, mode, value, code, order)
+        out += _coalesce(backend, s0, s1, slot, value, code, order, kk, ia, ib)
     return out
 
 
@@ -555,6 +564,7 @@ def _graded_combine(backend: BackendDescriptor,
     t_rows = table.size[t_a]
     reach = int(table.rad[t_a].max())
     box, stride = _mode_code(backend, reach, nslots)
+    row_code = table.kk @ stride
 
     out: List[AlgebraElement] = []
     for s0, s1, lo_t, hi_t in _passes(table.slot, t_rows, nslots):
@@ -562,24 +572,27 @@ def _graded_combine(backend: BackendDescriptor,
         term = np.repeat(np.arange(lo_t, hi_t), nrows)
         ia = (table.offset[t_a[term]] + np.arange(len(term))
               - np.repeat(np.cumsum(nrows) - nrows, nrows))
-        slot, mode = table.slot[term], table.kk[ia]
+        slot = table.slot[term]
         value = table.coef[term] * table.cc[ia]
         del term
-        code = (mode + reach) @ stride + (slot - s0) * box
+        code = row_code[ia] + (slot - s0) * box
         # a term's rows are its operand's distinct modes, so a (slot, mode) group
         # holds at most one row per term and the stable sort keeps term order
         order = np.argsort(code, kind="stable")
         code = code[order]
-        out += _coalesce(backend, s0, s1, slot, mode, value, code, order)
+        out += _coalesce(backend, s0, s1, slot, value, code, order, table.kk, ia)
     return out
 
 
 def _coalesce(backend: BackendDescriptor, s0: int, s1: int, slot: np.ndarray,
-              mode: np.ndarray, value: np.ndarray, code: np.ndarray,
-              order: np.ndarray) -> List[AlgebraElement]:
+              value: np.ndarray, code: np.ndarray, order: np.ndarray,
+              kk: np.ndarray, *operand_rows: np.ndarray) -> List[AlgebraElement]:
     """The elements of slots s0 .. s1 - 1: the rows' values summed over equal
     (slot, mode) codes, in `order`, exact zeros dropped.  `code` is sorted by
-    `order`; slot, mode and value are not."""
+    `order`; slot and value are not.  A row's mode is the sum of kk over its
+    operand rows, one index array per operand in `operand_rows`; it is formed
+    only at the first row of each kept group, since the code already tells
+    the modes apart."""
     first = np.empty(len(code), dtype=bool)
     first[:1] = True
     np.not_equal(code[1:], code[:-1], out=first[1:])
@@ -589,7 +602,10 @@ def _coalesce(backend: BackendDescriptor, s0: int, s1: int, slot: np.ndarray,
             + 1j * np.bincount(group, weights=value.imag))
     keep = coef != 0.0
     lead = order[first][keep]
-    gmode, gcoef = _frozen(mode[lead]), _frozen(coef[keep])
+    gmode = kk[operand_rows[0][lead]]
+    for r in operand_rows[1:]:
+        gmode += kk[r[lead]]
+    gmode, gcoef = _frozen(gmode), _frozen(coef[keep])
     bounds = np.searchsorted(slot[lead], np.arange(s0, s1 + 1))
     # support radius per slot: the largest |k_i| over its rows (0 when empty)
     grad = np.abs(gmode).max(axis=1, initial=0)
@@ -704,8 +720,10 @@ class DerivationSpec:
             raise ValueError(f"unknown derivation kind {self.kind!r}")
         if self.kind == "inner" and self.element is None:
             raise ValueError("inner derivation needs a fixed element")
-        if self.kind == "grading" and self.index < 0:
-            raise ValueError("grading derivation needs a coordinate index")
+        # an integer test first: a NaN index compares false with every bound
+        if self.kind == "grading" and not (isinstance(self.index, (int, np.integer))
+                                           and self.index >= 0):
+            raise ValueError("grading derivation needs a non-negative integer coordinate index")
 
     @classmethod
     def inner(cls, element: AlgebraElement) -> "DerivationSpec":
@@ -733,6 +751,8 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
     keeps every mode of its products, as `contract` does, and on the matrix
     backend the commutator with an identity a is the shared zero (see
     `contract`), with the bits of the two products summed by `combine`.
+    The grading derivatives take one array pass over the concatenated modes
+    of all their pairs, whose algebras have one dimension.
     """
     inner = []
     for delta, a in pairs:
@@ -749,6 +769,19 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
         # i [x, a] = i (x a - a x)
         comms = iter(contract(inner[0][0].backend,
                               [[(1.0, x, a), (-1.0, a, x)] for x, a in inner]))
+    grading = [(delta.index, a) for delta, a in pairs if delta.kind == "grading"]
+    if grading:
+        # U^k -> 2 pi i k_j U^k for every grading pair in one pass over their
+        # concatenated modes; the modes with k_j = 0 drop out
+        kk = np.concatenate([a._k for _, a in grading])
+        sizes = [len(a._c) for _, a in grading]
+        kj = kk[np.arange(len(kk)), np.repeat([j for j, _ in grading], sizes)]
+        moving = kj != 0
+        k = kk[moving]
+        c = 2j * np.pi * kj[moving] * np.concatenate([a._c for _, a in grading])[moving]
+        ends = np.concatenate(([0], np.cumsum(moving)))[np.cumsum(sizes)].tolist()
+        derived = iter(AlgebraElement._graded(a.backend, _frozen(k[lo:hi]), _frozen(c[lo:hi]))
+                       for (_, a), lo, hi in zip(grading, [0] + ends, ends))
     out = []
     for delta, a in pairs:
         if delta.kind == "zero":
@@ -756,11 +789,7 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
         elif delta.kind == "inner":
             out.append(1j * next(comms))
         else:
-            j = delta.index
-            moving = a._k[:, j] != 0
-            k = a._k[moving]
-            out.append(AlgebraElement._graded(a.backend, _frozen(k),
-                                              _frozen(2j * np.pi * k[:, j] * a._c[moving])))
+            out.append(next(derived))
     return out
 
 

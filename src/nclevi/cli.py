@@ -64,6 +64,13 @@ def _default_tol(args) -> float:
     return float(env) if env else DEFAULT_RESIDUAL_TOL
 
 
+def _require_seed(args) -> None:
+    """Refuse a negative --seed while input is read; numpy's generator would
+    refuse it only after the work began."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
+
+
 def _build_model(name: str, args) -> Model:
     if name == "fuzzy-sphere":
         return fuzzy_sphere(args.k)
@@ -114,6 +121,7 @@ def _cmd_solve(args, model: Model, g, source: str, tol: float) -> int:
 
 
 def _read_verify(args) -> tuple:
+    _require_seed(args)
     names = [s.strip() for s in args.models.split(",") if s.strip()]
     if not names:
         raise ValueError("--models names no model")
@@ -139,6 +147,7 @@ def _cmd_verify(args, models: List[Model], tol: float) -> int:
 
 
 def _read_deform(args) -> tuple:
+    _require_seed(args)
     theta = _parse_theta(args.theta, args.deformed)
     extra = _parse_theta(args.extra_theta, args.deformed)
     model = torus_bundle(args.dims, args.deformed, theta, args.radius)
@@ -167,6 +176,7 @@ def _cmd_deform(args, model: Model, theta: np.ndarray, extra: np.ndarray, tol: f
 
 
 def _read_oracle_compare(args) -> tuple:
+    _require_seed(args)
     if args.metrics < 1:
         raise ValueError(f"--metrics must be at least 1, not {args.metrics}")
     # theta = 0 throughout; marking the last coordinate as undeformed lets the

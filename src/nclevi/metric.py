@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraElement,
     BackendDescriptor,
     _canonical,
+    _frozen,
     combine,
     contract,
     finite,
@@ -109,8 +110,11 @@ class TorusGrid:
         """Central elements on `backend` with these grid values, the inverse of `sample`.
 
         One element per row of `values`, holding the Fourier modes (zero off
-        `coords`) whose coefficients are above `floor`.  Also returns the
-        largest modulus dropped under the floor (0.0 if none).
+        `coords`) whose coefficients are above `floor` >= 0.  Also returns the
+        largest modulus dropped under the floor (0.0 if none).  On the graded
+        backend the grid's modes are sorted once, and each row's element is
+        its kept entries in that order: the arrays `central_element` would
+        build row by row.
         """
         d = len(self.coords)
         grid_shape = (self.size,) * d
@@ -122,8 +126,14 @@ class TorusGrid:
         mags = np.abs(coeffs)
         keep = mags > floor
         dropped = float(np.max(mags, where=~keep, initial=0.0))
-        return [central_element(backend, modes[k], row[k])
-                for k, row in zip(keep, coeffs)], dropped
+        if backend.kind == MATRIX:
+            return [central_element(backend, modes[k], row[k])
+                    for k, row in zip(keep, coeffs)], dropped
+        order = np.lexsort(modes.T[::-1])
+        modes, coeffs, keep = modes[order], coeffs[:, order], keep[:, order]
+        rad = np.where(keep, np.abs(modes).max(axis=1), 0).max(axis=1, initial=0).tolist()
+        return [AlgebraElement._graded(backend, _frozen(modes[k]), _frozen(row[k]), r)
+                for k, row, r in zip(keep, coeffs, rad)], dropped
 
 
 def central_element(backend: BackendDescriptor, modes: np.ndarray,

@@ -30,6 +30,7 @@ them with NonCommutativeBackend.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -213,9 +214,11 @@ def _compat_residual(g: MetricSpec, nabla: ConnectionCoeffs, dg: list) -> Compat
 
 def _tolerance(cube) -> float:
     """The range and domain checks' tolerance for one component cube of Phi_g's
-    maps; NaN, which no residual is at most, if an entry holds NaN."""
-    return 1e3 * DEFAULT_TOL * worst([1.0] + [x.norm() for plane in cube
-                                             for row in plane for x in row])
+    maps; NaN, which no residual is at most, if an entry is not finite: an
+    infinite entry would make the tolerance infinite, and every finite
+    residual is at most that."""
+    top = worst([1.0] + [x.norm() for plane in cube for row in plane for x in row])
+    return 1e3 * DEFAULT_TOL * top if top < math.inf else math.nan
 
 
 def phi_g_apply(g: MetricSpec, lmap) -> tuple:

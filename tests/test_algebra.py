@@ -542,6 +542,79 @@ def test_graded_combine_is_contract_against_the_unit_bit_for_bit(backend, seed, 
                          contract(backend, [[(c, a, unit) for c, a in slot] for slot in sums]))
 
 
+# -- the graded kernel against a reference with no integer codes -------------------
+
+
+def reference_graded_kernel(backend, slots) -> list:
+    """`contract` (terms (c, a, b)) or `combine` (terms (c, a)) written out slot by
+    slot, with no integer codes: each contribution, c e^{i pi <k, theta l>} a_k b_l
+    or c a_k, comes from the kernel's ufuncs on arrays in the documented
+    (output mode, a-mode, term) order, which Python's sort of mode tuples gives,
+    and each output mode sums its contributions from +0 in that order, real and
+    imaginary parts apart, as `np.bincount` adds its weights."""
+    theta, dim = backend.theta, backend.dim
+    out = []
+    for terms in slots:
+        rows = []
+        for t, (c, *ops) in enumerate(terms):
+            b = ops[-1] if len(ops) == 2 else None
+            for ka, ca in zip(ops[0].mode_array.tolist(), ops[0].coeff_array):
+                for kb, cb in (zip(b.mode_array.tolist(), b.coeff_array) if b else [([0] * dim, None)]):
+                    mode = tuple(x + y for x, y in zip(ka, kb))
+                    rows.append((mode, tuple(ka), t, c, ka, kb, ca, cb))
+        rows.sort(key=lambda r: r[:3])
+        if not rows:
+            out.append(AlgebraElement.zero(backend))
+            continue
+        _, _, _, c, ka, kb, ca, cb = map(list, zip(*rows))
+        value = np.array(c, dtype=complex)
+        ka, kb, ca = np.array(ka, dtype=np.int64), np.array(kb, dtype=np.int64), np.array(ca)
+        if cb[0] is not None:
+            if theta.any():
+                value = value * np.exp(1j * np.pi * ((ka @ theta) * kb).sum(axis=1))
+            value = value * ca * np.array(cb)
+        else:
+            value = value * ca
+        modes, re, im = [], [], []
+        for r, v in zip(rows, value.tolist()):
+            if not modes or modes[-1] != r[0]:
+                modes.append(r[0])
+                re.append(0.0)
+                im.append(0.0)
+            re[-1] += v.real
+            im[-1] += v.imag
+        coef = np.array(re) + 1j * np.array(im)
+        keep = coef != 0.0
+        out.append(AlgebraElement._graded(
+            backend, np.array(modes, dtype=np.int64).reshape(-1, dim)[keep], coef[keep]))
+    return out
+
+
+def _shared_a_mode_example(backend):
+    """Slots over the pool that form 6,160 pairs, two passes of the kernel; the
+    second slot's two terms share every a-mode, and the third slot is empty."""
+    return (backend, 7, [[(1.0, 3, 3), (0.5j, 2, 3)], [(1.0, 0, 1), (2.0 - 1j, 0, 2)], [],
+                         [(-1.0, 3, 3), (1.0, 3, 2), (0.25, 3, 3)]], 1 << 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_TWISTED3, _UNTWISTED3]), st.integers(0, 2 ** 32 - 1), term_lists,
+       st.sampled_from([1, 16, 1 << 12]))
+@example(*_shared_a_mode_example(_TWISTED3))
+@example(*_shared_a_mode_example(_UNTWISTED3))
+def test_graded_contract_and_combine_match_the_reference_bit_for_bit(backend, seed, slots,
+                                                                      budget):
+    # complex coefficients, repeated operands, empty slots and terms sharing
+    # a-modes; with a small budget, or past 4,096 pairs, a call takes several passes
+    pool = operand_pool(backend, seed)
+    products = [[(c, pool[i], pool[j]) for c, i, j in slot] for slot in slots]
+    sums = [[(c, pool[i]) for c, i, _ in slot] + [(-c, pool[j]) for c, _, j in slot]
+            for slot in slots]
+    with mock.patch.object(algebra, "_PAIRS_PER_PASS", budget):
+        assert_same_bits(contract(backend, products), reference_graded_kernel(backend, products))
+        assert_same_bits(combine(backend, sums), reference_graded_kernel(backend, sums))
+
+
 def checked_random_element(backend, rng, radius=1):
     """random_element's graded draws, built through the checked dict constructor."""
     r = min(radius, backend.radius)

@@ -218,6 +218,19 @@ def test_oracle_compare_refuses_no_trials(capsys, metrics):
     _refused_input(capsys, ["oracle-compare", "--metrics", metrics], "at least 1")
 
 
+@pytest.mark.parametrize("command", ["verify", "deform", "oracle-compare"])
+def test_negative_seed_is_refused_as_input(capsys, tmp_path, command):
+    # numpy's generator refuses a negative seed only once the run has begun
+    _refused_input(capsys, [command, "--seed", "-1"], "--seed must be non-negative")
+    assert capsys.readouterr().err == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["detail"] == "--seed must be non-negative, not -1"
+    assert err == "input error: --seed must be non-negative, not -1\n"
+
+
 def test_singular_metric_exits_one(capsys, tmp_path):
     model = torus_bundle(3, 2, np.zeros((2, 2)), radius=2)
     g = MetricSpec.from_scalar_matrix(model.calculus, np.eye(3))

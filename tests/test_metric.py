@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import basis_one_form, basis_tensor, cosine_metric
-from nclevi.algebra import AlgebraElement, random_element, star, trace, wide_mul, wide_sum
+from nclevi.algebra import (
+    AlgebraElement,
+    BackendDescriptor,
+    random_element,
+    star,
+    trace,
+    wide_mul,
+    wide_sum,
+)
 from nclevi.calculus import (
     OneForm,
     TensorSquare,
@@ -16,6 +24,8 @@ from nclevi.errors import NonCentralResult, SingularMetric, TruncationOverflow
 from nclevi.metric import (
     Functional,
     MetricSpec,
+    TorusGrid,
+    central_element,
     g2_eval_many,
     metric_eval_many,
     v_g2_matrix,
@@ -154,6 +164,49 @@ def test_inverse_that_does_not_decay_is_refused_whatever_the_radius(radius):
     with pytest.raises(SingularMetric, match="grid budget") as err:
         cosine_metric(model, 1 - 1e-7, [2])
     assert "radius" not in str(err.value)
+
+
+def reference_read_back(grid, values, backend, floor):
+    """`TorusGrid.read_back` row by row: each row's kept modes, in grid order,
+    through `central_element`, which sorts every row on its own."""
+    d = len(grid.coords)
+    coeffs = np.fft.fftn(values.reshape((len(values),) + (grid.size,) * d),
+                         axes=range(1, d + 1)).reshape(len(values), -1) / grid.points
+    idx = np.indices((grid.size,) * d).reshape(d, grid.points)
+    modes = np.zeros((grid.points, backend.dim), dtype=np.int64)
+    modes[:, list(grid.coords)] = np.where(idx > grid.size // 2, idx - grid.size, idx).T
+    keep = np.abs(coeffs) > floor
+    dropped = float(np.max(np.abs(coeffs), where=~keep, initial=0.0))
+    return [central_element(backend, modes[k], row[k]) for k, row in zip(keep, coeffs)], dropped
+
+
+@pytest.mark.parametrize("coords, size", [((1,), 4), ((1,), 7), ((0, 2), 4), ((0, 2), 5),
+                                          ((0, 1, 2), 4), ((0, 1, 2), 3)])
+def test_read_back_is_the_per_row_central_element_bit_for_bit(coords, size):
+    # one sort of the grid's modes gives every row the bytes of its own sort; on a
+    # grid of 4, integer samples have exact coefficients, exact zeros among them,
+    # and a floor equal to a coefficient's modulus drops that coefficient
+    backend = BackendDescriptor.graded(3, np.zeros((3, 3)), 1)
+    grid = TorusGrid(coords, size)
+    rng = np.random.default_rng(size)
+    # 1 on the first half of the first axis: on a grid of 4, (1, 1, 0, 0) along it
+    half = (np.indices((size,) * len(coords))[0] < size // 2).ravel()
+    values = np.stack([np.zeros(grid.points), np.ones(grid.points), half,
+                       rng.integers(-1, 3, grid.points),
+                       rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)])
+    full, _ = reference_read_back(grid, values, backend, 0.0)
+    if size == 4:
+        assert 0 < len(full[2].coeff_array) < grid.points
+    for floor in (0.0, 1e-16, float(np.abs(full[2].coeff_array[-1])),
+                  float(np.abs(full[4].coeff_array[0]))):
+        got, dropped = grid.read_back(values, backend, floor)
+        want, want_dropped = reference_read_back(grid, values, backend, floor)
+        assert dropped == want_dropped
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(x.mode_array, y.mode_array)
+            assert np.array_equal(x.coeff_array.view(np.uint64), y.coeff_array.view(np.uint64))
+            assert x.support_radius() == y.support_radius()
+            assert not (x.mode_array.flags.writeable or x.coeff_array.flags.writeable)
 
 
 def test_noncentral_component_rejected(fuzzy1):
