@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import BackendMismatch, NonSkew, TruncationOverflow
 
-# The one absolute tolerance of the centrality, symmetry, d compose d and suite
-# checks, on every backend.
+# The one absolute tolerance of the centrality, symmetry, skew, d compose d and
+# suite checks, on every backend.
 DEFAULT_TOL = 1e-12
 
 # Mode pairs the graded kernel forms per pass.  A pair's temporaries take
@@ -49,6 +49,20 @@ _PAIRS_PER_PASS = 1 << 12
 
 MATRIX = "matrix"
 GRADED = "graded"
+
+
+def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
+    """theta as a float array; NonSkew, naming the violation, unless it is
+    square (dim x dim if given) with |theta + theta^T| <= DEFAULT_TOL."""
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 2 or th.shape[0] != th.shape[1]:
+        raise NonSkew(f"deformation matrix must be square, got shape {th.shape}")
+    if dim is not None and th.shape[0] != dim:
+        raise NonSkew(f"deformation matrix must be {dim}x{dim}, got {th.shape[0]}x{th.shape[0]}")
+    dev = float(np.max(np.abs(th + th.T))) if th.size else 0.0
+    if not dev <= DEFAULT_TOL:
+        raise NonSkew(f"deformation matrix is not skew-symmetric: |theta + theta^T| = {dev:.3e}")
+    return th
 
 
 @dataclass(frozen=True)
@@ -77,12 +91,7 @@ class BackendDescriptor:
                 raise ValueError("graded backend needs dimension t >= 1")
             if self.radius < 1:
                 raise ValueError("graded backend needs truncation radius R >= 1")
-            th = self.theta
-            if th.shape != (self.dim, self.dim):
-                raise ValueError("twist matrix has wrong shape")
-            skew = np.max(np.abs(th + th.T)) if self.dim else 0.0
-            if not skew <= 1e-12:
-                raise NonSkew(f"twist matrix is not skew-symmetric (|theta+theta^T| = {skew:.3e})")
+            require_skew(self.theta)
         else:
             raise ValueError(f"unknown backend kind {self.kind!r}")
 
@@ -189,10 +198,15 @@ class AlgebraElement:
 
     @classmethod
     def from_modes(cls, backend: BackendDescriptor, modes: Mapping) -> "AlgebraElement":
-        """A graded element from {mode: coefficient}; modes beyond the radius overflow."""
+        """A graded element from {mode: coefficient}; modes beyond the radius
+        overflow, and mode entries must be ints (not bools) or NumPy integers."""
         if backend.kind != GRADED:
             raise BackendMismatch("from_modes needs a graded backend")
-        keys = [tuple(int(x) for x in k) for k in modes]
+        keys = [tuple(k) for k in modes]
+        loose = [x for k in keys for x in k
+                 if not isinstance(x, (int, np.integer)) or isinstance(x, bool)]
+        if loose:
+            raise ValueError(f"mode entry {loose[0]!r} is not an integer")
         bad = [k for k in keys if len(k) != backend.dim]
         if bad:
             raise ValueError(f"mode {bad[0]} has wrong dimension")

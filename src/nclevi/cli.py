@@ -4,6 +4,8 @@ Machine output is JSON on stdout (or --out); human summaries go to stderr.
 Exit codes: 0 success, 1 mathematical failure, 2 input validation failure.
 Each command reads its input (models, metric file, tolerance) before it
 computes; a ValueError counts as an input error only while input is read.
+A tolerance must be a finite number >= 0.  Only solve, which reads modes
+from --metric, takes --radius; the other commands build their torus at R = 1.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -32,36 +35,33 @@ from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
 
-def _parse_theta(text, size: int) -> np.ndarray:
-    """Accept a JSON matrix, or a scalar shorthand for the 2x2 block [[0, s], [-s, 0]]."""
-    if isinstance(text, (int, float)):
-        value: object = float(text)
-    else:
-        try:
-            value = json.loads(text)
-        except (TypeError, json.JSONDecodeError):
-            raise NonSkew(f"cannot parse deformation matrix from {text!r}")
-    if isinstance(value, (int, float)):
-        s = float(value)
-        if size == 1:
-            if s != 0.0:
-                raise NonSkew("a 1x1 skew matrix must be zero")
-            return np.zeros((1, 1))
-        if size != 2 and s != 0.0:
-            raise NonSkew("scalar shorthand only defines a 2x2 deformation block")
-        th = np.zeros((size, size))
-        if size == 2:
-            th[0, 1], th[1, 0] = s, -s
-        return th
-    return np.asarray(value, dtype=float)
+def _parse_theta(text: str, size: int) -> np.ndarray:
+    """Accept a JSON matrix, or a scalar s for theta_01 = s, theta_10 = -s and
+    zeros elsewhere on a block of size >= 2; a smaller block takes only s = 0."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        raise NonSkew(f"cannot parse deformation matrix from {text!r}")
+    if not isinstance(value, (int, float)):
+        return np.asarray(value, dtype=float)
+    s = float(value)
+    th = np.zeros((size, size))
+    if size >= 2:
+        th[0, 1], th[1, 0] = s, -s
+    elif s != 0.0:
+        raise NonSkew(f"a {size}x{size} skew matrix must be zero")
+    return th
 
 
 def _default_tol(args) -> float:
-    """--tol if given, else NCLEVI_TOL if set, else the solver's 1e-10."""
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("NCLEVI_TOL")
-    return float(env) if env else DEFAULT_RESIDUAL_TOL
+    """--tol, else NCLEVI_TOL, else 1e-10; a NaN, infinite or negative gate is refused."""
+    tol = args.tol
+    if tol is None:
+        env = os.environ.get("NCLEVI_TOL")
+        tol = float(env) if env else DEFAULT_RESIDUAL_TOL
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"the tolerance must be a finite number >= 0, not {tol}")
+    return tol
 
 
 def _require_seed(args) -> None:
@@ -71,14 +71,17 @@ def _require_seed(args) -> None:
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
 
 
-def _build_model(name: str, args) -> Model:
+_OWN_RADIUS = 1  # the reach of U^(+-e_j) and of random_central_metric's modes
+
+
+def _build_model(name: str, args, radius: int) -> Model:
     if name == "fuzzy-sphere":
         return fuzzy_sphere(args.k)
     if name == "heisenberg":
         return heisenberg()
     if name == "torus":
         theta = _parse_theta(args.theta, args.deformed)
-        return torus_bundle(args.dims, args.deformed, theta, args.radius)
+        return torus_bundle(args.dims, args.deformed, theta, radius)
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -102,7 +105,7 @@ def _emit(fragments: List[str], args, summary: str) -> None:
 
 
 def _read_solve(args) -> tuple:
-    model = _build_model(args.model, args)
+    model = _build_model(args.model, args, args.radius)
     g, source = model.metric, "default"
     if args.metric:
         with open(args.metric, "r", encoding="utf-8") as fh:
@@ -127,7 +130,7 @@ def _read_verify(args) -> tuple:
         raise ValueError("--models names no model")
     if len(set(names)) < len(names):
         raise ValueError(f"--models names a model twice: {args.models!r}")
-    return [_build_model(name, args) for name in names], _default_tol(args)
+    return [_build_model(name, args, _OWN_RADIUS) for name in names], _default_tol(args)
 
 
 def _cmd_verify(args, models: List[Model], tol: float) -> int:
@@ -150,7 +153,7 @@ def _read_deform(args) -> tuple:
     _require_seed(args)
     theta = _parse_theta(args.theta, args.deformed)
     extra = _parse_theta(args.extra_theta, args.deformed)
-    model = torus_bundle(args.dims, args.deformed, theta, args.radius)
+    model = torus_bundle(args.dims, args.deformed, theta, _OWN_RADIUS)
     return model, theta, extra, _default_tol(args)
 
 
@@ -182,7 +185,7 @@ def _read_oracle_compare(args) -> tuple:
     # theta = 0 throughout; marking the last coordinate as undeformed lets the
     # metric sampler vary along it, so the comparison is not vacuous
     free = max(1, args.dims - 1)
-    model = torus_bundle(args.dims, free, np.zeros((free, free)), args.radius)
+    model = torus_bundle(args.dims, free, np.zeros((free, free)), _OWN_RADIUS)
     return model, _default_tol(args)
 
 
@@ -244,7 +247,7 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 _THETA_HELP = ("skew deformation block as a row-major JSON matrix, or a scalar s for "
-               "[[0, s], [-s, 0]]; a nonzero scalar needs --deformed 2")
+               "theta_01 = -theta_10 = s and zeros elsewhere")
 
 
 @functools.cache
@@ -276,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, default=1)
     vp.add_argument("--dims", type=int, default=3)
     vp.add_argument("--deformed", type=int, default=2)
-    vp.add_argument("--theta", default="0.3", help=_THETA_HELP + ", and so does the default 0.3")
-    vp.add_argument("--radius", type=int, default=2)
+    vp.add_argument("--theta", default="0.3", help=_THETA_HELP + " (default: 0.3)")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance (default: NCLEVI_TOL, else 1e-10)")
@@ -287,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("deform", help="check that deformation commutes with the solver")
     dp.add_argument("--dims", type=int, default=3)
     dp.add_argument("--deformed", type=int, default=2)
-    dp.add_argument("--theta", default="0.3",
-                    help=_THETA_HELP + ", and so do the default 0.3 and --extra-theta's 0.2")
+    dp.add_argument("--theta", default="0.3", help=_THETA_HELP + " (default: 0.3)")
     dp.add_argument("--extra-theta", dest="extra_theta", default="0.2")
-    dp.add_argument("--radius", type=int, default=3)
     dp.add_argument("--seed", type=int, default=0)
     dp.add_argument("--tol", type=float, default=None,
                     help="residual tolerance of both solves (default: NCLEVI_TOL, else 1e-10)")
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("oracle-compare", help="compare the solver with the classical formula")
     op.add_argument("--dims", type=int, default=3)
-    op.add_argument("--radius", type=int, default=3)
     op.add_argument("--metrics", type=int, default=5)
     op.add_argument("--seed", type=int, default=0)
     op.add_argument("--tol", type=float, default=None,

@@ -11,7 +11,7 @@ deformed calculus certify the reinterpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,24 +23,12 @@ from .algebra import (
     _canonical,
     _frozen,
     contract,
+    require_skew,
 )
 from .calculus import CalculusSpec
-from .errors import BackendMismatch, NonSkew
+from .errors import BackendMismatch
 from .metric import MetricSpec
 from .solver import DEFAULT_RESIDUAL_TOL, ConnectionCoeffs, _derivatives, certify
-
-
-def require_skew(theta, dim: Optional[int] = None) -> np.ndarray:
-    """Validate a deformation matrix; the error names the symmetry violation size."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim != 2 or th.shape[0] != th.shape[1]:
-        raise NonSkew(f"deformation matrix must be square, got shape {th.shape}")
-    if dim is not None and th.shape[0] != dim:
-        raise NonSkew(f"deformation matrix must be {dim}x{dim}, got {th.shape[0]}x{th.shape[0]}")
-    dev = float(np.max(np.abs(th + th.T))) if th.size else 0.0
-    if not dev <= 1e-14:
-        raise NonSkew(f"deformation matrix is not skew-symmetric: |theta + theta^T| = {dev:.3e}")
-    return th
 
 
 def embed_theta(theta, dim: int, coords: Sequence[int]) -> np.ndarray:

@@ -50,7 +50,7 @@ class RangeNotSymmetric(GeometryError):
 
 
 class NonCommutativeBackend(InputError):
-    """A classical-only routine was invoked on a noncommutative backend."""
+    """Central metric modes multiply with a sign the pointwise solve cannot reproduce."""
 
 
 class SizeTooLarge(InputError):

@@ -8,7 +8,8 @@ coordinates.  `TorusGrid` moves central data between modes and values on a
 torus grid (one point, read through the trace, for constant data); inverses
 are computed on it pointwise and read back by FFT on a grid the metric sizes,
 within a fixed budget of points, and the Levi-Civita solver runs on a grid
-sized by the metric.  The truncation radius only bounds the components given.
+sized by the metric.  The truncation radius enters none of this: a component
+may reach beyond it, and only the mode constructors bound outside input.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
     NonCentralResult,
     NonCommutativeBackend,
     SingularMetric,
-    TruncationOverflow,
 )
 
 # Relative singular-value floor for component-matrix invertibility.
@@ -204,10 +204,12 @@ def _require_unit_phases(components, backend: BackendDescriptor) -> None:
 class MetricSpec:
     """Central, symmetric, invertible component array of a bilinear metric.
 
-    A component with a NaN or infinite entry is refused with ValueError, since
-    the symmetry and centrality checks compare norms, and a NaN passes them.
-    Modes that multiply with a sign are refused with NonCommutativeBackend
-    before the inverse is formed, since the pointwise inverse would be wrong.
+    A component may reach past the truncation radius, as any computed element
+    may.  A component with a NaN or infinite entry is refused with ValueError,
+    since the symmetry and centrality checks compare norms, and a NaN passes
+    them.  Modes that multiply with a sign are refused with
+    NonCommutativeBackend before the inverse is formed, since the pointwise
+    inverse would be wrong.
     """
 
     def __init__(self, calculus: CalculusSpec, components):
@@ -222,9 +224,6 @@ class MetricSpec:
                 comp = rows[i][j]
                 if comp.backend != be:
                     raise BackendMismatch("metric component on the wrong backend")
-                if comp.support_radius() > be.radius:
-                    raise TruncationOverflow(f"component ({i},{j}) exceeds truncation "
-                                             f"radius {be.radius}")
                 if not finite(comp):
                     raise ValueError(f"component ({i},{j}) is not finite")
         flips = combine(be, [[(1.0, rows[i][j]), (-1.0, rows[j][i])]

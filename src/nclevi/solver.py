@@ -8,7 +8,8 @@ solve of {torsion = 0} u {compatibility = dg}, and the reference-connection
 route nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
 zeta / V_g / P_sym factorization.  Phi_g checks its range with the calculus'
 wedge and its inverse checks its domain against the flip; dg and the Koszul
-oracle's derivatives of g^{-1} each come from one CalculusSpec.d0_many call.
+oracle's derivatives of g^{-1} each come from one CalculusSpec.d0_many call,
+and the oracle, which needs only central metric components, runs on every model.
 
 Metric components are central, so the direct system splits into one system
 per point of the torus grid over the coordinates the metric varies along (one
@@ -59,7 +60,6 @@ from .calculus import (
 )
 from .errors import (
     Inconsistent,
-    NonCommutativeBackend,
     NonUnique,
     NoSolution,
     RangeNotSymmetric,
@@ -481,13 +481,12 @@ def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:
     bracket terms) therefore runs on the inverse components, and the frozen
     index translation is Gamma^i_jk = -KoszulGamma^i_kj.  The translation is
     pinned by the diag(1,1,phi) example and by the structure-constant model.
+    It needs only central components, which MetricSpec guarantees, and
+    derivations that keep them central, as every DerivationSpec kind does.  Its
+    brackets are the routes' torsion_particular, so it checks their metric
+    terms, not their brackets.
     """
     be = calculus.backend
-    if be.kind == MATRIX:
-        if be.size != 1:
-            raise NonCommutativeBackend("matrix backend of size > 1 is noncommutative")
-    elif float(np.max(np.abs(be.theta))) > 1e-14:
-        raise NonCommutativeBackend("graded backend carries a nonzero twist")
     n = calculus.rank
     cvec = structure_constants(calculus)
     gdown = g.inverse_components     # classical metric on vector fields

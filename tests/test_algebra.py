@@ -323,6 +323,17 @@ def test_wide_results_stay_in_their_algebra():
             op()
 
 
+def test_from_modes_takes_only_integer_mode_entries():
+    # int(x) would read 1.5 as 1 and True as 1; only ints and NumPy integers are modes
+    be = graded2(0.3, radius=3)
+    a = AlgebraElement.from_modes(be, {(1, np.int32(-2)): 1.0, (np.int64(0), 0): 2.0})
+    assert a.modes == {(0, 0): 2.0, (1, -2): 1.0}
+    for entry in (1.5, 1.0, np.float64(1.0), float("inf"), float("nan"), True, np.bool_(True),
+                  "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            AlgebraElement.from_modes(be, {(0, entry): 1.0})
+
+
 def test_nonskew_twist_rejected():
     with pytest.raises(NonSkew):
         BackendDescriptor.graded(2, np.array([[0.0, 0.1], [0.1, 0.0]]), 2)

@@ -9,6 +9,7 @@ import pytest
 from nclevi import algebra, cli
 from nclevi.algebra import AlgebraElement, random_element
 from nclevi.cli import main
+from nclevi.errors import NonSkew
 from nclevi.metric import MetricSpec
 from nclevi.models import fuzzy_sphere, torus_bundle
 from nclevi.serialize import (
@@ -120,7 +121,7 @@ def test_deform_rejects_nonskew_theta(capsys):
 
 
 def test_deform_commutes(capsys):
-    code, out, err = run_cli(capsys, ["deform", "--radius", "3"])
+    code, out, err = run_cli(capsys, ["deform"])
     assert code == 0
     report = json.loads(out)
     assert report["commutation_difference"] <= 1e-8
@@ -128,28 +129,17 @@ def test_deform_commutes(capsys):
 
 def test_oracle_compare(capsys):
     code, out, err = run_cli(capsys, [
-        "oracle-compare", "--dims", "3", "--radius", "3", "--metrics", "2"])
+        "oracle-compare", "--dims", "3", "--metrics", "2"])
     assert code == 0
     report = json.loads(out)
     assert 0.0 < report["max_difference"] <= 1e-8
     assert len(report["trials"]) == 2
 
 
-def test_oracle_compare_small_radius_passes(capsys):
-    # the solve grid is sized by the metric, so radius 2 meets the default
-    # 1e-10 gates and agrees with the classical oracle
-    code, out, err = run_cli(capsys, [
-        "oracle-compare", "--dims", "3", "--radius", "2", "--metrics", "1"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["max_difference"] <= 1e-8
-    assert report["trials"][0]["route_difference"] <= 1e-13
-
-
 def test_oracle_compare_explicit_tol_wins(capsys, monkeypatch):
     # 1e-10 is only the default: an explicit --tol or NCLEVI_TOL replaces it.  No
     # solve meets a 1e-20 gate, so either one makes the command refuse
-    argv = ["oracle-compare", "--radius", "3", "--metrics", "1"]
+    argv = ["oracle-compare", "--metrics", "1"]
     monkeypatch.delenv("NCLEVI_TOL", raising=False)
     code, out, err = run_cli(capsys, argv)
     assert code == 0
@@ -162,30 +152,42 @@ def test_oracle_compare_explicit_tol_wins(capsys, monkeypatch):
     assert json.loads(out)["error"] == "Inconsistent"
 
 
-def test_oracle_compare_output_does_not_depend_on_the_radius(capsys):
-    # every route, g^-1 included, is sized by the metric, so the radius that
-    # holds the metrics changes no digit
-    outputs = [run_cli(capsys, ["oracle-compare", "--radius", radius])
-               for radius in ("1", "4")]
-    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
-
-
 def test_verify_runs_green(capsys):
     code, out, err = run_cli(capsys, [
-        "verify", "--models", "heisenberg,torus", "--radius", "2", "--theta", "0.3"])
+        "verify", "--models", "heisenberg,torus", "--theta", "0.3"])
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
     assert "torus" in report["results"] and "heisenberg" in report["results"]
 
 
-def test_verify_at_radius_one_passes(capsys):
-    # the module laws multiply radius-1 samples without truncating, as the algebra laws do
-    code, out, err = run_cli(capsys, ["verify", "--models", "torus", "--radius", "1"])
-    assert code == 0
+def test_verify_takes_a_scalar_theta_on_three_deformed_coordinates(capsys):
+    # the default --theta 0.3 twists coordinates 0 and 1 of the three deformed ones
+    code, out, err = run_cli(capsys, ["verify", "--models", "torus", "--dims", "4",
+                                      "--deformed", "3"])
+    assert code == 0, err
+    checks = json.loads(out)["results"]["torus"]
+    assert checks and all(c["passed"] for c in checks)
+
+
+def test_deform_takes_a_scalar_theta_on_three_deformed_coordinates(capsys):
+    code, out, err = run_cli(capsys, ["deform", "--dims", "4", "--deformed", "3"])
+    assert code == 0, err
     report = json.loads(out)
-    assert report["passed"] is True
-    assert report["results"]["torus"] and all(c["passed"] for c in report["results"]["torus"])
+    assert report["theta"] == [[0.0, 0.3, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert report["extra_theta"] == [[0.0, 0.2, 0.0], [-0.2, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def test_scalar_theta_shorthand():
+    # a scalar s is theta_01 = s, theta_10 = -s on any block of size >= 2; a
+    # smaller block has no entry to hold it, so only s = 0 is accepted there
+    assert cli._parse_theta("0.3", 4).tolist() == [[0.0, 0.3, 0.0, 0.0], [-0.3, 0.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    assert cli._parse_theta("0", 1).tolist() == [[0.0]]
+    assert cli._parse_theta("0", 0).shape == (0, 0)
+    for size in (0, 1):
+        with pytest.raises(NonSkew, match=f"a {size}x{size} skew matrix must be zero"):
+            cli._parse_theta("0.3", size)
 
 
 def test_verify_runs_every_check_on_a_calculus_with_no_two_forms(capsys):
@@ -304,25 +306,27 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert json.loads(out)["error"] == "ValueError"
 
 
-# the options of each subcommand, by dest, with a value each parses to itself
+# the options of each subcommand, by dest, with a value each parses to itself;
+# only solve reads modes from outside, so only solve has --radius
 COMMAND_OPTIONS = {
     "solve": {"model": "torus", "k": 2, "dims": 4, "deformed": 3, "theta": "0.1",
               "radius": 5, "metric": "g.json", "route": "phi", "tol": 1e-9, "out": "o.json"},
     "verify": {"models": "torus", "k": 2, "dims": 4, "deformed": 3, "theta": "0.1",
-               "radius": 5, "seed": 3, "tol": 1e-9, "out": "o.json"},
-    "deform": {"dims": 4, "deformed": 3, "theta": "0.1", "extra_theta": "0.4", "radius": 5,
                "seed": 3, "tol": 1e-9, "out": "o.json"},
-    "oracle-compare": {"dims": 4, "radius": 5, "metrics": 2, "seed": 3, "tol": 1e-9,
-                       "out": "o.json"},
+    "deform": {"dims": 4, "deformed": 3, "theta": "0.1", "extra_theta": "0.4",
+               "seed": 3, "tol": 1e-9, "out": "o.json"},
+    "oracle-compare": {"dims": 4, "metrics": 2, "seed": 3, "tol": 1e-9, "out": "o.json"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
 def test_config_keys_are_the_subcommand_options(capsys, tmp_path, command):
-    # a config file may set each option of its own subcommand, and nothing else
+    # a config file may set each option of its own subcommand, and nothing else;
+    # the table is every option, so adding or dropping one means editing it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(COMMAND_OPTIONS[command]))
     parser = cli.build_parser()
+    assert parser.commands[command].option_dests == set(COMMAND_OPTIONS[command])
     args = parser.parse_args(cli._apply_config([command, "--config", str(cfg)], parser))
     assert {dest: getattr(args, dest) for dest in COMMAND_OPTIONS[command]} == \
         COMMAND_OPTIONS[command]
@@ -523,7 +527,7 @@ def test_solve_report_matches_reference_encoding(capsys, tmp_path, solved, case)
 
 def test_every_subcommand_writes_one_json_line(capsys, tmp_path):
     for argv in (["verify", "--models", "heisenberg", "--k", "1"],
-                 ["oracle-compare", "--radius", "3", "--metrics", "1"]):
+                 ["oracle-compare", "--metrics", "1"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 0
         assert out.endswith("\n") and out.count("\n") == 1
@@ -595,7 +599,9 @@ def test_metric_file_missing_or_ill_typed_keys_exit_two(capsys, tmp_path, heis, 
     assert err.startswith("input error: ")
 
 
-@pytest.mark.parametrize("terms", [None, 5, [[[0, 0, 0]]], [7], [[[0, 0, 0], {"re": 1}]]])
+@pytest.mark.parametrize("terms", [None, 5, [[[0, 0, 0]]], [7], [[[0, 0, 0], {"re": 1}]]] + [
+    # a mode entry is an integer: 1.5 is not read as 1, nor true or "1" as 1
+    [[[0, 0, entry], [1.0, 0.0]]] for entry in (1.5, math.inf, math.nan, True, "1")])
 def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_comm, terms):
     doc = encode_metric(torus_comm.metric)
     if terms is None:
@@ -608,6 +614,35 @@ def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_com
                                       "--metric", str(path)])
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+TOL_ARGV = {"solve": ["solve", "--model", "heisenberg"], "verify": ["verify"],
+            "deform": ["deform"], "oracle-compare": ["oracle-compare", "--metrics", "1"]}
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", sorted(TOL_ARGV))
+def test_tolerance_must_be_finite_and_non_negative(capsys, tmp_path, monkeypatch,
+                                                   command, tol):
+    # a NaN or negative gate fails every answer and an infinite one passes every
+    # answer, so each is refused while input is read, from all three sources
+    argv = TOL_ARGV[command]
+    detail = f"the tolerance must be a finite number >= 0, not {float(tol)}"
+    monkeypatch.delenv("NCLEVI_TOL", raising=False)
+    _refused_input(capsys, argv + ["--tol", tol], detail)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": float(tol)}))
+    _refused_input(capsys, argv + ["--config", str(cfg)], detail)
+    monkeypatch.setenv("NCLEVI_TOL", tol)
+    _refused_input(capsys, argv, detail)
+
+
+def test_zero_tolerance_is_valid(capsys, monkeypatch):
+    # the flat torus solves with residuals of exactly 0, which a zero gate passes
+    monkeypatch.delenv("NCLEVI_TOL", raising=False)
+    code, out, err = run_cli(capsys, ["solve", "--model", "torus", "--tol", "0"])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("model", ["fuzzy-sphere", "torus"])

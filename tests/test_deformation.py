@@ -5,6 +5,7 @@ import pytest
 
 from nclevi.algebra import (
     AlgebraElement,
+    BackendDescriptor,
     random_element,
     wide_mul,
     wide_sum,
@@ -69,6 +70,23 @@ def test_bicharacter_rejects_nonskew():
         require_skew([[0.0, 0.2], [-0.1, 0.0]])
     with pytest.raises(NonSkew, match="nan"):
         require_skew([[0.0, np.nan], [np.nan, 0.0]])
+
+
+def test_one_skew_bound_for_every_theta():
+    # the descriptor, embed_theta and the deformed product share one check at
+    # 1e-12, so an asymmetry in (1e-14, 1e-12] passes all three
+    near = np.array([[0.0, 0.3], [-0.3 + 5e-13, 0.0]])
+    assert require_skew(near) is not None
+    model = torus_bundle(3, 2, near, radius=2)
+    u = AlgebraElement.single_mode(model.backend, (1, 0, 0))
+    v = AlgebraElement.single_mode(model.backend, (0, 1, 0))
+    assert deform_product(u, v, near, model.action).norm() == pytest.approx(1.0)
+    far = np.array([[0.0, 0.3], [-0.3 + 2e-12, 0.0]])
+    for check in (lambda: require_skew(far), lambda: torus_bundle(3, 2, far, radius=2),
+                  lambda: BackendDescriptor.graded(2, far, 2),
+                  lambda: deform_product(u, v, far, model.action)):
+        with pytest.raises(NonSkew, match="not skew-symmetric"):
+            check()
 
 
 # -- deformed product ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from nclevi.calculus import (
     right_mul_many,
     sigma,
 )
-from nclevi.errors import NonCentralResult, SingularMetric, TruncationOverflow
+from nclevi.errors import NonCentralResult, SingularMetric
 from nclevi.metric import (
     Functional,
     MetricSpec,
@@ -33,6 +33,7 @@ from nclevi.metric import (
     v_g_many,
 )
 from nclevi.models import gamma_matrices, pauli_matrices, torus_bundle
+from nclevi.solver import koszul_oracle, levi_civita
 
 TOL = 1e-12
 
@@ -116,16 +117,23 @@ def test_v_g_roundtrips(fuzzy1, torus_comm, edge_metric):
                    for a, b in zip(back.coeffs, w.coeffs)) <= 1e-9
 
 
-def test_component_beyond_radius_overflows(edge_metric):
-    # a component must lie in the truncated algebra, however it was computed
-    model, _, omega = edge_metric
+@pytest.mark.parametrize("radius", [2, 3, 5])
+def test_computed_component_beyond_radius_builds_and_solves(radius):
+    # R bounds outside input only: a computed component reaching R + 1 is a
+    # metric like any other, and both routes and the Koszul oracle agree on it
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius)
     be = model.backend
-    wide = wide_mul(omega[2], AlgebraElement.single_mode(be, (0, 0, 1)))
-    assert wide.backend == be and wide.support_radius() == be.radius + 1
+    edge = AlgebraElement.from_modes(be, {(0, 0, radius): 1.0, (0, 0, -radius): 1.0})
+    near = AlgebraElement.from_modes(be, {(0, 0, 1): 1.0, (0, 0, -1): 1.0})
+    wide = wide_mul(edge, near)
+    assert wide.support_radius() == radius + 1
     unit, zero = AlgebraElement.unit(be), AlgebraElement.zero(be)
-    with pytest.raises(TruncationOverflow):
-        MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
+    g = MetricSpec(model.calculus, [[unit, zero, zero], [zero, unit, zero],
                                     [zero, zero, unit + wide * 1e-3]])
+    res = levi_civita(model.calculus, g, route="both")
+    assert res.torsion_residual <= 1e-12 and res.compat_residual <= 1e-12
+    assert res.route_difference <= 1e-12
+    assert res.connection.difference_norm(koszul_oracle(model.calculus, g)) <= 1e-10
 
 
 def test_singular_metric_zero_row(fuzzy1):

@@ -1,12 +1,13 @@
 """The truncation radius bounds outside input and enters no computation.
 
 An algebra's radius R is read where input is checked: the descriptor itself,
-the mode constructors' `_truncated`, `random_element`'s draws and
-`MetricSpec`'s components, and in `deform_backend`, which carries R over to
-the deformed algebra.  A read anywhere else would let an answer depend on the
-R a user picked.  Reads are found in the syntax trees, so a docstring that
-mentions the radius does not count; the CLI's `args.radius` is the parsed
-`--radius` option, the input itself.
+the mode constructors' `_truncated` and `random_element`'s draws, and in
+`deform_backend`, which carries R over to the deformed algebra.  A metric's
+components are elements like any other, so `MetricSpec` does not read R.  A
+read anywhere else would let an answer depend on the R a user picked.  Reads
+are found in the syntax trees, so a docstring that mentions the radius does
+not count; the CLI's `args.radius` is the parsed `--radius` option, the input
+itself.
 """
 
 import ast
@@ -18,7 +19,6 @@ INPUT_SITES = {
     ("algebra", ("BackendDescriptor",)),
     ("algebra", ("_truncated",)),
     ("algebra", ("random_element",)),
-    ("metric", ("MetricSpec", "__init__")),
     ("deformation", ("deform_backend",)),
 }
 
