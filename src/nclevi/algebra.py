@@ -127,13 +127,14 @@ def _canonical(k: np.ndarray, c: np.ndarray):
     return _frozen(k), _frozen(c), int(np.abs(k).max(initial=0))
 
 
-def _truncated(backend: BackendDescriptor, k: np.ndarray, c: np.ndarray):
-    """`_canonical` of outside input, which must lie within the truncation radius."""
-    rad = np.abs(k).max(axis=1, initial=0)
-    if np.any(rad > backend.radius):
-        raise TruncationOverflow(f"mode {tuple(k[int(np.argmax(rad))].tolist())} exceeds "
+def _truncated(backend: BackendDescriptor, keys: list, c: np.ndarray):
+    """`_canonical` of outside input, integer mode tuples within the truncation
+    radius: compared as Python ints, which no int64 conversion wraps or overflows."""
+    far = [k for k in keys if max((abs(int(x)) for x in k), default=0) > backend.radius]
+    if far:
+        raise TruncationOverflow(f"mode {tuple(map(int, far[0]))} exceeds "
                                  f"truncation radius {backend.radius}")
-    return _canonical(k, c)
+    return _canonical(np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim), c)
 
 
 class AlgebraElement:
@@ -211,8 +212,7 @@ class AlgebraElement:
         if bad:
             raise ValueError(f"mode {bad[0]} has wrong dimension")
         return cls._graded(backend, *_truncated(
-            backend, np.array(keys, dtype=np.int64).reshape(len(keys), backend.dim),
-            np.array([complex(v) for v in modes.values()], dtype=complex)))
+            backend, keys, np.array([complex(v) for v in modes.values()], dtype=complex)))
 
     @classmethod
     def single_mode(cls, backend: BackendDescriptor, mode: Sequence[int], coeff: complex = 1.0) -> "AlgebraElement":

@@ -249,11 +249,10 @@ class CalculusSpec:
     d compose d is [W_alpha, a] (see `d_squared_residual`), and the bound
     |[W, a]| <= 2 N max|W| max|a| settles the check when it is at most the
     tolerance: the commutators are formed only when it is not, or when it is
-    NaN.  One SVD of the m x n^2 wedge table c decides its rank and solves
-    the torsion equations c . Gamma^i = -D_i once, for nabla0, the direct
-    solve and the Koszul brackets: torsion_particular (n x n x n) holds
-    c^+(-D_i) and torsion_kernel an orthonormal basis of ker c, real when c
-    is.
+    NaN.  The rank of the m x n^2 wedge table c is decided once, and the
+    torsion equations c . Gamma^i = -D_i are solved once for nabla0 and the
+    Koszul brackets: torsion_particular (n x n x n) holds c^+(-D_i).  The
+    direct solve reads c and D themselves.
     """
 
     def __init__(self, rank: int, two_form_rank: int, wedge_constants, exterior_constants,
@@ -284,15 +283,13 @@ class CalculusSpec:
             raise ValueError(f"wedge constants are not antisymmetric (residual {anti:.3e})")
         n, m = self.rank, self.two_form_rank
         flat = c.reshape(m, n * n)
-        _, s, vh = np.linalg.svd(flat if np.any(flat.imag) else flat.real)
-        if np.count_nonzero(s > 1e-10) != m:
+        if np.linalg.matrix_rank(flat, tol=1e-10) != m:
             raise ValueError("wedge constants do not realize the two-form basis")
         self._wedge_pinv = np.linalg.pinv(flat)
         # column by column: one product with the whole of -D can flip signed zeros
         self.torsion_particular = np.array(
             [(self._wedge_pinv @ -self.exterior_constants[:, i]).reshape(n, n)
              for i in range(n)])
-        self.torsion_kernel = vh[m:].conj().T
         tol = 10 * DEFAULT_TOL
         ws = self._jacobi_forms()
         # entrywise |[W, a]| <= 2 N max|W| max|a|: a bound at most tol settles

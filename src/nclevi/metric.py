@@ -151,11 +151,11 @@ def _central_inverse(components, backend: BackendDescriptor):
     16 reach(g) + 1 points per coordinate the metric varies along, a reach
     being the largest support radius of the components, and grows as
     size -> 2 size + 1 until the inverse read back above the tail floor
-    (_INVERSE_TAIL times its largest value on the grid) has
-    4 reach(g^-1) < size.  SingularMetric if the component matrix is
-    singular at a grid point, or if the next grid would exceed
-    _INVERSE_GRID_BUDGET points.  The inverse components are on `backend`
-    and may reach beyond its radius.
+    (_INVERSE_TAIL times its largest value on the grid; none on the one-point
+    grid of constant data, which has no tail) has 4 reach(g^-1) < size.
+    SingularMetric if the component matrix is singular at a grid point, or if
+    the next grid would exceed _INVERSE_GRID_BUDGET points.  The inverse
+    components are on `backend` and may reach beyond its radius.
     """
     n = len(components)
     flat = [el for row in components for el in row]
@@ -175,7 +175,8 @@ def _central_inverse(components, backend: BackendDescriptor):
                 f"component matrix singular (relative singular value {ratio:.3e})")
         inv_pts = np.linalg.inv(pts)
         scale = float(np.max(np.abs(inv_pts)))
-        inv, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend, _INVERSE_TAIL * scale)
+        floor = _INVERSE_TAIL * scale if coords else 0.0
+        inv, _ = grid.read_back(inv_pts.reshape(-1, n * n).T, backend, floor)
         if 4 * max(el.support_radius() for el in inv) < size:
             return [inv[i * n:(i + 1) * n] for i in range(n)]
         size = 2 * size + 1

@@ -13,14 +13,15 @@ and the oracle, which needs only central metric components, runs on every model.
 
 Metric components are central, so the direct system splits into one system
 per point of the torus grid over the coordinates the metric varies along (one
-point on the matrix backend and for constant metrics).  Torsion is scalar, and
-CalculusSpec solves it once: nabla_0, the direct solve and the Koszul oracle's
-brackets read its particular solution c^+(-D) and its basis of ker c.  What
-compatibility must fix per point is then a square system of n^2 (n+1)/2
-equations when the wedge rank is n(n-1)/2, and fewer equations than unknowns
-(NonUnique) otherwise.  The kernel certificate is the smallest per-point
-singular-value ratio of that reduced operator; one batched solve gives the
-solution, and the torsion and compatibility gates decide every route's answer.
+point on the matrix backend and for constant metrics).  In lowered unknowns
+compatibility is solved in closed form, and torsion is the one system left:
+n m equations in n^2 (n-1)/2 unknowns per point, square when the wedge rank m
+is n(n-1)/2 and short of equations (NonUnique) otherwise.  The direct route
+reads the wedge and exterior constants themselves; CalculusSpec's c^+(-D)
+serves nabla_0 and the Koszul brackets only.  The kernel certificate is the
+smallest per-point singular-value ratio of the torsion operator; one batched
+solve gives the solution, and the torsion and compatibility gates decide
+every route's answer.
 Gamma is built from g^{-1} and dg, so the grid is sized by the metric, not by
 the truncation radius: 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate read
 every mode of Gamma back by FFT, with no clip.  Metrics whose modes multiply
@@ -63,6 +64,7 @@ from .errors import (
     NonUnique,
     NoSolution,
     RangeNotSymmetric,
+    SingularMetric,
 )
 from .metric import MetricSpec, TorusGrid, central_coords
 
@@ -313,63 +315,59 @@ def _solve_pointwise(calculus: CalculusSpec, g: MetricSpec,
 
     The grid has 2 (reach(g^{-1}) + reach(g)) + 1 points per coordinate the
     metric varies along, a reach being the largest support radius of the
-    components, so no mode of Gamma within that reach aliases.
-
-    Torsion is scalar and solved by the calculus: Gamma = Gamma_p + (I_n (x) ker c) y,
-    from its torsion_particular and torsion_kernel, leaves n (n^2 - m) unknowns
-    per point.  Compatibility rows (i, j, l) and (j, i, l) coincide, so the rows
-    i <= j remain: n^2 (n+1)/2 of them.  With more unknowns than rows the
-    connection is not unique; otherwise (the wedge rank m = n(n-1)/2) the
-    reduced system is square, real when the metric and the wedge table are, and
-    one batched solve gives y after its singular values give the kernel
-    certificate.  Returns the grid, the Christoffel values at its points
-    (points x n^3), the smallest per-point singular-value ratio of the reduced
-    operator and the (equations, unknowns) per point; levi_civita's gates check
-    the answer.
+    components, so no mode of Gamma within that reach aliases.  In the lowered
+    unknowns G^i_jl = sum_k g_kj Gamma^i_kl compatibility is solved in closed
+    form, G = dg / 2 + A with A antisymmetric in (i, j), and torsion is the one
+    system left: sum_jl M^a_jl A_ijl = -D^a_i - (1/2) sum_jl M^a_jl partial_l g_ij
+    with M^a_jl = sum_k c^a_kl h_kj, h = g^{-1} at the point; Gamma = h G.  Its n m
+    equations in n^2 (n-1)/2 unknowns per point are square unless the
+    connection is not unique, and real when c and the metric are.  Returns the
+    grid, Gamma at its points (points x n^3), the kernel certificate (the
+    smallest per-point singular-value ratio, 1.0 for n = 1's empty system) and
+    the (equations, unknowns) per point; levi_civita's gates check the answer.
+    SingularMetric if g or dg is not finite, or g is singular, at a point.
     """
-    n = calculus.rank
-    gamma_p = calculus.torsion_particular.reshape(n, n * n)
-    kernel = calculus.torsion_kernel
-    q = kernel.shape[1]
-    rows_i, rows_j = np.triu_indices(n)
-    size = len(rows_i) * n
-    if n * q > size:
-        # CalculusSpec bounds m by n(n-1)/2, so there are never fewer unknowns
-        raise NonUnique(f"torsion leaves {n * q} unknowns per point against "
-                        f"{size} compatibility equations")
+    n, m = calculus.rank, calculus.two_form_rank
+    upper, lower = np.triu_indices(n, 1)
+    equations, unknowns = n * m, n * len(upper)
+    if unknowns > equations:
+        raise NonUnique(f"compatibility leaves {unknowns} unknowns per point against "
+                        f"{equations} torsion equations")
     comps = [c for row in g.components for c in row]
     reach = (max(c.support_radius() for row in g.inverse_components for c in row)
              + max(c.support_radius() for c in comps))
     grid = TorusGrid(central_coords(comps), 2 * reach + 1)
     gpts = grid.sample(comps).T.reshape(-1, n, n)
-    dgpts = grid.sample([d for plane in dg for row in plane for d in row]).T.reshape(
-        -1, n, n, n)
-    real = kernel.dtype.kind == "f" and all(_real_valued(c) for c in comps)
+    dgpts = grid.sample([d for plane in dg for row in plane for d in row]).T.reshape(-1, n, n, n)
+    if not (np.isfinite(gpts).all() and np.isfinite(dgpts).all()):
+        raise SingularMetric("metric or its derivative is not finite on the solve grid")
+    wedge = calculus.wedge_constants
+    real = not np.any(wedge.imag) and all(_real_valued(c) for c in comps)
     if real:
-        gpts = gpts.real
-
-    # reduced rows (i <= j, l), columns (a, r): delta_ai B_jlr + delta_aj B_ilr
-    b = np.einsum("pkj,klr->pjlr", gpts, kernel.reshape(n, n, q))
-    sel_i, sel_j = np.eye(n)[rows_i], np.eye(n)[rows_j]
-    ops = (np.einsum("ea,pelr->pelar", sel_i, b[:, rows_j])
-           + np.einsum("ea,pelr->pelar", sel_j, b[:, rows_i])).reshape(-1, size, n * q)
-    # Pi_g(Gamma_p) at point p: entry [p, i, j, l] = sum_k g_kj Gp^i_kl + g_ki Gp^j_kl
-    particular = np.broadcast_to(calculus.torsion_particular, dgpts.shape)
-    pi_p = (np.einsum("pkj,pikl->pijl", gpts, particular)
-            + np.einsum("pki,pjkl->pijl", gpts, particular))
-    rhs = (dgpts - pi_p)[:, rows_i, rows_j].reshape(-1, size)
-    svals = np.linalg.svd(ops, compute_uv=False)
+        gpts, wedge = gpts.real, wedge.real
+    try:
+        h = np.linalg.inv(gpts)
+    except np.linalg.LinAlgError:
+        raise SingularMetric("component matrix singular on the solve grid") from None
+    # A_ijl = sum_s pair[s, i, j] y_sl over the pairs s = (a < b); rows (i, a), columns (s, l)
+    outer = np.eye(n)[upper][:, :, None] * np.eye(n)[lower][:, None, :]
+    pair = outer - outer.transpose(0, 2, 1)
+    mat = np.einsum("akl,pkj->pajl", wedge, h)
+    ops = np.einsum("sij,pajl->piasl", pair, mat).reshape(len(h), equations, unknowns)
+    rhs = (-calculus.exterior_constants.T
+           - 0.5 * np.einsum("pajl,pijl->pia", mat, dgpts)).reshape(len(h), equations)
+    svals = np.linalg.svd(ops, compute_uv=False) if unknowns else np.ones((1, 1))
     ratio = float(np.min(svals[:, -1] / np.maximum(svals[:, 0], np.finfo(float).tiny)))
     if ratio <= DEFAULT_KERNEL_FLOOR:
-        raise NonUnique(
-            f"reduced compatibility operator has a kernel "
-            f"(relative singular value {ratio:.3e})")
+        raise NonUnique(f"torsion operator in the lowered unknowns has a kernel "
+                        f"(relative singular value {ratio:.3e})")
     # a real operator solves the real and imaginary parts of rhs as two columns
     parts = np.array([1.0, 1j]) if real else np.ones(1)
     cols = np.stack([rhs.real, rhs.imag], axis=-1) if real else rhs[..., None]
     y = np.linalg.solve(ops, cols) @ parts
-    gamma = gamma_p + np.einsum("sr,pir->pis", kernel, y.reshape(-1, n, q))
-    return grid, gamma.reshape(-1, n ** 3), ratio, ops.shape[1:]
+    lowered = 0.5 * dgpts + np.einsum("sij,psl->pijl", pair, y.reshape(len(h), len(upper), n))
+    gamma = np.einsum("pkj,pijl->pikl", h, lowered)
+    return grid, gamma.reshape(-1, n ** 3), ratio, (equations, unknowns)
 
 
 @dataclass
@@ -378,8 +376,9 @@ class LeviCivitaResult:
 
     torsion_residual and compat_residual are the gates' residuals of the
     returned connection, on every route.  sv_ratio is the smallest
-    singular-value ratio, over the solve grid, of the reduced square
-    compatibility operator left once torsion is removed.  stats holds the
+    singular-value ratio, over the solve grid, of the square torsion operator
+    in the antisymmetric lowered unknowns that compatibility leaves (1.0 at
+    rank 1, where that system is empty).  stats holds the
     grid points, the equations and unknowns per point, gamma_reach (the
     largest support radius over Gamma's entries, 0 on the matrix backend),
     dropped_tail (the largest modulus the read-back dropped under its 1e-16
@@ -483,8 +482,9 @@ def koszul_oracle(calculus: CalculusSpec, g: MetricSpec) -> ConnectionCoeffs:
     pinned by the diag(1,1,phi) example and by the structure-constant model.
     It needs only central components, which MetricSpec guarantees, and
     derivations that keep them central, as every DerivationSpec kind does.  Its
-    brackets are the routes' torsion_particular, so it checks their metric
-    terms, not their brackets.
+    brackets are the torsion_particular that nabla0 also reads, so it checks
+    the phi route's metric terms, not its brackets; the direct route does not
+    read it.
     """
     be = calculus.backend
     n = calculus.rank

@@ -1,3 +1,6 @@
+import ast
+import copy
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,29 @@ def twisted_mode_metric():
         g33 = unit + AlgebraElement.from_modes(be, modes)
         return model, [[unit, zero, zero], [zero, unit, zero], [zero, zero, g33]]
     return build
+
+
+def attribute_uses(tree: ast.AST, attr: str) -> list:
+    """(enclosing class and function names, node) of every `x.attr` in a syntax
+    tree, loads and stores alike (a docstring that names attr is not a use)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                out.append((scope, child))
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def with_components(g, comps):
+    """A copy of g holding comps without MetricSpec's checks: data corrupted after
+    construction, which the operations must not pass either."""
+    bad = copy.copy(g)
+    bad.components = tuple(tuple(row) for row in comps)
+    return bad

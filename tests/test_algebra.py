@@ -334,6 +334,16 @@ def test_from_modes_takes_only_integer_mode_entries():
             AlgebraElement.from_modes(be, {(0, entry): 1.0})
 
 
+@pytest.mark.parametrize("entry", [-2 ** 63, np.int64(-2 ** 63), 2 ** 63, 10 ** 30])
+def test_from_modes_refuses_entries_outside_int64(entry):
+    # compared with the radius as Python ints: np.abs wraps int64's minimum to a
+    # negative number, and a larger int overflows the int64 conversion
+    be = torus_bundle(3, 2, np.zeros((2, 2)), 3).calculus.backend
+    with pytest.raises(TruncationOverflow, match="exceeds truncation radius 3"):
+        AlgebraElement.from_modes(be, {(0, 0, entry): 1.0})
+    assert AlgebraElement.from_modes(be, {(0, 0, -3): 1.0}).support_radius() == 3
+
+
 def test_nonskew_twist_rejected():
     with pytest.raises(NonSkew):
         BackendDescriptor.graded(2, np.array([[0.0, 0.1], [0.1, 0.0]]), 2)

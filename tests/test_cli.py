@@ -262,6 +262,20 @@ def test_metric_mode_beyond_radius_exits_two(capsys, tmp_path):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("entry", [-2 ** 63, 2 ** 63, 10 ** 30])
+def test_metric_mode_outside_int64_exits_two(capsys, tmp_path, entry):
+    model = torus_bundle(3, 2, np.zeros((2, 2)), radius=3)
+    doc = encode_metric(MetricSpec.from_scalar_matrix(model.calculus, np.eye(3)))
+    doc["components"][2][2]["terms"].append([[0, 0, entry], [0.001, 0.0]])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["solve", "--model", "torus", "--theta", "0",
+                                      "--radius", "3", "--metric", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "TruncationOverflow"
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_sign_phase_metric_exits_two(capsys, tmp_path, twisted_mode_metric):
     _, comps = twisted_mode_metric(1.0 / 3.0, 9, 3)
     path = tmp_path / "metric.json"
@@ -669,18 +683,18 @@ def test_non_finite_metric_component_exits_two(capsys, tmp_path, fuzzy1, torus_c
 # sha256 of `nclevi solve` stdout: the matrix kernel's zero and identity shortcuts
 # must leave every bit of these reports as the term-by-term BLAS sums give them
 SOLVE_STDOUT_SHA256 = {
-    ("fuzzy-sphere", 1, "direct"): "9a1d4911165aabe1598c714bd6069f3acbacbf43be4caf435f1f3dc76de80a10",
-    ("fuzzy-sphere", 1, "phi"): "1d33206b96d19a0b499e7a126d9ea9bc58a31616a9d013efab184ad0bc6d088e",
-    ("fuzzy-sphere", 1, "both"): "60b79c2146f4c32f86fbf58e68c15d6c4d2a7a05f118d2ed3b0fc6372235bb7c",
-    ("fuzzy-sphere", 2, "direct"): "5d313e1cdaf0ac22543e02a9a64c8432dfcebab34fd71f6a3f9410891d971e40",
-    ("fuzzy-sphere", 2, "phi"): "1cb342fe96c99ed7b35e2a20e9d13669f24b8a77a45a10e5c7b74f269d3d5f34",
-    ("fuzzy-sphere", 2, "both"): "d067d3c6eedab9912d42a53b5e03adb4095c024328da96eb24d47364d0247e69",
-    ("fuzzy-sphere", 3, "direct"): "b531ff25107cd7c20c61591f1294eea6a3c9d9fbe49a08e221d95a0c54a7805e",
-    ("fuzzy-sphere", 3, "phi"): "adbdb0ca5e367d8acb3ca441ac90d34f284934afb58ea4656fed6c4cc83480d9",
-    ("fuzzy-sphere", 3, "both"): "220d104865f2d65a7655680f3fbfba12213b314d5d688c51964337cfd6000dcf",
-    ("heisenberg", 1, "direct"): "97eec838799c6e70e95a0694d3621668d823e83d71e4a427a854b02199441892",
-    ("heisenberg", 1, "phi"): "e8c0a7be2f059acbbe001a0764be6fc3263635aebff6eb5e0451308763be19cd",
-    ("heisenberg", 1, "both"): "07cae5dafe122bebe21c65be41fb6d9bd89f026db79d588bbc4618e7dc923fba",
+    ("fuzzy-sphere", 1, "direct"): "662e60b8736ce35d3743cb4142acb172bd8cf74ae998fd106c2489a09dddad30",
+    ("fuzzy-sphere", 1, "phi"): "b523b5b1ee17e393ed7247583148a84c4247cc099db79b0922946c231e18d4da",
+    ("fuzzy-sphere", 1, "both"): "6caaeb48acc4680fe4371dd4c9fce3df1bbd135de086252f29bcbb09229a2a6a",
+    ("fuzzy-sphere", 2, "direct"): "23ccd6e8ebedb6cd44d58955b55f8c4d34081d4b4e4278e5a150ccbd3d8750e7",
+    ("fuzzy-sphere", 2, "phi"): "f9171ae84b544ba6d56dfb686c04ac697240398befe71d5789ae0ca6fb07383e",
+    ("fuzzy-sphere", 2, "both"): "805e50b025dec0c5c9ba3e179ae944edd49127e890e6429967d887686b0b4689",
+    ("fuzzy-sphere", 3, "direct"): "a71ba57c848630ba36a39e9e3d25a2429540e128fcb83d8971c2743b20f6852a",
+    ("fuzzy-sphere", 3, "phi"): "3ccd04856ba9115c8c6a2ae592da8f34c2660b0c76b0ebc762daa67eacc0c831",
+    ("fuzzy-sphere", 3, "both"): "b242a76c266b1004f072fe6b2ebc42e753dc0d393b9602447ecb9903956260f9",
+    ("heisenberg", 1, "direct"): "7e6f62d2ef3c96e7830df61f647f3366b22ab2fc9357206169d03873d09f4c9d",
+    ("heisenberg", 1, "phi"): "e7a4369a3ae3cf044493c1d230b10223679fb0623e0e75a327760764299adfce",
+    ("heisenberg", 1, "both"): "1d0dc5b02c7c1b531284b154ae56bccc324fc73a4061bd583bf1fbcefaa6cb67",
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_components
 from nclevi import solver
 from nclevi.algebra import AlgebraElement, DerivationSpec
 from nclevi.calculus import CalculusSpec, TwoForm
@@ -69,14 +70,6 @@ def swap(items, pick, new):
     items = list(items)
     items[pick % len(items)] = new
     return items
-
-
-def with_components(g, comps):
-    """A copy of g holding comps without MetricSpec's checks: data corrupted after
-    construction, which the operations must not pass either."""
-    bad = copy.copy(g)
-    bad.components = tuple(tuple(row) for row in comps)
-    return bad
 
 
 def poisoned_rows(rows, value, pick):
@@ -201,6 +194,12 @@ def test_non_finite_entry_is_refused(operation, which, bad, imaginary, pick):
     try:
         with np.errstate(all="ignore"):
             result = OPERATIONS[operation](which, value, pick)
-    except (GeometryError, ValueError):
+    except GeometryError:
         return
+    except ValueError:
+        # levi_civita's inputs were built and checked already: the solve itself
+        # refuses them, with an error class that carries an exit code
+        if operation != "levi_civita":
+            return
+        raise
     raise AssertionError(f"{operation} on {which} passed {value} at {pick}: {result!r}")

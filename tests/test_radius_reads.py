@@ -13,6 +13,8 @@ itself.
 import ast
 from pathlib import Path
 
+from conftest import attribute_uses
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "nclevi"
 
 INPUT_SITES = {
@@ -25,21 +27,9 @@ INPUT_SITES = {
 
 def _radius_reads(tree: ast.AST) -> list:
     """(enclosing class and function names, line) of every `x.radius` read but `args.radius`."""
-    out = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if (isinstance(child, ast.Attribute) and child.attr == "radius"
-                    and isinstance(child.ctx, ast.Load)
-                    and not (isinstance(child.value, ast.Name) and child.value.id == "args")):
-                out.append((scope, child.lineno))
-            visit(child, scope)
-
-    visit(tree, ())
-    return out
+    return [(scope, node.lineno) for scope, node in attribute_uses(tree, "radius")
+            if isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")]
 
 
 def test_radius_is_read_only_where_input_is_checked():

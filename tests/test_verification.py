@@ -111,11 +111,11 @@ PINNED = {
         ('g2 flip adjoint', 1e-08, '0x1.1e3779b97f4a8p-50'),
         ('V_g2 conjugation by sigma', 1e-10, '0x0.0p+0'),
         ('metric components central', 0.5, '0x0.0p+0'),
-        ('LC torsion residual', 1e-10, '0x1.0000000000000p-52'),
+        ('LC torsion residual', 1e-10, '0x0.0p+0'),
         ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x0.0p+0'),
-        ('torsionless difference is symmetric', 1e-09, '0x0.0p+0'),
+        ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
+        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
         ('Phi_g roundtrip', 1e-10, '0x1.d214dfab7a727p-47'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
@@ -142,11 +142,11 @@ PINNED = {
         ('g2 flip adjoint', 1e-08, '0x1.07e0f66afed07p-50'),
         ('V_g2 conjugation by sigma', 1e-10, '0x0.0p+0'),
         ('metric components central', 0.5, '0x0.0p+0'),
-        ('LC torsion residual', 1e-10, '0x1.0000000000000p-52'),
+        ('LC torsion residual', 1e-10, '0x0.0p+0'),
         ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x0.0p+0'),
-        ('torsionless difference is symmetric', 1e-09, '0x0.0p+0'),
+        ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
+        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
         ('Phi_g roundtrip', 1e-10, '0x1.381a40895d77dp-47'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
@@ -173,11 +173,11 @@ PINNED = {
         ('g2 flip adjoint', 1e-08, '0x1.07e0f66afed07p-49'),
         ('V_g2 conjugation by sigma', 1e-10, '0x0.0p+0'),
         ('metric components central', 0.5, '0x0.0p+0'),
-        ('LC torsion residual', 1e-10, '0x1.4000000000000p-52'),
-        ('LC compatibility residual', 1e-10, '0x1.0000000000000p-53'),
+        ('LC torsion residual', 1e-10, '0x0.0p+0'),
+        ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x1.6a09e667f3bcdp-53'),
-        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-53'),
+        ('LC route agreement', 1e-09, '0x1.4000000000000p-52'),
+        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
         ('Phi_g roundtrip', 1e-10, '0x1.71c73f73f5974p-47'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
@@ -204,11 +204,11 @@ PINNED = {
         ('g2 flip adjoint', 1e-08, '0x1.1e3779b97f4a8p-50'),
         ('V_g2 conjugation by sigma', 1e-10, '0x0.0p+0'),
         ('metric components central', 0.5, '0x0.0p+0'),
-        ('LC torsion residual', 1e-10, '0x1.4000000000000p-52'),
-        ('LC compatibility residual', 1e-10, '0x1.0000000000000p-53'),
+        ('LC torsion residual', 1e-10, '0x0.0p+0'),
+        ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x1.6a09e667f3bcdp-53'),
-        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-53'),
+        ('LC route agreement', 1e-09, '0x1.4000000000000p-52'),
+        ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
         ('Phi_g roundtrip', 1e-10, '0x1.785d68247b9e3p-47'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
