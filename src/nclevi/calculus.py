@@ -194,39 +194,6 @@ def p_sym_many(ts: Sequence[TensorSquare]) -> List[TensorSquare]:
 
 
 @dataclass(frozen=True)
-class CubeProjectors:
-    """Flips on the scalar n^3 coefficient index space E (x) E (x) E.
-
-    s12 and s23 are sigma_12 and sigma_23 as permutation matrices, p12 and p23
-    the projectors (1 + sigma)/2, and b12, b23 orthonormal bases of their ranges.
-    """
-
-    s12: np.ndarray
-    s23: np.ndarray
-    p12: np.ndarray
-    p23: np.ndarray
-    b12: np.ndarray
-    b23: np.ndarray
-
-
-def cube_projectors(n: int) -> CubeProjectors:
-    """The flips of the n^3 index cube, their symmetrizers and range bases."""
-    dim = n ** 3
-    cube = np.arange(dim).reshape(n, n, n)
-    eye = np.eye(dim)
-    # both flips are involutions, so row (i, j, k) of sigma_12 picks column (j, i, k)
-    s12 = eye[cube.transpose(1, 0, 2).ravel()]
-    s23 = eye[cube.transpose(0, 2, 1).ravel()]
-    p12 = 0.5 * (eye + s12)
-    p23 = 0.5 * (eye + s23)
-    bases = []
-    for p in (p12, p23):
-        u, sv, _ = np.linalg.svd(p)
-        bases.append(u[:, :int(np.sum(sv > 0.5))])
-    return CubeProjectors(s12, s23, p12, p23, *bases)
-
-
-@dataclass(frozen=True)
 class BraidReport:
     braid_residual: float
     dim_ran_p12: int
@@ -425,13 +392,23 @@ class CalculusSpec:
         """Verify the braid identity and the restricted-projector bijectivity.
 
         Everything happens on the scalar n^3 coefficient index space: the flips
-        act by index permutation regardless of the algebra coefficients.
+        act by index permutation regardless of the algebra coefficients.  Each
+        symmetrizer's numerical rank on the other's SVD range basis decides
+        bijectivity, independently of phi_g_invert's closed form.
         """
-        c = cube_projectors(self.rank)
-        braid = float(np.max(np.abs(c.s12 @ c.s23 @ c.s12 - c.s23 @ c.s12 @ c.s23)))
-        r12_on_23 = int(np.linalg.matrix_rank(c.p12 @ c.b23, tol=1e-10))
-        r23_on_12 = int(np.linalg.matrix_rank(c.p23 @ c.b12, tol=1e-10))
-        dim12, dim23 = c.b12.shape[1], c.b23.shape[1]
+        dim = self.rank ** 3
+        cube = np.arange(dim).reshape((self.rank,) * 3)
+        eye = np.eye(dim)
+        # both flips are involutions, so row (i, j, k) of sigma_12 picks column (j, i, k)
+        s12 = eye[cube.transpose(1, 0, 2).ravel()]
+        s23 = eye[cube.transpose(0, 2, 1).ravel()]
+        p12, p23 = 0.5 * (eye + s12), 0.5 * (eye + s23)
+        b12, b23 = [u[:, :int(np.sum(sv > 0.5))]
+                    for u, sv, _ in (np.linalg.svd(p) for p in (p12, p23))]
+        braid = float(np.max(np.abs(s12 @ s23 @ s12 - s23 @ s12 @ s23)))
+        r12_on_23 = int(np.linalg.matrix_rank(p12 @ b23, tol=1e-10))
+        r23_on_12 = int(np.linalg.matrix_rank(p23 @ b12, tol=1e-10))
+        dim12, dim23 = b12.shape[1], b23.shape[1]
         bijective = (r12_on_23 == dim23 == dim12 == r23_on_12)
         return BraidReport(braid, dim12, dim23, r12_on_23, r23_on_12, bijective)
 

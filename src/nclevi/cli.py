@@ -30,20 +30,28 @@ from .models import (
     random_central_metric,
     torus_bundle,
 )
-from .serialize import SCHEMA_VERSION, decode_metric, encode_metric, solve_report_fragments
+from .serialize import (
+    SCHEMA_VERSION,
+    decode_metric,
+    encode_metric,
+    json_numbers,
+    solve_report_fragments,
+)
 from .solver import DEFAULT_RESIDUAL_TOL, koszul_oracle, levi_civita
 from .verification import verify_model
 
 
 def _parse_theta(text: str, size: int) -> np.ndarray:
     """Accept a JSON matrix, or a scalar s for theta_01 = s, theta_10 = -s and
-    zeros elsewhere on a block of size >= 2; a smaller block takes only s = 0."""
+    zeros elsewhere on a block of size >= 2; a smaller block takes only s = 0.
+    Every entry must be a JSON number."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError:
         raise NonSkew(f"cannot parse deformation matrix from {text!r}")
-    if not isinstance(value, (int, float)):
-        return np.asarray(value, dtype=float)
+    value = json_numbers(value, "a deformation matrix")
+    if value.ndim:
+        return value
     s = float(value)
     th = np.zeros((size, size))
     if size >= 2:

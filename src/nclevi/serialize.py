@@ -26,8 +26,21 @@ from .solver import LeviCivitaResult
 SCHEMA_VERSION = 1
 
 
-def decode_complex(v) -> complex:
-    return complex(v[0], v[1])
+def json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array.  Anything else
+    -- a bool, a string, an object, an integer past float range -- is a
+    ValueError naming `what`, so no outside input reads as a number it is not."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo.extend(v[::-1])
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{what} must hold JSON numbers only, not {json.dumps(v)}")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{what} holds a number past float range") from exc
 
 
 def _pairs(z: np.ndarray) -> list:
@@ -60,12 +73,17 @@ def decode_element(backend: BackendDescriptor, doc: dict) -> AlgebraElement:
     if backend.kind == MATRIX:
         # a ragged array raises ValueError here; viewing the pairs as complex is
         # bit-exact, where re + 1j*im would lose signed zeros and infinities
-        pairs = np.asarray(doc["entries"], dtype=float)
+        pairs = json_numbers(doc["entries"], "a matrix entry")
         if pairs.ndim != 3 or pairs.shape[-1] != 2:
             raise ValueError(f"matrix entries must be an N x N x 2 array, got {pairs.shape}")
         return AlgebraElement.from_matrix(backend, pairs.view(complex)[..., 0])
-    return AlgebraElement.from_modes(
-        backend, {tuple(k): decode_complex(v) for k, v in doc["terms"]})
+    modes: dict = {}
+    for k, v in doc["terms"]:
+        if tuple(k) in modes:
+            raise ValueError(f"mode {tuple(k)} is given twice")
+        re, im = json_numbers(v, "a graded coefficient")   # exactly [re, im]
+        modes[tuple(k)] = complex(re, im)
+    return AlgebraElement.from_modes(backend, modes)
 
 
 def encode_metric(g: MetricSpec) -> dict:

@@ -6,10 +6,11 @@ algebraic in Gamma, so the Levi-Civita connection is the solution of one
 structured linear system.  Two independent routes are provided: the direct
 solve of {torsion = 0} u {compatibility = dg}, and the reference-connection
 route nabla_0 + Phi_g^{-1}(dg - Pi_g(nabla_0)) with Phi_g inverted through its
-zeta / V_g / P_sym factorization.  Phi_g checks its range with the calculus'
-wedge and its inverse checks its domain against the flip; dg and the Koszul
-oracle's derivatives of g^{-1} each come from one CalculusSpec.d0_many call,
-and the oracle, which needs only central metric components, runs on every model.
+zeta / V_g / P_sym factorization, the restricted (P_sym)_23 by its three-term
+closed form.  Phi_g checks its range with the calculus' wedge and its inverse
+checks its domain against the flip; dg and the Koszul oracle's derivatives of
+g^{-1} each come from one CalculusSpec.d0_many call, and the oracle, which
+needs only central metric components, runs on every model.
 
 Metric components are central, so the direct system splits into one system
 per point of the torus grid over the coordinates the metric varies along (one
@@ -35,7 +36,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ from .calculus import (
     OneForm,
     TensorSquare,
     TwoForm,
-    cube_projectors,
     sigma,
     subtract_many,
     worst_difference,
@@ -243,19 +242,14 @@ def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
     return [_frozen_cube(out) for out in _pi_g_many(g, lmaps)]
 
 
-@lru_cache(maxsize=None)
-def _p23_restricted_inverse(n: int) -> np.ndarray:
-    """Scalar matrix sending Ran(P_23) back to Ran(P_12) along P_23 (braid bijection)."""
-    cube = cube_projectors(n)
-    return cube.b12 @ np.linalg.pinv(cube.p23 @ cube.b12)
-
-
 def phi_g_invert(g: MetricSpec, mmap) -> tuple:
     """Invert Phi_g through zeta o (id (x) V_{g^(2)}) o (P_sym)_23 o (id (x) V_g^{-1}) o zeta^{-1}.
 
     Every factor of the identity (1/2) Phi_g(L) = zeta (id (x) V_{g^(2)})
-    (P_sym)_23 (id (x) V_g^-1) zeta^-1 (L) is inverted in turn; the restricted
-    (P_sym)_23 step uses the braid bijection between the projector ranges.
+    (P_sym)_23 (id (x) V_g^-1) zeta^-1 (L) is inverted in turn.  (P_sym)_23
+    restricted to Ran((P_sym)_12) is a bijection onto Ran((P_sym)_23), because
+    the flip satisfies the braid relation; its inverse sends T, symmetric in
+    its last two indices, to T_jkr + T_kjr - T_rjk.
     """
     return phi_g_invert_many(g, [mmap])[0]
 
@@ -279,15 +273,14 @@ def phi_g_invert_many(g: MetricSpec, mmaps) -> list:
     # undo (id (x) V_{g^(2)}): tau3[j,k,r] = sum_p (sum_q h_kq (M/2)[p][q][j]) h_pr
     hms = _cubes(contract(be, [[(0.5, h[k][q], mmap[p][q][j]) for q in range(n)]
                                for mmap in mmaps for k, p, j in cube]), n)
-    flat3 = contract(be, [[(1.0, hm[k][p][j], h[p][r]) for p in range(n)]
-                          for hm in hms for j, k, r in cube])
+    tau3s = _cubes(contract(be, [[(1.0, hm[k][p][j], h[p][r]) for p in range(n)]
+                                 for hm in hms for j, k, r in cube]), n)
 
-    # undo (P_sym)_23 on the index cube: tau2 = R tau3 with R the restricted inverse
-    rmat = _p23_restricted_inverse(n)
-    size = n ** 3
-    tau2s = _cubes(combine(be, [[(rmat[a, b], flat3[s + b]) for b in range(size)
-                                 if abs(rmat[a, b]) > 1e-14]
-                                for s in range(0, len(flat3), size) for a in range(size)]), n)
+    # undo (P_sym)_23 on Ran((P_sym)_12): tau3 is symmetric in (k, r), and
+    # tau2[j,k,r] = tau3[j,k,r] + tau3[k,j,r] - tau3[r,j,k] is symmetric in
+    # (j, k) with (P_sym)_23 tau2 = tau3
+    tau2s = _cubes(combine(be, [[(1.0, t[j][k][r]), (1.0, t[k][j][r]), (-1.0, t[r][j][k])]
+                                for t in tau3s for j, k, r in cube]), n)
 
     # undo (id (x) V_g^{-1}): tau1[j,k,i] = sum_r tau2[j,k,r] g_ri
     outs = _cubes(contract(be, [[(1.0, tau2[j][k][r], gc[r][i]) for r in range(n)]

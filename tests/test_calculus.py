@@ -155,6 +155,21 @@ def test_bound_does_not_settle_a_flipped_sign(monkeypatch):
     assert len(calls) == 6 + 2 * 3 * 5
 
 
+def test_d_squared_gate_from_both_sides():
+    # exterior_constants[0, 0] moved by delta: the bound no longer settles the check,
+    # and the exact commutators read delta / 2, which the 1e-11 gate takes at
+    # delta = 1e-11 (5e-12) and refuses at delta = 5e-11 (2.5e-11)
+    spec = fuzzy_sphere(1).calculus
+    for delta, accepted in ((1e-11, True), (5e-11, False)):
+        moved = spec.exterior_constants.copy()
+        moved[0, 0] += delta
+        if accepted:
+            assert _rebuild(spec, exterior=moved).d_squared_residual() == pytest.approx(5e-12)
+        else:
+            with pytest.raises(ValueError, match=r"d compose d .*residual 2\.500e-11"):
+                _rebuild(spec, exterior=moved)
+
+
 def _nan_swapped(spec, where: str) -> dict:
     """The generators or the derivations of spec, the first holding one NaN entry."""
     elements = [g.matrix for g in spec.generators] if where == "generator" else \

@@ -580,6 +580,7 @@ def test_matrix_metric_signed_zeros_roundtrip_bit_for_bit(capsys, tmp_path, fuzz
     [[[1.0, 0.0, 0.0, 0.0]]],                       # last axis is not [re, im]
     [[1.0]],                                        # no pairs at all
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],   # 2 x 2 on a 1 x 1 backend
+    [[[True, 0.0]]], [[["1", 0.0]]],                # no JSON numbers, though numpy reads 1
 ])
 def test_malformed_matrix_entries_exit_two(capsys, tmp_path, heis, entries):
     doc = encode_metric(heis.metric)
@@ -615,7 +616,9 @@ def test_metric_file_missing_or_ill_typed_keys_exit_two(capsys, tmp_path, heis, 
 
 @pytest.mark.parametrize("terms", [None, 5, [[[0, 0, 0]]], [7], [[[0, 0, 0], {"re": 1}]]] + [
     # a mode entry is an integer: 1.5 is not read as 1, nor true or "1" as 1
-    [[[0, 0, entry], [1.0, 0.0]]] for entry in (1.5, math.inf, math.nan, True, "1")])
+    [[[0, 0, entry], [1.0, 0.0]]] for entry in (1.5, math.inf, math.nan, True, "1")] + [
+    # nor a coefficient [true, false] as 1
+    [[[0, 0, 0], [True, False]]]])
 def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_comm, terms):
     doc = encode_metric(torus_comm.metric)
     if terms is None:
@@ -629,6 +632,41 @@ def test_metric_file_malformed_graded_terms_exit_two(capsys, tmp_path, torus_com
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+NOT_NUMBERS = "a deformation matrix must hold JSON numbers only"
+
+
+# a bool, a string or an object is no JSON number, though numpy or float() reads
+# some of them as one: true as 1.0, "0.3" as 0.3
+@pytest.mark.parametrize("argv,key,value,detail", [
+    pytest.param(["solve", "--model", "torus"], "theta", {}, NOT_NUMBERS, id="solve-object"),
+    pytest.param(["verify"], "theta", {"a": 1}, NOT_NUMBERS, id="verify-object"),
+    pytest.param(["deform"], "extra-theta", [[0, {}], [0, 0]], NOT_NUMBERS,
+                 id="deform-nested-object"),
+    pytest.param(["solve", "--model", "torus"], "theta", True, NOT_NUMBERS, id="solve-bool"),
+    pytest.param(["solve", "--model", "torus"], "theta", [["0", "0.3"], ["-0.3", "0"]],
+                 NOT_NUMBERS, id="solve-strings"),
+    pytest.param(["deform"], "theta", 10 ** 400,
+                 "a deformation matrix holds a number past float range",
+                 id="deform-past-float-range"),
+])
+def test_deformation_matrices_hold_json_numbers_only(capsys, tmp_path, argv, key, value,
+                                                     detail):
+    _refused_input(capsys, argv + [f"--{key}", json.dumps(value)], detail)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    _refused_input(capsys, argv + ["--config", str(cfg)], detail)
+
+
+def test_metric_file_mode_given_twice_exits_two(capsys, tmp_path, torus_comm):
+    # a dict of the terms would keep the last coefficient, 5, without a word
+    doc = encode_metric(torus_comm.metric)
+    doc["components"][0][0]["terms"] = [[[0, 0, 0], [1, 0]], [[0, 0, 0], [5, 0]]]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    _refused_input(capsys, ["solve", "--model", "torus", "--theta", "0", "--metric", str(path)],
+                    "mode (0, 0, 0) is given twice")
 
 
 TOL_ARGV = {"solve": ["solve", "--model", "heisenberg"], "verify": ["verify"],
@@ -693,8 +731,8 @@ SOLVE_STDOUT_SHA256 = {
     ("fuzzy-sphere", 3, "phi"): "3ccd04856ba9115c8c6a2ae592da8f34c2660b0c76b0ebc762daa67eacc0c831",
     ("fuzzy-sphere", 3, "both"): "b242a76c266b1004f072fe6b2ebc42e753dc0d393b9602447ecb9903956260f9",
     ("heisenberg", 1, "direct"): "7e6f62d2ef3c96e7830df61f647f3366b22ab2fc9357206169d03873d09f4c9d",
-    ("heisenberg", 1, "phi"): "e7a4369a3ae3cf044493c1d230b10223679fb0623e0e75a327760764299adfce",
-    ("heisenberg", 1, "both"): "1d0dc5b02c7c1b531284b154ae56bccc324fc73a4061bd583bf1fbcefaa6cb67",
+    ("heisenberg", 1, "phi"): "fa81c43eaa095cc4ec1ecfd61dafa0e8fbe1f7e623c4f59fc4a9c8ffae18d404",
+    ("heisenberg", 1, "both"): "740ec26e403c17d9c491c9c14863fa0833aa768e78ea6b84977eaab9ec97a775",
 }
 
 

@@ -2,10 +2,11 @@
 
 The exit status of an error is its class's `exit_code`, so the CLI catches
 `GeometryError` once and names no subclass; the Levi-Civita gate is
-`solver.certify`, so only the solver raises `Inconsistent`; and grid values
+`solver.certify`, so only the solver raises `Inconsistent`; grid values
 become elements in `TorusGrid.read_back`, so the solver builds no central
-element itself.  The code is read from its syntax trees, so a docstring that
-names one of these does not count.
+element itself; and the one dense pseudo-inverse is the wedge table's, so
+Phi_g^{-1} undoes (P_sym)_23 by its closed form.  The code is read from its
+syntax trees, so a docstring that names one of these does not count.
 """
 
 import ast
@@ -81,3 +82,23 @@ def test_solver_builds_no_central_element():
     calls = [node.lineno for node in ast.walk(_tree("solver"))
              if isinstance(node, ast.Call) and "central_element" in _names(node.func)]
     assert not calls, f"solver.py calls central_element at lines {calls}"
+
+
+def _callers(name: str) -> list:
+    """(module, enclosing class and function) of every call whose callee names `name`."""
+    out = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in _names(child.func):
+                out.append((module, ".".join(where)))
+            scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, where + (child.name,) if scope else where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return out
+
+
+def test_the_only_pseudo_inverse_is_the_wedge_tables():
+    assert _callers("pinv") == [("calculus", "CalculusSpec._validate")]

@@ -142,6 +142,13 @@ def test_singular_metric_zero_row(fuzzy1):
         MetricSpec.from_scalar_matrix(spec, np.diag([1.0, 1.0, 0.0]))
 
 
+def test_singular_value_floor_from_both_sides(heis):
+    # the 1e-8 floor on the relative singular value: 3e-8 builds, 3e-9 is refused
+    MetricSpec.from_scalar_matrix(heis.calculus, np.diag([1.0, 1.0, 3e-8]))
+    with pytest.raises(SingularMetric, match=r"relative singular value 3\.000e-09"):
+        MetricSpec.from_scalar_matrix(heis.calculus, np.diag([1.0, 1.0, 3e-9]))
+
+
 def test_singular_metric_vanishing_component(torus_comm):
     # phi = 1 - cos(2 pi x_3) vanishes on the torus: not invertible
     spec = torus_comm.calculus

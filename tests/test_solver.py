@@ -19,7 +19,7 @@ from nclevi.algebra import (
     wide_mul,
     wide_sum,
 )
-from nclevi.calculus import CalculusSpec, TwoForm
+from nclevi.calculus import CalculusSpec, TwoForm, worst_difference
 from nclevi.errors import (
     Inconsistent,
     NonCommutativeBackend,
@@ -299,6 +299,65 @@ def test_phi_roundtrip_nonconstant_metric(torus_comm):
     worst = max(wide_sum([back[i][j][k], -lmap[i][j][k]]).norm()
                 for i in range(n) for j in range(n) for k in range(n))
     assert worst <= 1e-8
+
+
+def test_phi_roundtrip_is_exact_to_rounding():
+    # the closed-form inverse of (P_sym)_23 leaves Phi_g^{-1}(Phi_g(L)) within
+    # 2 eps max|L| of L on the canonical metrics
+    eps = np.finfo(float).eps
+    models = [fuzzy_sphere(1), heisenberg()] + [
+        torus_bundle(m, m - 1, np.zeros((m - 1, m - 1)), 2) for m in range(2, 6)]
+    rng = np.random.default_rng(0)
+    for model in models:
+        n = model.calculus.rank
+        unit = AlgebraElement.unit(model.backend)
+        raws = rng.standard_normal((10, n, n, n)) + 1j * rng.standard_normal((10, n, n, n))
+        raws = raws + np.transpose(raws, (0, 1, 3, 2))
+        lmaps = [[[[unit * raw[i, j, k] for k in range(n)] for j in range(n)]
+                  for i in range(n)] for raw in raws]
+        backs = solver.phi_g_invert_many(model.metric,
+                                         solver.phi_g_apply_many(model.metric, lmaps))
+        for raw, lmap, back in zip(raws, lmaps, backs):
+            err = worst_difference((back[i][j][k], lmap[i][j][k])
+                                   for i, j, k in np.ndindex(n, n, n))
+            assert err <= 2 * eps * np.abs(raw).max(), (model.name, n, err)
+
+
+def test_phi_domain_check_from_both_sides(heis):
+    # M = Phi_g(L) has max|M| = 2.95, so the domain check's tolerance is 2.95e-9:
+    # a flip defect of 1e-9 in M[0][1][2] passes, one of 6e-9 is refused
+    unit = AlgebraElement.unit(heis.backend)
+    raw = np.random.default_rng(0).standard_normal((3, 3, 3))
+    raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+    lmap = [[[unit * raw[i, j, k] for k in range(3)] for j in range(3)] for i in range(3)]
+    mmap = phi_g_apply(heis.metric, lmap)
+    assert max(x.norm() for plane in mmap for row in plane for x in row) \
+        == pytest.approx(2.948, abs=1e-3)
+    for defect, accepted in ((1e-9, True), (6e-9, False)):
+        moved = [[list(row) for row in plane] for plane in mmap]
+        moved[0][1][2] = moved[0][1][2] + unit * defect
+        if accepted:
+            phi_g_invert(heis.metric, moved)
+        else:
+            with pytest.raises(RangeNotSymmetric):
+                phi_g_invert(heis.metric, moved)
+
+
+def test_levi_civita_gate_from_both_sides(heis):
+    # on heisenberg() the gate's scale is 1: Gamma^0_12 nudged by 3e-11 passes
+    # the 1e-10 gate, and by 3e-10 it is refused
+    res = levi_civita(heis.calculus, heis.metric)
+    dg = solver._derivatives(heis.calculus, heis.metric.components)
+    for nudge, accepted in ((3e-11, True), (3e-10, False)):
+        gamma = [[list(row) for row in plane] for plane in res.connection.gamma]
+        gamma[0][1][2] = gamma[0][1][2] + AlgebraElement.unit(heis.backend) * nudge
+        nabla = ConnectionCoeffs(heis.calculus, gamma)
+        if accepted:
+            assert max(solver.certify(nabla, heis.metric, dg, 1e-10, "gate")) \
+                == pytest.approx(3e-11, rel=1e-6)
+        else:
+            with pytest.raises(Inconsistent, match="gate"):
+                solver.certify(nabla, heis.metric, dg, 1e-10, "gate")
 
 
 def test_phi_rejects_asymmetric_range(fuzzy1):

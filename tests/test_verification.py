@@ -50,7 +50,7 @@ PINNED = {
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
         ('LC route agreement', 1e-09, '0x0.0p+0'),
         ('torsionless difference is symmetric', 1e-09, '0x0.0p+0'),
-        ('Phi_g roundtrip', 1e-10, '0x1.7d2d5802aaefep-47'),
+        ('Phi_g roundtrip', 1e-10, '0x1.0000000000000p-51'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
         ('deformed product associativity', 1e-12, '0x1.99ccc999fff00p-47'),
         ('theta = 0 recovers the product', 1e-15, '0x0.0p+0'),
@@ -83,7 +83,7 @@ PINNED = {
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
         ('LC route agreement', 1e-09, '0x0.0p+0'),
         ('torsionless difference is symmetric', 1e-09, '0x0.0p+0'),
-        ('Phi_g roundtrip', 1e-10, '0x1.7c102ac599a6ep-48'),
+        ('Phi_g roundtrip', 1e-10, '0x1.0000000000000p-52'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
         ('deformed product associativity', 1e-12, '0x1.2c9cda6892035p-47'),
         ('theta = 0 recovers the product', 1e-15, '0x0.0p+0'),
@@ -116,7 +116,7 @@ PINNED = {
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
         ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
         ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
-        ('Phi_g roundtrip', 1e-10, '0x1.d214dfab7a727p-47'),
+        ('Phi_g roundtrip', 1e-10, '0x1.0000000000000p-51'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
     ('fuzzy', 1): [
@@ -147,7 +147,7 @@ PINNED = {
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
         ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
         ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
-        ('Phi_g roundtrip', 1e-10, '0x1.381a40895d77dp-47'),
+        ('Phi_g roundtrip', 1e-10, '0x1.1e3779b97f4a8p-52'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
     ('heis', 0): [
@@ -176,9 +176,9 @@ PINNED = {
         ('LC torsion residual', 1e-10, '0x0.0p+0'),
         ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x1.4000000000000p-52'),
+        ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
         ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
-        ('Phi_g roundtrip', 1e-10, '0x1.71c73f73f5974p-47'),
+        ('Phi_g roundtrip', 1e-10, '0x1.0000000000000p-51'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
     ('heis', 1): [
@@ -207,9 +207,9 @@ PINNED = {
         ('LC torsion residual', 1e-10, '0x0.0p+0'),
         ('LC compatibility residual', 1e-10, '0x0.0p+0'),
         ('LC kernel certificate', 0.5, '0x0.0p+0'),
-        ('LC route agreement', 1e-09, '0x1.4000000000000p-52'),
+        ('LC route agreement', 1e-09, '0x1.0000000000000p-53'),
         ('torsionless difference is symmetric', 1e-09, '0x1.0000000000000p-52'),
-        ('Phi_g roundtrip', 1e-10, '0x1.785d68247b9e3p-47'),
+        ('Phi_g roundtrip', 1e-10, '0x1.07e0f66afed07p-52'),
         ('compatibility defect sigma-invariant', 1e-09, '0x0.0p+0'),
     ],
 }
