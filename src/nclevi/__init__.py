@@ -21,13 +21,11 @@ from .calculus import (
     OneForm,
     TensorSquare,
     TwoForm,
-    p_sym,
     sigma,
 )
 from .deformation import (
     TorusAction,
     deform_connection,
-    deform_product,
     spectral_decompose,
 )
 from .errors import (
@@ -54,7 +52,6 @@ from .solver import (
     koszul_oracle,
     levi_civita,
     nabla0,
-    phi_g_apply,
     phi_g_invert,
     pi_g_basis,
     torsion,

@@ -108,15 +108,6 @@ class Module:
 
     __slots__ = ("coeffs",)
 
-    def __add__(self, other: "Module") -> "Module":
-        return _pairwise([(self, other)], 1.0)[0]
-
-    def __sub__(self, other: "Module") -> "Module":
-        return _pairwise([(self, other)], -1.0)[0]
-
-    def __neg__(self) -> "Module":
-        return self.scale(-1.0)
-
     def scale(self, z: complex) -> "Module":
         return _rebuild([self], [c * z for c in _coefficients(self)])[0]
 
@@ -183,13 +174,9 @@ def sigma(t: TensorSquare) -> TensorSquare:
     return TensorSquare([[t.coeffs[j][i] for j in range(n)] for i in range(n)])
 
 
-def p_sym(t: TensorSquare) -> TensorSquare:
-    """Symmetrizer (1 + sigma)/2; its range is Ker(wedge)."""
-    return p_sym_many([t])[0]
-
-
 def p_sym_many(ts: Sequence[TensorSquare]) -> List[TensorSquare]:
-    """p_sym of every tensor square, in one kernel call."""
+    """The symmetrizer (1 + sigma)/2 of every tensor square, in one kernel
+    call; its range is Ker(wedge)."""
     return [s.scale(0.5) for s in _pairwise([(t, sigma(t)) for t in ts], 1.0)]
 
 
@@ -322,12 +309,9 @@ class CalculusSpec:
         flat = derive_many([(d, a) for a in elements for d in self.derivations])
         return [OneForm(flat[s * n:(s + 1) * n]) for s in range(len(elements))]
 
-    def wedge(self, t: TensorSquare) -> TwoForm:
-        """Quotiented multiplication: b_a = sum_ij c^a_ij a_ij."""
-        return self.wedge_many([t])[0]
-
     def wedge_many(self, ts: Sequence[TensorSquare]) -> List[TwoForm]:
-        """wedge of every tensor square, in one kernel call."""
+        """The quotiented multiplication b_a = sum_ij c^a_ij a_ij of every
+        tensor square, in one kernel call."""
         if not ts:
             return []
         n, m = self.rank, self.two_form_rank

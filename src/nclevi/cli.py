@@ -226,7 +226,8 @@ def _apply_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    command = argv[0] if argv and not argv[0].startswith("-") else None
+    rest = argv[:idx] + argv[idx + 2:]
+    command = rest[0] if rest and not rest[0].startswith("-") else None
     sub = parser.commands.get(command)
     allowed = sub.option_dests if sub else frozenset()
     flags: List[str] = []
@@ -234,10 +235,12 @@ def _apply_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
         dest = key.replace("-", "_")
         if dest not in allowed:
             raise ValueError(f"unknown config key {key!r} for command {command!r}")
+        if value is None or isinstance(value, bool):
+            raise ValueError(f"config key {key!r} is {json.dumps(value)}: "
+                             "no option takes null or a boolean")
         if not isinstance(value, str):
             value = json.dumps(value)
         flags += [f"--{dest.replace('_', '-')}", value]
-    rest = argv[:idx] + argv[idx + 2:]
     # config supplies defaults; explicit flags later on the line win
     return [rest[0]] + flags + rest[1:] if rest else flags
 

@@ -71,15 +71,10 @@ def spectral_decompose(x: AlgebraElement, action: TorusAction) -> Dict[tuple, Al
 # -- deformed operations -------------------------------------------------------
 
 
-def deform_product(a: AlgebraElement, b: AlgebraElement, theta,
-                   action: TorusAction) -> AlgebraElement:
-    """a x_theta b = sum_{k,l} chi_theta(k, l) a_k b_l over the isotypical parts."""
-    return deform_product_many([(a, b)], theta, action)[0]
-
-
 def deform_product_many(pairs: Sequence[Tuple[AlgebraElement, AlgebraElement]], theta,
                         action: TorusAction) -> List[AlgebraElement]:
-    """deform_product(a, b, theta, action) for every pair, in one kernel call."""
+    """a x_theta b = sum_{k,l} chi_theta(k, l) a_k b_l over the isotypical
+    parts, for every pair (a, b), in one kernel call."""
     th = require_skew(theta, action.ndim)
     slots = []
     for a, b in pairs:

@@ -63,10 +63,6 @@ class Functional(Module):
     def rank(self) -> int:
         return len(self.coeffs)
 
-    def __call__(self, omega: OneForm) -> AlgebraElement:
-        return contract(self.coeffs[0].backend,
-                        [[(1.0, f, a) for f, a in zip(self.coeffs, omega.coeffs)]])[0]
-
 
 def central_coords(elements: Sequence[AlgebraElement]) -> Tuple[int, ...]:
     """The coordinates along which some of the graded elements vary; () on the matrix backend."""

@@ -6,9 +6,8 @@ modes in sorted order so documents are deterministic.
 A solve report has one writer, ``solve_report_fragments``, which writes the
 JSON text directly as a list of strings: each distinct matrix-backend
 Christoffel entry is encoded once, and an entry held as c I is written from
-its two spelt values without building the matrix.  ``solve_report_text``
-joins the fragments, and ``solve_report`` is that text parsed back into a
-dict.
+its two spelt values without building the matrix.  ``solve_report`` is
+the joined fragments parsed back into a dict.
 """
 
 from __future__ import annotations
@@ -124,14 +123,9 @@ def _element_text(a: AlgebraElement, memo: dict) -> str:
 
 
 def solve_report(result: LeviCivitaResult, model_name: str, metric_source: str) -> dict:
-    """The solve report as a dict: solve_report_text's document, parsed."""
-    return json.loads(solve_report_text(result, model_name, metric_source))
-
-
-def solve_report_text(result: LeviCivitaResult, model_name: str, metric_source: str) -> str:
-    """The solve report as JSON text with sorted keys: the fragments of
-    `solve_report_fragments`, joined."""
-    return "".join(solve_report_fragments(result, model_name, metric_source))
+    """The solve report as a dict: the joined fragments of
+    `solve_report_fragments`, parsed."""
+    return json.loads("".join(solve_report_fragments(result, model_name, metric_source)))
 
 
 def solve_report_fragments(result: LeviCivitaResult, model_name: str,

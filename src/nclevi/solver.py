@@ -141,7 +141,7 @@ def _pi_g_many(g: MetricSpec, xs, minus=None) -> list:
     """Pi_g of every component cube x in xs: entry [i][j][l] = sum_k g_kj x^i_kl +
     g_ki x^j_kl, less the one cube minus[i][j][l] when given, in one kernel call.
 
-    pi_g_basis, compat_residual and phi_g_apply all evaluate Pi_g here.
+    pi_g_basis, compat_residual and phi_g_apply_many all evaluate Pi_g here.
     """
     n = g.rank
     gc = g.components
@@ -222,17 +222,13 @@ def _tolerance(cube) -> float:
     return 1e3 * DEFAULT_TOL * top if top < math.inf else math.nan
 
 
-def phi_g_apply(g: MetricSpec, lmap) -> tuple:
-    """Phi_g(L) = (g (x) id) sigma_23 (L (x) id)(1 + sigma) on components.
+def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
+    """Phi_g(L) = (g (x) id) sigma_23 (L (x) id)(1 + sigma) on components, for
+    every map L, in two kernel calls.
 
     lmap[i][j][k] are the components of L(e_i) = sum e_j (x) e_k L^i_jk, each
     value in Ker(wedge); the output indexes M(e_p (x) e_q) = sum_l e_l M[p][q][l].
     """
-    return phi_g_apply_many(g, [lmap])[0]
-
-
-def phi_g_apply_many(g: MetricSpec, lmaps) -> list:
-    """phi_g_apply of every map, in two kernel calls; each value L(e_i) must be in Ker(wedge)."""
     n = g.rank
     wedges = g.calculus.wedge_many([TensorSquare(lmap[i]) for lmap in lmaps for i in range(n)])
     tols = [_tolerance(lmap) for lmap in lmaps]

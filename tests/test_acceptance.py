@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from nclevi.algebra import AlgebraElement, random_element, wide_mul, wide_sum
-from nclevi.calculus import p_sym, random_tensor_square, sigma
-from nclevi.deformation import deform_connection, deform_product, require_skew
+from nclevi.calculus import p_sym_many, random_tensor_square, sigma, worst_difference
+from nclevi.deformation import deform_connection, deform_product_many, require_skew
 from nclevi.errors import SingularMetric
 from nclevi.metric import MetricSpec, v_g2_matrix
 from nclevi.models import (
@@ -18,7 +18,7 @@ from nclevi.models import (
     random_central_metric,
     torus_bundle,
 )
-from nclevi.solver import koszul_oracle, levi_civita, phi_g_apply, phi_g_invert
+from nclevi.solver import koszul_oracle, levi_civita, phi_g_apply_many, phi_g_invert
 
 from test_solver import EPS, HEISENBERG_EXPECTED
 
@@ -147,24 +147,26 @@ def test_criterion_6_deformed_product_laws():
     action = model.action
     theta = np.array([[0.0, 0.29], [-0.29, 0.0]])
     rng = np.random.default_rng(6)
-    worst_assoc = 0.0
-    for _ in range(100):
-        a, b, c = (random_element(model.backend, rng, radius=3) for _ in range(3))
-        lhs = deform_product(deform_product(a, b, theta, action), c, theta, action)
-        rhs = deform_product(a, deform_product(b, c, theta, action), theta, action)
-        worst_assoc = max(worst_assoc, wide_sum([lhs, -rhs]).norm())
 
-    worst_zero = 0.0
-    zero_theta = np.zeros((2, 2))
-    for _ in range(100):
-        a, b = (random_element(model.backend, rng, radius=3) for _ in range(2))
-        d = wide_sum([deform_product(a, b, zero_theta, action), -wide_mul(a, b)])
-        worst_zero = max(worst_zero, d.norm())
+    def times(pairs, th=theta):
+        return deform_product_many(pairs, th, action)
+
+    triples = [tuple(random_element(model.backend, rng, radius=3) for _ in range(3))
+               for _ in range(100)]
+    ab = times([(a, b) for a, b, _ in triples])
+    bc = times([(b, c) for _, b, c in triples])
+    lhs = times([(x, c) for x, (_, _, c) in zip(ab, triples)])
+    rhs = times([(a, x) for x, (a, _, _) in zip(bc, triples)])
+    worst_assoc = max(wide_sum([l, -r]).norm() for l, r in zip(lhs, rhs))
+
+    pairs = [tuple(random_element(model.backend, rng, radius=3) for _ in range(2))
+             for _ in range(100)]
+    worst_zero = max(wide_sum([p, -wide_mul(a, b)]).norm()
+                     for p, (a, b) in zip(times(pairs, np.zeros((2, 2))), pairs))
 
     u = AlgebraElement.single_mode(model.backend, (1, 0))
     v = AlgebraElement.single_mode(model.backend, (0, 1))
-    uv = deform_product(u, v, theta, action).coefficient((1, 1))
-    vu = deform_product(v, u, theta, action).coefficient((1, 1))
+    uv, vu = (x.coefficient((1, 1)) for x in times([(u, v), (v, u)]))
     phase_err = abs(uv / vu - np.exp(2j * np.pi * 0.29))
 
     ok = worst_assoc <= 1e-12 and worst_zero == 0.0 and phase_err <= 1e-14
@@ -183,11 +185,11 @@ def test_criterion_7_structural_invariants():
     for model in all_models():
         spec, g = model.calculus, model.metric
         n = spec.rank
-        for _ in range(10):
-            t = random_tensor_square(spec, rng)
-            worst["sigma"] = max(worst["sigma"], (sigma(sigma(t)) - t).norm())
-            worst["psym"] = max(worst["psym"], (p_sym(p_sym(t)) - p_sym(t)).norm())
-            worst["wedge"] = max(worst["wedge"], spec.wedge(p_sym(t)).norm())
+        ts = [random_tensor_square(spec, rng) for _ in range(10)]
+        sym = p_sym_many(ts)
+        worst["sigma"] = max(worst["sigma"], worst_difference([(sigma(sigma(t)), t) for t in ts]))
+        worst["psym"] = max(worst["psym"], worst_difference(zip(p_sym_many(sym), sym)))
+        worst["wedge"] = max(worst["wedge"], max(w.norm() for w in spec.wedge_many(sym)))
         report = spec.braid_check()
         worst["braid"] = max(worst["braid"], report.braid_residual)
         bijective = bijective and report.bijective
@@ -200,12 +202,14 @@ def test_criterion_7_structural_invariants():
                                       -m2.entry((k, l), (j, i))])
                         worst["vg2"] = max(worst["vg2"], d.norm())
         unit = AlgebraElement.unit(spec.backend)
+        lmaps = []
         for _ in range(5):
             raw = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
             raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-            lmap = [[[unit * raw[i, j, k] for k in range(n)] for j in range(n)]
-                    for i in range(n)]
-            back = phi_g_invert(g, phi_g_apply(g, lmap))
+            lmaps.append([[[unit * raw[i, j, k] for k in range(n)] for j in range(n)]
+                          for i in range(n)])
+        for lmap, mmap in zip(lmaps, phi_g_apply_many(g, lmaps)):
+            back = phi_g_invert(g, mmap)
             worst["phi"] = max(worst["phi"], max(
                 wide_sum([back[i][j][k], -lmap[i][j][k]]).norm()
                 for i in range(n) for j in range(n) for k in range(n)))

@@ -24,7 +24,7 @@ from nclevi.algebra import (
     worst,
 )
 from nclevi.calculus import OneForm
-from nclevi.deformation import TorusAction, deform_product
+from nclevi.deformation import TorusAction, deform_product_many
 from nclevi.errors import BackendMismatch, NonSkew, TruncationOverflow
 from nclevi.models import torus_bundle
 
@@ -484,7 +484,7 @@ def test_deform_product_at_zero_theta_is_wide_mul_exactly(a, b, coords):
     # the kernel adds the contributions to a mode in a fixed order, so splitting
     # the operands into isotypical components cannot change a single bit
     action = TorusAction(coords=coords)
-    got = deform_product(a, b, np.zeros((2, 2)), action)
+    (got,) = deform_product_many([(a, b)], np.zeros((2, 2)), action)
     want = wide_mul(a, b)
     assert got.modes == want.modes
     assert np.array_equal(got.coeff_array, want.coeff_array)

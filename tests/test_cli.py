@@ -18,7 +18,7 @@ from nclevi.serialize import (
     decode_metric,
     encode_element,
     encode_metric,
-    solve_report_text,
+    solve_report_fragments,
 )
 from nclevi.solver import ConnectionCoeffs, levi_civita
 
@@ -352,6 +352,28 @@ def test_config_keys_are_the_subcommand_options(capsys, tmp_path, command):
         assert f"unknown config key {key!r}" in json.loads(out)["detail"]
 
 
+def test_config_may_come_before_or_after_the_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2}))
+    after = run_cli(capsys, ["solve", "--config", str(cfg), "--model", "fuzzy-sphere"])
+    before = run_cli(capsys, ["--config", str(cfg), "solve", "--model", "fuzzy-sphere"])
+    flags = run_cli(capsys, ["solve", "--model", "fuzzy-sphere", "--k", "2"])
+    assert after[0] == before[0] == 0 and after[1] == before[1] == flags[1]
+
+
+@pytest.mark.parametrize("value", [None, True, False])
+@pytest.mark.parametrize("key", ["out", "metric", "tol"])
+def test_config_null_or_boolean_is_refused(capsys, tmp_path, monkeypatch, key, value):
+    # no option takes either, and spelt as text a null or a boolean would be read as
+    # the file name "null" or "true"
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    _refused_input(capsys, ["solve", "--model", "heisenberg", "--config", str(cfg)],
+                   f"config key {key!r} is {json.dumps(value)}")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_solve_takes_no_seed(capsys, tmp_path):
     # solve draws nothing at random, so it has no seed to set
     with pytest.raises(SystemExit) as exc:
@@ -478,8 +500,8 @@ def test_central_entry_text_matches_the_full_matrix_encoder(fuzzy1):
     full = [[[AlgebraElement.from_matrix(be, a.matrix) for a in row] for row in plane]
             for plane in gamma]
     twin = dataclasses.replace(result, connection=ConnectionCoeffs(fuzzy1.calculus, full))
-    assert solve_report_text(result, "fuzzy-sphere", "default") \
-        == solve_report_text(twin, "fuzzy-sphere", "default")
+    assert "".join(solve_report_fragments(result, "fuzzy-sphere", "default")) \
+        == "".join(solve_report_fragments(twin, "fuzzy-sphere", "default"))
 
 
 @pytest.fixture
@@ -656,6 +678,8 @@ def test_deformation_matrices_hold_json_numbers_only(capsys, tmp_path, argv, key
     _refused_input(capsys, argv + [f"--{key}", json.dumps(value)], detail)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
+    if isinstance(value, bool):     # a config file's boolean is refused for every key
+        detail = f"config key {key!r} is {json.dumps(value)}"
     _refused_input(capsys, argv + ["--config", str(cfg)], detail)
 
 
@@ -761,7 +785,7 @@ def test_streamed_report_is_the_report_text(capsys, tmp_path, model, route):
     args = cli.build_parser().parse_args(argv)
     calc_model, g, source, tol = args.read(args)
     result = levi_civita(calc_model.calculus, g, route=route, residual_tol=tol)
-    want = solve_report_text(result, calc_model.name, source) + "\n"
+    want = "".join(solve_report_fragments(result, calc_model.name, source)) + "\n"
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and out == want
     path = tmp_path / "report.json"

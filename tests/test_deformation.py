@@ -16,7 +16,7 @@ from nclevi.deformation import (
     deform_connection,
     deform_element,
     deform_metric,
-    deform_product,
+    deform_product_many,
     require_skew,
     spectral_decompose,
 )
@@ -43,7 +43,7 @@ def bicharacter(theta, k, l):
     """chi_theta(k, l): the coefficient of U^{k+l} in U^k x_theta U^l on the untwisted plane."""
     u = AlgebraElement.single_mode(PLANE.backend, k)
     v = AlgebraElement.single_mode(PLANE.backend, l)
-    prod = deform_product(u, v, theta, PLANE.action)
+    (prod,) = deform_product_many([(u, v)], theta, PLANE.action)
     return prod.coefficient(tuple(a + b for a, b in zip(k, l)))
 
 
@@ -80,11 +80,11 @@ def test_one_skew_bound_for_every_theta():
     model = torus_bundle(3, 2, near, radius=2)
     u = AlgebraElement.single_mode(model.backend, (1, 0, 0))
     v = AlgebraElement.single_mode(model.backend, (0, 1, 0))
-    assert deform_product(u, v, near, model.action).norm() == pytest.approx(1.0)
+    assert deform_product_many([(u, v)], near, model.action)[0].norm() == pytest.approx(1.0)
     far = np.array([[0.0, 0.3], [-0.3 + 2e-12, 0.0]])
     for check in (lambda: require_skew(far), lambda: torus_bundle(3, 2, far, radius=2),
                   lambda: BackendDescriptor.graded(2, far, 2),
-                  lambda: deform_product(u, v, far, model.action)):
+                  lambda: deform_product_many([(u, v)], far, model.action)):
         with pytest.raises(NonSkew, match="not skew-symmetric"):
             check()
 
@@ -96,10 +96,9 @@ def test_theta_zero_recovers_product(torus2_twisted):
     be = torus2_twisted.backend
     action = torus2_twisted.action
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        a, b = random_element(be, rng), random_element(be, rng)
-        d = wide_sum([deform_product(a, b, np.zeros((2, 2)), action), -wide_mul(a, b)])
-        assert d.norm() <= TOL
+    pairs = [(random_element(be, rng), random_element(be, rng)) for _ in range(10)]
+    for prod, (a, b) in zip(deform_product_many(pairs, np.zeros((2, 2)), action), pairs):
+        assert wide_sum([prod, -wide_mul(a, b)]).norm() <= TOL
 
 
 def test_single_mode_phase():
@@ -108,9 +107,8 @@ def test_single_mode_phase():
     u = AlgebraElement.single_mode(model.backend, (1, 0))
     v = AlgebraElement.single_mode(model.backend, (0, 1))
     th = skew2(0.25)
-    uv = deform_product(u, v, th, model.action)
+    uv, vu = deform_product_many([(u, v), (v, u)], th, model.action)
     assert abs(uv.coefficient((1, 1)) - np.exp(1j * np.pi * 0.25)) <= 1e-14
-    vu = deform_product(v, u, th, model.action)
     ratio = uv.coefficient((1, 1)) / vu.coefficient((1, 1))
     assert abs(ratio - np.exp(2j * np.pi * 0.25)) <= 1e-14
 
@@ -120,9 +118,9 @@ def test_deform_product_equals_twisted_backend_product():
     th = skew2(0.41)
     be_t = deform_backend(model.backend, th, model.action)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        a, b = random_element(model.backend, rng), random_element(model.backend, rng)
-        via_formula = deform_product(a, b, th, model.action)
+    pairs = [(random_element(model.backend, rng), random_element(model.backend, rng))
+             for _ in range(10)]
+    for via_formula, (a, b) in zip(deform_product_many(pairs, th, model.action), pairs):
         via_backend = wide_mul(deform_element(a, be_t), deform_element(b, be_t))
         worst = wide_sum([deform_element(via_formula, be_t), -via_backend]).norm()
         assert worst <= 10 * TOL
@@ -132,13 +130,12 @@ def test_deformed_associativity():
     model = torus_bundle(2, 2, np.zeros((2, 2)), radius=12)
     th = skew2(0.3)
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(100):
-        a, b, c = (random_element(model.backend, rng) for _ in range(3))
-        lhs = deform_product(deform_product(a, b, th, model.action), c, th, model.action)
-        rhs = deform_product(a, deform_product(b, c, th, model.action), th, model.action)
-        worst = max(worst, wide_sum([lhs, -rhs]).norm())
-    assert worst <= 1e-12
+    triples = [tuple(random_element(model.backend, rng) for _ in range(3)) for _ in range(100)]
+    ab = deform_product_many([(a, b) for a, b, _ in triples], th, model.action)
+    bc = deform_product_many([(b, c) for _, b, c in triples], th, model.action)
+    lhs = deform_product_many([(x, c) for x, (_, _, c) in zip(ab, triples)], th, model.action)
+    rhs = deform_product_many([(a, x) for x, (a, _, _) in zip(bc, triples)], th, model.action)
+    assert max(wide_sum([l, -r]).norm() for l, r in zip(lhs, rhs)) <= 1e-12
 
 
 def test_iterated_deformation_composes():
@@ -150,9 +147,9 @@ def test_iterated_deformation_composes():
     assert be12 == deform_backend(model.backend, th1 + th2, model.action)
     u = AlgebraElement.single_mode(model.backend, (1, 0))
     v = AlgebraElement.single_mode(model.backend, (0, 1))
-    staged = deform_product(deform_element(u, be1), deform_element(v, be1),
-                            th2, model.action)
-    combo = deform_product(u, v, th1 + th2, model.action)
+    (staged,) = deform_product_many([(deform_element(u, be1), deform_element(v, be1))],
+                                    th2, model.action)
+    (combo,) = deform_product_many([(u, v)], th1 + th2, model.action)
     assert abs(staged.coefficient((1, 1)) - combo.coefficient((1, 1))) <= TOL
     assert abs(combo.coefficient((1, 1)) - np.exp(1j * np.pi * (0.21 + 0.13))) <= TOL
 
@@ -223,10 +220,10 @@ def test_totality_witness_per_grade(torus_twisted):
     be = torus_twisted.backend
     th = skew2(0.43)
     one = AlgebraElement.unit(be)
-    for m in [(1, 0, 0), (0, 1, 0), (2, -1, 0), (1, 2, 3)]:
-        u = AlgebraElement.single_mode(be, m)
-        ubar = AlgebraElement.single_mode(be, tuple(-x for x in m))
-        prod = deform_product(ubar, u, th, torus_twisted.action)
+    pairs = [(AlgebraElement.single_mode(be, tuple(-x for x in m)),
+              AlgebraElement.single_mode(be, m))
+             for m in [(1, 0, 0), (0, 1, 0), (2, -1, 0), (1, 2, 3)]]
+    for prod in deform_product_many(pairs, th, torus_twisted.action):
         assert wide_sum([prod, -one]).norm() <= TOL
 
 
@@ -235,13 +232,11 @@ def test_grade_zero_subalgebra_undeformed(torus_twisted):
     be = torus_twisted.backend
     th = skew2(0.39)
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        a = AlgebraElement.from_modes(be, {(0, 0, j): rng.standard_normal()
-                                           for j in range(-1, 2)})
-        b = AlgebraElement.from_modes(be, {(0, 0, j): rng.standard_normal()
-                                           for j in range(-1, 2)})
-        d = wide_sum([deform_product(a, b, th, torus_twisted.action), -wide_mul(a, b)])
-        assert d.norm() <= TOL
+    pairs = [tuple(AlgebraElement.from_modes(be, {(0, 0, j): rng.standard_normal()
+                                                  for j in range(-1, 2)}) for _ in range(2))
+             for _ in range(10)]
+    for prod, (a, b) in zip(deform_product_many(pairs, th, torus_twisted.action), pairs):
+        assert wide_sum([prod, -wide_mul(a, b)]).norm() <= TOL
 
 
 def test_spectral_decompose_backend_mismatch(fuzzy1, torus_twisted):

@@ -406,18 +406,6 @@ def test_hilbert_module_identity(fuzzy1):
         assert wide_sum([lhs, -rhs]).norm() <= 1e-9
 
 
-def test_functional_evaluation_contract(fuzzy1):
-    # phi(sum e_i a_i) = sum phi_i a_i
-    spec = fuzzy1.calculus
-    rng = np.random.default_rng(6)
-    phis = [random_element(spec.backend, rng) for _ in range(3)]
-    phi = Functional(phis)
-    w = random_one_form(spec, rng)
-    got = phi(w)
-    want = wide_sum([wide_mul(p, a) for p, a in zip(phis, w.coeffs)])
-    assert wide_sum([got, -want]).norm() <= TOL
-
-
 def test_v_g_inverse_then_v_g(fuzzy1, torus_comm):
     rng = np.random.default_rng(7)
     for model in (fuzzy1, torus_comm):
