@@ -13,25 +13,26 @@ modes refuse a mode beyond it.  Every computed result (`contract`, the product
 `a * b` = `wide_mul`, `wide_sum` and the inner derivations of `derive_many`)
 keeps every mode its products have, on the same descriptor.
 
-Every graded product goes through one kernel, `contract`, which computes
-out[s] = sum of c a b over the terms (c, a, b) of slot s for many slots at
-once: one ragged outer product of all mode pairs, one Weyl phase
-exp(i pi <k, theta l>) per pair and one coalescing pass by (slot, mode).
-Each distinct operand's mode rows are coded as integers once per call, so a
-pair's code is the sum of its rows' codes, and output modes are formed only
-at the first pair of each coalesced group.  Contributions to one output mode
-are added in (output mode, a-mode, term) order whatever order the terms came
-in, so a sum does not depend on how its operands were split into terms, and
-a slot's result does not depend on the other slots of its call.  Graded sums
-(`combine`) share the row codes and the coalescing pass but form no pairs
-and no phases.
+Graded products and sums run one kernel over terms (c, x_1, ..., x_w):
+`contract` computes out[s] = sum of c a b over the terms (c, a, b) of slot s
+(w = 2) and `combine` out[s] = sum of c a over the terms (c, a) (w = 1), for
+many slots at once: one ragged outer product of each term's operands' mode
+rows, one Weyl phase exp(i pi <k, theta l>) per pair of operands (none in a
+sum) and one coalescing pass by (slot, mode).  Each distinct operand's mode
+rows are coded as integers once per call, so a row tuple's code is the sum
+of its rows' codes, and output modes are formed only at the first tuple of
+each coalesced group.  Contributions to one output mode are added in (output
+mode, a-mode, term) order whatever order the terms came in, so a sum does
+not depend on how its operands were split into terms, and a slot's result
+does not depend on the other slots of its call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +43,10 @@ from .errors import BackendMismatch, NonSkew, TruncationOverflow
 # suite checks, on every backend.
 DEFAULT_TOL = 1e-12
 
-# Mode pairs the graded kernel forms per pass.  A pair's temporaries take
-# about 120 bytes, so a pass stays near 0.5 MB however large the contraction;
-# a slot is never split, so one slot larger than this is a pass of its own.
+# Row tuples (mode pairs in a product) the graded kernel forms per pass.  A
+# pair's temporaries take about 120 bytes, so a pass stays near 0.5 MB however
+# large the contraction; a slot is never split, so one slot larger than this
+# is a pass of its own.
 _PAIRS_PER_PASS = 1 << 12
 
 MATRIX = "matrix"
@@ -293,11 +295,9 @@ class AlgebraElement:
     def __rmul__(self, other) -> "AlgebraElement":
         return self.__mul__(other)
 
-    def star(self) -> "AlgebraElement":
-        return star(self)
-
     def norm(self) -> float:
-        return norm(self)
+        """Entrywise / coefficientwise max modulus; the residual norm used everywhere."""
+        return float(np.abs(self._mat if self.backend.kind == MATRIX else self._c).max(initial=0.0))
 
     def __repr__(self) -> str:
         if self.backend.kind == MATRIX:
@@ -317,7 +317,8 @@ def contract(backend: BackendDescriptor,
     """out[s] = sum of c a b over the terms (c, a, b) of slots[s], one element per slot.
 
     Every operand and every result is on `backend`.  A graded slot keeps every
-    mode of its products, whatever their support: nothing is truncated here.
+    mode of its products, whatever their support: nothing is truncated here;
+    it is `_graded_kernel` at two operands a term.
     An empty slot is zero.  Matrix slots are summed term by term in the given
     order: the first live term is added to +0 into a fresh array, the rest in
     place, and a slot with no live term is a shared read-only zero.  A term
@@ -345,7 +346,7 @@ def contract(backend: BackendDescriptor,
               _product(a._mat, b._mat, size))
              for c, a, b in terms if kinds[id(a)] != _ZERO and kinds[id(b)] != _ZERO]
             for terms in slots))
-    return _graded_contract(backend, slots)
+    return _graded_kernel(backend, slots, 2)
 
 
 # an operand's kind: exactly zero, exactly the identity, or any other (multiplied by BLAS)
@@ -520,81 +521,59 @@ def _mode_code(backend: BackendDescriptor, reach: int, nslots: int) -> Tuple[int
     return box, base ** np.arange(backend.dim - 1, -1, -1, dtype=np.int64)
 
 
-def _graded_contract(backend: BackendDescriptor,
-                     slots: Sequence[Sequence[Term]]) -> List[AlgebraElement]:
-    """The graded kernel: the one place that forms Weyl phases.
+def _graded_kernel(backend: BackendDescriptor, slots: Sequence[Sequence[tuple]],
+                   width: int) -> List[AlgebraElement]:
+    """The graded kernel, for the terms (c, x_1, ..., x_width) of products
+    (width 2) and sums (width 1): the one place that forms Weyl phases.
 
-    Every row of the distinct operands' concatenated modes kk is coded once,
-    kk @ stride; a pair's (slot, mode) code is its two row codes summed plus
-    the slot's offset, and a pair's a-mode code breaks ties, so one lexsort
-    puts every pass in (slot, output mode, a-mode, term) order without a
-    per-pair mode array.  `_coalesce` adds the modes up at the group leads.
+    A term's row tuples run row-major over its operands.  Every row of the
+    distinct operands' concatenated modes kk is coded once, kk @ stride; a row
+    tuple's (slot, mode) code is its row codes summed plus the slot's offset,
+    and the leading operands' row codes break ties, so one lexsort puts every
+    pass in (slot, output mode, x_1 mode, ..., term) order without a per-tuple
+    mode array.  A tuple's value is c, then one phase exp(i pi <k_i, theta k_j>)
+    per operand pair i < j, then each row's coefficient, multiplied in that
+    order.  `_coalesce` adds the modes up at the group leads.
     """
     nslots = len(slots)
-    table = _term_table(backend, slots, 2)
+    table = _term_table(backend, slots, width)
     if table is None:
         return [AlgebraElement.zero(backend) for _ in range(nslots)]
-    kk, cc, size, offset = table.kk, table.cc, table.size, table.offset
-    t_a, t_b = table.ops
-    rows = kk @ backend.theta if backend.theta.any() else None
-    t_pairs = size[t_a] * size[t_b]
-    reach = int((table.rad[t_a] + table.rad[t_b]).max())
+    kk, cc, size, offset, ops = table.kk, table.cc, table.size, table.offset, table.ops
+    rows = kk @ backend.theta if width > 1 and backend.theta.any() else None
+    t_tuples = reduce(np.multiply, size[ops])
+    reach = int(reduce(np.add, table.rad[ops]).max())
     box, stride = _mode_code(backend, reach, nslots)
     row_code = kk @ stride
 
     out: List[AlgebraElement] = []
-    for s0, s1, lo_t, hi_t in _passes(table.slot, t_pairs, nslots):
-        npairs = t_pairs[lo_t:hi_t]
-        term = np.repeat(np.arange(lo_t, hi_t), npairs)
-        within = np.arange(len(term)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
-        nb = size[t_b[term]]
-        ia = offset[t_a[term]] + within // nb
-        ib = offset[t_b[term]] + within % nb
+    for s0, s1, lo_t, hi_t in _passes(table.slot, t_tuples, nslots):
+        ntuples = t_tuples[lo_t:hi_t]
+        term = np.repeat(np.arange(lo_t, hi_t), ntuples)
+        within = np.arange(len(term)) - np.repeat(np.cumsum(ntuples) - ntuples, ntuples)
+        # the last operand's row runs fastest
+        idx = []
+        for t_x in ops[:0:-1]:
+            within, r = np.divmod(within, size[t_x[term]])
+            idx.append(offset[t_x[term]] + r)
+        idx.append(offset[ops[0][term]] + within)
+        idx.reverse()
         slot, value = table.slot[term], table.coef[term]
-        # each per-pair array is dropped once used, so that few are alive at a time
-        del term, within, nb
+        # each per-tuple array is dropped once used, so that few are alive at a time
+        del term, within
         if rows is not None:
-            value = value * np.exp(1j * np.pi * (rows[ia] * kk[ib]).sum(axis=1))
-        value = value * cc[ia] * cc[ib]
-        a_code = row_code[ia]
-        code = a_code + row_code[ib] + (slot - s0) * box
-        # canonical order: slot, output mode, then a-mode (which fixes the b-mode)
-        order = np.lexsort((a_code, code))
-        del a_code
-        code = code[order]
-        out += _coalesce(backend, s0, s1, slot, value, code, order, kk, ia, ib)
-    return out
-
-
-def _graded_combine(backend: BackendDescriptor,
-                    slots: Sequence[Sequence[Tuple[complex, AlgebraElement]]]
-                    ) -> List[AlgebraElement]:
-    """The graded sums: each term's scaled modes, coalesced by (slot, mode)."""
-    nslots = len(slots)
-    table = _term_table(backend, slots, 1)
-    if table is None:
-        return [AlgebraElement.zero(backend) for _ in range(nslots)]
-    (t_a,) = table.ops
-    t_rows = table.size[t_a]
-    reach = int(table.rad[t_a].max())
-    box, stride = _mode_code(backend, reach, nslots)
-    row_code = table.kk @ stride
-
-    out: List[AlgebraElement] = []
-    for s0, s1, lo_t, hi_t in _passes(table.slot, t_rows, nslots):
-        nrows = t_rows[lo_t:hi_t]
-        term = np.repeat(np.arange(lo_t, hi_t), nrows)
-        ia = (table.offset[t_a[term]] + np.arange(len(term))
-              - np.repeat(np.cumsum(nrows) - nrows, nrows))
-        slot = table.slot[term]
-        value = table.coef[term] * table.cc[ia]
-        del term
-        code = row_code[ia] + (slot - s0) * box
-        # a term's rows are its operand's distinct modes, so a (slot, mode) group
-        # holds at most one row per term and the stable sort keeps term order
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        out += _coalesce(backend, s0, s1, slot, value, code, order, table.kk, ia)
+            for i, j in itertools.combinations(range(width), 2):
+                value = value * np.exp(1j * np.pi * (rows[idx[i]] * kk[idx[j]]).sum(axis=1))
+        for r in idx:
+            value = value * cc[r]
+        codes = [row_code[r] for r in idx]
+        code = sum(codes, (slot - s0) * box)
+        # canonical order: slot, output mode, then the leading operands' modes,
+        # which fix the last one's; tuples still tied are of different terms,
+        # which the stable sort keeps in term order
+        order = np.lexsort(codes[-2::-1] + [code])
+        del codes
+        out += _coalesce(backend, s0, s1, slot, value, code[order], order, kk, *idx)
     return out
 
 
@@ -632,13 +611,13 @@ def _coalesce(backend: BackendDescriptor, s0: int, s1: int, slot: np.ndarray,
             for i in range(s1 - s0)]
 
 
-def _passes(t_slot: np.ndarray, t_pairs: np.ndarray, nslots: int) -> list:
+def _passes(t_slot: np.ndarray, t_tuples: np.ndarray, nslots: int) -> list:
     """(s0, s1, first term, end term) of consecutive slot ranges, each forming about
-    _PAIRS_PER_PASS rows at most, a term forming t_pairs rows: its mode pairs
-    in a product, its operand's modes in a sum."""
-    if int(t_pairs.sum()) <= _PAIRS_PER_PASS:
+    _PAIRS_PER_PASS row tuples at most, a term forming t_tuples of them: the
+    product of its operands' mode counts."""
+    if int(t_tuples.sum()) <= _PAIRS_PER_PASS:
         return [(0, nslots, 0, len(t_slot))]
-    ends = np.cumsum(np.bincount(t_slot, weights=t_pairs, minlength=nslots))
+    ends = np.cumsum(np.bincount(t_slot, weights=t_tuples, minlength=nslots))
     cuts = [0]
     while cuts[-1] < nslots:
         done = ends[cuts[-1] - 1] if cuts[-1] else 0.0
@@ -652,21 +631,21 @@ def combine(backend: BackendDescriptor,
             slots: Sequence[Sequence[Tuple[complex, AlgebraElement]]]) -> List[AlgebraElement]:
     """out[s] = sum of c a over the terms (c, a) of slots[s], one element per slot.
 
-    Graded sums keep every mode of their terms: each term's modes are scaled
-    by c, sorted stably by (slot, mode) and coalesced as `contract` coalesces,
-    with no pairs and no phases, so a sum has the bits of `contract` against
-    the unit.  Matrix sums add the scaled matrices in the given order, skipping
-    exactly zero terms, as `contract` does: one look at an operand's [0, 0]
-    entry settles most of them, and a slot is summed in place from +0.  A slot
-    of central forms sums to a central form, with the bits of the full sum,
-    and a slot x - x of one finite array is the shared zero without a sum,
-    with those bits too (see `_matrix_sums`).
+    Graded sums keep every mode of their terms: they are `_graded_kernel` at
+    one operand a term, which scales each term's modes by c and coalesces
+    them by (slot, mode) in term order with no phase, so a sum has the bits
+    of `contract` against the unit.  Matrix sums add the scaled matrices in
+    the given order, skipping exactly zero terms, as `contract` does: one
+    look at an operand's [0, 0] entry settles most of them, and a slot is
+    summed in place from +0.  A slot of central forms sums to a central
+    form, with the bits of the full sum, and a slot x - x of one finite array
+    is the shared zero without a sum, with those bits too (see `_matrix_sums`).
     """
     if backend.kind == MATRIX:
         kinds = _matrix_kinds(backend, (a for terms in slots for _, a in terms))
         return _matrix_sums(backend, ([(c, a._mat) for c, a in terms if kinds[id(a)] != _ZERO]
                                       for terms in slots))
-    return _graded_combine(backend, slots)
+    return _graded_kernel(backend, slots, 1)
 
 
 # -- module-level operations ------------------------------------------------
@@ -699,13 +678,6 @@ def worst(values) -> float:
     with it could hide one."""
     values = list(values)
     return math.nan if any(v != v for v in values) else max(values, default=0.0)
-
-
-def norm(a: AlgebraElement) -> float:
-    """Entrywise / coefficientwise max modulus; the residual norm used everywhere."""
-    if a.backend.kind == MATRIX:
-        return float(np.abs(a._mat).max())
-    return float(np.abs(a._c).max(initial=0.0))
 
 
 def finite(a: AlgebraElement) -> bool:
@@ -842,7 +814,7 @@ def first_noncentral(elements: Sequence[AlgebraElement],
                                for a in elements for g in generators])
     # slots run element by element, so the first failing slot names the element
     return next((s // len(generators) for s, c in enumerate(comms)
-                 if not norm(c) <= DEFAULT_TOL), None)
+                 if not c.norm() <= DEFAULT_TOL), None)
 
 
 def random_element(backend: BackendDescriptor, rng: np.random.Generator,

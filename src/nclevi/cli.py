@@ -216,33 +216,53 @@ def _cmd_oracle_compare(args, model: Model, tol: float) -> int:
 
 
 def _apply_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
-    if "--config" not in argv:
+    """argv with every --config PATH (or --config=PATH) taken off and the flags
+    its file sets put right after the subcommand, file by file in order: a
+    later file overrides an earlier one, and explicit flags on the line win."""
+    paths: List[str] = []
+    rest: List[str] = []
+    line = iter(argv)
+    for arg in line:
+        if arg == "--config":
+            path = next(line, None)
+            if path is None:
+                raise ValueError("--config needs a file path")
+            paths.append(path)
+        elif arg.startswith("--config="):
+            paths.append(arg[len("--config="):])
+        else:
+            rest.append(arg)
+    if not paths:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    rest = argv[:idx] + argv[idx + 2:]
     command = rest[0] if rest and not rest[0].startswith("-") else None
     sub = parser.commands.get(command)
     allowed = sub.option_dests if sub else frozenset()
     flags: List[str] = []
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in allowed:
-            raise ValueError(f"unknown config key {key!r} for command {command!r}")
-        if value is None or isinstance(value, bool):
-            raise ValueError(f"config key {key!r} is {json.dumps(value)}: "
-                             "no option takes null or a boolean")
-        if not isinstance(value, str):
-            value = json.dumps(value)
-        flags += [f"--{dest.replace('_', '-')}", value]
-    # config supplies defaults; explicit flags later on the line win
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key, value in cfg.items():
+            dest = key.replace("-", "_")
+            if dest not in allowed:
+                raise ValueError(f"unknown config key {key!r} for command {command!r}")
+            if value is None or isinstance(value, bool):
+                raise ValueError(f"config key {key!r} is {json.dumps(value)}: "
+                                 "no option takes null or a boolean")
+            if not isinstance(value, str):
+                value = json.dumps(value)
+            flags += [f"--{dest.replace('_', '-')}", value]
+    # argparse keeps an option's last value, so later files and then the line win
     return [rest[0]] + flags + rest[1:] if rest else flags
+
+
+class _ConfigOption(argparse.Action):
+    """--config as --help lists it.  `_apply_config` takes every --config off the
+    line before parsing, so argparse meets this option only abbreviated."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ValueError("--config must be written in full")
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -316,6 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="residual tolerance of each solve (default: NCLEVI_TOL, else 1e-10)")
     op.add_argument("--out", default=None)
     op.set_defaults(read=_read_oracle_compare, func=_cmd_oracle_compare)
+    for p in (parser, *sub.choices.values()):
+        p.add_argument("--config", action=_ConfigOption, metavar="PATH",
+                       default=argparse.SUPPRESS,
+                       help="JSON file of option values, repeatable: a later file wins, "
+                            "and explicit flags win over every file")
     return parser
 
 

@@ -13,7 +13,6 @@ the joined fragments parsed back into a dict.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -45,13 +44,6 @@ def json_numbers(value, what: str) -> np.ndarray:
 def _pairs(z: np.ndarray) -> list:
     """Nested [re, im] lists of Python floats, signed zeros included."""
     return np.stack([z.real, z.imag], axis=-1).tolist()
-
-
-def _float_text(x: float) -> str:
-    """x as json.dumps spells it."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
 def _matrix_doc(entries) -> dict:
@@ -102,7 +94,7 @@ def decode_metric(calculus: CalculusSpec, doc: dict) -> MetricSpec:
 def _central_text(form: np.ndarray, size: int) -> str:
     """json.dumps(_pairs(m)) of the N x N matrix m with central form (diagonal,
     off-diagonal), from the two spelt values."""
-    diag, off = (f"[{_float_text(z.real)}, {_float_text(z.imag)}]" for z in form.tolist())
+    diag, off = (json.dumps([z.real, z.imag]) for z in form.tolist())
     return "[" + ", ".join("[" + (off + ", ") * r + diag + (", " + off) * (size - 1 - r) + "]"
                            for r in range(size)) + "]"
 

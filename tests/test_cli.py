@@ -361,6 +361,35 @@ def test_config_may_come_before_or_after_the_subcommand(capsys, tmp_path):
     assert after[0] == before[0] == 0 and after[1] == before[1] == flags[1]
 
 
+def test_config_repeats_a_later_file_wins_and_flags_win_over_every_file(capsys, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"model": "fuzzy-sphere", "k": 1, "route": "phi"}))
+    second.write_text(json.dumps({"k": 2}))
+    files = run_cli(capsys, ["solve", "--config", str(first), "--config", str(second)])
+    flags = run_cli(capsys, ["solve", "--model", "fuzzy-sphere", "--route", "phi", "--k", "2"])
+    assert files[0] == flags[0] == 0 and files[1] == flags[1]
+    explicit = run_cli(capsys, ["--config", str(first), "solve", "--k", "1",
+                                f"--config={second}"])
+    flags = run_cli(capsys, ["solve", "--model", "fuzzy-sphere", "--route", "phi", "--k", "1"])
+    assert explicit[0] == flags[0] == 0 and explicit[1] == flags[1] != files[1]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in sorted(COMMAND_OPTIONS)])
+def test_help_names_config(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "--config PATH" in capsys.readouterr().out
+
+
+def test_abbreviated_config_is_refused(capsys, tmp_path):
+    # argparse would take --conf for the --config that --help lists, and read no file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2}))
+    _refused_input(capsys, ["solve", "--model", "fuzzy-sphere", "--conf", str(cfg)],
+                   "--config must be written in full")
+
+
 @pytest.mark.parametrize("value", [None, True, False])
 @pytest.mark.parametrize("key", ["out", "metric", "tol"])
 def test_config_null_or_boolean_is_refused(capsys, tmp_path, monkeypatch, key, value):

@@ -4,9 +4,11 @@ The exit status of an error is its class's `exit_code`, so the CLI catches
 `GeometryError` once and names no subclass; the Levi-Civita gate is
 `solver.certify`, so only the solver raises `Inconsistent`; grid values
 become elements in `TorusGrid.read_back`, so the solver builds no central
-element itself; and the one dense pseudo-inverse is the wedge table's, so
-Phi_g^{-1} undoes (P_sym)_23 by its closed form.  The code is read from its
-syntax trees, so a docstring that names one of these does not count.
+element itself; the one dense pseudo-inverse is the wedge table's, so
+Phi_g^{-1} undoes (P_sym)_23 by its closed form; and graded products and sums
+share one pass loop, so only its kernel cuts passes and coalesces.  The code
+is read from its syntax trees, so a docstring that names one of these does
+not count.
 """
 
 import ast
@@ -102,3 +104,8 @@ def _callers(name: str) -> list:
 
 def test_the_only_pseudo_inverse_is_the_wedge_tables():
     assert _callers("pinv") == [("calculus", "CalculusSpec._validate")]
+
+
+def test_one_graded_pass_loop_serves_products_and_sums():
+    for name in ("_passes", "_coalesce"):
+        assert _callers(name) == [("algebra", "_graded_kernel")], name

@@ -254,7 +254,7 @@ def test_first_failing_component_is_named_in_row_major_order(fuzzy1, torus_twist
         zero = AlgebraElement.zero(spec.backend)
         if spec.backend.kind == "matrix":
             bad = random_element(spec.backend, np.random.default_rng(4))
-            bad = bad + bad.star()
+            bad = bad + star(bad)
         else:
             bad = AlgebraElement.from_modes(spec.backend, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
         rows = [[unit, zero, zero], [zero, unit, bad], [zero, bad, bad]]

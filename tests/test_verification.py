@@ -223,14 +223,15 @@ def test_verify_model_output_is_pinned(key):
 
 
 def test_verify_model_makes_a_fixed_number_of_kernel_calls(monkeypatch):
-    # drawing and checking one sample at a time made 1,928 graded kernel calls here
+    # drawing and checking one sample at a time made 1,928 graded kernel calls
+    # here; the count takes in products and sums alike
     calls = []
-    kernel = algebra._graded_contract
+    kernel = algebra._graded_kernel
 
-    def counting(backend, slots):
-        calls.append(len(slots))
-        return kernel(backend, slots)
+    def counting(backend, slots, width):
+        calls.append(width)
+        return kernel(backend, slots, width)
 
-    monkeypatch.setattr(algebra, "_graded_contract", counting)
+    monkeypatch.setattr(algebra, "_graded_kernel", counting)
     verify_model(MODELS["torus"](), seed=0)
     assert len(calls) <= 150
