@@ -817,22 +817,49 @@ def first_noncentral(elements: Sequence[AlgebraElement],
                  if not c.norm() <= DEFAULT_TOL), None)
 
 
-def random_element(backend: BackendDescriptor, rng: np.random.Generator,
-                   radius: int = 1) -> AlgebraElement:
-    """A generic element for property tests: on the graded backend, four modes
-    drawn within `radius` (capped at the backend's)."""
+def random_elements(backend: BackendDescriptor, rng: np.random.Generator, count: int,
+                    radius: int = 1) -> List[AlgebraElement]:
+    """`count` generic elements for property tests.
+
+    Matrix backend: element s is (X_s + i Y_s) / max(1, sqrt N), for X_s and
+    Y_s the two halves of one standard normal (2, N, N) draw per element, so
+    the elements of one call are those of count calls of one element.  Graded
+    backend: each element sums four modes drawn within `radius` (capped at the
+    backend's) with standard complex normal coefficients; a repeated mode's
+    coefficients add in draw order and an exact-zero sum is dropped.  All
+    `count` elements come from two generator calls, the modes (count, 4, t)
+    and then the coefficients' real and imaginary parts (count, 4, 2).
+    """
     if backend.kind == MATRIX:
         n = backend.size
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return AlgebraElement._matrix(backend, m / max(1.0, np.sqrt(n)))
+        # numpy divides X + i Y by s + 0i as (X (1/s), Y (1/s)), so scaling by
+        # 1/s in place gives its bits without the complex temporaries
+        scale = 1.0 / max(1.0, np.sqrt(n))
+        out = []
+        for _ in range(count):
+            xy = rng.standard_normal((2, n, n))
+            xy *= scale
+            m = np.empty((n, n), dtype=complex)
+            m.real, m.imag = xy
+            out.append(AlgebraElement._matrix(backend, m))
+        return out
     r = min(radius, backend.radius)
-    data: dict = {}
-    for _ in range(4):
-        k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
-        data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
-    # distinct keys within the radius, sorted as tuples: already canonical once
-    # exact-zero sums are dropped
-    modes = sorted(k for k, c in data.items() if c != 0.0)
-    return AlgebraElement._graded(
-        backend, _frozen(np.array(modes, dtype=np.int64).reshape(len(modes), backend.dim)),
-        _frozen(np.array([data[k] for k in modes], dtype=complex)))
+    k = rng.integers(-r, r + 1, size=(count, 4, backend.dim))
+    c = rng.standard_normal((count, 4, 2)).view(complex)[..., 0]
+    # first[s, j]: the first draw of element s with draw j's mode, into whose
+    # sum draw j goes, added in draw order from 0.0 as a dict would add them;
+    # a later draw of a repeated mode keeps a zero sum, which drops out
+    first = (k[:, :, None, :] == k[:, None, :, :]).all(axis=3).argmax(axis=1)
+    sums = np.zeros((count, 4), dtype=complex)
+    every = np.arange(count)
+    for j in range(4):
+        sums[every, first[:, j]] += c[:, j]
+    keep = sums != 0.0
+    owner = np.nonzero(keep)[0]
+    k, sums = k[keep], sums[keep]
+    # by element, then mode: lexsort's last key sorts first
+    order = np.lexsort([*k.T[::-1], owner])
+    k, sums = _frozen(k[order]), _frozen(sums[order])
+    ends = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    return [AlgebraElement._graded(backend, k[lo:hi], sums[lo:hi])
+            for lo, hi in zip([0] + ends, ends)]

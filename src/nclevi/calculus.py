@@ -32,7 +32,7 @@ from .algebra import (
     contract,
     derive_many,
     finite,
-    random_element,
+    random_elements,
     wide_products,
     worst,
 )
@@ -397,11 +397,16 @@ class CalculusSpec:
         return BraidReport(braid, dim12, dim23, r12_on_23, r23_on_12, bijective)
 
 
-def random_one_form(spec: CalculusSpec, rng: np.random.Generator) -> OneForm:
-    return OneForm([random_element(spec.backend, rng) for _ in range(spec.rank)])
-
-
-def random_tensor_square(spec: CalculusSpec, rng: np.random.Generator) -> TensorSquare:
+def random_samples(spec: CalculusSpec, rng: np.random.Generator, count: int,
+                   kinds: str) -> List[tuple]:
+    """`count` generic samples for property tests, each a tuple with one entry
+    per letter of `kinds`: an algebra element (a), a one-form (w) or a tensor
+    square (t).  One `random_elements` call draws every coefficient, sample
+    after sample and entry after entry, a tensor square's row by row."""
     n = spec.rank
-    return TensorSquare([[random_element(spec.backend, rng) for _ in range(n)]
-                         for _ in range(n)])
+    size = {"a": 1, "w": n, "t": n * n}
+    flat = iter(random_elements(spec.backend, rng, count * sum(size[x] for x in kinds)))
+    build = {"a": lambda: next(flat),
+             "w": lambda: OneForm([next(flat) for _ in range(n)]),
+             "t": lambda: TensorSquare([[next(flat) for _ in range(n)] for _ in range(n)])}
+    return [tuple(build[x]() for x in kinds) for _ in range(count)]

@@ -109,6 +109,8 @@ def _emit(fragments: List[str], args, summary: str) -> None:
     else:
         sys.stdout.writelines(fragments)
         sys.stdout.write("\n")
+        # a reader that has gone shows here, not at the flush on exit
+        sys.stdout.flush()
     print(summary, file=sys.stderr)
 
 
@@ -363,6 +365,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GeometryError as exc:
         return _fail(exc, exc.exit_code,
                      "input error" if exc.exit_code == 2 else "mathematical failure")
+    except BrokenPipeError as exc:
+        # stdout's reader has gone: the error line goes to stderr alone, and
+        # the bytes stdout still holds go to devnull, or the flush on exit
+        # would fail again
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         return _fail(exc, 2, "i/o error", "IOError")
 

@@ -9,9 +9,12 @@ kernel call per stage covers a chunk (for example all products a b and b c of
 twenty associativity triples, then all (a b) c and a (b c), then all
 differences).  A group is drawn when its laws take it, a large one a chunk at
 a time, so a suite holds one group's samples and one chunk's stage results at
-most.  The laws draw nothing, and a kernel slot's result does not depend on
-the other slots of its call, so each residual is the one that drawing and
-checking the samples one at a time would give.  The laws run the batched
+most.  One `random_samples` call draws a chunk, or a group drawn whole, so
+the graded stream is defined chunk by chunk; a matrix element takes one
+generator call of its own, so there the samples are those of drawing one at
+a time.  The laws draw nothing, and a kernel slot's result does not depend on
+the other slots of its call, so each residual is the one that checking the
+chunk's samples one at a time would give.  The laws run the batched
 forms of the module operations (`p_sym_many`, `metric_eval_many`,
 `phi_g_invert_many`, ...), the forms the solver runs; the bimodule action
 (`right_mul_many`, `left_mul_many`) is untruncated, as the algebra laws'
@@ -20,7 +23,6 @@ products are.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List
 
@@ -32,7 +34,7 @@ from .algebra import (
     combine,
     derive_many,
     first_noncentral,
-    random_element,
+    random_elements,
     star,
     trace,
     wide_products,
@@ -42,8 +44,7 @@ from .calculus import (
     TensorSquare,
     left_mul_many,
     p_sym_many,
-    random_one_form,
-    random_tensor_square,
+    random_samples,
     right_mul_many,
     sigma,
     subtract_many,
@@ -77,8 +78,9 @@ class Check:
         return f"[{status}] {self.name}: residual {self.residual:.3e} (tol {self.tol:.1e})"
 
 
-def _draw(model: Model, rng, count: int) -> tuple:
-    return tuple(random_element(model.backend, rng) for _ in range(count))
+def _drawn(spec, rng, kinds: str):
+    """Samples for `_chunked` that draw each chunk with one `random_samples` call."""
+    return lambda lo, hi: random_samples(spec, rng, hi - lo, kinds)
 
 
 def _split(flat: list, parts: int = 2) -> list:
@@ -95,17 +97,15 @@ def _split(flat: list, parts: int = 2) -> list:
 _SAMPLES_PER_CHUNK = 10
 
 
-def _chunked(law, samples, *args, size: int = _SAMPLES_PER_CHUNK):
-    """law(chunk, *args) over consecutive chunks of `size` samples: the worst
-    residual over the chunks, entry by entry when the law returns a tuple.
+def _chunked(law, count: int, samples, *args, size: int = _SAMPLES_PER_CHUNK):
+    """law(samples(lo, hi), *args) over consecutive chunks [lo, hi) of `size`
+    of `count` samples: the worst residual over the chunks, entry by entry when
+    the law returns a tuple.
 
-    `samples` may be a generator that draws them: each chunk is then drawn
-    after the previous one has been checked.
+    `samples` may draw its chunk: each chunk is then drawn after the previous
+    one has been checked.
     """
-    samples = iter(samples)
-    parts = []
-    while chunk := list(itertools.islice(samples, size)):
-        parts.append(law(chunk, *args))
+    parts = [law(samples(lo, min(lo + size, count)), *args) for lo in range(0, count, size)]
     if isinstance(parts[0], tuple):
         return tuple(worst(p) for p in zip(*parts))
     return worst(parts)
@@ -150,19 +150,19 @@ def _derivation_leibniz(triples) -> float:
 
 
 def algebra_checks(model: Model, rng: np.random.Generator) -> List[Check]:
+    spec = model.calculus
     tol = DEFAULT_TOL
-    derivations = model.calculus.derivations
+    derivations = spec.derivations
     unit = AlgebraElement.unit(model.backend)
     # the groups of samples are drawn in this order, each when its laws take it
-    worst_assoc = _chunked(_associativity, (_draw(model, rng, 3) for _ in range(100)),
-                           wide_products, size=20)
-    worst_anti, worst_inv = _chunked(_star_laws, (_draw(model, rng, 2) for _ in range(20)),
-                                     size=20)
-    worst_tr, worst_pos = _chunked(_trace_checks, (_draw(model, rng, 2) for _ in range(20)),
-                                   size=20)
+    worst_assoc = _chunked(_associativity, 100, _drawn(spec, rng, "aaa"), wide_products, size=20)
+    worst_anti, worst_inv = _star_laws(random_samples(spec, rng, 20, "aa"))
+    worst_tr, worst_pos = _trace_checks(random_samples(spec, rng, 20, "aa"))
+    ds = [d for d in derivations for _ in range(10)]
+    draw = _drawn(spec, rng, "aa")
     worst_leibniz = worst(
-        [_chunked(_derivation_leibniz,
-                  ((d,) + _draw(model, rng, 2) for d in derivations for _ in range(10)), size=15)]
+        [_chunked(_derivation_leibniz, len(ds),
+                  lambda lo, hi: [(d,) + ab for d, ab in zip(ds[lo:hi], draw(lo, hi))], size=15)]
         + [x.norm() for x in derive_many([(d, unit) for d in derivations])])
     return [Check("algebra associativity", worst_assoc, 10 * tol),
             Check("star anti-multiplicativity", worst_anti, 10 * tol),
@@ -216,16 +216,16 @@ def calculus_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     spec = model.calculus
     tol = DEFAULT_TOL
     # the groups of samples are drawn in this order, each when its laws take it
-    pairs = [(random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)]
-    worst_inv, worst_idem, worst_wedge = _chunked(_projector_laws, [t for t, _ in pairs], spec)
-    worst_bimodule = _chunked(_sigma_bimodule_linearity, pairs, size=5)
+    pairs = random_samples(spec, rng, 20, "ta")
+    worst_inv, worst_idem, worst_wedge = _chunked(
+        _projector_laws, 20, lambda lo, hi: [t for t, _ in pairs[lo:hi]], spec)
+    worst_bimodule = _chunked(_sigma_bimodule_linearity, 20, lambda lo, hi: pairs[lo:hi], size=5)
     del pairs
-    dd = [_draw(model, rng, 1)[0] for _ in range(10)]
+    dd = random_elements(model.backend, rng, 10)
     worst_dd = worst(w.norm() for w in spec.d1_many(spec.d0_many(dd)))
-    worst_d1 = _chunked(_d1_leibniz, ((random_one_form(spec, rng),) + _draw(model, rng, 1)
-                                      for _ in range(10)), spec)
-    worst_section = _chunked(_wedge_section_reconstruction,
-                             (random_tensor_square(spec, rng) for _ in range(10)), spec)
+    worst_d1 = _d1_leibniz(random_samples(spec, rng, 10, "wa"), spec)
+    worst_section = _wedge_section_reconstruction(
+        [t for t, in random_samples(spec, rng, 10, "t")], spec)
     report = spec.braid_check()
     return [Check("sigma involution", worst_inv, tol),
             Check("P_sym idempotent", worst_idem, tol),
@@ -264,16 +264,12 @@ def metric_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     tol = DEFAULT_TOL
     n = spec.rank
     # the groups of samples are drawn in this order, each when its laws take it
-    worst_sym, worst_bil = _chunked(
-        _metric_bilinearity,
-        ((random_tensor_square(spec, rng),) + _draw(model, rng, 1) for _ in range(20)), g)
-    ws = [random_one_form(spec, rng) for _ in range(10)]
+    worst_sym, worst_bil = _chunked(_metric_bilinearity, 20, _drawn(spec, rng, "ta"), g)
+    ws = [w for w, in random_samples(spec, rng, 10, "w")]
     worst_roundtrip = worst_difference(zip(v_g_inverse_many(g, v_g_many(g, ws)), ws))
     del ws
     m2 = v_g2_matrix(g)
-    worst_adjoint = _chunked(_g2_flip_adjoint, ((random_tensor_square(spec, rng),
-                                                 random_tensor_square(spec, rng))
-                                                for _ in range(10)), m2, size=5)
+    worst_adjoint = _chunked(_g2_flip_adjoint, 10, _drawn(spec, rng, "tt"), m2, size=5)
     worst_entry = worst_difference(
         (m2.entry((l, k), (i, j)), m2.entry((k, l), (j, i)))
         for k in range(n) for l in range(n) for i in range(n) for j in range(n))
@@ -303,11 +299,11 @@ def solver_checks(model: Model, rng: np.random.Generator,
     spec = model.calculus
     g = model.metric
     n = spec.rank
-    # random maps with symmetric range for the Phi_g roundtrip
-    raws = []
-    for _ in range(10):
-        raw = np.asarray(rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
-        raws.append(0.5 * (raw + np.transpose(raw, (0, 2, 1))))
+    # random maps with symmetric range for the Phi_g roundtrip, each from a
+    # real and an imaginary (n, n, n) block of one draw
+    xy = rng.standard_normal((10, 2, n, n, n))
+    raws = xy[:, 0] + 1j * xy[:, 1]
+    raws = 0.5 * (raws + np.transpose(raws, (0, 1, 3, 2)))
 
     out = []
     result = levi_civita(spec, g, route="both", residual_tol=residual_tol)
@@ -325,7 +321,8 @@ def solver_checks(model: Model, rng: np.random.Generator,
          (-1.0, gam[i][k][j]), (1.0, nab0.gamma[i][k][j])]
         for i in range(n) for j in range(n) for k in range(n)]))
     out.append(Check("torsionless difference is symmetric", worst_sym, 1e-9))
-    out.append(Check("Phi_g roundtrip", _chunked(_phi_roundtrip, raws, g, size=5), 1e-10))
+    out.append(Check("Phi_g roundtrip",
+                     _chunked(_phi_roundtrip, 10, lambda lo, hi: raws[lo:hi], g, size=5), 1e-10))
 
     # (Pi_g(nabla) - dg) is sigma-invariant: the residual entries are (i,j)-symmetric
     res = compat_residual(g, result.connection)
@@ -344,10 +341,11 @@ def deformation_checks(model: Model, rng: np.random.Generator) -> List[Check]:
     theta = np.zeros((na, na))
     if na >= 2:
         theta[0, 1], theta[1, 0] = 0.37, -0.37
+    spec = model.calculus
     # the groups of samples are drawn in this order, each when its laws take it
-    worst_assoc = _chunked(_associativity, (_draw(model, rng, 3) for _ in range(30)),
+    worst_assoc = _chunked(_associativity, 30, _drawn(spec, rng, "aaa"),
                            lambda ps: deform_product_many(ps, theta, action))
-    pairs = [_draw(model, rng, 2) for _ in range(10)]
+    pairs = random_samples(spec, rng, 10, "aa")
     undeformed = deform_product_many(pairs, np.zeros((na, na)), action)
     return [Check("deformed product associativity", worst_assoc, 1e-12),
             Check("theta = 0 recovers the product",

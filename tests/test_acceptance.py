@@ -7,8 +7,8 @@ import time
 
 import numpy as np
 
-from nclevi.algebra import AlgebraElement, random_element, wide_mul, wide_sum
-from nclevi.calculus import p_sym_many, random_tensor_square, sigma, worst_difference
+from nclevi.algebra import AlgebraElement, random_elements, wide_mul, wide_sum
+from nclevi.calculus import p_sym_many, random_samples, sigma, worst_difference
 from nclevi.deformation import deform_connection, deform_product_many, require_skew
 from nclevi.errors import SingularMetric
 from nclevi.metric import MetricSpec, v_g2_matrix
@@ -151,7 +151,7 @@ def test_criterion_6_deformed_product_laws():
     def times(pairs, th=theta):
         return deform_product_many(pairs, th, action)
 
-    triples = [tuple(random_element(model.backend, rng, radius=3) for _ in range(3))
+    triples = [tuple(random_elements(model.backend, rng, 3, radius=3))
                for _ in range(100)]
     ab = times([(a, b) for a, b, _ in triples])
     bc = times([(b, c) for _, b, c in triples])
@@ -159,7 +159,7 @@ def test_criterion_6_deformed_product_laws():
     rhs = times([(a, x) for x, (a, _, _) in zip(bc, triples)])
     worst_assoc = max(wide_sum([l, -r]).norm() for l, r in zip(lhs, rhs))
 
-    pairs = [tuple(random_element(model.backend, rng, radius=3) for _ in range(2))
+    pairs = [tuple(random_elements(model.backend, rng, 2, radius=3))
              for _ in range(100)]
     worst_zero = max(wide_sum([p, -wide_mul(a, b)]).norm()
                      for p, (a, b) in zip(times(pairs, np.zeros((2, 2))), pairs))
@@ -185,7 +185,7 @@ def test_criterion_7_structural_invariants():
     for model in all_models():
         spec, g = model.calculus, model.metric
         n = spec.rank
-        ts = [random_tensor_square(spec, rng) for _ in range(10)]
+        ts = [t for t, in random_samples(spec, rng, 10, "t")]
         sym = p_sym_many(ts)
         worst["sigma"] = max(worst["sigma"], worst_difference([(sigma(sigma(t)), t) for t in ts]))
         worst["psym"] = max(worst["psym"], worst_difference(zip(p_sym_many(sym), sym)))

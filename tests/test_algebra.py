@@ -15,7 +15,7 @@ from nclevi.algebra import (
     derive,
     derive_many,
     first_noncentral,
-    random_element,
+    random_elements,
     star,
     trace,
     wide_mul,
@@ -72,7 +72,7 @@ def test_twisted_commutation_phase():
 def test_unit_acts_as_identity():
     be = graded2(0.17)
     rng = np.random.default_rng(0)
-    a = random_element(be, rng)
+    a = random_elements(be, rng, 1)[0]
     one = AlgebraElement.unit(be)
     assert (wide_mul(one, a) - a).norm() <= TOL
     assert (wide_mul(a, one) - a).norm() <= TOL
@@ -175,17 +175,17 @@ def test_inner_derivation_value(paulis):
 def test_leibniz_random_inner_and_grading():
     rng = np.random.default_rng(1)
     mat = BackendDescriptor.matrix(4)
-    x = random_element(mat, rng)
+    x = random_elements(mat, rng, 1)[0]
     d = DerivationSpec.inner(x)
     for _ in range(10):
-        a, b = random_element(mat, rng), random_element(mat, rng)
+        a, b = random_elements(mat, rng, 2)
         lhs = derive(d, wide_mul(a, b))
         rhs = wide_mul(derive(d, a), b) + wide_mul(a, derive(d, b))
         assert (lhs - rhs).norm() <= 10 * TOL
     gb = graded2(0.29, radius=8)
     d = DerivationSpec.grading(1)
     for _ in range(10):
-        a, b = random_element(gb, rng), random_element(gb, rng)
+        a, b = random_elements(gb, rng, 2)
         lhs = derive(d, wide_mul(a, b))
         rhs = wide_sum([wide_mul(derive(d, a), b), wide_mul(a, derive(d, b))])
         assert wide_sum([lhs, -rhs]).norm() <= 10 * TOL
@@ -196,7 +196,7 @@ def test_graded_inner_derivation_is_the_commutator():
     # backend: x (a b) reaches radius 6 > R = 4 and keeps every mode
     be = torus_bundle(3, 2, np.array([[0.0, 0.3], [-0.3, 0.0]]), 4).backend
     rng = np.random.default_rng(21)
-    x, a, b = (random_element(be, rng, radius=2) for _ in range(3))
+    x, a, b = random_elements(be, rng, 3, radius=2)
     delta = DerivationSpec.inner(x)
     da, db, dab = derive_many([(delta, a), (delta, b), (delta, wide_mul(a, b))])
     want = wide_sum([wide_mul(x, a), -wide_mul(a, x)]) * 1j
@@ -280,10 +280,10 @@ def test_matrix_laws_random():
     rng = np.random.default_rng(3)
     be = BackendDescriptor.matrix(5)
     for _ in range(100):
-        a, b, c = (random_element(be, rng) for _ in range(3))
+        a, b, c = random_elements(be, rng, 3)
         assert (wide_mul(wide_mul(a, b), c) - wide_mul(a, wide_mul(b, c))).norm() <= 10 * TOL
     for _ in range(20):
-        a, b = random_element(be, rng), random_element(be, rng)
+        a, b = random_elements(be, rng, 2)
         assert (star(wide_mul(a, b)) - wide_mul(star(b), star(a))).norm() <= 10 * TOL
         assert abs(trace(wide_mul(a, b)) - trace(wide_mul(b, a))) <= 10 * TOL
         p = trace(wide_mul(star(a), a))
@@ -296,7 +296,7 @@ def test_zero_twist_commutative():
     rng = np.random.default_rng(4)
     be = graded2(0.0, radius=12)
     for _ in range(20):
-        a, b = random_element(be, rng), random_element(be, rng)
+        a, b = random_elements(be, rng, 2)
         assert commutator(a, b).norm() <= TOL
 
 
@@ -514,7 +514,7 @@ term_lists = st.lists(st.lists(st.tuples(coeff, st.integers(0, 5), st.integers(0
 def operand_pool(backend, seed: int) -> list:
     """Six operands: random elements of growing support, their products, the unit and zero."""
     rng = np.random.default_rng(seed)
-    a, b = (random_element(backend, rng, radius=2) for _ in range(2))
+    a, b = random_elements(backend, rng, 2, radius=2)
     return [a, b, wide_mul(a, b), wide_mul(wide_mul(a, b), a),
             AlgebraElement.unit(backend), AlgebraElement.zero(backend)]
 
@@ -636,14 +636,20 @@ def test_graded_contract_and_combine_match_the_reference_bit_for_bit(backend, se
         assert_same_bits(combine(backend, sums), reference_graded_kernel(backend, sums))
 
 
-def checked_random_element(backend, rng, radius=1):
-    """random_element's graded draws, built through the checked dict constructor."""
+def checked_random_elements(backend, rng, count, radius=1):
+    """random_elements' graded draws, all modes and then all coefficients, built
+    element by element through the checked dict constructor, a repeated mode's
+    coefficients added in draw order."""
     r = min(radius, backend.radius)
-    data: dict = {}
-    for _ in range(4):
-        k = tuple(rng.integers(-r, r + 1, size=backend.dim).tolist())
-        data[k] = data.get(k, 0.0) + complex(rng.standard_normal(), rng.standard_normal())
-    return AlgebraElement.from_modes(backend, data)
+    modes = rng.integers(-r, r + 1, size=(count, 4, backend.dim)).tolist()
+    parts = rng.standard_normal((count, 4, 2)).tolist()
+    out = []
+    for ks, zs in zip(modes, parts):
+        data: dict = {}
+        for k, (re, im) in zip(map(tuple, ks), zs):
+            data[k] = data.get(k, 0.0) + complex(re, im)
+        out.append(AlgebraElement.from_modes(backend, data))
+    return out
 
 
 @pytest.mark.parametrize("dim", range(1, 6))
@@ -651,12 +657,64 @@ def test_random_element_matches_checked_construction(dim):
     be = BackendDescriptor.graded(dim, np.zeros((dim, dim)), 2)
     for seed in range(20):
         for radius in (1, 2, 5):     # 5 is capped at the backend's radius 2
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = random_element(be, rng, radius), checked_random_element(be, ref, radius)
-            assert_same_bits([got], [want])
-            assert got.support_radius() == want.support_radius()
-            # the same draws, in the same order
-            assert rng.random() == ref.random()
+            for count in (1, 7):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_elements(be, rng, count, radius)
+                want = checked_random_elements(be, ref, count, radius)
+                assert_same_bits(got, want)
+                assert [x.support_radius() for x in got] == [x.support_radius() for x in want]
+                # the same draws, in the same order
+                assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("radius", [1, 2, 5])
+def test_random_graded_elements_are_canonical(radius):
+    # dim 1 at radius 1 has three modes for four draws, so every element repeats one
+    for dim in (1, 3):
+        be = BackendDescriptor.graded(dim, np.zeros((dim, dim)), 2)
+        for x in random_elements(be, np.random.default_rng(radius), 200, radius):
+            k = x.mode_array
+            assert 1 <= len(k) <= 4 and len(x.coeff_array) == len(k)
+            assert [tuple(m) for m in k.tolist()] == sorted(set(map(tuple, k.tolist())))
+            assert (x.coeff_array != 0).all()
+            assert np.abs(k).max() <= min(radius, 2)
+            assert not k.flags.writeable and not x.coeff_array.flags.writeable
+
+
+class FixedDraws:
+    """A generator stand-in that returns the given modes and coefficient parts."""
+
+    def __init__(self, modes, parts):
+        self.modes, self.parts = modes, parts
+
+    def integers(self, low, high, size):
+        return np.array(self.modes, dtype=np.int64).reshape(size)
+
+    def standard_normal(self, size):
+        return np.array(self.parts, dtype=float).reshape(size)
+
+
+def test_random_graded_elements_add_repeats_and_drop_zero_sums():
+    be = BackendDescriptor.graded(1, np.zeros((1, 1)), 2)
+    rng = FixedDraws([[1], [1], [0], [-1], [2], [2], [2], [2]],
+                     [[1.0, 2.0], [-1.0, -2.0], [3.0, 0.0], [0.5, 0.0],
+                      [1.0, 0.0], [2.0, 0.0], [-3.0, 0.0], [0.25, -1.0]])
+    x, y = random_elements(be, rng, 2, radius=2)
+    assert x.modes == {(-1,): 0.5, (0,): 3.0}
+    assert y.modes == {(2,): 0.25 - 1j}
+
+
+@pytest.mark.parametrize("size", [1, 3, 30])
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_random_matrix_elements_are_the_formula_bit_for_bit(size, count):
+    be = BackendDescriptor.matrix(size)
+    rng, ref = np.random.default_rng(size + count), np.random.default_rng(size + count)
+    want = [AlgebraElement.from_matrix(be, (ref.standard_normal((size, size))
+                                            + 1j * ref.standard_normal((size, size)))
+                                       / max(1.0, np.sqrt(size)))
+            for _ in range(count)]
+    assert_same_bits(random_elements(be, rng, count), want)
+    assert rng.random() == ref.random()
 
 
 # -- the matrix kernel: exact zeros skipped, the exact identity passed through ------
@@ -803,7 +861,7 @@ def test_central_forms_stay_central():
     be = BackendDescriptor.matrix(3)
     unit = AlgebraElement.unit(be)
     half = unit * 0.5j
-    dense = random_element(be, np.random.default_rng(0))
+    dense = random_elements(be, np.random.default_rng(0), 1)[0]
     assert unit.central_form.tolist() == [1.0, 0.0]
     assert half.central_form is not None and star(half).central_form is not None
     # a slot of central forms, identities passing their operand through, stays central
@@ -865,7 +923,7 @@ def test_x_minus_x_is_the_full_sum_bit_for_bit(operand, c):
 
 def test_x_minus_x_rule_needs_one_array_and_a_unit_coefficient():
     be = BackendDescriptor.matrix(3)
-    x = random_element(be, np.random.default_rng(5))
+    x = random_elements(be, np.random.default_rng(5), 1)[0]
     twin = AlgebraElement.from_matrix(be, x.matrix)
     # 2x - 2x, x - x + x and x - (a copy of x) are summed in full
     sums = combine(be, [[(2.0, x), (-2.0, x)], [(1.0, x), (-1.0, x), (1.0, x)],

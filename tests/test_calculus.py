@@ -10,7 +10,7 @@ from nclevi import algebra
 from nclevi.algebra import (
     AlgebraElement,
     DerivationSpec,
-    random_element,
+    random_elements,
     trace,
     wide_mul,
     wide_sum,
@@ -22,8 +22,7 @@ from nclevi.calculus import (
     TwoForm,
     left_mul_many,
     p_sym_many,
-    random_one_form,
-    random_tensor_square,
+    random_samples,
     right_mul_many,
     sigma,
     subtract_many,
@@ -57,7 +56,7 @@ def test_d0_leibniz_fuzzy(fuzzy1):
     spec = fuzzy1.calculus
     rng = np.random.default_rng(0)
     for _ in range(5):
-        a, b = random_element(spec.backend, rng), random_element(spec.backend, rng)
+        a, b = random_elements(spec.backend, rng, 2)
         lhs, d_a, d_b = spec.d0_many([wide_mul(a, b), a, b])
         rhs_coeffs = [wide_sum([wide_mul(da, b), wide_mul(a, db)])
                       for da, db in zip(d_a.coeffs, d_b.coeffs)]
@@ -85,8 +84,7 @@ def test_wedge_basis_pair(fuzzy1):
 def test_wedge_right_linear(fuzzy1):
     spec = fuzzy1.calculus
     rng = np.random.default_rng(1)
-    t = random_tensor_square(spec, rng)
-    a = random_element(spec.backend, rng)
+    t, a = random_samples(spec, rng, 1, "ta")[0]
     (lhs,) = spec.wedge_many(right_mul_many([(t, a)]))
     (rhs,) = right_mul_many([(spec.wedge_many([t])[0], a)])
     assert max(wide_sum([x, -y]).norm() for x, y in zip(lhs.coeffs, rhs.coeffs)) <= 1e-10
@@ -100,7 +98,7 @@ def test_d1_of_d0_vanishes(fuzzy1, heis, torus_twisted):
     for model in (fuzzy1, heis, torus_twisted):
         spec = model.calculus
         for _ in range(5):
-            a = random_element(spec.backend, rng)
+            a = random_elements(spec.backend, rng, 1)[0]
             assert spec.d1_many(spec.d0_many([a]))[0].norm() <= 1e-10
 
 
@@ -252,8 +250,7 @@ def test_d1_leibniz(torus_twisted):
     spec = torus_twisted.calculus
     rng = np.random.default_rng(3)
     for _ in range(5):
-        w = random_one_form(spec, rng)
-        a = random_element(spec.backend, rng)
+        w, a = random_samples(spec, rng, 1, "wa")[0]
         lhs = spec.d1_many(right_mul_many([(w, a)]))[0]
         da = spec.d0_many([a])[0]
         n = spec.rank
@@ -271,7 +268,7 @@ def test_d1_leibniz(torus_twisted):
 def test_sigma_swaps_basis(fuzzy1):
     spec = fuzzy1.calculus
     rng = np.random.default_rng(4)
-    a = random_element(spec.backend, rng)
+    a = random_elements(spec.backend, rng, 1)[0]
     t = right_mul_many([(basis_tensor(spec, 0, 1), a)])[0]
     flipped = sigma(t)
     assert (flipped.coeffs[1][0] - a).norm() <= TOL
@@ -308,8 +305,7 @@ def test_sigma_bimodule_map(torus_twisted):
     spec = torus_twisted.calculus
     rng = np.random.default_rng(5)
     for _ in range(10):
-        t = random_tensor_square(spec, rng)
-        a = random_element(spec.backend, rng)
+        t, a = random_samples(spec, rng, 1, "ta")[0]
         right, sig_right = right_mul_many([(t, a), (sigma(t), a)])
         left, sig_left = left_mul_many([(a, t), (a, sigma(t))])
         assert worst_difference([(sigma(right), sig_right), (sigma(left), sig_left)]) <= TOL
@@ -318,7 +314,7 @@ def test_sigma_bimodule_map(torus_twisted):
 def test_wedge_psym_on_random(fuzzy1):
     spec = fuzzy1.calculus
     rng = np.random.default_rng(6)
-    ts = [random_tensor_square(spec, rng) for _ in range(100)]
+    ts = [t for t, in random_samples(spec, rng, 100, "t")]
     assert max(w.norm() for w in spec.wedge_many(p_sym_many(ts))) <= 10 * TOL
 
 
@@ -326,7 +322,7 @@ def test_decomposition_reconstructs(fuzzy1, torus_comm):
     rng = np.random.default_rng(7)
     for model in (fuzzy1, torus_comm):
         spec = model.calculus
-        ts = [random_tensor_square(spec, rng) for _ in range(10)]
+        ts = [t for t, in random_samples(spec, rng, 10, "t")]
         sym = p_sym_many(ts)
         anti = subtract_many(list(zip(ts, sym)))
         rebuilt = spec.wedge_section_many(spec.wedge_many(ts))
@@ -374,6 +370,6 @@ def test_braid_check_rank1():
 def test_sigma_fixes_symmetric_matrix(fuzzy1):
     spec = fuzzy1.calculus
     rng = np.random.default_rng(10)
-    t = random_tensor_square(spec, rng)
+    t = random_samples(spec, rng, 1, "t")[0][0]
     (sym,) = p_sym_many([t])
     assert worst_difference([(sigma(sym), sym)]) <= TOL

@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nclevi import algebra, cli
-from nclevi.algebra import AlgebraElement, random_element
+from nclevi.algebra import AlgebraElement, random_elements
 from nclevi.cli import main
 from nclevi.errors import NonSkew
 from nclevi.metric import MetricSpec
@@ -29,7 +33,7 @@ from nclevi.solver import ConnectionCoeffs, levi_civita
 def test_element_roundtrip(fuzzy1, torus_twisted):
     rng = np.random.default_rng(0)
     for model in (fuzzy1, torus_twisted):
-        a = random_element(model.backend, rng)
+        a = random_elements(model.backend, rng, 1)[0]
         doc = encode_element(a)
         json.dumps(doc)
         back = decode_element(model.backend, doc)
@@ -501,10 +505,10 @@ def assert_same_content(got, want, path="report"):
 def test_encode_element_matches_reference(fuzzy1, torus_twisted):
     rng = np.random.default_rng(2)
     nzero = complex(-0.0, -0.0)
-    mat = random_element(fuzzy1.backend, rng).matrix.copy()
+    mat = random_elements(fuzzy1.backend, rng, 1)[0].matrix.copy()
     mat[0, :] = nzero
     mat[1, 1] = complex(-0.0, 2.0)
-    graded = random_element(torus_twisted.backend, rng) + AlgebraElement.from_modes(
+    graded = random_elements(torus_twisted.backend, rng, 1)[0] + AlgebraElement.from_modes(
         torus_twisted.backend, {(0, 0, 3): complex(-0.0, 1.0), (0, 0, -3): complex(2.0, -0.0)})
     for a in (AlgebraElement.from_matrix(fuzzy1.backend, mat), graded,
               AlgebraElement.zero(torus_twisted.backend)):
@@ -842,3 +846,22 @@ def test_fuzzy_sphere_cli_solve_sums_six_full_arrays(monkeypatch, tmp_path, caps
     capsys.readouterr()
     assert code == 0
     assert (len(products), len(full)) == (6, 6)
+
+
+def test_solve_into_a_pipe_closed_early_exits_2_with_one_error_line():
+    # the k = 3 report (about 290 kB) is larger than a pipe holds, so a write fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "nclevi.cli", "solve", "--model",
+                             "fuzzy-sphere", "--k", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10).startswith(b'{"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err.splitlines() == ["i/o error: [Errno 32] Broken pipe"]

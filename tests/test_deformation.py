@@ -6,7 +6,7 @@ import pytest
 from nclevi.algebra import (
     AlgebraElement,
     BackendDescriptor,
-    random_element,
+    random_elements,
     wide_mul,
     wide_sum,
 )
@@ -96,7 +96,7 @@ def test_theta_zero_recovers_product(torus2_twisted):
     be = torus2_twisted.backend
     action = torus2_twisted.action
     rng = np.random.default_rng(0)
-    pairs = [(random_element(be, rng), random_element(be, rng)) for _ in range(10)]
+    pairs = [tuple(random_elements(be, rng, 2)) for _ in range(10)]
     for prod, (a, b) in zip(deform_product_many(pairs, np.zeros((2, 2)), action), pairs):
         assert wide_sum([prod, -wide_mul(a, b)]).norm() <= TOL
 
@@ -118,8 +118,7 @@ def test_deform_product_equals_twisted_backend_product():
     th = skew2(0.41)
     be_t = deform_backend(model.backend, th, model.action)
     rng = np.random.default_rng(1)
-    pairs = [(random_element(model.backend, rng), random_element(model.backend, rng))
-             for _ in range(10)]
+    pairs = [tuple(random_elements(model.backend, rng, 2)) for _ in range(10)]
     for via_formula, (a, b) in zip(deform_product_many(pairs, th, model.action), pairs):
         via_backend = wide_mul(deform_element(a, be_t), deform_element(b, be_t))
         worst = wide_sum([deform_element(via_formula, be_t), -via_backend]).norm()
@@ -130,7 +129,7 @@ def test_deformed_associativity():
     model = torus_bundle(2, 2, np.zeros((2, 2)), radius=12)
     th = skew2(0.3)
     rng = np.random.default_rng(2)
-    triples = [tuple(random_element(model.backend, rng) for _ in range(3)) for _ in range(100)]
+    triples = [tuple(random_elements(model.backend, rng, 3)) for _ in range(100)]
     ab = deform_product_many([(a, b) for a, b, _ in triples], th, model.action)
     bc = deform_product_many([(b, c) for _, b, c in triples], th, model.action)
     lhs = deform_product_many([(x, c) for x, (_, _, c) in zip(ab, triples)], th, model.action)
@@ -256,7 +255,7 @@ def test_v_g_deformation_matrix_identity(torus_twisted):
     th = skew2(0.33)
     calc_t = deform_calculus(torus_twisted.calculus, th, torus_twisted.action)
     g_t = deform_metric(g, calc_t)
-    w = OneForm([random_element(torus_twisted.backend, rng) for _ in range(3)])
+    w = OneForm(random_elements(torus_twisted.backend, rng, 3))
     undeformed = v_g_many(g, [w])[0]
     w_t = OneForm([deform_element(c, calc_t.backend) for c in w.coeffs])
     deformed = v_g_many(g_t, [w_t])[0]

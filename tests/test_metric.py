@@ -5,7 +5,7 @@ from conftest import basis_one_form, basis_tensor, cosine_metric
 from nclevi.algebra import (
     AlgebraElement,
     BackendDescriptor,
-    random_element,
+    random_elements,
     star,
     trace,
     wide_mul,
@@ -15,8 +15,7 @@ from nclevi.calculus import (
     OneForm,
     TensorSquare,
     left_mul_many,
-    random_one_form,
-    random_tensor_square,
+    random_samples,
     right_mul_many,
     sigma,
 )
@@ -65,7 +64,7 @@ def test_eval_flip_invariant(fuzzy1, torus_twisted):
     for model in (fuzzy1, torus_twisted):
         spec, g = model.calculus, model.metric
         for _ in range(10):
-            t = random_tensor_square(spec, rng)
+            t = random_samples(spec, rng, 1, "t")[0][0]
             g_sig, g_t = metric_eval_many(g, [sigma(t), t])
             d = wide_sum([g_sig, -g_t])
             assert d.norm() <= 10 * TOL
@@ -74,8 +73,7 @@ def test_eval_flip_invariant(fuzzy1, torus_twisted):
 def test_eval_bilinear(fuzzy1):
     spec, g = fuzzy1.calculus, fuzzy1.metric
     rng = np.random.default_rng(1)
-    t = random_tensor_square(spec, rng)
-    a = random_element(spec.backend, rng)
+    t, a = random_samples(spec, rng, 1, "ta")[0]
     g_left, g_t, g_right = metric_eval_many(
         g, left_mul_many([(a, t)]) + [t] + right_mul_many([(t, a)]))
     left = wide_sum([g_left, -wide_mul(a, g_t)])
@@ -106,7 +104,7 @@ def test_v_g_inverse_diagonal(fuzzy1):
 
 def test_v_g_roundtrips(fuzzy1, torus_comm, edge_metric):
     rng = np.random.default_rng(2)
-    cases = [(model.metric, random_one_form(model.calculus, rng))
+    cases = [(model.metric, random_samples(model.calculus, rng, 1, "w")[0][0])
              for model in (fuzzy1, torus_comm) for _ in range(10)]
     # the inverse reaches beyond R, and so do its products with edge modes
     _, edge_g, edge_omega = edge_metric
@@ -229,7 +227,7 @@ def test_noncentral_component_rejected(fuzzy1):
     unit = AlgebraElement.unit(spec.backend)
     zero = AlgebraElement.zero(spec.backend)
     rng = np.random.default_rng(3)
-    bad = random_element(spec.backend, rng)
+    bad = random_elements(spec.backend, rng, 1)[0]
     with pytest.raises(NonCentralResult):
         MetricSpec(spec, [[unit, zero, zero], [zero, unit, zero], [zero, zero, bad]])
 
@@ -253,7 +251,7 @@ def test_first_failing_component_is_named_in_row_major_order(fuzzy1, torus_twist
         unit = AlgebraElement.unit(spec.backend)
         zero = AlgebraElement.zero(spec.backend)
         if spec.backend.kind == "matrix":
-            bad = random_element(spec.backend, np.random.default_rng(4))
+            bad = random_elements(spec.backend, np.random.default_rng(4), 1)[0]
             bad = bad + star(bad)
         else:
             bad = AlgebraElement.from_modes(spec.backend, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
@@ -352,8 +350,7 @@ def test_g2_flip_adjoint(fuzzy1, torus_twisted):
     for model in (fuzzy1, torus_twisted):
         spec, g = model.calculus, model.metric
         for _ in range(5):
-            s = random_tensor_square(spec, rng)
-            t = random_tensor_square(spec, rng)
+            s, t = random_samples(spec, rng, 1, "tt")[0]
             lhs, rhs = g2_eval_many(v_g2_matrix(g), [(sigma(s), t), (s, sigma(t))])
             d = wide_sum([lhs, -rhs])
             assert d.norm() <= 1e-9
@@ -394,8 +391,7 @@ def test_hilbert_module_identity(fuzzy1):
     rng = np.random.default_rng(5)
     n = spec.rank
     for _ in range(5):
-        x = random_tensor_square(spec, rng)
-        y = random_tensor_square(spec, rng)
+        x, y = random_samples(spec, rng, 1, "tt")[0]
         # S(sum e_k (x) e_l x_kl) has coefficients x_lk^* on the self-adjoint frame
         sx = TensorSquare([[star(x.coeffs[j][i]) for j in range(n)] for i in range(n)])
         lhs = g2_eval_many(v_g2_matrix(g), [(sx, y)])[0]
@@ -410,7 +406,7 @@ def test_v_g_inverse_then_v_g(fuzzy1, torus_comm):
     rng = np.random.default_rng(7)
     for model in (fuzzy1, torus_comm):
         spec, g = model.calculus, model.metric
-        phis = Functional([random_element(spec.backend, rng) for _ in range(3)])
+        phis = Functional(random_elements(spec.backend, rng, 3))
         back = v_g_many(g, v_g_inverse_many(g, [phis]))[0]
         assert max(wide_sum([a, -b]).norm()
                    for a, b in zip(back.coeffs, phis.coeffs)) <= 1e-9

@@ -10,7 +10,7 @@ from nclevi.algebra import (
     DerivationSpec,
     derive,
     first_noncentral,
-    random_element,
+    random_elements,
     trace,
 )
 from nclevi.calculus import p_sym_many
@@ -90,7 +90,7 @@ def test_fuzzy_generators_detect_center(fuzzy1):
     blocks = np.diag([1.0] * 1 + [2.0] * 4).astype(complex)
     assert first_noncentral([AlgebraElement.from_matrix(be, blocks)], gens) is not None
     rng = np.random.default_rng(0)
-    assert first_noncentral([random_element(be, rng)], gens) is not None
+    assert first_noncentral(random_elements(be, rng, 1), gens) is not None
 
 
 def test_fuzzy_derivation_brackets(fuzzy1):
@@ -99,7 +99,7 @@ def test_fuzzy_derivation_brackets(fuzzy1):
     rng = np.random.default_rng(1)
     d1, d2, d3 = spec.derivations
     for _ in range(5):
-        a = random_element(spec.backend, rng)
+        a = random_elements(spec.backend, rng, 1)[0]
         lhs = derive(d1, derive(d2, a)) - derive(d2, derive(d1, a))
         assert (lhs - 1j * derive(d3, a)).norm() <= 1e-10
 
@@ -132,7 +132,7 @@ def test_heisenberg_exterior_constant_is_unique_solution(heis):
     y[2][0, 2] = 1.0
     ders = [DerivationSpec.inner(AlgebraElement.from_matrix(be, -1j * m)) for m in y]
     rng = np.random.default_rng(2)
-    basis = [random_element(be, rng) for _ in range(12)]
+    basis = random_elements(be, rng, 12)
     pairs = [(0, 1), (0, 2), (1, 2)]
     solved = np.zeros((3, 3), dtype=complex)
     for a, (j, l) in enumerate(pairs):

@@ -8,8 +8,8 @@ import dataclasses
 import inspect
 
 import nclevi
-from nclevi.algebra import random_element
-from nclevi.calculus import random_one_form, random_tensor_square
+from nclevi.algebra import random_elements
+from nclevi.calculus import random_samples
 from nclevi.verification import algebra_checks
 
 # name -> {parameter: repr of its default, or the kind of a * / ** parameter};
@@ -23,7 +23,7 @@ PINNED = {
     "TorusAction": {"coords": "()"},
     "levi_civita": {"route": "'direct'", "residual_tol": "1e-10"},
     # samplers and the algebra suite, outside nclevi.__all__
-    "random_element": {"radius": "1"},
+    "random_elements": {"radius": "1"},
 }
 
 
@@ -43,7 +43,7 @@ def test_public_optional_parameters_are_pinned():
         obj = getattr(nclevi, name)
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)):
             found[name] = optional_parameters(obj)
-    for obj in (random_element, random_one_form, random_tensor_square, algebra_checks):
+    for obj in (random_elements, random_samples, algebra_checks):
         found[obj.__name__] = optional_parameters(obj)
     assert {name: opts for name, opts in found.items() if opts} == PINNED
 

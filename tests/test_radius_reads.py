@@ -1,7 +1,7 @@
 """The truncation radius bounds outside input and enters no computation.
 
 An algebra's radius R is read where input is checked: the descriptor itself,
-the mode constructors' `_truncated` and `random_element`'s draws, and in
+the mode constructors' `_truncated` and `random_elements`' draws, and in
 `deform_backend`, which carries R over to the deformed algebra.  A metric's
 components are elements like any other, so `MetricSpec` does not read R.  A
 read anywhere else would let an answer depend on the R a user picked.  Reads
@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nclevi"
 INPUT_SITES = {
     ("algebra", ("BackendDescriptor",)),
     ("algebra", ("_truncated",)),
-    ("algebra", ("random_element",)),
+    ("algebra", ("random_elements",)),
     ("deformation", ("deform_backend",)),
 }
 

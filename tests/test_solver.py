@@ -14,7 +14,7 @@ from nclevi.algebra import (
     BackendDescriptor,
     DerivationSpec,
     derive,
-    random_element,
+    random_elements,
     trace,
     wide_mul,
     wide_sum,
@@ -212,7 +212,7 @@ def test_pi_g_entry_points_agree(torus_twisted):
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                gamma[i][j][k] = gamma[i][k][j] = random_element(spec.backend, rng)
+                gamma[i][j][k] = gamma[i][k][j] = random_elements(spec.backend, rng, 1)[0]
     nab = ConnectionCoeffs(spec, gamma)
     res = compat_residual(g, nab)
     pi = pi_g_basis(g, nab)
@@ -389,7 +389,7 @@ def test_phi_right_linear(fuzzy1):
     raw = rng.standard_normal((n, n, n))
     raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
     lmap = [[[unit * raw[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
-    a = random_element(spec.backend, rng)
+    a = random_elements(spec.backend, rng, 1)[0]
     la = [[[wide_mul(lmap[i][j][k], a) for k in range(n)] for j in range(n)]
           for i in range(n)]
     lhs, base = phi_g_apply_many(g, [la, lmap])
