@@ -691,10 +691,9 @@ def finite(a: AlgebraElement) -> bool:
 class DerivationSpec:
     """A derivation of the backend algebra.
 
-    kind "inner":   a -> i [X, a] for a fixed element X.
+    kind "inner":   a -> i [X, a] for a fixed element X; X = 0 gives the
+                    zero action, as on the Heisenberg model's scalars.
     kind "grading": U^k -> 2 pi i k_j U^k on the graded backend.
-    kind "zero":    the zero action; the structure action used by the
-                    structure-constant models, where the algebra is scalar.
     """
 
     kind: str
@@ -702,7 +701,7 @@ class DerivationSpec:
     index: int = -1
 
     def __post_init__(self):
-        if self.kind not in ("inner", "grading", "zero"):
+        if self.kind not in ("inner", "grading"):
             raise ValueError(f"unknown derivation kind {self.kind!r}")
         if self.kind == "inner" and self.element is None:
             raise ValueError("inner derivation needs a fixed element")
@@ -718,10 +717,6 @@ class DerivationSpec:
     @classmethod
     def grading(cls, index: int) -> "DerivationSpec":
         return cls(kind="grading", index=index)
-
-    @classmethod
-    def zero(cls) -> "DerivationSpec":
-        return cls(kind="zero")
 
 
 def derive(delta: DerivationSpec, a: AlgebraElement) -> AlgebraElement:
@@ -770,9 +765,7 @@ def derive_many(pairs: Sequence[Tuple[DerivationSpec, AlgebraElement]]) -> List[
                        for (_, a), lo, hi in zip(grading, [0] + ends, ends))
     out = []
     for delta, a in pairs:
-        if delta.kind == "zero":
-            out.append(AlgebraElement.zero(a.backend))
-        elif delta.kind == "inner":
+        if delta.kind == "inner":
             out.append(1j * next(comms))
         else:
             out.append(next(derived))

@@ -82,15 +82,20 @@ def _require_seed(args) -> None:
 _OWN_RADIUS = 1  # the reach of U^(+-e_j) and of random_central_metric's modes
 
 
+# model name -> its builder from the parsed arguments and the torus radius, in
+# the order of solve's --model choices and of verify's default --models
+_MODELS = {
+    "fuzzy-sphere": lambda args, radius: fuzzy_sphere(args.k),
+    "heisenberg": lambda args, radius: heisenberg(),
+    "torus": lambda args, radius: torus_bundle(
+        args.dims, args.deformed, _parse_theta(args.theta, args.deformed), radius),
+}
+
+
 def _build_model(name: str, args, radius: int) -> Model:
-    if name == "fuzzy-sphere":
-        return fuzzy_sphere(args.k)
-    if name == "heisenberg":
-        return heisenberg()
-    if name == "torus":
-        theta = _parse_theta(args.theta, args.deformed)
-        return torus_bundle(args.dims, args.deformed, theta, radius)
-    raise ValueError(f"unknown model {name!r}")
+    if name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return _MODELS[name](args, radius)
 
 
 def _dumps(report: dict) -> str:
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # command name -> its _CommandParser
 
     sp = sub.add_parser("solve", help="solve for the Levi-Civita connection")
-    sp.add_argument("--model", required=True, choices=("fuzzy-sphere", "heisenberg", "torus"))
+    sp.add_argument("--model", required=True, choices=tuple(_MODELS))
     sp.add_argument("--k", type=int, default=1, help="fuzzy sphere cutoff")
     sp.add_argument("--dims", type=int, default=3)
     sp.add_argument("--deformed", type=int, default=2)
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(read=_read_solve, func=_cmd_solve)
 
     vp = sub.add_parser("verify", help="run every module invariant suite")
-    vp.add_argument("--models", default="fuzzy-sphere,heisenberg,torus")
+    vp.add_argument("--models", default=",".join(_MODELS))
     vp.add_argument("--k", type=int, default=1)
     vp.add_argument("--dims", type=int, default=3)
     vp.add_argument("--deformed", type=int, default=2)

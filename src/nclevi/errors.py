@@ -38,11 +38,12 @@ class NoSolution(GeometryError):
 
 
 class NonUnique(GeometryError):
-    """The joint torsion/compatibility operator has a nontrivial kernel."""
+    """The connection is not unique: compatibility leaves more unknowns per point
+    than torsion has equations, or the per-point torsion operator has a kernel."""
 
 
 class Inconsistent(GeometryError):
-    """The joint torsion/compatibility system is unsolvable."""
+    """A solved connection breaches the torsion or the compatibility gate."""
 
 
 class RangeNotSymmetric(GeometryError):

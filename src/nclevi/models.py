@@ -1,15 +1,18 @@
 """The three shipped geometries: fuzzy 3-sphere, quantum Heisenberg structure-constant
 model, and theta-deformed torus bundles.
 
-Each constructor packages a backend, the rank-3 (or rank-m) calculus with its
-wedge and exterior constants, the canonical trace metric, generator lists for
-centrality tests, and (for the torus) the grading data consumed by the
-deformation engine.
+The two matrix models are calls of one constructor, `lie_matrix_geometry`:
+a Lie algebra's structure constants and a representation of it by N x N
+matrices acting on M_N(C) by inner derivations.  The fuzzy sphere is su(2)
+on its spin blocks, Heisenberg [d_1, d_2] = d_3 on the trivial 1 x 1
+representation.  Each constructor packages a backend, the rank-n calculus
+with its wedge and exterior constants, the canonical trace metric, generator
+lists for centrality tests, and (for the torus) the grading data consumed by
+the deformation engine.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,13 +32,6 @@ def pauli_matrices():
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
     return s1, s2, s3
-
-
-def _permutations(base):
-    for p in itertools.permutations(base):
-        # parity via inversion count
-        inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-        yield p, (-1.0 if inv % 2 else 1.0)
 
 
 def spin_matrices(j: float):
@@ -94,78 +90,64 @@ class Model:
         return self.calculus.backend
 
 
-def fuzzy_sphere(k: int) -> Model:
-    """Matrix geometry on B(H_0), H_0 the multiplicity-free sum of spins 0..k/2.
+def lie_matrix_geometry(name: str, brackets, reps) -> Model:
+    """Matrix geometry of a Lie algebra acting on M_N(C) by inner derivations.
 
-    The rank-3 calculus carries the antisymmetric wedge and exterior constants
-    fixed by the torsion relation Gamma^i_jk - Gamma^i_kj = i eps^ijk; the
-    derivations are the commutators with the block spin generators, normalized
-    so that d compose d = 0 holds against those constants.
+    brackets[k, j, l] = C^k_jl with [X_j, X_l] = sum_k C^k_jl X_k, and reps
+    are the N x N matrices X_j.  The derivations are partial_j = [X_j, .],
+    the calculus carries the antisymmetric wedge and the exterior constants
+    D^(jl)_k = -C^k_jl that d compose d = 0 fixes, and the generators for
+    centrality tests are the two shifts followed by the reps.  The metric is
+    the canonical trace metric of the rank-n gamma matrices.
+    """
+    reps = [np.asarray(x) for x in reps]
+    n, size = len(reps), reps[0].shape[0]
+    backend = BackendDescriptor.matrix(size)
+    # the inner rule is a -> i[Y, a], so Y = -i X_j gives [X_j, .]
+    derivations = [DerivationSpec.inner(AlgebraElement.from_matrix(backend, -1j * x))
+                   for x in reps]
+    pairs, c = _antisymmetric_wedge(n)
+    exterior = np.array([[-brackets[k, j, l] for k in range(n)] for j, l in pairs],
+                        dtype=complex)
+    shift = np.eye(size, k=-1)
+    generators = [AlgebraElement.from_matrix(backend, x) for x in (shift, shift.T, *reps)]
+    calculus = CalculusSpec(n, len(pairs), c, exterior, derivations, backend, generators)
+    return Model(name=name, calculus=calculus, metric=canonical_metric(calculus, gamma_matrices(n)))
+
+
+def fuzzy_sphere(k: int) -> Model:
+    """su(2), C = i eps, on B(H_0), H_0 the multiplicity-free sum of spins 0..k/2.
+
+    X_j acts on the spin-j/2 block V*_j (x) V_j as 1 (x) J_j, so that the
+    torsion relation reads Gamma^i_jk - Gamma^i_kj = i eps^ijk.
     """
     if k < 1:
         raise ValueError("fuzzy sphere needs k >= 1")
-    dims = [d for d in range(1, k + 2)]            # 2j+1 for j = 0, 1/2, ..., k/2
+    dims = range(1, k + 2)                         # 2j+1 for j = 0, 1/2, ..., k/2
     size = sum(d * d for d in dims)
     if size > DEFAULT_MATRIX_CAP:
         raise SizeTooLarge(f"fuzzy_sphere({k}) needs N = {size} > cap {DEFAULT_MATRIX_CAP}")
-    backend = BackendDescriptor.matrix(size)
-
-    spins = []
+    reps = np.zeros((3, size, size), dtype=complex)
+    off = 0
     for d in dims:
-        j = (d - 1) / 2
-        spins.append(spin_matrices(j))
-    gen = []
-    for comp in range(3):
-        big = np.zeros((size, size), dtype=complex)
-        off = 0
-        for d, sp in zip(dims, spins):
-            block = np.kron(np.eye(d), sp[comp])   # spin action on V*_j (x) V_j
-            big[off:off + d * d, off:off + d * d] = block
-            off += d * d
-        gen.append(big)
-    # partial_i = [X_i, .]; the inner rule is a -> i[Y, a], so pass Y = -i X_i
-    derivations = [DerivationSpec.inner(AlgebraElement.from_matrix(backend, -1j * x))
-                   for x in gen]
-
-    pairs, c = _antisymmetric_wedge(3)
-    eps = np.zeros((3, 3, 3))
-    for p, s in _permutations((0, 1, 2)):
-        eps[p] = s
-    exterior = np.zeros((3, 3), dtype=complex)
-    for a, (j, l) in enumerate(pairs):
-        for i in range(3):
-            exterior[a, i] = -1j * eps[i, j, l]
-
-    shift = np.zeros((size, size))
-    for r in range(size - 1):
-        shift[r + 1, r] = 1.0
-    generators = [AlgebraElement.from_matrix(backend, shift),
-                  AlgebraElement.from_matrix(backend, shift.T)]
-    generators += [AlgebraElement.from_matrix(backend, x) for x in gen]
-
-    calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    metric = canonical_metric(calculus, pauli_matrices())
-    return Model(name="fuzzy-sphere", calculus=calculus, metric=metric)
+        reps[:, off:off + d * d, off:off + d * d] = [
+            np.kron(np.eye(d), x) for x in spin_matrices((d - 1) / 2)]
+        off += d * d
+    i, j, l = np.indices((3, 3, 3))                # eps_ijl = (i - j)(j - l)(l - i) / 2
+    return lie_matrix_geometry("fuzzy-sphere", 1j * ((i - j) * (j - l) * (l - i) / 2), reps)
 
 
 def heisenberg() -> Model:
-    """Quantum Heisenberg manifold at structure-constant level.
+    """Quantum Heisenberg manifold at structure-constant level: [d_1, d_2] = d_3,
+    C^3_12 = -C^3_21 = 1, on the trivial 1 x 1 representation X_j = 0.
 
-    The frame bracket [d_1, d_2] = d_3 enters only through the exterior
-    constant on the e_1 ^ e_2 slot of d(e_3), fixed by the d compose d = 0
-    constraint; coefficients are scalars, so only constant metrics are
-    representable and the derivations act by zero.
+    Coefficients are scalars, so only constant metrics are representable and
+    the derivations act by zero; the bracket enters only through the exterior
+    constant D^(12)_3 = -1.
     """
-    backend = BackendDescriptor.matrix(1)
-    pairs, c = _antisymmetric_wedge(3)
-    exterior = np.zeros((3, 3), dtype=complex)
-    # Maurer-Cartan: sum_i D^(jl)_i d_i = -[d_j, d_l] forces D^(12)_3 = -1, rest 0
-    exterior[pairs.index((0, 1)), 2] = -1.0
-    derivations = [DerivationSpec.zero() for _ in range(3)]
-    generators = [AlgebraElement.unit(backend)]
-    calculus = CalculusSpec(3, 3, c, exterior, derivations, backend, generators)
-    metric = canonical_metric(calculus, pauli_matrices())
-    return Model(name="heisenberg", calculus=calculus, metric=metric)
+    brackets = np.zeros((3, 3, 3))
+    brackets[2, 0, 1], brackets[2, 1, 0] = 1.0, -1.0
+    return lie_matrix_geometry("heisenberg", brackets, np.zeros((3, 1, 1)))
 
 
 def torus_bundle(m: int, n: int, theta, radius: int) -> Model:

@@ -205,6 +205,23 @@ def test_graded_inner_derivation_is_the_commutator():
     assert wide_sum([dab, -da_b, -a_db]).norm() <= 1e-12
 
 
+@pytest.mark.parametrize("backend", [BackendDescriptor.matrix(1), BackendDescriptor.matrix(5),
+                                     BackendDescriptor.graded(3, [[0.0, 0.3, 0.0],
+                                                                  [-0.3, 0.0, 0.0],
+                                                                  [0.0, 0.0, 0.0]], 2)],
+                         ids=["M1", "M5", "graded"])
+def test_inner_derivation_by_zero_is_the_shared_zero(backend):
+    # the zero action is the inner derivation by zero: no kind of its own is needed
+    zero = AlgebraElement.zero(backend)
+    elements = random_elements(backend, np.random.default_rng(3), 3) + [
+        AlgebraElement.unit(backend), zero]
+    derived = derive_many([(DerivationSpec.inner(zero), a) for a in elements])
+    assert_same_bits(derived, [zero] * len(elements))
+    if backend.kind == "matrix":
+        # M_1's zero is a 1 x 1 array, M_N's a central form
+        assert [d.central_form is None for d in derived] == [backend.size == 1] * len(derived)
+
+
 # -- centrality --------------------------------------------------------------------
 
 

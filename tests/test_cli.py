@@ -219,6 +219,15 @@ def test_verify_refuses_a_model_named_twice(capsys):
     _refused_input(capsys, ["verify", "--models", "torus,torus"], "a model twice")
 
 
+def test_one_model_table_names_every_model(capsys):
+    # solve's choices, verify's default list and its refusal all read one table
+    parser = cli.build_parser()
+    (model,) = [a for a in parser.commands["solve"]._actions if a.dest == "model"]
+    assert model.choices == ("fuzzy-sphere", "heisenberg", "torus")
+    assert parser.commands["verify"].get_default("models") == "fuzzy-sphere,heisenberg,torus"
+    _refused_input(capsys, ["verify", "--models", "heisenberg,sphere"], "unknown model 'sphere'")
+
+
 @pytest.mark.parametrize("metrics", ["0", "-3"])
 def test_oracle_compare_refuses_no_trials(capsys, metrics):
     _refused_input(capsys, ["oracle-compare", "--metrics", metrics], "at least 1")

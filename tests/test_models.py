@@ -19,11 +19,13 @@ from nclevi.metric import MetricSpec
 from nclevi.models import (
     fuzzy_sphere,
     gamma_matrices,
+    lie_matrix_geometry,
     pauli_matrices,
     random_central_metric,
     spin_matrices,
     torus_bundle,
 )
+from nclevi.solver import ConnectionCoeffs, koszul_oracle, levi_civita
 
 TOL = 1e-12
 
@@ -159,6 +161,53 @@ def test_heisenberg_exterior_constant_is_unique_solution(heis):
 
 def test_heisenberg_metric_delta(heis):
     assert np.max(np.abs(scalars(heis.metric) - np.eye(3))) <= 1e-12
+
+
+# -- Lie-algebra matrix geometries ------------------------------------------------------
+
+
+def _su2(j):
+    """C = i eps on the spin-j representation."""
+    i, k, l = np.indices((3, 3, 3))
+    return 1j * ((i - k) * (k - l) * (l - i) / 2), spin_matrices(j)
+
+
+def _su3():
+    """X = lambda / 2 from the Gell-Mann matrices, C^k_jl = 2 tr([X_j, X_l] X_k)."""
+    lam = []
+    for j, k in [(0, 1), (0, 2), (1, 2)]:
+        sym, anti = np.zeros((2, 3, 3), dtype=complex)
+        sym[j, k] = sym[k, j] = 1.0
+        anti[j, k], anti[k, j] = -1j, 1j
+        lam += [sym, anti]
+    lam += [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)]
+    x = np.array(lam) / 2
+    comm = np.einsum("jab,lbc->jlac", x, x) - np.einsum("lab,jbc->jlac", x, x)
+    return 2 * np.einsum("jlab,kba->kjl", comm, x), x
+
+
+@pytest.mark.parametrize("lie", [lambda: _su2(0.5), lambda: _su2(1.0), lambda: _su2(1.5),
+                                 lambda: _su2(2.0), _su3],
+                         ids=["su2-spin-1/2", "su2-spin-1", "su2-spin-3/2", "su2-spin-2", "su3"])
+def test_lie_geometry_connection_is_half_the_structure_constants(lie):
+    # on an ad-invariant orthonormal metric Gamma^i_jk = C^i_jk / 2 in closed
+    # form, which neither route nor the oracle computes this way
+    brackets, reps = lie()
+    model = lie_matrix_geometry("lie", brackets, reps)
+    assert np.array_equal(scalars(model.metric), np.eye(len(reps)))
+    want = ConnectionCoeffs.from_scalars(model.calculus, brackets / 2)
+    got = [levi_civita(model.calculus, model.metric, route=route).connection
+           for route in ("direct", "phi", "both")]
+    for nabla in got + [koszul_oracle(model.calculus, model.metric)]:
+        assert nabla.difference_norm(want) <= 1e-14
+
+
+def test_matrix_models_are_lie_geometries(heis):
+    # rank 3 takes the Pauli matrices for the canonical metric; Heisenberg's
+    # derivations are inner by the zero of the trivial 1 x 1 representation
+    assert all(np.array_equal(g.view(np.uint64), s.view(np.uint64))
+               for g, s in zip(gamma_matrices(3), pauli_matrices()))
+    assert all(d.kind == "inner" and d.element.norm() == 0.0 for d in heis.calculus.derivations)
 
 
 # -- torus bundle -----------------------------------------------------------------------------

@@ -928,8 +928,8 @@ def _underdetermined_calculus():
     backend = BackendDescriptor.matrix(1)
     wedge = np.zeros((1, 3, 3))
     wedge[0, 0, 1], wedge[0, 1, 0] = 1.0, -1.0
-    return CalculusSpec(3, 1, wedge, np.zeros((1, 3)),
-                        [DerivationSpec.zero() for _ in range(3)], backend,
+    zero = DerivationSpec.inner(AlgebraElement.zero(backend))
+    return CalculusSpec(3, 1, wedge, np.zeros((1, 3)), [zero] * 3, backend,
                         [AlgebraElement.unit(backend)])
 
 
